@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import series as S
-from .core import ChowClass, class_from_json, coeff_from_str, coeff_to_str
+from .core import class_from_json, coeff_from_str, coeff_to_str
 from .errors import (
     IntegralityViolation,
     NonInvertibleSeries,
@@ -22,19 +22,15 @@ from .errors import (
 class SeriesSpec:
     """Per-Chern-root series defining a multiplicative class.
 
-    mode is "multiplicative" (constant term a unit, e.g. Todd) or
-    "multiplicative-invertible-at-p" (constant term only a unit after
-    inverting p, e.g. Bott's class).
+    The constant term must be nonzero; it need not be 1 (Bott's class has
+    constant term p).
     """
 
-    def __init__(self, coeffs, mode="multiplicative", name=""):
+    def __init__(self, coeffs, name=""):
         self.coeffs = [Fraction(c) for c in coeffs]
         if not self.coeffs or self.coeffs[0] == 0:
             raise NonInvertibleSeries("multiplicative series needs a nonzero "
                                       "constant term")
-        if mode not in ("multiplicative", "multiplicative-invertible-at-p"):
-            raise ValueError("unknown series mode %r" % mode)
-        self.mode = mode
         self.name = name
 
     def truncated(self, n):
@@ -57,7 +53,7 @@ class VirtualBundle:
                              % (r0, rank))
         self.variety = variety
         self.rank = rank
-        self.ch = ChowClass(variety, ch.coeffs, rational=True)
+        self.ch = ch
         self.integral = integral
 
     def __add__(self, other):
@@ -109,12 +105,12 @@ class VirtualBundle:
     @classmethod
     def from_json(cls, variety, obj, integral=True):
         rank = int(coeff_from_str(obj["rank"]))
-        ch = class_from_json(variety, obj.get("ch", {}), rational=True)
+        ch = class_from_json(variety, obj.get("ch", {}))
         return cls(variety, rank, ch, integral=integral)
 
 
 def trivial_bundle(X, rank):
-    return VirtualBundle(X, rank, X.unit(rational=True).scale(rank))
+    return VirtualBundle(X, rank, X.unit().scale(rank))
 
 
 def tangent_bundle(X):
@@ -128,19 +124,6 @@ def power_sums(e):
             for k in range(1, X.dim + 1)]
 
 
-def _exp_in_ring(u):
-    """exp of a class supported in positive codimension."""
-    X = u.variety
-    out = X.unit(rational=True)
-    term = X.unit(rational=True)
-    for k in range(1, X.dim + 1):
-        term = term * u
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, factorial(k)))
-    return out
-
-
 def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles."""
     X = e.variety
@@ -150,26 +133,26 @@ def multiplicative_class(spec, e):
     if a0 == 0:
         raise NonInvertibleSeries("series has zero constant term")
     logs = S.slog(S.sscale(1 / a0, f, n), n)
-    u = X.zero(rational=True)
+    u = X.zero()
     for k, pk in enumerate(power_sums(e), start=1):
         if logs[k] and not pk.is_zero():
             u = u + pk.scale(logs[k])
-    return _exp_in_ring(u).scale(Fraction(a0) ** e.rank)
+    return u.exp().scale(Fraction(a0) ** e.rank)
 
 
 def chern(e):
     """Total Chern class via Newton's identities; integral input, integral output."""
     X = e.variety
     ps = power_sums(e)
-    cs = [X.unit(rational=True)]  # cs[k] = c_k
+    cs = [X.unit()]  # cs[k] = c_k
     for k in range(1, X.dim + 1):
-        acc = X.zero(rational=True)
+        acc = X.zero()
         for i in range(1, k + 1):
             term = cs[k - i] * ps[i - 1]
             acc = acc + (term if i % 2 == 1 else -term)
         cs.append(acc.scale(Fraction(1, k)))
     cs = cs[1:]
-    total = X.unit(rational=True)
+    total = X.unit()
     for c in cs:
         total = total + c
     if e.integral and not total.is_integral():
@@ -177,10 +160,6 @@ def chern(e):
             "total Chern class of an integral bundle came out fractional "
             "(corrupted ch data?): %r" % total)
     return total.as_integral() if e.integral else total
-
-
-def chern_component(e, k):
-    return chern(e).codim_component(k)
 
 
 def todd(e):
@@ -193,8 +172,7 @@ def theta_p(e, p):
     """Bott's class: per-root series 1 + e^{-t} + ... + e^{-(p-1)t}."""
     require_prime(p)
     return multiplicative_class(
-        SeriesSpec(S.theta_series(p, e.variety.dim),
-                   mode="multiplicative-invertible-at-p", name="theta^%d" % p), e)
+        SeriesSpec(S.theta_series(p, e.variety.dim), name="theta^%d" % p), e)
 
 
 def w_chp(e, p):
@@ -208,11 +186,6 @@ def w_chp(e, p):
                                        "out fractional" % p)
         return out.as_integral()
     return out
-
-
-def w_chp_component(e, p, k):
-    """Component lowering dimension by k(p-1)."""
-    return w_chp(e, p).codim_component(k * (p - 1))
 
 
 # -- per-variety caches -------------------------------------------------------

@@ -1,13 +1,16 @@
 """Exact graded commutative algebra over the cell basis of a cellular variety.
 
-Chow classes are sparse coefficient vectors over the cells, with either
-arbitrary-precision integer coefficients (integral mode) or Fractions
-(rational mode, used for everything Riemann-Roch related).  The ring
+Chow classes are sparse coefficient vectors over the cells.  A coefficient
+is an arbitrary-precision integer, or a Fraction where Riemann-Roch brings in
+denominators; a Fraction with denominator 1 is stored as an integer, so
+whether a class is integral is read off its coefficients.  The ring
 structure comes from a finite table of structure constants which is checked
 exhaustively for associativity, commutativity, unitality and grading when
-the variety is constructed.
+the variety is constructed.  Pushforward, pullback and the Riemann-Roch lift
+are linear maps given by sparse matrices over the cells (`apply_matrix`).
 """
 from fractions import Fraction
+from math import factorial
 
 from .errors import (
     InvalidVariety,
@@ -182,9 +185,6 @@ class CellularVariety:
     def cell_codim(self, label):
         return self.dim - self.cell_dim(label)
 
-    def cells_of_dim(self, d):
-        return [l for (l, dd) in self.cells if dd == d]
-
     def resolve_label(self, label):
         """Accept the "1" alias for the fundamental cell."""
         if label == FUNDAMENTAL_ALIAS and label not in self._dims:
@@ -195,22 +195,21 @@ class CellularVariety:
 
     # -- canonical classes ----------------------------------------------------
 
-    def zero(self, rational=False):
-        return ChowClass(self, {}, rational=rational)
+    def zero(self):
+        return ChowClass(self, {})
 
-    def unit(self, rational=False):
-        return ChowClass(self, {self.fundamental: 1}, rational=rational)
+    def unit(self):
+        return ChowClass(self, {self.fundamental: 1})
 
-    def basis_class(self, label, rational=False):
-        return ChowClass(self, {self.resolve_label(label): 1}, rational=rational)
+    def basis_class(self, label):
+        return ChowClass(self, {self.resolve_label(label): 1})
 
     def tau_class(self, label):
         """tau[O_Z] of the closure of a cell, as a rational Chow class."""
-        return ChowClass(self, dict(self.tau_columns[self.resolve_label(label)]),
-                         rational=True)
+        return ChowClass(self, self.tau_columns[self.resolve_label(label)])
 
     def tangent_chern_character(self):
-        return ChowClass(self, dict(self.tangent_ch), rational=True)
+        return ChowClass(self, self.tangent_ch)
 
     def __repr__(self):
         return "CellularVariety(%s, dim=%d, %d cells)" % (
@@ -220,9 +219,9 @@ class CellularVariety:
 class ChowClass:
     """Sparse exact coefficient vector over the cells of one variety."""
 
-    __slots__ = ("variety", "coeffs", "rational")
+    __slots__ = ("variety", "coeffs")
 
-    def __init__(self, variety, coeffs, rational=False):
+    def __init__(self, variety, coeffs):
         clean = {}
         for label, v in coeffs.items():
             if label not in variety._dims:
@@ -231,11 +230,8 @@ class ChowClass:
             v = _as_coeff(v)
             if v:
                 clean[label] = v
-        if not rational and any(isinstance(v, Fraction) for v in clean.values()):
-            rational = True
         self.variety = variety
         self.coeffs = clean
-        self.rational = rational
 
     # -- structure ------------------------------------------------------------
 
@@ -263,7 +259,7 @@ class ChowClass:
     def dim_component(self, d):
         V = self.variety
         return ChowClass(V, {l: v for l, v in self.coeffs.items()
-                             if V.cell_dim(l) == d}, rational=self.rational)
+                             if V.cell_dim(l) == d})
 
     def codim_component(self, c):
         return self.dim_component(self.variety.dim - c)
@@ -280,22 +276,19 @@ class ChowClass:
         out = dict(self.coeffs)
         for l, v in other.coeffs.items():
             out[l] = out.get(l, 0) + v
-        return ChowClass(self.variety, out,
-                         rational=self.rational or other.rational)
+        return ChowClass(self.variety, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChowClass(self.variety, {l: -v for l, v in self.coeffs.items()},
-                         rational=self.rational)
+        return ChowClass(self.variety, {l: -v for l, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
             out = self.variety._raw_mul(self.coeffs, other.coeffs)
-            return ChowClass(self.variety, out,
-                             rational=self.rational or other.rational)
+            return ChowClass(self.variety, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -305,15 +298,23 @@ class ChowClass:
         if isinstance(c, float):
             raise TypeError("exact arithmetic only; got a float scalar")
         c = Fraction(c) if not isinstance(c, int) else c
-        rational = self.rational or (isinstance(c, Fraction) and c.denominator != 1)
         return ChowClass(self.variety,
-                         {l: v * c for l, v in self.coeffs.items()},
-                         rational=rational)
+                         {l: v * c for l, v in self.coeffs.items()})
 
     def power(self, k):
-        out = self.variety.unit(rational=self.rational)
+        out = self.variety.unit()
         for _ in range(k):
             out = out * self
+        return out
+
+    def exp(self):
+        """e^x for x supported in positive codimension, where the series stops."""
+        out = term = self.variety.unit()
+        for k in range(1, self.variety.dim + 1):
+            term = term * self
+            if term.is_zero():
+                break
+            out = out + term.scale(Fraction(1, factorial(k)))
         return out
 
     def __eq__(self, other):
@@ -408,10 +409,22 @@ class ModPClass:
 
 # -- module-level operations ---------------------------------------------------
 
-def make_class(variety, coeffs, rational=False):
+def make_class(variety, coeffs):
     """Normalized Chow class from a label -> coefficient mapping."""
     return ChowClass(variety, {variety.resolve_label(l): v
-                               for l, v in coeffs.items()}, rational=rational)
+                               for l, v in coeffs.items()})
+
+
+def apply_matrix(matrix, x, target):
+    """Image of x under the linear map sending cell l to the vector matrix[l]
+    over the cells of target; a mod-p class maps to a mod-p class."""
+    out = {}
+    for l, v in x.coeffs.items():
+        for l2, s in matrix.get(l, {}).items():
+            out[l2] = out.get(l2, 0) + v * s
+    if isinstance(x, ModPClass):
+        return ModPClass(target, x.p, out)
+    return ChowClass(target, out)
 
 
 def mul(a, b):
@@ -450,12 +463,8 @@ def class_to_json(a):
     return {l: coeff_to_str(v) for l, v in sorted(a.coeffs.items())}
 
 
-def class_from_json(variety, obj, rational=None):
-    coeffs = {variety.resolve_label(l): coeff_from_str(v) for l, v in obj.items()}
-    cls = ChowClass(variety, coeffs)
-    if rational:
-        cls = ChowClass(variety, coeffs, rational=True)
-    return cls
+def class_from_json(variety, obj):
+    return make_class(variety, {l: coeff_from_str(v) for l, v in obj.items()})
 
 
 def modp_to_json(a):

@@ -37,6 +37,10 @@ class NonInvertibleSeries(ChowopsError):
     """Multiplicative series with vanishing constant term."""
 
 
+class SeriesDomainError(ChowopsError):
+    """exp needs a series with constant term 0, log one with constant term 1."""
+
+
 class IntegralityViolation(ChowopsError):
     """A class that must be integral has a fractional coefficient."""
 
@@ -49,10 +53,12 @@ class ZeroClass(ChowopsError):
     """Filtration level of the zero class is undefined."""
 
 
-class ExtractionFailure(ChowopsError):
-    """p-adic extraction hit a non-integral piece the theory rules out.
+class TheoryViolation(ChowopsError):
+    """An identity or divisibility the theory guarantees failed.
 
-    Carries a `details` dict with the variety, prime, degree and offending class.
+    This signals an implementation bug or corrupted data, never bad luck.
+    Carries a `details` dict with the variety, prime and offending values,
+    serialised as JSON-ready strings and dicts.
     """
 
     def __init__(self, message, details=None):
@@ -60,12 +66,13 @@ class ExtractionFailure(ChowopsError):
         self.details = details or {}
 
 
-class DecompositionFailure(ChowopsError):
-    """Bott decomposition postcondition failed (signals an implementation bug)."""
+class ExtractionFailure(TheoryViolation):
+    """p-adic extraction hit a piece the theory rules out, or its result
+    fails the decomposition identity."""
 
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details or {}
+
+class DecompositionFailure(TheoryViolation):
+    """Bott decomposition postcondition failed."""
 
 
 class DimensionMismatch(ChowopsError):
@@ -76,9 +83,35 @@ class LevelViolation(ChowopsError):
     """A class sits in a higher filtration level than allowed."""
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality of
+# every integer below PRIME_BOUND, the least strong pseudoprime to all of
+# them (Sorenson and Webster, 2015; OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def require_prime(p):
-    """Every public entry point taking p insists on a prime."""
+    """Every public entry point taking p insists on a prime below PRIME_BOUND.
+
+    The test is deterministic Miller-Rabin, so its cost grows with the number
+    of digits of p, not with p.
+    """
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be a prime integer, got %r" % (p,))
-    if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise ValueError("p must be prime, got %d" % p)
+    if p >= PRIME_BOUND:
+        raise ValueError("p must be below %d, got %d" % (PRIME_BOUND, p))
+    if p in _MR_BASES:
+        return
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError("p must be prime, got %d" % p)

@@ -16,11 +16,13 @@ from .char_classes import (
     todd_inv_class,
     w_chp,
 )
-from .core import ChowClass, class_from_json, class_to_json, degree
+from .core import ChowClass, apply_matrix, class_from_json, class_to_json, degree
 from .errors import (
     DecompositionFailure,
     FlagViolation,
+    IntegralityViolation,
     NonIntegralInput,
+    TheoryViolation,
     ZeroClass,
     require_prime,
 )
@@ -35,7 +37,7 @@ class KClass:
         if tau.variety is not variety:
             raise ValueError("tau lives on the wrong variety")
         self.variety = variety
-        self.tau = ChowClass(variety, tau.coeffs, rational=True)
+        self.tau = tau
         self.integral = integral
 
     def is_zero(self):
@@ -68,7 +70,7 @@ class KClass:
 
 
 def kclass_from_json(X, obj):
-    tau = class_from_json(X, obj.get("tau", {}), rational=True)
+    tau = class_from_json(X, obj.get("tau", {}))
     integral = bool(obj.get("integral", False))
     if integral and not lattice_membership(TauLattice(X), tau):
         raise NonIntegralInput("tau vector declared integral is not in the "
@@ -102,7 +104,11 @@ class TauLattice:
                     work[r] = nv
                 else:
                     work.pop(r, None)
-        assert not work, "triangular solve left a residue"
+        if work:
+            raise TheoryViolation(
+                "triangular solve left a residue",
+                details={"variety": self.variety.name,
+                         "residue": {l: str(v) for l, v in sorted(work.items())}})
         return coords
 
     def membership(self, cls):
@@ -118,7 +124,7 @@ def tau_lattice(X):
 def lattice_membership(L, v):
     """True iff v lies in the integer span of the lattice columns."""
     if not isinstance(v, ChowClass):
-        v = ChowClass(L.variety, dict(v), rational=True)
+        v = ChowClass(L.variety, v)
     return L.membership(v)
 
 
@@ -127,10 +133,7 @@ def k0_from_chow_lift(x):
     if not x.is_integral():
         raise NonIntegralInput("canonical lift needs an integral Chow class")
     X = x.variety
-    tau = X.zero(rational=True)
-    for label, v in x.coeffs.items():
-        tau = tau + X.tau_class(label).scale(int(v))
-    return KClass(X, tau, integral=True)
+    return KClass(X, apply_matrix(X.tau_columns, x, X), integral=True)
 
 
 def structure_sheaf(X):
@@ -175,7 +178,7 @@ def adams_upper(y, p):
     require_prime(p)
     X = y.variety
     ch = ChowClass(X, {l: v * p ** X.cell_codim(l)
-                       for l, v in y.ch.coeffs.items()}, rational=True)
+                       for l, v in y.ch.coeffs.items()})
     return VirtualBundle(X, y.rank, ch, integral=y.integral)
 
 
@@ -198,21 +201,17 @@ def adams_lower(x, p):
     X = x.variety
     ch_y = x.tau * todd_inv_class(X)
     scaled = ChowClass(X, {l: v * p ** X.cell_codim(l)
-                           for l, v in ch_y.coeffs.items()}, rational=True)
+                           for l, v in ch_y.coeffs.items()})
     return KClass(X, _psi_twist(X, p) * scaled, integral=False)
 
 
 def kclass_to_bundle(x):
     """Identify K_0 with K^0 on a regular variety: divide tau by Todd."""
     ch = x.tau * todd_inv_class(x.variety)
-    rank_frac = Fraction(ch.coeffs.get(x.variety.fundamental, 0))
-    assert rank_frac.denominator == 1
-    return VirtualBundle(x.variety, int(rank_frac), ch, integral=x.integral)
-
-
-def bundle_to_kclass(e):
-    """e . [O_X]: multiply the Chern character by Todd."""
-    return KClass(e.variety, e.ch * todd_class(e.variety), integral=e.integral)
+    rank = ch.coeffs.get(x.variety.fundamental, 0)
+    if not isinstance(rank, int):
+        raise IntegralityViolation("K-class has fractional rank %s" % rank)
+    return VirtualBundle(x.variety, rank, ch, integral=x.integral)
 
 
 def k0_generator_bundles(X):
@@ -263,8 +262,8 @@ def bott_decompose(e, p):
     tdinv = todd_inv_class(X)
 
     W = theta
-    parts = [X.zero(rational=True) for _ in range(K + 1)]
-    tops = [X.zero(rational=True) for _ in range(K + 1)]
+    parts = [X.zero() for _ in range(K + 1)]
+    tops = [X.zero() for _ in range(K + 1)]
     for j in range(X.dim + 1):
         k = min(j // (p - 1), K)
         piece = W.codim_component(j).scale(Fraction(p) ** (k - e.rank))

@@ -7,7 +7,7 @@ tau-matrix columns) is expanded before being mapped onto a cell basis.
 from fractions import Fraction
 from math import factorial
 
-from .errors import NonInvertibleSeries
+from .errors import NonInvertibleSeries, SeriesDomainError
 
 
 def series(coeffs, n):
@@ -62,7 +62,8 @@ def sinv(a, n):
 
 def sexp(a, n):
     """exp of a series with zero constant term."""
-    assert a[0] == 0
+    if a[0] != 0:
+        raise SeriesDomainError("exp needs a zero constant term, got %s" % a[0])
     out = series([1], n)
     term = series([1], n)
     for k in range(1, n + 1):
@@ -73,7 +74,8 @@ def sexp(a, n):
 
 def slog(a, n):
     """log of a series with constant term 1."""
-    assert a[0] == 1
+    if a[0] != 1:
+        raise SeriesDomainError("log needs constant term 1, got %s" % a[0])
     u = [Fraction(0)] + [a[i] for i in range(1, n + 1)]
     out = [Fraction(0)] * (n + 1)
     term = series([1], n)
@@ -98,10 +100,19 @@ def todd_series(n):
 
 
 def theta_series(p, n):
-    """1 + e^{-t} + ... + e^{-(p-1)t}: Bott's class of a single root."""
-    out = [Fraction(0)] * (n + 1)
-    for j in range(p):
-        out = sadd(out, exp_t(-j, n), n)
+    """1 + e^{-t} + ... + e^{-(p-1)t}: Bott's class of a single root.
+
+    Summed in closed form as ((1 - e^{-pt})/t) / ((1 - e^{-t})/t), so the
+    work is O(n^2) whatever the size of p.
+    """
+    # (1 - e^{-ct})/t = sum_k (-1)^k c^{k+1} t^k / (k+1)!; at c = 1 the
+    # constant term is 1, so the long division needs no inverse
+    num = [Fraction((-1) ** k * p ** (k + 1), factorial(k + 1))
+           for k in range(n + 1)]
+    den = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
+    out = []
+    for k in range(n + 1):
+        out.append(num[k] - sum(den[i] * out[k - i] for i in range(1, k + 1)))
     return out
 
 
@@ -111,8 +122,3 @@ def w_series(p, n):
     if p - 1 <= n:
         out[p - 1] += Fraction((-1) ** (p - 1))
     return out
-
-
-def chern_root_series(n):
-    """1 + t: total Chern class of a single root."""
-    return series([1, 1], n)

@@ -19,6 +19,7 @@ from .errors import (
     FlagViolation,
     LevelViolation,
     NonIntegralInput,
+    TheoryViolation,
     require_prime,
 )
 from .ktheory import (
@@ -43,20 +44,31 @@ class AtiyahDecomposition:
     def reconstruction(self):
         """The right-hand side sum, for the exactness check."""
         X = self.x.variety
-        out = X.zero(rational=True)
+        out = X.zero()
         for k, part in enumerate(self.parts):
             out = out + part.tau.scale(Fraction(1, self.p ** (self.level + k)))
         return out
 
     def verify(self):
-        assert self.reconstruction() == adams_lower(self.x, self.p).tau, \
-            "reconstruction identity failed"
+        """Check the decomposition identities; a failure raises ExtractionFailure."""
+        psi = adams_lower(self.x, self.p).tau
+        if self.reconstruction() != psi:
+            self._fail("reconstruction identity failed", psi=class_to_json(psi))
         top = (self.parts[0].tau - self.x.tau).dim_component(self.level)
-        assert top.is_zero(), "x_0 differs from x at the top level"
+        if not top.is_zero():
+            self._fail("x_0 differs from x at the top level",
+                       difference=class_to_json(top))
         for k, part in enumerate(self.parts):
-            if not part.is_zero():
-                assert filtration_level(part) <= self.level - k * (self.p - 1)
+            bound = self.level - k * (self.p - 1)
+            if not part.is_zero() and filtration_level(part) > bound:
+                self._fail("x_%d has level above %d" % (k, bound))
         return True
+
+    def _fail(self, message, **details):
+        raise ExtractionFailure(message, details=dict(
+            details, variety=self.x.variety.name, p=self.p, level=self.level,
+            input=class_to_json(self.x.tau),
+            parts=[class_to_json(part.tau) for part in self.parts]))
 
 
 def atiyah_decompose(x, p, level=None):
@@ -82,7 +94,7 @@ def atiyah_decompose(x, p, level=None):
             "psi_%d output has support above the filtration level" % p,
             details={"variety": X.name, "p": p, "tau": class_to_json(W)})
 
-    parts = [KClass(X, X.zero(rational=True), integral=True)
+    parts = [KClass(X, X.zero(), integral=True)
              for _ in range(K + 1)]
     for j in range(d, -1, -1):
         k = (d - j) // (p - 1)
@@ -225,8 +237,11 @@ def segre_number(X, p):
     from .char_classes import w_minus_tangent
     val = degree(w_minus_tangent(X, p).dim_component(0))
     val = int(val)
-    assert val % p == 0, ("Segre-type number %d of %s is not divisible by %d"
-                          % (val, X.name, p))
+    if val % p:
+        raise TheoryViolation(
+            "Segre-type number %d of %s is not divisible by %d"
+            % (val, X.name, p),
+            details={"variety": X.name, "p": p, "value": str(val)})
     return val
 
 
@@ -235,14 +250,14 @@ def degree_formula_witness(x, p):
 
     Runs the degree-formula recursion; lambda is returned explicitly
     as the accumulated product of the (p^e - 1) units, and the degree
-    identity is asserted exactly before returning.
+    identity is checked exactly before returning (TheoryViolation).
     """
     require_prime(p)
     if not x.integral:
         raise NonIntegralInput("degree formula needs an integral class")
     X = x.variety
     if x.is_zero():
-        return X.zero(rational=True), Fraction(1)
+        return X.zero(), Fraction(1)
     d = filtration_level(x)
     degx = euler_char(x)
     if d == 0:
@@ -261,19 +276,24 @@ def degree_formula_witness(x, p):
         c, sub_lam = degree_formula_witness(piece, p)
         witnesses.append((c, sub_lam, k, filtration_level(piece) // (p - 1)))
         lam *= sub_lam
-    total = X.zero(rational=True)
+    total = X.zero()
     for c, sub_lam, k, sub_E in witnesses:
         total = total + c.scale((lam / sub_lam) * Fraction(p) ** (E - k - sub_E))
     lam_final = lam * (p ** d - 1)
 
     got = Fraction(degree(total))
-    assert got == lam_final * Fraction(p) ** E * degx, \
-        "degree identity failed on %s" % X.name
-    assert lam_final.numerator % p and lam_final.denominator % p, \
-        "lambda is not a p-adic unit"
-    for v in total.coeffs.values():
-        assert Fraction(v).denominator % p, "witness left Z_(p)"
-    return total, lam_final
+    if got != lam_final * Fraction(p) ** E * degx:
+        problem = "degree identity failed"
+    elif not (lam_final.numerator % p and lam_final.denominator % p):
+        problem = "lambda is not a p-adic unit"
+    elif any(Fraction(v).denominator % p == 0 for v in total.coeffs.values()):
+        problem = "witness left Z_(p)"
+    else:
+        return total, lam_final
+    raise TheoryViolation("%s on %s" % (problem, X.name), details={
+        "variety": X.name, "p": p, "input": class_to_json(x.tau),
+        "witness": class_to_json(total), "witness_degree": str(got),
+        "lambda": str(lam_final)})
 
 
 def chi_defect(f, p):
@@ -296,7 +316,9 @@ def chi_defect(f, p):
     if not delta.is_zero() and filtration_level(delta) > d - 1:
         raise LevelViolation("f_*[O_X] - (deg f)[O_Y] has full level")
     defect = euler_char(structure_sheaf(X)) - deg_f * euler_char(structure_sheaf(Y))
-    assert defect == euler_char(delta), "chi bookkeeping failed"
+    if defect != euler_char(delta):
+        raise TheoryViolation("chi bookkeeping failed", details={
+            "morphism": f.name, "delta": class_to_json(tau_delta)})
 
     exponent = (d - 1) // (p - 1) if d >= 1 else 0
     witness, lam = degree_formula_witness(delta, p)
@@ -304,8 +326,9 @@ def chi_defect(f, p):
         sub_E = filtration_level(delta) // (p - 1)
         witness = witness.scale(Fraction(p) ** (exponent - sub_E))
     wdeg = Fraction(degree(witness))
-    assert wdeg == lam * Fraction(p) ** exponent * defect, \
-        "witness degree mismatch"
+    if wdeg != lam * Fraction(p) ** exponent * defect:
+        raise TheoryViolation("witness degree mismatch", details={
+            "morphism": f.name, "p": p, "witness": class_to_json(witness)})
     return {
         "defect": int(defect),
         "degree_of_map": deg_f,

@@ -10,11 +10,12 @@ pullback and the projection formula are checked exhaustively on basis pairs
 at registration time.
 """
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 from . import series as S
 from .char_classes import VirtualBundle, tangent_bundle
-from .core import CellularVariety, ChowClass, ModPClass, make_class
+from .core import CellularVariety, ChowClass, ModPClass, apply_matrix, make_class
 from .errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -213,8 +214,7 @@ def external_product(x, y):
         if isinstance(x, ModPClass) and isinstance(y, ModPClass) and x.p != y.p:
             raise VarietyMismatch("mod-p classes with different p")
         return ModPClass(XY, p, coeffs)
-    rational = getattr(x, "rational", False) or getattr(y, "rational", False)
-    return ChowClass(XY, coeffs, rational=rational)
+    return ChowClass(XY, coeffs)
 
 
 def hyperplane_class(X):
@@ -223,15 +223,7 @@ def hyperplane_class(X):
 
 def line_bundle(X, i):
     """O(i): rank one, c_1 = i times the hyperplane class."""
-    h = hyperplane_class(X).scale(i)
-    ch = X.unit(rational=True)
-    term = X.unit(rational=True)
-    for k in range(1, X.dim + 1):
-        term = term * h
-        if term.is_zero():
-            break
-        ch = ch + term.scale(Fraction(1, factorial(k)))
-    return VirtualBundle(X, 1, ch)
+    return VirtualBundle(X, 1, hyperplane_class(X).scale(i).exp())
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +233,13 @@ def line_bundle(X, i):
 class Morphism:
     """A registered map: pushforward/pullback matrices plus flags and T_f.
 
-    push_matrix preserves dimension, pull_matrix preserves codimension and is
-    a ring map; both facts and the projection formula are verified on all
-    basis pairs at construction.
+    push preserves dimension, pull preserves codimension and is a ring map;
+    both facts and the projection formula are verified on all basis pairs at
+    construction.  Source and target are smooth, as every builder is.
     """
 
     def __init__(self, name, source, target, push, pull, proper, lci, flat,
-                 T_f=None, kind=None, params=None):
+                 T_f=None):
         self.name = name
         self.source = source
         self.target = target
@@ -258,11 +250,7 @@ class Morphism:
         self.proper = proper
         self.lci = lci
         self.flat = flat
-        self.smooth_source = True
-        self.smooth_target = True
         self.T_f = T_f
-        self.kind = kind
-        self.params = params or {}
         self._validate()
 
     def _validate(self):
@@ -306,26 +294,17 @@ class Morphism:
                 raise InvalidVariety("%s: rank(T_f) != dim(source) - dim(target)"
                                      % self.name)
 
-    def _apply(self, matrix, cls, out_variety):
-        out = {}
-        for l, v in cls.coeffs.items():
-            for l2, s in matrix.get(l, {}).items():
-                out[l2] = out.get(l2, 0) + v * s
-        if isinstance(cls, ModPClass):
-            return ModPClass(out_variety, cls.p, out)
-        return ChowClass(out_variety, out, rational=cls.rational)
-
     def push_class(self, x):
         if x.variety is not self.source:
             raise VarietyMismatch("pushforward input lives on %s, not %s"
                                   % (x.variety.name, self.source.name))
-        return self._apply(self.push, x, self.target)
+        return apply_matrix(self.push, x, self.target)
 
     def pull_class(self, y):
         if y.variety is not self.target:
             raise VarietyMismatch("pullback input lives on %s, not %s"
                                   % (y.variety.name, self.target.name))
-        return self._apply(self.pull, y, self.source)
+        return apply_matrix(self.pull, y, self.source)
 
     def map_degree(self):
         """Coefficient of the target fundamental class in push(fundamental)."""
@@ -350,18 +329,6 @@ def pullback(f, y):
 
 def registered_morphisms():
     return tuple(_REGISTRY)
-
-
-def _exp_class(X, cls, n=None):
-    """e^{cls} in the Chow ring, for cls of positive codimension."""
-    out = X.unit(rational=True)
-    term = X.unit(rational=True)
-    for k in range(1, X.dim + 1):
-        term = term * cls
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, factorial(k)))
-    return out
 
 
 def build_morphism(kind, **params):
@@ -407,10 +374,9 @@ def _linear_embedding(m, n):
     push = {"h^%d" % (m - j): {"h^%d" % (n - j): 1} for j in range(m + 1)}
     pull = {"h^%d" % i: ({"h^%d" % i: 1} if i <= m else {}) for i in range(n + 1)}
     T_f = line_bundle(Pm, 1).scale(-(n - m)) if n > m else \
-        VirtualBundle(Pm, 0, Pm.zero(rational=True))
+        VirtualBundle(Pm, 0, Pm.zero())
     return Morphism("P^%d->P^%d:linear" % (m, n), Pm, Pn, push, pull,
-                    proper=True, lci=True, flat=(m == n), T_f=T_f,
-                    kind="linear_embedding", params={"m": m, "n": n})
+                    proper=True, lci=True, flat=(m == n), T_f=T_f)
 
 
 def _veronese(n, deg):
@@ -423,12 +389,10 @@ def _veronese(n, deg):
             for i in range(N + 1)}
     # T_f = T_{P^n} - pull T_{P^N}
     ch = tangent_bundle(Pn).ch - (
-        _exp_class(Pn, make_class(Pn, Pn.hyperplane).scale(deg)).scale(N + 1)
-        - Pn.unit(rational=True))
+        line_bundle(Pn, deg).ch.scale(N + 1) - Pn.unit())
     T_f = VirtualBundle(Pn, n - N, ch)
     return Morphism("P^%d->P^%d:veronese%d" % (n, N, deg), Pn, PN, push, pull,
-                    proper=True, lci=True, flat=(N == n), T_f=T_f,
-                    kind="veronese", params={"n": n, "deg": deg})
+                    proper=True, lci=True, flat=(N == n), T_f=T_f)
 
 
 def _quadric_in_projective(d):
@@ -443,8 +407,7 @@ def _quadric_in_projective(d):
     pull = {"h^%d" % i: dict(_quadric_h_power(d, i)) for i in range(d + 2)}
     T_f = line_bundle(Q, 2).scale(-1)
     return Morphism("Q_%d->P^%d" % (d, d + 1), Q, P, push, pull,
-                    proper=True, lci=True, flat=False, T_f=T_f,
-                    kind="quadric_in_projective", params={"d": d})
+                    proper=True, lci=True, flat=False, T_f=T_f)
 
 
 def _linear_in_quadric(j, d):
@@ -461,12 +424,10 @@ def _linear_in_quadric(j, d):
     for a in range(m + 1):
         pull["l_%d" % a] = {}  # codim d-a exceeds j on P^j
     t = S.sadd(S.sscale(j - d - 1, S.exp_t(1, j), j), S.exp_t(2, j), j)
-    ch = ChowClass(Pj, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]},
-                   rational=True)
+    ch = ChowClass(Pj, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]})
     T_f = VirtualBundle(Pj, j - d, ch)
     return Morphism("P^%d->Q_%d" % (j, d), Pj, Q, push, pull,
-                    proper=True, lci=True, flat=False, T_f=T_f,
-                    kind="linear_in_quadric", params={"j": j, "d": d})
+                    proper=True, lci=True, flat=False, T_f=T_f)
 
 
 def _product_projection(factors, onto):
@@ -490,16 +451,14 @@ def _product_projection(factors, onto):
     if onto == 0:
         pull = {a: {"%s*%s" % (a, Y.fundamental): 1} for a in X.labels()}
         ch = ChowClass(XY, {"%s*%s" % (X.fundamental, b): v
-                            for b, v in Y.tangent_ch.items()}, rational=True)
+                            for b, v in Y.tangent_ch.items()})
     else:
         pull = {b: {"%s*%s" % (X.fundamental, b): 1} for b in Y.labels()}
         ch = ChowClass(XY, {"%s*%s" % (a, Y.fundamental): v
-                            for a, v in X.tangent_ch.items()}, rational=True)
+                            for a, v in X.tangent_ch.items()})
     T_f = VirtualBundle(XY, other.dim, ch)
     return Morphism("%s->%s:projection" % (XY.name, tgt.name), XY, tgt,
-                    push, pull, proper=True, lci=True, flat=True, T_f=T_f,
-                    kind="product_projection",
-                    params={"factors": (X.name, Y.name), "onto": onto})
+                    push, pull, proper=True, lci=True, flat=True, T_f=T_f)
 
 
 def _pn_self_map(degree):
@@ -508,11 +467,10 @@ def _pn_self_map(degree):
     P1 = projective_space(1)
     push = {"h^0": {"h^0": degree}, "h^1": {"h^1": 1}}
     pull = {"h^0": {"h^0": 1}, "h^1": {"h^1": degree}}
-    ch = ChowClass(P1, {"h^1": Fraction(2 - 2 * degree)}, rational=True)
+    ch = ChowClass(P1, {"h^1": Fraction(2 - 2 * degree)})
     T_f = VirtualBundle(P1, 0, ch)  # [O(2)] - [O(2m)]
     return Morphism("P^1->P^1:deg%d" % degree, P1, P1, push, pull,
-                    proper=True, lci=True, flat=True, T_f=T_f,
-                    kind="pn_self_map", params={"degree": degree})
+                    proper=True, lci=True, flat=True, T_f=T_f)
 
 
 # ---------------------------------------------------------------------------
@@ -520,47 +478,54 @@ def _pn_self_map(degree):
 # ---------------------------------------------------------------------------
 
 def variety_from_spec(spec, max_dim=None):
-    """Builder dispatch for {"type": ...} dicts and P^n / Q_d / AxB shorthand."""
+    """Builder dispatch for {"type": ...} dicts and P^n / Q_d / AxB shorthand.
+
+    The dimension cap is checked on the parsed spec, before anything is built.
+    """
+    dim, build = _parse_spec(spec)
+    if max_dim is not None and dim > max_dim:
+        raise ValueError("variety of dimension %d exceeds the dimension cap %d"
+                         % (dim, max_dim))
+    return build()
+
+
+def _parse_spec(spec):
+    """(dimension, build) for a spec; nothing is built until build() runs."""
     if isinstance(spec, CellularVariety):
-        X = spec
-    elif isinstance(spec, str):
-        X = _variety_from_shorthand(spec)
-    elif isinstance(spec, dict):
+        return spec.dim, lambda: spec
+    if isinstance(spec, str):
+        parts = spec.split("x")
+        if len(parts) > 1:
+            return _product_spec([_parse_spec(part) for part in parts])
+        text = spec.strip()
+        if text.startswith("P^"):
+            return _builder_spec(projective_space, text[2:])
+        if text.startswith("Q_"):
+            return _builder_spec(odd_quadric, text[2:])
+        raise ValueError("cannot parse variety shorthand %r" % text)
+    if isinstance(spec, dict):
         t = spec.get("type")
         if t == "projective_space":
-            X = projective_space(int(spec["n"]))
-        elif t == "odd_quadric":
-            X = odd_quadric(int(spec["dim"]))
-        elif t == "product":
-            factors = [variety_from_spec(f) for f in spec["factors"]]
-            if len(factors) < 2:
+            return _builder_spec(projective_space, spec["n"])
+        if t == "odd_quadric":
+            return _builder_spec(odd_quadric, spec["dim"])
+        if t == "product":
+            if len(spec["factors"]) < 2:
                 raise ValueError("product needs at least two factors")
-            X = factors[0]
-            for Y in factors[1:]:
-                X = product(X, Y)
-        else:
-            raise ValueError("unknown variety type %r" % t)
-    else:
-        raise ValueError("variety spec must be a dict or shorthand string")
-    if max_dim is not None and X.dim > max_dim:
-        raise ValueError("variety %s exceeds the dimension cap %d"
-                         % (X.name, max_dim))
-    return X
+            return _product_spec([_parse_spec(f) for f in spec["factors"]])
+        raise ValueError("unknown variety type %r" % t)
+    raise ValueError("variety spec must be a dict or shorthand string")
 
 
-def _variety_from_shorthand(text):
-    parts = text.split("x")
-    if len(parts) > 1:
-        X = _variety_from_shorthand(parts[0])
-        for part in parts[1:]:
-            X = product(X, _variety_from_shorthand(part))
-        return X
-    text = text.strip()
-    if text.startswith("P^"):
-        return projective_space(int(text[2:]))
-    if text.startswith("Q_"):
-        return odd_quadric(int(text[2:]))
-    raise ValueError("cannot parse variety shorthand %r" % text)
+def _builder_spec(builder, n):
+    # P^n and Q_d have dimension n and d; a negative one fails in its builder
+    n = int(n)
+    return max(n, 0), lambda: builder(n)
+
+
+def _product_spec(specs):
+    return (sum(dim for dim, _ in specs),
+            lambda: reduce(product, [build() for _, build in specs]))
 
 
 def morphism_from_spec(spec):

@@ -61,13 +61,13 @@ def h_powers_on_quadric(X, poly_coeffs):
         elif k <= d:
             lbl = "l_%d" % (d - k)
             out[lbl] = out.get(lbl, Fraction(0)) + 2 * c
-    return ChowClass(X, out, rational=True)
+    return ChowClass(X, out)
 
 
 def h_powers_on_pn(X, poly_coeffs):
     from chowops.core import ChowClass
     return ChowClass(X, {"h^%d" % k: c for k, c in enumerate(poly_coeffs)
-                         if c and k <= X.dim}, rational=True)
+                         if c and k <= X.dim})
 
 
 def theta_root_sum(p, c=1):

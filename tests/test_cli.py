@@ -1,6 +1,11 @@
 """CLI surface: verbs, exit codes, exact JSON/CSV output, determinism."""
 import json
+import os
+import subprocess
+import sys
+import time
 
+import chowops
 from chowops.cli import main
 
 
@@ -176,3 +181,33 @@ def test_out_flag_writes_file(capsys, tmp_path):
                        "--class", '{"h^1":"1"}', "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["ops"]["S_1"] == {"h^2": "1"}
+
+
+def run_timed(*argv):
+    """The CLI in a fresh process; returns (exit code, stdout, seconds)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(chowops.__file__)))
+    env.pop("STEENROD_MAX_DIM", None)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "chowops", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, time.perf_counter() - start
+
+
+def test_over_cap_specs_are_rejected_before_building():
+    # building P^80 takes about 45 s and (P^1)^9 several minutes, so the
+    # default cap of 8 must be checked on the spec
+    for spec in ("P^40", "P^80", "x".join(["P^1"] * 9),
+                 '{"type":"product","factors":["P^4",{"type":"odd_quadric","dim":5}]}'):
+        code, _, seconds = run_timed("describe", "--variety", spec)
+        assert code == 2, spec
+        assert seconds < 5, (spec, seconds)
+
+
+def test_operate_cost_does_not_grow_with_p():
+    for p in ("1000003", "2305843009213693951"):  # the second is 2^61 - 1
+        code, out, seconds = run_timed("operate", "--variety", "P^2", "--p", p,
+                                       "--class", '{"h^1":"1"}')
+        assert code == 0, p
+        assert json.loads(out)["ops"] == {"S_0": {"h^1": "1"}}
+        assert seconds < 5, (p, seconds)

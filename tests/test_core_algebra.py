@@ -84,7 +84,7 @@ def test_grade_component_examples():
     assert grade_component(x, 1) == make_class(P2, {"h^1": 1})
     assert grade_component(P2.zero(), 1).is_zero()
     tau = P2.tau_class("h^1")  # h + h^2
-    assert grade_component(tau, 0) == make_class(P2, {"h^2": 1}, rational=True)
+    assert grade_component(tau, 0) == make_class(P2, {"h^2": 1})
 
 
 def test_grading_decomposition_reassembles():
@@ -105,10 +105,10 @@ def test_fundamental_class_is_unit():
 def test_rational_mode_promotion():
     a = make_class(P2, {"h^1": 1})
     b = make_class(P2, {"h^1": Fraction(1, 2)})
-    assert not a.rational
-    assert b.rational
-    assert (a + b).rational
-    assert (a * b).rational
+    assert a.is_integral()
+    assert not b.is_integral()
+    assert not (a + b).is_integral()
+    assert not (a * b).is_integral()
     with pytest.raises(IntegralityViolation):
         b.as_integral()
 
@@ -204,7 +204,7 @@ def test_json_round_trip_rational():
     x = P2.tau_class("h^0")
     blob = class_to_json(x)
     assert blob["h^1"] == "3/2"
-    assert class_from_json(P2, blob, rational=True) == x
+    assert class_from_json(P2, blob) == x
 
 
 def test_json_accepts_fundamental_alias():

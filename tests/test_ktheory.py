@@ -38,7 +38,7 @@ Q3 = odd_quadric(3)
 
 
 def _cls(X, coeffs):
-    return make_class(X, coeffs, rational=True)
+    return make_class(X, coeffs)
 
 
 def test_canonical_lift_examples():
@@ -168,14 +168,14 @@ def test_kclass_push_pull():
 def test_bott_trivial_bundle():
     e = trivial_bundle(P2, 3)
     parts = bott_decompose(e, 2)
-    assert parts[0] == P2.unit(rational=True)
+    assert parts[0] == P2.unit()
     assert all(pk.is_zero() for pk in parts[1:])
 
 
 def test_bott_line_bundle_on_p1():
     parts = bott_decompose(line_bundle(P1, 1), 2)
     # theta^2 = 2 - h = 2 * 1 + 1 * (-h), and -h = h mod 2 = w_1
-    assert parts[0] == P1.unit(rational=True)
+    assert parts[0] == P1.unit()
     assert parts[1] == _cls(P1, {"h^1": -1})
 
 
@@ -185,7 +185,7 @@ def test_bott_reconstructs_theta():
             for e in (tangent_bundle(X), -tangent_bundle(X),
                       line_bundle(X, 2)):
                 parts = bott_decompose(e, p)
-                total = X.zero(rational=True)
+                total = X.zero()
                 for k, ek in enumerate(parts):
                     total = total + ek.scale(Fraction(p) ** (e.rank - k))
                 assert total == theta_p(e, p)

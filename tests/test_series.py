@@ -1,5 +1,8 @@
 """Truncated series arithmetic against closed forms."""
 from fractions import Fraction
+from math import factorial
+
+import pytest
 
 from chowops import series as S
 
@@ -32,6 +35,22 @@ def test_theta_series_p2():
     th = S.theta_series(2, 3)
     assert th == [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-1, 6)]
     assert S.theta_series(3, 1) == [Fraction(3), Fraction(-3)]
+
+
+def test_theta_series_closed_form_matches_the_sum():
+    for p in (2, 3, 5, 7):
+        for n in range(10):
+            direct = [sum(Fraction((-j) ** k, factorial(k)) for j in range(p))
+                      for k in range(n + 1)]
+            assert S.theta_series(p, n) == direct
+
+
+def test_exp_and_log_reject_wrong_constant_terms():
+    from chowops.errors import SeriesDomainError
+    with pytest.raises(SeriesDomainError):
+        S.sexp(S.series([1, 1], 3), 3)
+    with pytest.raises(SeriesDomainError):
+        S.slog(S.series([2, 1], 3), 3)
 
 
 def test_w_series():

@@ -1,7 +1,12 @@
 """The p-adic decomposition and the reduced operations built from it."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import chowops
 
 from chowops import (
     KClass,
@@ -41,7 +46,7 @@ Q3 = odd_quadric(3)
 
 
 def _cls(X, coeffs):
-    return make_class(X, coeffs, rational=True)
+    return make_class(X, coeffs)
 
 
 def _bar(X, p, coeffs):
@@ -97,6 +102,40 @@ def test_extraction_failure_on_lying_input():
     with pytest.raises(ExtractionFailure) as err:
         atiyah_decompose(lying, 2)
     assert "variety" in err.value.details
+
+
+_CORRUPT_DECOMPOSITION = """
+import sys
+from chowops import atiyah_decompose, projective_space, structure_sheaf
+from chowops.errors import ChowopsError
+dec = atiyah_decompose(structure_sheaf(projective_space(2)), 2)
+dec.parts = dec.parts[:1] + [part.scale(2) for part in dec.parts[1:]]
+try:
+    dec.verify()
+except ChowopsError as exc:
+    print(sys.flags.optimize, type(exc).__name__, exc)
+else:
+    print(sys.flags.optimize, "verified")
+"""
+
+
+def test_corrupted_decomposition_fails_under_optimize():
+    # the theory checks must not be assert statements, which -O strips
+    src = os.path.dirname(os.path.dirname(chowops.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_DECOMPOSITION],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[:2] == ["1", "ExtractionFailure"], out.stdout
+
+
+def test_corrupted_decomposition_details():
+    dec = atiyah_decompose(structure_sheaf(P1), 2)
+    dec.parts = dec.parts[:1] + [part.scale(2) for part in dec.parts[1:]]
+    with pytest.raises(ExtractionFailure) as err:
+        dec.verify()
+    assert err.value.details["variety"] == "P^1"
+    assert err.value.details["parts"][1] == {"h^1": "4"}
 
 
 def test_explicit_level_must_dominate():
