@@ -13,7 +13,7 @@ import os
 import sys
 
 from .core import ModPClass, class_from_json, class_to_json, coeff_to_str, modp_to_json
-from .errors import ChowopsError, ExtractionFailure
+from .errors import ChowopsError, ExtractionFailure, require_prime
 from .steenrod import op_component, steenrod_operation
 from .varieties import variety_from_spec
 from .verify import SUITES, run_suite
@@ -85,8 +85,9 @@ def _operate_one(X, p, xbar, convention):
 
 
 def cmd_operate(args):
-    X = _load_variety(args.variety)
     p = args.p
+    require_prime(p)
+    X = _load_variety(args.variety)
     raw = json.loads(args.cls)
     x = class_from_json(X, raw)
     xbar = ModPClass.from_integral(x.as_integral(), p)
@@ -102,8 +103,9 @@ def cmd_operate(args):
 
 
 def cmd_table(args):
-    X = _load_variety(args.variety)
     p = args.p
+    require_prime(p)
+    X = _load_variety(args.variety)
     k_max = X.dim // (p - 1)
     rows = []
     for label in X.labels():
@@ -127,6 +129,8 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    if args.p is not None:
+        require_prime(args.p)
     params = {
         "seed": args.seed,
         "p": args.p,

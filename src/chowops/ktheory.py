@@ -2,9 +2,11 @@
 
 A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
-cell closures); membership is decidable by back-substitution because the
-matrix is triangular with unit diagonal.  On the smooth builders K_0 and K^0
-are identified by multiplying or dividing by Todd(T_X).
+cell closures); the matrix is triangular with unit diagonal, so coordinates
+in it come from one back-substitution (`TauLattice.coordinates`), which
+decides lattice membership and from which both the Atiyah and the Bott
+p-adic decompositions are read.  On the smooth builders K_0 and K^0 are
+identified by multiplying or dividing by Todd(T_X).
 """
 from fractions import Fraction
 
@@ -72,7 +74,7 @@ class KClass:
 def kclass_from_json(X, obj):
     tau = class_from_json(X, obj.get("tau", {}))
     integral = bool(obj.get("integral", False))
-    if integral and not lattice_membership(TauLattice(X), tau):
+    if integral and not tau_lattice(X).membership(tau):
         raise NonIntegralInput("tau vector declared integral is not in the "
                                "tau-lattice")
     return KClass(X, tau, integral)
@@ -246,51 +248,41 @@ def kclass_pullback(f, y):
 def bott_decompose(e, p):
     """theta^p(e) = sum_k p^{rank(e)-k} e_k with e_k in codimension >= k(p-1).
 
-    Greedy extraction from low codimension upward; at each codimension the
-    residual is divided by the appropriate power of p, checked to be integral,
-    and replaced by the full Chern character of its canonical lattice lift so
-    that the rational tail is carried along.  The top-codimension part of each
-    e_k is checked against w^{CH,p}_k(e) mod p.
+    The classes tau[O_Z] / Todd(T_X) of the cell closures are unitriangular in
+    codimension, so the coordinates of theta^p(e) in them are the
+    tau-coordinates of theta^p(e) * Todd(T_X).  Each codim-j coordinate,
+    multiplied by p^{k - rank(e)} with k = [j/(p - 1)], must be integral and
+    belongs to e_k.  The top-codimension part of each e_k is checked against
+    w^{CH,p}_k(e) mod p.
     """
     require_prime(p)
     if not e.integral:
         raise NonIntegralInput("Bott decomposition needs an integral bundle")
     X = e.variety
     K = X.dim // (p - 1)
-    theta = theta_p(e, p)
     w = w_chp(e, p)
-    tdinv = todd_inv_class(X)
-
-    W = theta
-    parts = [X.zero() for _ in range(K + 1)]
-    tops = [X.zero() for _ in range(K + 1)]
+    theta_tau = theta_p(e, p) * todd_class(X)
+    coords = ChowClass(X, tau_lattice(X).coordinates(theta_tau))
+    pieces = [X.zero() for _ in range(K + 1)]
     for j in range(X.dim + 1):
-        k = min(j // (p - 1), K)
-        piece = W.codim_component(j).scale(Fraction(p) ** (k - e.rank))
-        if piece.is_zero():
-            continue
+        k = j // (p - 1)
+        piece = coords.codim_component(j).scale(Fraction(p) ** (k - e.rank))
         if not piece.is_integral():
             raise DecompositionFailure(
                 "codim-%d piece of theta^%d is not divisible by %d^%d"
                 % (j, p, p, e.rank - k),
                 details={"variety": X.name, "p": p, "codim": j,
                          "piece": class_to_json(piece)})
-        piece = piece.as_integral()
-        lift_ch = k0_from_chow_lift(piece).tau * tdinv
-        parts[k] = parts[k] + lift_ch
-        if j == k * (p - 1):
-            tops[k] = piece
-        W = W - lift_ch.scale(Fraction(p) ** (e.rank - k))
-    if not W.is_zero():
-        raise DecompositionFailure("nonzero residual after extraction",
-                                   details={"variety": X.name, "p": p,
-                                            "residual": class_to_json(W)})
+        pieces[k] = pieces[k] + piece
+    tdinv = todd_inv_class(X)
+    parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]
     for k in range(K + 1):
         support = parts[k].support_dims()
         if support and X.dim - support[-1] < k * (p - 1):
             raise DecompositionFailure(
                 "e_%d is supported below codimension %d" % (k, k * (p - 1)))
-        diff = tops[k] - w.codim_component(k * (p - 1))
+        top = pieces[k].codim_component(k * (p - 1))
+        diff = top - w.codim_component(k * (p - 1))
         if any(int(v) % p for v in diff.coeffs.values()):
             raise DecompositionFailure(
                 "top part of e_%d differs from w^{CH,%d}_%d mod %d" % (k, p, k, p),

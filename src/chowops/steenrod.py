@@ -2,17 +2,17 @@
 
 The central routine extracts, from the tau-vector of the homological Adams
 operation of an integral lift, integral classes x_k of filtration level at
-most d - k(p-1) such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  Degrees are
-processed top-down; at dimension j the exponent schedule is
-k(j) = [(d - j)/(p - 1)], the residual component is multiplied by p^{d+k(j)},
-checked to be an integral Chow class, lifted canonically through the cell
-basis, and its full tau-vector is subtracted.  The operations on mod-p Chow
-groups read off the dimension-(d - k(p-1)) components of the x_k.
+most d - k(p-1) such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  It solves
+once for the coordinates of psi_p(x) in the unitriangular tau basis, then
+scales each degree by a power of p: a dimension-j coordinate belongs to
+x_k with k = [(d - j)/(p - 1)] and is multiplied by p^{d+k}, which must
+leave it integral.  The operations on mod-p Chow groups read off the
+dimension-(d - k(p-1)) components of the x_k.
 """
 from fractions import Fraction
 
 from .char_classes import w_tangent
-from .core import ModPClass, class_to_json, degree
+from .core import ChowClass, ModPClass, class_to_json, degree
 from .errors import (
     DimensionMismatch,
     ExtractionFailure,
@@ -29,6 +29,7 @@ from .ktheory import (
     filtration_level,
     k0_from_chow_lift,
     structure_sheaf,
+    tau_lattice,
 )
 
 
@@ -72,7 +73,11 @@ class AtiyahDecomposition:
 
 
 def atiyah_decompose(x, p, level=None):
-    """Greedy top-down p-adic extraction of psi_p(x).
+    """p-adic decomposition of psi_p(x): tau-coordinates, then a p-power scale.
+
+    The tau-coordinates of psi_p(x) on the dimension-j cells, multiplied by
+    p^{d+k} with k = [(d - j)/(p - 1)], must be integral (ExtractionFailure
+    otherwise) and are the tau-coordinates of x_k on those cells.
 
     level defaults to the filtration level of x and may be passed explicitly
     (it must be at least the actual level; steenrod operations use the degree
@@ -87,20 +92,18 @@ def atiyah_decompose(x, p, level=None):
     if not x.is_zero() and filtration_level(x) > d:
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
-    K = d // (p - 1)
     W = adams_lower(x, p).tau
+    # support above d would put coordinates at k < 0
     if W.top_dim() is not None and W.top_dim() > d:
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
             details={"variety": X.name, "p": p, "tau": class_to_json(W)})
 
-    parts = [KClass(X, X.zero(), integral=True)
-             for _ in range(K + 1)]
+    coords = ChowClass(X, tau_lattice(X).coordinates(W))
+    pieces = [X.zero() for _ in range(d // (p - 1) + 1)]
     for j in range(d, -1, -1):
         k = (d - j) // (p - 1)
-        piece = W.dim_component(j).scale(Fraction(p) ** (d + k))
-        if piece.is_zero():
-            continue
+        piece = coords.dim_component(j).scale(p ** (d + k))
         if not piece.is_integral():
             raise ExtractionFailure(
                 "dimension-%d component of p^%d psi_%d is not integral"
@@ -108,13 +111,8 @@ def atiyah_decompose(x, p, level=None):
                 details={"variety": X.name, "p": p, "dimension": j,
                          "exponent": d + k, "component": class_to_json(piece),
                          "input": class_to_json(x.tau)})
-        L = k0_from_chow_lift(piece.as_integral())
-        parts[k] = parts[k] + L
-        W = W - L.tau.scale(Fraction(1, p ** (d + k)))
-    if not W.is_zero():
-        raise ExtractionFailure("nonzero residual after extraction",
-                                details={"variety": X.name, "p": p,
-                                         "residual": class_to_json(W)})
+        pieces[k] = pieces[k] + piece
+    parts = [k0_from_chow_lift(piece) for piece in pieces]
     dec = AtiyahDecomposition(x, p, d, parts)
     top = (parts[0].tau - x.tau).dim_component(d)
     if not top.is_zero():

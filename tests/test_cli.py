@@ -183,15 +183,22 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["ops"]["S_1"] == {"h^2": "1"}
 
 
-def run_timed(*argv):
-    """The CLI in a fresh process; returns (exit code, stdout, seconds)."""
+def run_process(*argv, flags=()):
+    """The CLI in a fresh interpreter started with `flags`; returns the
+    completed process and its wall time in seconds."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(chowops.__file__)))
     env.pop("STEENROD_MAX_DIM", None)
     start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "chowops", *argv], env=env,
-                         capture_output=True, text=True, timeout=60)
-    return out.returncode, out.stdout, time.perf_counter() - start
+    out = subprocess.run([sys.executable, *flags, "-m", "chowops", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    return out, time.perf_counter() - start
+
+
+def run_timed(*argv):
+    """The CLI in a fresh process; returns (exit code, stdout, seconds)."""
+    out, seconds = run_process(*argv)
+    return out.returncode, out.stdout, seconds
 
 
 def test_over_cap_specs_are_rejected_before_building():
@@ -211,3 +218,28 @@ def test_operate_cost_does_not_grow_with_p():
         assert code == 0, p
         assert json.loads(out)["ops"] == {"S_0": {"h^1": "1"}}
         assert seconds < 5, (p, seconds)
+
+
+def test_p_below_two_is_rejected_before_any_arithmetic():
+    # p must be rejected before any reduction mod p or division by p - 1,
+    # and a suite must neither fall back to its default primes for p = 0
+    # nor pass vacuously mod 1
+    for argv in (("operate", "--variety", "P^2", "--p", "0",
+                  "--class", '{"h^1":"1"}'),
+                 ("table", "--variety", "P^2", "--p", "0"),
+                 ("table", "--variety", "P^2", "--p", "1"),
+                 ("verify", "--suite", "xp", "--p", "0"),
+                 ("verify", "--suite", "xp", "--p", "1")):
+        out, _ = run_process(*argv)
+        assert out.returncode == 2, (argv, out.stderr)
+        assert out.stderr.startswith("error: p must be"), (argv, out.stderr)
+        assert "Traceback" not in out.stderr, argv
+
+
+def test_suites_pass_under_optimize():
+    # the theory checks of both p-adic decompositions are not asserts,
+    # so they stay in force when -O strips assert statements
+    for suite in ("bott", "degree-formula"):
+        out, _ = run_process("verify", "--suite", suite, flags=("-O",))
+        assert out.returncode == 0, (suite, out.stderr)
+        assert json.loads(out.stdout)["passed"] is True, suite

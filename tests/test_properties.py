@@ -1,10 +1,24 @@
 """Property tests on random classes, not just basis cells: the linear maps
 (the Riemann-Roch lift, pushforward and pullback) all go through one shared
-matrix step, so they must act linearly on any input."""
-from hypothesis import given, settings
+matrix step, so they must act linearly on any input, and the Atiyah and Bott
+p-adic decompositions must hold on random lattice classes and bundles."""
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chowops import ModPClass, k0_from_chow_lift, make_class, variety_from_spec
+from chowops import (
+    ModPClass,
+    atiyah_decompose,
+    bott_decompose,
+    k0_from_chow_lift,
+    line_bundle,
+    make_class,
+    tangent_bundle,
+    tau_lattice,
+    theta_p,
+    variety_from_spec,
+)
 from chowops.verify import standard_morphisms
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
@@ -22,6 +36,24 @@ def integral_class(draw, X):
 def classes(draw):
     X = draw(st.sampled_from(VARIETIES))
     return integral_class(draw, X)
+
+
+@st.composite
+def lattice_classes_and_primes(draw):
+    x = k0_from_chow_lift(draw(classes()))
+    assume(not x.is_zero())
+    return x, draw(st.sampled_from([2, 3, 5]))
+
+
+@st.composite
+def bundles_and_primes(draw):
+    """An integral bundle: a sum of multiples of O(i), plus or minus T_X."""
+    X = draw(st.sampled_from(VARIETIES))
+    e = tangent_bundle(X).scale(draw(st.sampled_from([-1, 0, 1])))
+    twists = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
+    for i, m in draw(st.lists(twists, max_size=3)):
+        e = e + line_bundle(X, i).scale(m)
+    return e, draw(st.sampled_from([2, 3, 5]))
 
 
 @st.composite
@@ -54,3 +86,24 @@ def test_push_and_pull_are_additive(case):
     f, direction, x, y = case
     apply = f.push_class if direction == "push" else f.pull_class
     assert apply(x + y) == apply(x) + apply(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_classes_and_primes())
+def test_atiyah_decomposition_of_lattice_classes(case):
+    x, p = case
+    dec = atiyah_decompose(x, p)
+    assert dec.verify()
+    L = tau_lattice(x.variety)
+    for part in dec.parts:
+        assert part.integral and L.membership(part.tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles_and_primes())
+def test_bott_parts_rebuild_theta(case):
+    e, p = case
+    total = e.variety.zero()
+    for k, ek in enumerate(bott_decompose(e, p)):
+        total = total + ek.scale(Fraction(p) ** (e.rank - k))
+    assert total == theta_p(e, p)
