@@ -152,18 +152,16 @@ def build_parser():
                     "cellular varieties.")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(sp, with_class=False, with_p=True):
+    def add_common(sp, with_class=False):
         sp.add_argument("--variety", help="JSON spec, file path, or shorthand "
                                           "like P^2 / Q_3 / P^1xP^1")
-        if with_p:
-            sp.add_argument("--p", type=int, default=2, help="prime modulus")
+        sp.add_argument("--p", type=int, default=2, help="prime modulus")
         if with_class:
             sp.add_argument("--class", dest="cls", required=True,
                             help='class JSON, e.g. {"h^1":"1"}')
         sp.add_argument("--convention", choices=["coh", "hom", "cohomological",
                                                  "homological"],
                         default="coh")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", help="write output to a file")
 
     sp = subs.add_parser("describe", help="print basis, multiplication table, "
@@ -178,6 +176,7 @@ def build_parser():
 
     sp = subs.add_parser("table", help="operation table over the whole basis")
     add_common(sp)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_table)
 
     sp = subs.add_parser("verify", help="run a verification suite")

@@ -4,10 +4,12 @@ Chow classes are sparse coefficient vectors over the cells.  A coefficient
 is an arbitrary-precision integer, or a Fraction where Riemann-Roch brings in
 denominators; a Fraction with denominator 1 is stored as an integer, so
 whether a class is integral is read off its coefficients.  The ring
-structure comes from a finite table of structure constants which is checked
-exhaustively for associativity, commutativity, unitality and grading when
-the variety is constructed.  Pushforward, pullback and the Riemann-Roch lift
-are linear maps given by sparse matrices over the cells (`apply_matrix`).
+structure comes from a finite table of structure constants.  Each entry is
+checked for grading, commutativity and unitality as it is read, and a table
+given directly is checked exhaustively for associativity; a product of two
+checked varieties inherits its ring axioms from its factors.  Pushforward,
+pullback and the Riemann-Roch lift are linear maps given by sparse matrices
+over the cells (`apply_matrix`).
 """
 from fractions import Fraction
 from math import factorial
@@ -83,7 +85,7 @@ class CellularVariety:
             for c, col in tau_columns.items()
         }
         self._check_tau()
-        self._check_ring()
+        self._check_associativity()
         self._cache = {}
 
     # -- construction checks ------------------------------------------------
@@ -102,6 +104,10 @@ class CellularVariety:
                     raise InvalidVariety("structure constants must be integers")
                 if v:
                     clean[c] = v
+                    if self._dims[c] != self._dims[a] + self._dims[b] - self.dim:
+                        raise InvalidVariety(
+                            "product %r * %r hits %r, violating the grading"
+                            % (a, b, c))
             if (a, b) in table and table[(a, b)] != clean:
                 raise InvalidVariety("conflicting entries for (%r, %r)" % (a, b))
             table[(a, b)] = clean
@@ -134,20 +140,8 @@ class CellularVariety:
                     out[c] = out.get(c, 0) + ca * cb * s
         return {c: v for c, v in out.items() if v}
 
-    def _check_ring(self):
-        labels = [l for (l, _) in self.cells]
-        for a in labels:
-            da = self._dims[a]
-            for b in labels:
-                prod = self._table.get((a, b), {})
-                target = da + self._dims[b] - self.dim
-                for c in prod:
-                    if self._dims[c] != target:
-                        raise InvalidVariety(
-                            "product %r * %r hits %r, violating the grading"
-                            % (a, b, c))
-                if target < 0 and prod:
-                    raise InvalidVariety("product %r * %r should vanish" % (a, b))
+    def _check_associativity(self):
+        labels = self.labels()
         for a in labels:
             for b in labels:
                 ab = self._table.get((a, b), {})

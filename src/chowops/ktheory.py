@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .char_classes import (
     VirtualBundle,
+    _cached,
     theta_minus_tangent,
     theta_p,
     todd_class,
@@ -118,9 +119,7 @@ class TauLattice:
 
 
 def tau_lattice(X):
-    if "tau_lattice" not in X._cache:
-        X._cache["tau_lattice"] = TauLattice(X)
-    return X._cache["tau_lattice"]
+    return _cached(X, "tau_lattice", lambda: TauLattice(X))
 
 
 def lattice_membership(L, v):
@@ -186,10 +185,8 @@ def adams_upper(y, p):
 
 def _psi_twist(X, p):
     # Todd(T_X) * ch(theta^p(-T_X)): constant per (variety, prime)
-    key = ("psi_twist", p)
-    if key not in X._cache:
-        X._cache[key] = todd_class(X) * theta_minus_tangent(X, p)
-    return X._cache[key]
+    return _cached(X, ("psi_twist", p),
+                   lambda: todd_class(X) * theta_minus_tangent(X, p))
 
 
 def adams_lower(x, p):

@@ -11,7 +11,7 @@ dimension-(d - k(p-1)) components of the x_k.
 """
 from fractions import Fraction
 
-from .char_classes import w_tangent
+from .char_classes import _cached, w_tangent
 from .core import ChowClass, ModPClass, class_to_json, degree
 from .errors import (
     DimensionMismatch,
@@ -138,61 +138,52 @@ def steenrod_homological(x, p=None, lift=None):
     canonical integral lift (homogeneous inputs only); it must be an integral
     K-class of level at most the input dimension.
     """
+    return _steenrod(x, p, lift=lift)
+
+
+def steenrod_cohomological(x, p=None):
+    """S-bar_X = w^{CH,p}(T_X) composed with the homological operation."""
+    return _steenrod(x, p, cohomological=True)
+
+
+def _steenrod(x, p, lift=None, cohomological=False):
+    """Both conventions: check the input once, then one extraction per dimension."""
     x, p = _as_modp(x, p)
     require_prime(p)
     X = x.variety
     if x.is_zero():
         return [ModPClass(X, p, {})]
     dims = x.support_dims()
-    if lift is not None and len(dims) > 1:
-        raise ValueError("an explicit lift needs a homogeneous input")
     n_ops = max(d // (p - 1) for d in dims) + 1
     out = [ModPClass(X, p, {}) for _ in range(n_ops)]
+    if lift is not None:
+        if len(dims) > 1:
+            raise ValueError("an explicit lift needs a homogeneous input")
+        if not lift.integral:
+            raise NonIntegralInput("lift must be integral")
+        if lift.is_zero():
+            return out
+        if filtration_level(lift) > dims[0]:
+            raise LevelViolation("lift has level above the input dimension")
+    w = _w_tangent_modp(X, p) if cohomological else None
     for d in dims:
-        if lift is None:
-            L = k0_from_chow_lift(x.dim_component(d).lift())
-        else:
-            L = lift
-            if not L.integral:
-                raise NonIntegralInput("lift must be integral")
-            if not L.is_zero() and filtration_level(L) > d:
-                raise LevelViolation("lift has level above the input dimension")
-        if L.is_zero():
-            continue
+        L = k0_from_chow_lift(x.dim_component(d).lift()) if lift is None else lift
         dec = atiyah_decompose(L, p, level=d)
-        for k, part in enumerate(dec.parts):
-            comp = part.tau.dim_component(d - k * (p - 1))
-            if not comp.is_zero():
-                out[k] = out[k] + ModPClass.from_integral(comp.as_integral(), p)
+        parts = [ModPClass.from_integral(
+                     part.tau.dim_component(d - k * (p - 1)).as_integral(), p)
+                 for k, part in enumerate(dec.parts)]
+        if w is not None:
+            twisted = w * steenrod_total(parts)
+            parts = [twisted.dim_component(d - k * (p - 1))
+                     for k in range(n_ops)]
+        for k, part in enumerate(parts):
+            out[k] = out[k] + part
     return out
 
 
 def _w_tangent_modp(X, p):
-    key = ("w_T_modp", p)
-    if key not in X._cache:
-        X._cache[key] = ModPClass.from_integral(w_tangent(X, p), p)
-    return X._cache[key]
-
-
-def steenrod_cohomological(x, p=None):
-    """S-bar_X = w^{CH,p}(T_X) composed with the homological operation."""
-    x, p = _as_modp(x, p)
-    X = x.variety
-    if x.is_zero():
-        return [ModPClass(X, p, {})]
-    w = _w_tangent_modp(X, p)
-    dims = x.support_dims()
-    n_ops = max(d // (p - 1) for d in dims) + 1
-    out = [ModPClass(X, p, {}) for _ in range(n_ops)]
-    for d in dims:
-        hom = steenrod_homological(x.dim_component(d), p)
-        tot = ModPClass(X, p, {})
-        for part in hom:
-            tot = tot + part
-        twisted = w * tot
-        for k in range(n_ops):
-            out[k] = out[k] + twisted.dim_component(d - k * (p - 1))
-    return out
+    return _cached(X, ("w_T_modp", p),
+                   lambda: ModPClass.from_integral(w_tangent(X, p), p))
 
 
 def steenrod_total(ops):

@@ -88,11 +88,16 @@ def default_builders(max_dim=DEFAULT_MAX_DIM):
     return out
 
 
+def _capped(params, spec):
+    """Build a requested variety; the dimension cap is checked first."""
+    return variety_from_spec(spec, max_dim=params.get("max_dim")
+                             or DEFAULT_MAX_DIM)
+
+
 def _builders(params):
-    max_dim = params.get("max_dim") or DEFAULT_MAX_DIM
     if params.get("variety"):
-        return [variety_from_spec(params["variety"], max_dim=max_dim)]
-    return default_builders(max_dim)
+        return [_capped(params, params["variety"])]
+    return default_builders(params.get("max_dim") or DEFAULT_MAX_DIM)
 
 
 def _primes(params, X=None, allowed=DEFAULT_PRIMES):
@@ -396,11 +401,10 @@ def _xp_varieties(max_dim):
 
 
 def suite_xp(r, params):
-    max_dim = params.get("max_dim") or DEFAULT_MAX_DIM
     if params.get("variety"):
-        varieties = [variety_from_spec(params["variety"], max_dim=max_dim)]
+        varieties = [_capped(params, params["variety"])]
     else:
-        varieties = _xp_varieties(max_dim)
+        varieties = _xp_varieties(params.get("max_dim") or DEFAULT_MAX_DIM)
     for X in varieties:
         for p in _primes(params, X):
             totals = {}
@@ -441,7 +445,7 @@ def suite_segre(r, params):
     cases = []
     if params.get("p") and params.get("k"):
         p, k = params["p"], params["k"]
-        cases.append((projective_space(k * (p - 1)), p))
+        cases.append((_capped(params, "P^%d" % (k * (p - 1))), p))
     else:
         for p, ks in ((2, (1, 2, 3, 4)), (3, (1, 2)), (5, (1,))):
             for k in ks:
@@ -510,7 +514,7 @@ def lucas_binom(n, k, p):
 
 def suite_lucas_oracle(r, params):
     n = params.get("n") or 8
-    X = projective_space(n)
+    X = _capped(params, "P^%d" % n)
     for i in range(n + 1):
         xbar = ModPClass(X, 2, {"h^%d" % i: 1})
         total = steenrod_total(steenrod_cohomological(xbar, 2))

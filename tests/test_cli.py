@@ -89,6 +89,13 @@ def test_table_csv(capsys):
     assert len(lines) == 1 + 2 * 2  # two cells, uniform grid k = 0..1
 
 
+def test_operate_has_no_format_option(capsys):
+    code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
+                       "--class", '{"h^1":"1"}', "--format", "csv")
+    assert code == 2
+    assert "--format" in err
+
+
 def test_table_json_satisfies_cartan_shape(capsys):
     code, out, _ = run(capsys, "table", "--variety", "P^1xP^1", "--p", "2")
     assert code == 0
@@ -209,6 +216,23 @@ def test_over_cap_specs_are_rejected_before_building():
         code, _, seconds = run_timed("describe", "--variety", spec)
         assert code == 2, spec
         assert seconds < 5, (spec, seconds)
+    # so must the P^n a verify size parameter names: the suite's cost grows
+    # without bound in n (seconds at n = 48)
+    for argv in (("lucas-oracle", "--n", "30"), ("lucas-oracle", "--n", "48"),
+                 ("segre", "--p", "3", "--k", "24")):
+        code, _, seconds = run_timed("verify", "--suite", *argv)
+        assert code == 2, argv
+        assert seconds < 5, (argv, seconds)
+
+
+def test_wide_product_within_the_cap_is_quick():
+    # (P^1)^8 is within the cap but has 256 cells: a cubic associativity
+    # check while building it would take about 40 s
+    code, out, seconds = run_timed("describe", "--variety",
+                                   "x".join(["P^1"] * 8))
+    assert code == 0
+    assert len(json.loads(out)["cells"]) == 256
+    assert seconds < 5, seconds
 
 
 def test_operate_cost_does_not_grow_with_p():

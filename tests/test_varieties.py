@@ -19,7 +19,8 @@ from chowops import (
     pushforward,
     variety_from_spec,
 )
-from chowops.core import ModPClass
+from chowops import varieties as V
+from chowops.core import CellularVariety, ModPClass
 from chowops.errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -27,7 +28,7 @@ from chowops.errors import (
     UnknownKind,
     VarietyMismatch,
 )
-from chowops.varieties import Morphism
+from chowops.varieties import Morphism, ProductVariety
 
 
 # -- projective spaces -------------------------------------------------------
@@ -147,6 +148,30 @@ def test_triple_product_folds():
         {"type": "projective_space", "n": 1}]})
     assert X.dim == 3
     assert len(X.cells) == 8
+
+
+@pytest.mark.parametrize("spec", ["P^2xQ_3", "P^1xP^1xP^2", "P^2xP^2xP^2"])
+def test_products_pass_the_full_associativity_check(spec):
+    # products skip the check at construction; run the one raw tables get
+    X = variety_from_spec(spec)
+    assert isinstance(X, ProductVariety)
+    CellularVariety._check_associativity(X)
+
+
+def test_fresh_product_runs_no_associativity_check(monkeypatch):
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    P1, P2, Q3 = projective_space(1), projective_space(2), odd_quadric(3)
+    calls = []
+    raw_mul = CellularVariety._raw_mul
+
+    def counting(self, va, vb):
+        calls.append(self.name)
+        return raw_mul(self, va, vb)
+
+    monkeypatch.setattr(CellularVariety, "_raw_mul", counting)
+    XY = product(product(P1, P1), product(P2, Q3))
+    assert XY.name == "P^1xP^1xP^2xQ_3" and len(XY.cells) == 48
+    assert calls == []
 
 
 # -- morphism catalog ----------------------------------------------------------
