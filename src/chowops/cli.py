@@ -131,6 +131,10 @@ def cmd_table(args):
 def cmd_verify(args):
     if args.p is not None:
         require_prime(args.p)
+    for flag in ("k", "trials"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError("--%s must be at least 1, got %d" % (flag, value))
     params = {
         "seed": args.seed,
         "p": args.p,

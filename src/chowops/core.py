@@ -12,11 +12,11 @@ pullback and the Riemann-Roch lift are linear maps given by sparse matrices
 over the cells (`apply_matrix`).
 """
 from fractions import Fraction
-from math import factorial
 
 from .errors import (
     InvalidVariety,
     IntegralityViolation,
+    SeriesDomainError,
     UnknownLabel,
     VarietyMismatch,
 )
@@ -302,14 +302,29 @@ class ChowClass:
         return out
 
     def exp(self):
-        """e^x for x supported in positive codimension, where the series stops."""
-        out = term = self.variety.unit()
-        for k in range(1, self.variety.dim + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            out = out + term.scale(Fraction(1, factorial(k)))
-        return out
+        """e^x for x supported in positive codimension, where the series stops.
+
+        The grading derivation D (multiplication by i in codimension i)
+        satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
+        k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
+        """
+        V = self.variety
+        if V.fundamental in self.coeffs:
+            raise SeriesDomainError("exp needs x in positive codimension, "
+                                    "got %s" % format_class(self))
+        dx = [{} for _ in range(V.dim + 1)]
+        for l, v in self.coeffs.items():
+            i = V.dim - V._dims[l]
+            dx[i][l] = i * v
+        dx = [ChowClass(V, part) for part in dx]
+        E = [V.unit()]
+        for k in range(1, V.dim + 1):
+            E_k = V.zero()
+            for i in range(1, k + 1):
+                if dx[i].coeffs and E[k - i].coeffs:
+                    E_k = E_k + dx[i] * E[k - i]
+            E.append(E_k.scale(Fraction(1, k)))
+        return sum(E[1:], E[0])
 
     def __eq__(self, other):
         if not isinstance(other, ChowClass):

@@ -3,6 +3,11 @@
 A series truncated at degree n is a list of n+1 Fractions [a_0, ..., a_n].
 This is the auxiliary ring in which all per-Chern-root data (Todd, Bott,
 tau-matrix columns) is expanded before being mapped onto a cell basis.
+
+exp and log are read off the derivative t d/dt, which multiplies a_k by k:
+e = exp(a) satisfies t e' = t a' e, so k e_k = sum_{i=1..k} i a_i e_{k-i};
+g = log(a) satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}.
+Both take O(n^2) coefficient products, against O(n^3) for the power sums.
 """
 from fractions import Fraction
 from math import factorial
@@ -64,11 +69,11 @@ def sexp(a, n):
     """exp of a series with zero constant term."""
     if a[0] != 0:
         raise SeriesDomainError("exp needs a zero constant term, got %s" % a[0])
-    out = series([1], n)
-    term = series([1], n)
+    a = series(a, n)
+    out = [Fraction(1)] + [Fraction(0)] * n
     for k in range(1, n + 1):
-        term = smul(term, a, n)
-        out = sadd(out, sscale(Fraction(1, factorial(k)), term, n), n)
+        out[k] = sum((i * a[i] * out[k - i] for i in range(1, k + 1)),
+                     Fraction(0)) / k
     return out
 
 
@@ -76,13 +81,11 @@ def slog(a, n):
     """log of a series with constant term 1."""
     if a[0] != 1:
         raise SeriesDomainError("log needs constant term 1, got %s" % a[0])
-    u = [Fraction(0)] + [a[i] for i in range(1, n + 1)]
+    a = series(a, n)
     out = [Fraction(0)] * (n + 1)
-    term = series([1], n)
     for k in range(1, n + 1):
-        term = smul(term, u, n)
-        sign = Fraction((-1) ** (k + 1), k)
-        out = sadd(out, sscale(sign, term, n), n)
+        out[k] = a[k] - sum((i * out[i] * a[k - i] for i in range(1, k)),
+                            Fraction(0)) / k
     return out
 
 

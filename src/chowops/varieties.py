@@ -55,15 +55,15 @@ def projective_space(n):
         if c:
             tangent["h^%d" % k] = c
 
+    # the column of h^j is td^{n-j+1}, one running product from j = n down
     td = S.todd_series(n)
     tau = {}
-    for j in range(n + 1):
-        col_series = S.spow(td, n - j + 1, n)
-        col = {}
-        for k in range(n - j + 1):
-            if col_series[k]:
-                col["h^%d" % (j + k)] = col_series[k]
-        tau["h^%d" % j] = col
+    col_series = td
+    for j in range(n, -1, -1):
+        if j < n:
+            col_series = S.smul(col_series, td, n)
+        tau["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
+                           for k in range(n - j + 1) if col_series[k]}
 
     X = CellularVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
                         tangent, tau)
@@ -136,14 +136,17 @@ def odd_quadric(d):
     one_minus = [Fraction(0)] + [
         -Fraction((-1) ** k, factorial(k)) for k in range(1, d + 1)]  # 1 - e^{-t}
 
+    # one running product per family: h^i has todd_q (1 - e^{-t})^i and
+    # l_i has td^{i+1} truncated at degree i
     tau = {}
+    col, tdj = todd_q, td
     for i in range(m + 1):
-        col = S.smul(todd_q, S.spow(one_minus, i, d), d)
+        if i:
+            col = S.smul(col, one_minus, d)
+            tdj = S.smul(tdj, td, m)
         tau["h^%d" % i] = map_series(col)
-    for j in range(m, -1, -1):
-        tdj = S.spow(S.todd_series(j), j + 1, j)
-        tau["l_%d" % j] = {"l_%d" % (j - k): tdj[k]
-                           for k in range(j + 1) if tdj[k]}
+        tau["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
+                           for k in range(i + 1) if tdj[k]}
 
     X = CellularVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}

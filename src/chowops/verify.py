@@ -88,20 +88,26 @@ def default_builders(max_dim=DEFAULT_MAX_DIM):
     return out
 
 
+def _param(params, key, default):
+    """params[key], or default when it is missing or None; 0 is a value."""
+    v = params.get(key)
+    return default if v is None else v
+
+
 def _capped(params, spec):
     """Build a requested variety; the dimension cap is checked first."""
-    return variety_from_spec(spec, max_dim=params.get("max_dim")
-                             or DEFAULT_MAX_DIM)
+    return variety_from_spec(spec,
+                             max_dim=_param(params, "max_dim", DEFAULT_MAX_DIM))
 
 
 def _builders(params):
-    if params.get("variety"):
+    if params.get("variety") is not None:
         return [_capped(params, params["variety"])]
-    return default_builders(params.get("max_dim") or DEFAULT_MAX_DIM)
+    return default_builders(_param(params, "max_dim", DEFAULT_MAX_DIM))
 
 
 def _primes(params, X=None, allowed=DEFAULT_PRIMES):
-    if params.get("p"):
+    if params.get("p") is not None:
         ps = (params["p"],)
     else:
         ps = allowed
@@ -182,7 +188,7 @@ def suite_algebra(r, params):
 
 def suite_whitney(r, params):
     rng = random.Random(params.get("seed", 0))
-    trials = params.get("trials") or 100
+    trials = _param(params, "trials", 100)
     for X in _builders(params):
         ps = _primes(params, X)
         for _ in range(trials):
@@ -285,7 +291,7 @@ def standard_morphisms(max_dim=DEFAULT_MAX_DIM):
 
 
 def suite_rr_naturality(r, params):
-    max_dim = params.get("max_dim") or DEFAULT_MAX_DIM
+    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
     for f in standard_morphisms(max_dim):
         for p in _primes(params):
             if f.lci:
@@ -316,7 +322,7 @@ def suite_rr_naturality(r, params):
 
 def suite_lift_independence(r, params):
     rng = random.Random(params.get("seed", 0))
-    trials = params.get("trials") or 100
+    trials = _param(params, "trials", 100)
     for X in _builders(params):
         for p in _primes(params, X):
             base = {}
@@ -341,7 +347,7 @@ def _cartan_pairs(max_dim):
 
 
 def suite_cartan(r, params):
-    max_dim = params.get("max_dim") or DEFAULT_MAX_DIM
+    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
     for a, b in _cartan_pairs(max_dim):
         Xa, Xb = projective_space(a), projective_space(b)
         XY = product(Xa, Xb)
@@ -361,7 +367,7 @@ def suite_cartan(r, params):
 
 
 def suite_wu(r, params):
-    max_dim = params.get("max_dim") or DEFAULT_MAX_DIM
+    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
     for f in standard_morphisms(max_dim):
         X, Y = f.source, f.target
         for p in _primes(params, None, allowed=(2, 3)):
@@ -401,10 +407,10 @@ def _xp_varieties(max_dim):
 
 
 def suite_xp(r, params):
-    if params.get("variety"):
+    if params.get("variety") is not None:
         varieties = [_capped(params, params["variety"])]
     else:
-        varieties = _xp_varieties(params.get("max_dim") or DEFAULT_MAX_DIM)
+        varieties = _xp_varieties(_param(params, "max_dim", DEFAULT_MAX_DIM))
     for X in varieties:
         for p in _primes(params, X):
             totals = {}
@@ -443,7 +449,8 @@ def suite_s0(r, params):
 
 def suite_segre(r, params):
     cases = []
-    if params.get("p") and params.get("k"):
+    given = params.get("p") is not None and params.get("k") is not None
+    if given:
         p, k = params["p"], params["k"]
         cases.append((_capped(params, "P^%d" % (k * (p - 1))), p))
     else:
@@ -460,7 +467,7 @@ def suite_segre(r, params):
             continue
         r.check(val % p == 0, variety=X.name, p=p, value=val,
                 law="deg w_k(-T) divisible by p")
-    if not (params.get("p") and params.get("k")):
+    if not given:
         r.check(segre_number(projective_space(2), 2) == 6,
                 law="spot deg w_2(-T_P2) at p=2")
         r.check(segre_number(projective_space(2), 3) == -3,
@@ -497,7 +504,7 @@ def suite_chi_defect(r, params):
             r.check(rep["witness_degree"] == want, morphism=f.name, p=p,
                     law="witness degree")
     ident = build_morphism("linear_embedding", m=2, n=2)
-    rep = chi_defect(ident, params.get("p") or 2)
+    rep = chi_defect(ident, _param(params, "p", 2))
     r.check(rep["defect"] == 0 and rep["witness"].is_zero(),
             morphism=ident.name, law="identity has no defect")
 
@@ -513,7 +520,7 @@ def lucas_binom(n, k, p):
 
 
 def suite_lucas_oracle(r, params):
-    n = params.get("n") or 8
+    n = _param(params, "n", 8)
     X = _capped(params, "P^%d" % n)
     for i in range(n + 1):
         xbar = ModPClass(X, 2, {"h^%d" % i: 1})

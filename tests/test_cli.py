@@ -267,3 +267,18 @@ def test_suites_pass_under_optimize():
         out, _ = run_process("verify", "--suite", suite, flags=("-O",))
         assert out.returncode == 0, (suite, out.stderr)
         assert json.loads(out.stdout)["passed"] is True, suite
+
+
+def test_zero_is_a_size_not_a_missing_parameter():
+    # --n 0 runs P^0 (one check), not the default P^8 (nine)
+    out, _ = run_process("verify", "--suite", "lucas-oracle", "--n", "0")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["checks"] == 1 and report["params"]["n"] == 0
+    # a trial count or a k below 1 is an input error, not the default
+    for argv in (("whitney", "--trials", "0"),
+                 ("lift-independence", "--trials", "-1"),
+                 ("segre", "--p", "3", "--k", "0")):
+        out, _ = run_process("verify", "--suite", *argv)
+        assert out.returncode == 2, (argv, out.stdout)
+        assert out.stderr.startswith("error: --"), (argv, out.stderr)

@@ -19,6 +19,7 @@ from chowops.core import CellularVariety, ModPClass
 from chowops.errors import (
     IntegralityViolation,
     InvalidVariety,
+    SeriesDomainError,
     UnknownLabel,
     VarietyMismatch,
 )
@@ -118,6 +119,36 @@ def test_scalar_and_power():
     assert h.scale(3).coeffs == {"h^1": 3}
     assert h.power(2) == make_class(P2, {"h^2": 1})
     assert h.power(0) == P2.unit()
+
+
+def test_exp_needs_positive_codimension():
+    with pytest.raises(SeriesDomainError):
+        P2.unit().exp()
+    with pytest.raises(SeriesDomainError):
+        make_class(P2, {"h^0": 1, "h^1": 1}).exp()
+    assert P2.zero().exp() == P2.unit()
+    h = make_class(P2, {"h^1": 1})
+    assert h.exp() == make_class(P2, {"h^0": 1, "h^1": 1,
+                                      "h^2": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_exp_makes_at_most_quadratically_many_products(monkeypatch, n):
+    # k E_k = sum_i (i x_i) E_{k-i}: on P^n each part is one cell, so one
+    # product of two cells per pair (i, k - i), where the sum of x^k / k!
+    # multiplies whole classes
+    X = projective_space(n)
+    x = make_class(X, {"h^%d" % i: Fraction(i + 1, 3) for i in range(1, n + 1)})
+    cell_products = []
+    raw_mul = CellularVariety._raw_mul
+
+    def counting(self, va, vb):
+        cell_products.append(len(va) * len(vb))
+        return raw_mul(self, va, vb)
+
+    monkeypatch.setattr(CellularVariety, "_raw_mul", counting)
+    x.exp()
+    assert 0 < sum(cell_products) <= n * (n + 1) // 2
 
 
 def test_modp_reduction():

@@ -1,12 +1,16 @@
 """Property tests on random classes, not just basis cells: the linear maps
 (the Riemann-Roch lift, pushforward and pullback) all go through one shared
 matrix step, so they must act linearly on any input, and the Atiyah and Bott
-p-adic decompositions must hold on random lattice classes and bundles."""
+p-adic decompositions must hold on random lattice classes and bundles.  The
+ring exponential and the series exp and log are computed by recurrences, and
+must agree with the power sums they replace on random rational input."""
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chowops import series as S
 from chowops import (
     ModPClass,
     atiyah_decompose,
@@ -24,7 +28,10 @@ from chowops.verify import standard_morphisms
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
 
+EXP_VARIETIES = VARIETIES + [variety_from_spec("P^1xP^1xP^1")]
+
 coefficients = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
 
 
 def integral_class(draw, X):
@@ -107,3 +114,71 @@ def test_bott_parts_rebuild_theta(case):
     for k, ek in enumerate(bott_decompose(e, p)):
         total = total + ek.scale(Fraction(p) ** (e.rank - k))
     assert total == theta_p(e, p)
+
+
+@st.composite
+def positive_codim_pairs(draw):
+    """Two rational classes of one variety with no codim-0 part."""
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    cells = st.sampled_from([l for l in X.labels() if l != X.fundamental])
+    return tuple(make_class(X, draw(st.dictionaries(cells, rationals,
+                                                    max_size=4)))
+                 for _ in range(2))
+
+
+def exp_by_powers(x):
+    """sum_k x^k / k!, which stops at the dimension."""
+    X = x.variety
+    out = X.zero()
+    for k in range(X.dim + 1):
+        out = out + x.power(k).scale(Fraction(1, factorial(k)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_codim_pairs())
+def test_ring_exp_is_the_sum_of_powers(pair):
+    x, _ = pair
+    assert x.exp() == exp_by_powers(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_codim_pairs())
+def test_ring_exp_turns_sums_into_products(pair):
+    x, y = pair
+    assert (x + y).exp() == x.exp() * y.exp()
+
+
+@st.composite
+def series_and_degree(draw):
+    n = draw(st.integers(0, 10))
+    return draw(st.lists(rationals, min_size=n + 1, max_size=n + 1)), n
+
+
+def sexp_by_powers(a, n):
+    """sum_k a^k / k! for a series with zero constant term."""
+    out, term = S.series([1], n), S.series([1], n)
+    for k in range(1, n + 1):
+        term = S.smul(term, a, n)
+        out = S.sadd(out, S.sscale(Fraction(1, factorial(k)), term, n), n)
+    return out
+
+
+def slog_by_powers(a, n):
+    """sum_k (-1)^{k+1} u^k / k for a = 1 + u."""
+    u = [Fraction(0)] + a[1:]
+    out, term = S.series([0], n), S.series([1], n)
+    for k in range(1, n + 1):
+        term = S.smul(term, u, n)
+        out = S.sadd(out, S.sscale(Fraction((-1) ** (k + 1), k), term, n), n)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_and_degree())
+def test_series_exp_and_log_are_the_power_sums(case):
+    a, n = case
+    u = [Fraction(0)] + a[1:]
+    assert S.sexp(u, n) == sexp_by_powers(u, n)
+    one_plus_u = [Fraction(1)] + a[1:]
+    assert S.slog(one_plus_u, n) == slog_by_powers(one_plus_u, n)

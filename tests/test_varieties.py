@@ -19,6 +19,7 @@ from chowops import (
     pushforward,
     variety_from_spec,
 )
+from chowops import series as S
 from chowops import varieties as V
 from chowops.core import CellularVariety, ModPClass
 from chowops.errors import (
@@ -109,6 +110,77 @@ def test_quadric_l_columns_push_todd_from_linear_subspace():
     P2 = projective_space(2)
     todd_p2 = P2.tau_class("h^0")
     assert Q5.tau_class("l_2") == f.push_class(todd_p2)
+
+
+# -- tau columns by running products -------------------------------------------
+
+def scratch_pn_tau(n):
+    """The P^n tau columns td^{n-j+1}, each power computed from scratch."""
+    td = S.todd_series(n)
+    tau = {}
+    for j in range(n + 1):
+        col = S.spow(td, n - j + 1, n)
+        tau["h^%d" % j] = {"h^%d" % (j + k): col[k]
+                           for k in range(n - j + 1) if col[k]}
+    return tau
+
+
+def scratch_quadric_tau(d):
+    """The Q_d tau columns, each power computed from scratch."""
+    m = (d - 1) // 2
+    td = S.todd_series(d)
+    td2 = [td[k] * 2 ** k for k in range(d + 1)]
+    todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
+    one_minus = S.sadd(S.series([1], d), S.sscale(-1, S.exp_t(-1, d), d), d)
+    tau = {}
+    for i in range(m + 1):
+        col = {}
+        for k, c in enumerate(S.smul(todd_q, S.spow(one_minus, i, d), d)):
+            for label, mult in V._quadric_h_power(d, k).items():
+                col[label] = col.get(label, 0) + c * mult
+        tau["h^%d" % i] = {l: v for l, v in col.items() if v}
+    for j in range(m + 1):
+        tdj = S.spow(S.todd_series(j), j + 1, j)
+        tau["l_%d" % j] = {"l_%d" % (j - k): c for k, c in enumerate(tdj) if c}
+    return tau
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_pn_tau_columns_equal_powers_from_scratch(n):
+    assert projective_space(n).tau_columns == scratch_pn_tau(n)
+
+
+@pytest.mark.parametrize("d", range(1, 14, 2))
+def test_quadric_tau_columns_equal_powers_from_scratch(d):
+    assert odd_quadric(d).tau_columns == scratch_quadric_tau(d)
+
+
+def count_smul(monkeypatch):
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    calls = []
+    smul = S.smul
+
+    def counting(a, b, n):
+        calls.append(n)
+        return smul(a, b, n)
+
+    monkeypatch.setattr(S, "smul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
+    calls = count_smul(monkeypatch)
+    projective_space(n)
+    assert len(calls) <= n + 1
+
+
+@pytest.mark.parametrize("d", [13, 25])
+def test_fresh_quadric_makes_linearly_many_products(monkeypatch, d):
+    # td^{d+2} for the Todd class, then one product per column
+    calls = count_smul(monkeypatch)
+    odd_quadric(d)
+    assert len(calls) <= 2 * d + 2
 
 
 # -- products ------------------------------------------------------------------

@@ -26,6 +26,11 @@ def test_whitney_full_trial_count():
     assert report["checks"] >= 100 * len(default_builders())
 
 
+def test_zero_parameters_are_taken_as_given():
+    assert run_suite("lucas-oracle", n=0)["checks"] == 1
+    assert run_suite("whitney", trials=0)["checks"] == 0
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
