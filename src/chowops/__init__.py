@@ -12,9 +12,7 @@ from .core import (
     class_from_json,
     class_to_json,
     degree,
-    grade_component,
     make_class,
-    mul,
 )
 from .char_classes import (
     SeriesSpec,
@@ -40,7 +38,6 @@ from .ktheory import (
     kclass_from_json,
     kclass_pullback,
     kclass_pushforward,
-    lattice_membership,
     phi_top,
     structure_sheaf,
     tau_lattice,

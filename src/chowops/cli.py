@@ -1,9 +1,9 @@
 """Command-line front end: describe varieties, compute operation tables, verify.
 
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 internal
-extraction failure.  All numeric output is exact decimal strings;
-serialization is deterministic (sorted keys) so output is byte-stable for a
-fixed seed and input.
+Exit codes: 0 pass, 1 verification failure, 2 input error, 3 a failed
+theory check (any TheoryViolation), with its details dumped on stderr.  All
+numeric output is exact decimal strings; serialization is deterministic
+(sorted keys) so output is byte-stable for a fixed seed and input.
 """
 import argparse
 import csv
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .core import ModPClass, class_from_json, class_to_json, coeff_to_str, modp_to_json
-from .errors import ChowopsError, ExtractionFailure, require_prime
+from .errors import ChowopsError, TheoryViolation, require_prime
 from .steenrod import op_component, steenrod_operation
 from .varieties import variety_from_spec
 from .verify import SUITES, run_suite
@@ -204,8 +204,9 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ExtractionFailure as exc:
-        sys.stderr.write("extraction failure: %s\n" % exc)
+    except TheoryViolation as exc:
+        sys.stderr.write("theory check failed (%s): %s\n"
+                         % (type(exc).__name__, exc))
         sys.stderr.write(json.dumps(exc.details, indent=2, sort_keys=True) + "\n")
         return 3
     except (ChowopsError, ValueError, KeyError, json.JSONDecodeError) as exc:

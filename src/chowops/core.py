@@ -6,10 +6,10 @@ denominators; a Fraction with denominator 1 is stored as an integer, so
 whether a class is integral is read off its coefficients.  The ring
 structure comes from a finite table of structure constants.  Each entry is
 checked for grading, commutativity and unitality as it is read, and a table
-given directly is checked exhaustively for associativity; a product of two
-checked varieties inherits its ring axioms from its factors.  Pushforward,
-pullback and the Riemann-Roch lift are linear maps given by sparse matrices
-over the cells (`apply_matrix`).
+given directly is checked exhaustively for associativity; the builders'
+tables are associative by construction and skip that check
+(`varieties.BuiltVariety`).  Pushforward, pullback and the Riemann-Roch lift
+are linear maps given by sparse matrices over the cells (`apply_matrix`).
 """
 from fractions import Fraction
 
@@ -436,10 +436,6 @@ def apply_matrix(matrix, x, target):
     return ChowClass(target, out)
 
 
-def mul(a, b):
-    return a * b
-
-
 def degree(a):
     """Pair the dimension-0 component with the degree vector."""
     total = Fraction(0)
@@ -447,11 +443,6 @@ def degree(a):
         if a.variety.cell_dim(l) == 0:
             total += Fraction(v) * a.variety.degree_vector[l]
     return int(total) if total.denominator == 1 else total
-
-
-def grade_component(a, j):
-    """Restriction of the coefficients to the dimension-j cells."""
-    return a.dim_component(j)
 
 
 # -- exact serialization -------------------------------------------------------

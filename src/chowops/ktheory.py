@@ -122,13 +122,6 @@ def tau_lattice(X):
     return _cached(X, "tau_lattice", lambda: TauLattice(X))
 
 
-def lattice_membership(L, v):
-    """True iff v lies in the integer span of the lattice columns."""
-    if not isinstance(v, ChowClass):
-        v = ChowClass(L.variety, v)
-    return L.membership(v)
-
-
 def k0_from_chow_lift(x):
     """Canonical lift through phi: sum of x_beta * tau[O_{Z_beta}]."""
     if not x.is_integral():

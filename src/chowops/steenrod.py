@@ -6,10 +6,12 @@ most d - k(p-1) such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  It solves
 once for the coordinates of psi_p(x) in the unitriangular tau basis, then
 scales each degree by a power of p: a dimension-j coordinate belongs to
 x_k with k = [(d - j)/(p - 1)] and is multiplied by p^{d+k}, which must
-leave it integral.  The operations on mod-p Chow groups read off the
-dimension-(d - k(p-1)) components of the x_k.
+leave it integral.  The basis is unitriangular, so S_k mod p is read straight
+off these coordinates in dimension d - k(p-1); the x_k are lifted through the
+tau matrix only when asked for.
 """
 from fractions import Fraction
+from functools import cached_property
 
 from .char_classes import _cached, w_tangent
 from .core import ChowClass, ModPClass, class_to_json, degree
@@ -34,13 +36,21 @@ from .ktheory import (
 
 
 class AtiyahDecomposition:
-    """psi_p(x) = sum_k p^{-d-k} x_k with level(x_k) <= d - k(p-1)."""
+    """psi_p(x) = sum_k p^{-d-k} x_k with level(x_k) <= d - k(p-1).
 
-    def __init__(self, x, p, level, parts):
+    pieces[k] holds the integral tau-coordinates of x_k; parts lifts them to
+    the K-classes x_k on first use.
+    """
+
+    def __init__(self, x, p, level, pieces):
         self.x = x
         self.p = p
         self.level = level
-        self.parts = parts
+        self.pieces = pieces
+
+    @cached_property
+    def parts(self):
+        return [k0_from_chow_lift(piece) for piece in self.pieces]
 
     def reconstruction(self):
         """The right-hand side sum, for the exactness check."""
@@ -112,13 +122,11 @@ def atiyah_decompose(x, p, level=None):
                          "exponent": d + k, "component": class_to_json(piece),
                          "input": class_to_json(x.tau)})
         pieces[k] = pieces[k] + piece
-    parts = [k0_from_chow_lift(piece) for piece in pieces]
-    dec = AtiyahDecomposition(x, p, d, parts)
-    top = (parts[0].tau - x.tau).dim_component(d)
-    if not top.is_zero():
+    # the tau basis is unitriangular, so x_0 and pieces[0] agree at the top
+    if pieces[0].dim_component(d) != x.tau.dim_component(d):
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
-    return dec
+    return AtiyahDecomposition(x, p, d, pieces)
 
 
 def _as_modp(x, p):
@@ -136,7 +144,7 @@ def steenrod_homological(x, p=None, lift=None):
 
     Mixed-dimension inputs are processed componentwise.  `lift` replaces the
     canonical integral lift (homogeneous inputs only); it must be an integral
-    K-class of level at most the input dimension.
+    K-class of level at most the input dimension that reduces to x mod p.
     """
     return _steenrod(x, p, lift=lift)
 
@@ -147,7 +155,11 @@ def steenrod_cohomological(x, p=None):
 
 
 def _steenrod(x, p, lift=None, cohomological=False):
-    """Both conventions: check the input once, then one extraction per dimension."""
+    """Both conventions: check the input once, then one extraction per dimension.
+
+    S_k is pieces[k] in dimension d - k(p-1).  atiyah_decompose checks an
+    explicit lift's integrality and level, and S_0 = x that it reduces to x.
+    """
     x, p = _as_modp(x, p)
     require_prime(p)
     X = x.variety
@@ -156,22 +168,17 @@ def _steenrod(x, p, lift=None, cohomological=False):
     dims = x.support_dims()
     n_ops = max(d // (p - 1) for d in dims) + 1
     out = [ModPClass(X, p, {}) for _ in range(n_ops)]
-    if lift is not None:
-        if len(dims) > 1:
-            raise ValueError("an explicit lift needs a homogeneous input")
-        if not lift.integral:
-            raise NonIntegralInput("lift must be integral")
-        if lift.is_zero():
-            return out
-        if filtration_level(lift) > dims[0]:
-            raise LevelViolation("lift has level above the input dimension")
+    if lift is not None and len(dims) > 1:
+        raise ValueError("an explicit lift needs a homogeneous input")
     w = _w_tangent_modp(X, p) if cohomological else None
     for d in dims:
         L = k0_from_chow_lift(x.dim_component(d).lift()) if lift is None else lift
         dec = atiyah_decompose(L, p, level=d)
-        parts = [ModPClass.from_integral(
-                     part.tau.dim_component(d - k * (p - 1)).as_integral(), p)
-                 for k, part in enumerate(dec.parts)]
+        parts = [ModPClass(piece.variety, p,
+                           piece.dim_component(d - k * (p - 1)).coeffs)
+                 for k, piece in enumerate(dec.pieces)]
+        if lift is not None and parts[0] != x:
+            raise ValueError("the lift does not reduce to x mod %d" % p)
         if w is not None:
             twisted = w * steenrod_total(parts)
             parts = [twisted.dim_component(d - k * (p - 1))

@@ -34,6 +34,20 @@ _REGISTRY = []
 # builders
 # ---------------------------------------------------------------------------
 
+class BuiltVariety(CellularVariety):
+    """A variety made by a builder here: P^n, Q_d, or X x Y of checked ones.
+
+    Its table is associative by construction (h^i h^j = h^{i+j} on P^n, the
+    monomial presentation h^{m+1} = 2 l_m, h^i l_j = l_{j-i} on Q_d, a tensor
+    product of associative tables on X x Y), so it skips the cubic check that
+    a table given to CellularVariety gets; the other axioms are checked entry
+    by entry.
+    """
+
+    def _check_associativity(self):
+        pass
+
+
 def projective_space(n):
     """P^n with cells h^0..h^n (codimension i)."""
     if n < 0:
@@ -65,8 +79,8 @@ def projective_space(n):
         tau["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
                            for k in range(n - j + 1) if col_series[k]}
 
-    X = CellularVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
-                        tangent, tau)
+    X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
+                     tangent, tau)
     X.hyperplane = {"h^1": 1} if n >= 1 else {}
     _VARIETY_CACHE[key] = X
     return X
@@ -148,22 +162,10 @@ def odd_quadric(d):
         tau["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
                            for k in range(i + 1) if tdj[k]}
 
-    X = CellularVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
+    X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}
     _VARIETY_CACHE[key] = X
     return X
-
-
-class ProductVariety(CellularVariety):
-    """X x Y built by `product` from two checked varieties.
-
-    Its table is the tensor product of the factors' tables, which is
-    associative because theirs are; the other ring axioms are checked entry
-    by entry as for any table.
-    """
-
-    def _check_associativity(self):
-        pass
 
 
 def product(X, Y):
@@ -204,8 +206,8 @@ def product(X, Y):
                                 for ra, va in cola.items()
                                 for rb, vb in colb.items()}
 
-    XY = ProductVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
-                        table, degree_vector, tangent, tau)
+    XY = BuiltVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
+                      table, degree_vector, tangent, tau)
     hypx = {lab(a, Y.fundamental): v
             for a, v in getattr(X, "hyperplane", {}).items()}
     for b, v in getattr(Y, "hyperplane", {}).items():

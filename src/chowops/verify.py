@@ -567,4 +567,7 @@ def run_suite(name, **params):
     except ChowopsError as exc:
         r.failures.append({"error": str(exc),
                            "details": getattr(exc, "details", {})})
+    if not r.checks and not r.failures:
+        # a suite that checked nothing has shown nothing
+        r.failures.append({"error": "no checks ran"})
     return r.report()

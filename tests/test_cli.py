@@ -7,6 +7,11 @@ import time
 
 import chowops
 from chowops.cli import main
+from chowops.errors import (
+    DecompositionFailure,
+    ExtractionFailure,
+    TheoryViolation,
+)
 
 
 def run(capsys, *argv):
@@ -161,17 +166,29 @@ def test_dimension_cap_from_environment(capsys, monkeypatch):
 
 
 def test_extraction_failure_exits_3(capsys, monkeypatch):
+    # every failed theory check exits 3 with its details dump, not only
+    # ExtractionFailure
     from chowops import cli
-    from chowops.errors import ExtractionFailure
 
-    def boom(*a, **k):
-        raise ExtractionFailure("divisibility broke", details={"p": 2})
+    for error in (ExtractionFailure, DecompositionFailure, TheoryViolation):
+        def boom(*a, **k):
+            raise error("divisibility broke", details={"p": 2})
 
-    monkeypatch.setattr(cli, "steenrod_operation", boom)
-    code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
-                       "--class", '{"h^1":"1"}')
-    assert code == 3
-    assert "divisibility broke" in err
+        monkeypatch.setattr(cli, "steenrod_operation", boom)
+        code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
+                           "--class", '{"h^1":"1"}')
+        assert code == 3, error
+        assert error.__name__ in err and "divisibility broke" in err
+        assert '"p": 2' in err
+
+
+def test_vacuous_suite_exits_1(capsys, monkeypatch):
+    # no default builder fits a cap of 0, so whitney checks nothing
+    monkeypatch.setenv("STEENROD_MAX_DIM", "0")
+    code, out, _ = run(capsys, "verify", "--suite", "whitney")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"] == 0 and not report["passed"]
 
 
 def test_variety_file_input(capsys, tmp_path):

@@ -14,7 +14,6 @@ from chowops import (
     kclass_from_json,
     kclass_pullback,
     kclass_pushforward,
-    lattice_membership,
     line_bundle,
     make_class,
     odd_quadric,
@@ -76,10 +75,10 @@ def test_filtration_level_examples():
 def test_lattice_membership_examples():
     L = tau_lattice(P2)
     col = P2.tau_class("h^1")
-    assert lattice_membership(L, col)
-    assert not lattice_membership(L, col.scale(Fraction(1, 2)))
-    assert lattice_membership(L, col + P2.tau_class("h^0"))
-    assert lattice_membership(L, {"h^1": 1, "h^2": 1})
+    assert L.membership(col)
+    assert not L.membership(col.scale(Fraction(1, 2)))
+    assert L.membership(col + P2.tau_class("h^0"))
+    assert L.membership(_cls(P2, {"h^1": 1, "h^2": 1}))
 
 
 def test_kclass_json():

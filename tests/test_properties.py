@@ -2,8 +2,10 @@
 (the Riemann-Roch lift, pushforward and pullback) all go through one shared
 matrix step, so they must act linearly on any input, and the Atiyah and Bott
 p-adic decompositions must hold on random lattice classes and bundles.  The
-ring exponential and the series exp and log are computed by recurrences, and
-must agree with the power sums they replace on random rational input."""
+operations read S_k off the scaled tau-coordinates, and must agree with
+lifting the x_k and reading their tau-vectors.  The ring exponential and the
+series exp and log are computed by recurrences, and must agree with the
+power sums they replace on random rational input."""
 from fractions import Fraction
 from math import factorial
 
@@ -18,11 +20,15 @@ from chowops import (
     k0_from_chow_lift,
     line_bundle,
     make_class,
+    steenrod_cohomological,
+    steenrod_homological,
+    steenrod_total,
     tangent_bundle,
     tau_lattice,
     theta_p,
     variety_from_spec,
 )
+from chowops.char_classes import w_tangent
 from chowops.verify import standard_morphisms
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
@@ -114,6 +120,45 @@ def test_bott_parts_rebuild_theta(case):
     for k, ek in enumerate(bott_decompose(e, p)):
         total = total + ek.scale(Fraction(p) ** (e.rank - k))
     assert total == theta_p(e, p)
+
+
+@st.composite
+def modp_classes(draw):
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    p = draw(st.sampled_from([2, 3, 5]))
+    coeffs = draw(st.dictionaries(st.sampled_from(X.labels()),
+                                  st.integers(1, p - 1), min_size=1))
+    return ModPClass(X, p, coeffs)
+
+
+def ops_from_lifted_parts(xbar, cohomological):
+    """The operations by the route that lifts each x_k: S_k of the dim-d
+    part is the tau-vector of x_k in dimension d - k(p-1), mod p."""
+    X, p = xbar.variety, xbar.p
+    dims = xbar.support_dims()
+    n_ops = max(d // (p - 1) for d in dims) + 1
+    w = ModPClass.from_integral(w_tangent(X, p), p)
+    out = [ModPClass(X, p, {}) for _ in range(n_ops)]
+    for d in dims:
+        lift = k0_from_chow_lift(xbar.dim_component(d).lift())
+        dec = atiyah_decompose(lift, p, level=d)
+        parts = [ModPClass.from_integral(
+                     part.tau.dim_component(d - k * (p - 1)).as_integral(), p)
+                 for k, part in enumerate(dec.parts)]
+        if cohomological:
+            total = w * steenrod_total(parts)
+            parts = [total.dim_component(d - k * (p - 1))
+                     for k in range(n_ops)]
+        for k, part in enumerate(parts):
+            out[k] = out[k] + part
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(modp_classes())
+def test_operations_match_the_lifted_parts(xbar):
+    assert steenrod_homological(xbar) == ops_from_lifted_parts(xbar, False)
+    assert steenrod_cohomological(xbar) == ops_from_lifted_parts(xbar, True)
 
 
 @st.composite

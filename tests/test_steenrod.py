@@ -217,6 +217,11 @@ def test_lift_guards():
     mixed = _bar(P2, 2, {"h^1": 1, "h^2": 1})
     with pytest.raises(ValueError):
         steenrod_homological(mixed, lift=k0_from_chow_lift(mixed.lift()))
+    # a lift must reduce to the input: h^2 and 2 h^1 are not lifts of h^1
+    line = _bar(P2, 2, {"h^1": 1})
+    for wrong in ({"h^2": 1}, {"h^1": 2}):
+        with pytest.raises(ValueError):
+            steenrod_homological(line, lift=k0_from_chow_lift(_cls(P2, wrong)))
 
 
 def test_lucas_binom():

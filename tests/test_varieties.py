@@ -29,7 +29,7 @@ from chowops.errors import (
     UnknownKind,
     VarietyMismatch,
 )
-from chowops.varieties import Morphism, ProductVariety
+from chowops.varieties import BuiltVariety, Morphism
 
 
 # -- projective spaces -------------------------------------------------------
@@ -222,11 +222,14 @@ def test_triple_product_folds():
     assert len(X.cells) == 8
 
 
-@pytest.mark.parametrize("spec", ["P^2xQ_3", "P^1xP^1xP^2", "P^2xP^2xP^2"])
+@pytest.mark.parametrize(
+    "spec", ["P^2xQ_3", "P^1xP^1xP^2", "P^2xP^2xP^2"]
+    + ["P^%d" % n for n in range(14)] + ["Q_%d" % d for d in range(1, 14, 2)])
 def test_products_pass_the_full_associativity_check(spec):
-    # products skip the check at construction; run the one raw tables get
+    # built varieties skip the check at construction; run the one raw
+    # tables get
     X = variety_from_spec(spec)
-    assert isinstance(X, ProductVariety)
+    assert isinstance(X, BuiltVariety)
     CellularVariety._check_associativity(X)
 
 
@@ -243,6 +246,7 @@ def test_fresh_product_runs_no_associativity_check(monkeypatch):
     monkeypatch.setattr(CellularVariety, "_raw_mul", counting)
     XY = product(product(P1, P1), product(P2, Q3))
     assert XY.name == "P^1xP^1xP^2xQ_3" and len(XY.cells) == 48
+    assert projective_space(12).dim == 12 and odd_quadric(13).dim == 13
     assert calls == []
 
 

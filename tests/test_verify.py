@@ -28,7 +28,10 @@ def test_whitney_full_trial_count():
 
 def test_zero_parameters_are_taken_as_given():
     assert run_suite("lucas-oracle", n=0)["checks"] == 1
-    assert run_suite("whitney", trials=0)["checks"] == 0
+    vacuous = run_suite("whitney", trials=0)
+    assert vacuous["checks"] == 0
+    assert not vacuous["passed"]
+    assert vacuous["failures"] == [{"error": "no checks ran"}]
 
 
 def test_unknown_suite_rejected():
