@@ -29,6 +29,7 @@ from .ktheory import (
     KClass,
     TauLattice,
     adams_lower,
+    adams_matrix,
     adams_upper,
     bott_decompose,
     euler_char,

@@ -464,6 +464,9 @@ def class_to_json(a):
 
 
 def class_from_json(variety, obj):
+    if not isinstance(obj, dict):
+        raise ValueError("a class must be a JSON object of label: coefficient, "
+                         "got %r" % (obj,))
     return make_class(variety, {l: coeff_from_str(v) for l, v in obj.items()})
 
 

@@ -4,9 +4,16 @@ A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
 cell closures); the matrix is triangular with unit diagonal, so coordinates
 in it come from one back-substitution (`TauLattice.coordinates`), which
-decides lattice membership and from which both the Atiyah and the Bott
-p-adic decompositions are read.  On the smooth builders K_0 and K^0 are
-identified by multiplying or dividing by Todd(T_X).
+decides lattice membership and from which the Bott p-adic decomposition is
+read.  On the smooth builders K_0 and K^0 are identified by multiplying or
+dividing by Todd(T_X).
+
+The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
+so in the basis [O_Z] it is one matrix per (X, p), `adams_matrix`, built once
+and cached: a closed form on P^n, the Kronecker product of the factors'
+matrices on a product, and the tau route column by column otherwise.  The
+tau route itself, `adams_lower` (divide by Todd, scale by powers of p,
+multiply by Todd theta^p(-T_X)), stays as the independent oracle.
 """
 from fractions import Fraction
 
@@ -195,6 +202,69 @@ def adams_lower(x, p):
     scaled = ChowClass(X, {l: v * p ** X.cell_codim(l)
                            for l, v in ch_y.coeffs.items()})
     return KClass(X, _psi_twist(X, p) * scaled, integral=False)
+
+
+def adams_matrix(X, p):
+    """psi_p in the basis [O_Z] of K_0, built once per (X, p).
+
+    Column l holds the tau-coordinates of psi_p([O_{Z_l}]); the entries have
+    only powers of p as denominators.  On P^n it is a closed form, on a
+    product the Kronecker product of the factors' matrices (K_0(X x Y) =
+    K_0(X) (x) K_0(Y), and psi^p and theta^p are multiplicative), and
+    otherwise (Q_d, a table given to CellularVariety directly) the columns
+    of adams_lower on the canonical lifts of the cells, solved in the tau
+    basis.  The result is cached and shared: treat it as read-only.
+    """
+    require_prime(p)
+    return _cached(X, ("adams_matrix", p), lambda: _adams_columns(X, p))
+
+
+def _adams_columns(X, p):
+    builder = getattr(X, "builder", None)
+    if builder == "projective_space":
+        return _projective_adams(X.dim, p)
+    if builder == "product":
+        A, B = (adams_matrix(F, p) for F in X._factors)
+        return {"%s*%s" % (a, b): {"%s*%s" % (r, s): u * v
+                                   for r, u in col_a.items()
+                                   for s, v in col_b.items()}
+                for a, col_a in A.items() for b, col_b in B.items()}
+    lattice = tau_lattice(X)
+    return {l: lattice.coordinates(
+                adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
+            for l in X.labels()}
+
+
+def _projective_adams(n, p):
+    """The Adams matrix of P^n, in K_0 = Z[x]/x^{n+1} with x = [O_H].
+
+    The cell h^j is x^j.  With theta = theta^p(O(1)) = sum_{i<p} (1-x)^i =
+    psi^p(x)/x, whose coefficients are theta_m = (-1)^m C(p, m+1), one has
+    psi^p(x^j) = x^j theta^j and theta^p(-T) = p theta^{-(n+1)}, so column j
+    is p x^j u^{n+1-j} with u = 1/theta.  In integers u_m = U_m / p^{m+1},
+    and the coefficients of u^e are V_m / p^{m+e}, so u^e is one running
+    integer product, the mirror of the tau columns h^j td^{n+1-j}.
+    """
+    theta = []
+    c = 1
+    for m in range(n + 1):
+        c = c * (p - m) // (m + 1)  # C(p, m+1), zero once m + 1 > p
+        theta.append(-c if m % 2 else c)
+    # theta u = 1 with theta_0 = p: U_m = -sum_{i>=1} theta_i U_{m-i} p^{i-1}
+    U = [1]
+    for m in range(1, n + 1):
+        U.append(-sum(theta[i] * U[m - i] * p ** (i - 1)
+                      for i in range(1, m + 1)))
+    cols = {}
+    V = U
+    for j in range(n, -1, -1):
+        e = n + 1 - j
+        if e > 1:
+            V = [sum(V[i] * U[m - i] for i in range(m + 1))
+                 for m in range(n + 1)]
+        cols["h^%d" % j] = {"h^%d" % (j + m): Fraction(V[m], p ** (m + e - 1))
+                            for m in range(n - j + 1) if V[m]}
+    return cols
 
 
 def kclass_to_bundle(x):

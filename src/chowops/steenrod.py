@@ -1,20 +1,23 @@
 """Reduced Steenrod operations via the p-adic decomposition of psi_p.
 
-The central routine extracts, from the tau-vector of the homological Adams
-operation of an integral lift, integral classes x_k of filtration level at
-most d - k(p-1) such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  It solves
-once for the coordinates of psi_p(x) in the unitriangular tau basis, then
-scales each degree by a power of p: a dimension-j coordinate belongs to
-x_k with k = [(d - j)/(p - 1)] and is multiplied by p^{d+k}, which must
-leave it integral.  The basis is unitriangular, so S_k mod p is read straight
-off these coordinates in dimension d - k(p-1); the x_k are lifted through the
-tau matrix only when asked for.
+The central routine extracts, from the homological Adams operation of an
+integral lift, integral classes x_k of filtration level at most d - k(p-1)
+such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  The coordinates of psi_p(x)
+in the unitriangular tau basis are the cached Adams matrix
+(`ktheory.adams_matrix`) applied to the coordinates of x: for the canonical
+lift of a mod-p class these are its own coefficients, lifted, and an explicit
+K-class is solved for once.  Each degree is then scaled by a power of p: a
+dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is
+multiplied by p^{d+k}, which must leave it integral.  The basis is
+unitriangular, so S_k mod p is read straight off these coordinates in
+dimension d - k(p-1); the x_k are lifted through the tau matrix only when
+asked for.
 """
 from fractions import Fraction
 from functools import cached_property
 
 from .char_classes import _cached, w_tangent
-from .core import ChowClass, ModPClass, class_to_json, degree
+from .core import ChowClass, ModPClass, apply_matrix, class_to_json, degree
 from .errors import (
     DimensionMismatch,
     ExtractionFailure,
@@ -27,6 +30,7 @@ from .errors import (
 from .ktheory import (
     KClass,
     adams_lower,
+    adams_matrix,
     euler_char,
     filtration_level,
     k0_from_chow_lift,
@@ -83,11 +87,13 @@ class AtiyahDecomposition:
 
 
 def atiyah_decompose(x, p, level=None):
-    """p-adic decomposition of psi_p(x): tau-coordinates, then a p-power scale.
+    """p-adic decomposition of psi_p(x): the Adams matrix, then a p-power scale.
 
-    The tau-coordinates of psi_p(x) on the dimension-j cells, multiplied by
-    p^{d+k} with k = [(d - j)/(p - 1)], must be integral (ExtractionFailure
-    otherwise) and are the tau-coordinates of x_k on those cells.
+    The tau-coordinates of x are solved for once and sent through
+    adams_matrix(X, p); the resulting coordinates of psi_p(x) on the
+    dimension-j cells, multiplied by p^{d+k} with k = [(d - j)/(p - 1)], must
+    be integral (ExtractionFailure otherwise) and are the tau-coordinates of
+    x_k on those cells.
 
     level defaults to the filtration level of x and may be passed explicitly
     (it must be at least the actual level; steenrod operations use the degree
@@ -102,31 +108,57 @@ def atiyah_decompose(x, p, level=None):
     if not x.is_zero() and filtration_level(x) > d:
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
-    W = adams_lower(x, p).tau
-    # support above d would put coordinates at k < 0
-    if W.top_dim() is not None and W.top_dim() > d:
+    coords = tau_lattice(X).coordinates(x.tau)
+    return AtiyahDecomposition(x, p, d, _psi_pieces(X, p, d, coords))
+
+
+def _psi_pieces(X, p, d, coords):
+    """The scaled coordinates p^{d+k} psi_p(x), split by k, from the
+    tau-coordinates of an x of level at most d."""
+    A = adams_matrix(X, p)
+    psi = {}
+    for l, v in coords.items():
+        for r, a in A[l].items():
+            psi[r] = psi.get(r, 0) + v * a
+    psi = ChowClass(X, psi)
+    # the tau basis is unitriangular: psi_p(x) and its coordinates have the
+    # same top dimension, and x and its coordinates the same dimension-d part
+    if psi.top_dim() is not None and psi.top_dim() > d:
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
-            details={"variety": X.name, "p": p, "tau": class_to_json(W)})
-
-    coords = ChowClass(X, tau_lattice(X).coordinates(W))
-    pieces = [X.zero() for _ in range(d // (p - 1) + 1)]
-    for j in range(d, -1, -1):
+            details={"variety": X.name, "p": p,
+                     "tau": class_to_json(_tau(X, psi))})
+    scale = [p ** (d + (d - j) // (p - 1)) for j in range(d + 1)]
+    pieces = [{} for _ in range(d // (p - 1) + 1)]
+    bad = set()
+    for r, v in psi.coeffs.items():
+        j = X.cell_dim(r)
+        v = v * scale[j]
+        if isinstance(v, Fraction) and v.denominator != 1:
+            bad.add(j)
+        pieces[(d - j) // (p - 1)][r] = v
+    x = ChowClass(X, coords)
+    if bad:
+        j = max(bad)
         k = (d - j) // (p - 1)
-        piece = coords.dim_component(j).scale(p ** (d + k))
-        if not piece.is_integral():
-            raise ExtractionFailure(
-                "dimension-%d component of p^%d psi_%d is not integral"
-                % (j, d + k, p),
-                details={"variety": X.name, "p": p, "dimension": j,
-                         "exponent": d + k, "component": class_to_json(piece),
-                         "input": class_to_json(x.tau)})
-        pieces[k] = pieces[k] + piece
-    # the tau basis is unitriangular, so x_0 and pieces[0] agree at the top
-    if pieces[0].dim_component(d) != x.tau.dim_component(d):
+        raise ExtractionFailure(
+            "dimension-%d component of p^%d psi_%d is not integral"
+            % (j, d + k, p),
+            details={"variety": X.name, "p": p, "dimension": j,
+                     "exponent": d + k,
+                     "component": class_to_json(
+                         psi.dim_component(j).scale(scale[j])),
+                     "input": class_to_json(_tau(X, x))})
+    pieces = [ChowClass(X, piece) for piece in pieces]
+    if pieces[0].dim_component(d) != x.dim_component(d):
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
-    return AtiyahDecomposition(x, p, d, pieces)
+    return pieces
+
+
+def _tau(X, coords):
+    """The tau-vector of the K-class with the given tau-coordinates."""
+    return apply_matrix(X.tau_columns, coords, X)
 
 
 def _as_modp(x, p):
@@ -157,8 +189,11 @@ def steenrod_cohomological(x, p=None):
 def _steenrod(x, p, lift=None, cohomological=False):
     """Both conventions: check the input once, then one extraction per dimension.
 
-    S_k is pieces[k] in dimension d - k(p-1).  atiyah_decompose checks an
-    explicit lift's integrality and level, and S_0 = x that it reduces to x.
+    The canonical lift of the dimension-d part has the lifted coefficients
+    as its tau-coordinates, so they go straight through the Adams matrix; an
+    explicit lift goes through atiyah_decompose, which checks its
+    integrality and level, and S_0 = x checks that it reduces to x.  S_k is
+    pieces[k] in dimension d - k(p-1).
     """
     x, p = _as_modp(x, p)
     require_prime(p)
@@ -172,11 +207,12 @@ def _steenrod(x, p, lift=None, cohomological=False):
         raise ValueError("an explicit lift needs a homogeneous input")
     w = _w_tangent_modp(X, p) if cohomological else None
     for d in dims:
-        L = k0_from_chow_lift(x.dim_component(d).lift()) if lift is None else lift
-        dec = atiyah_decompose(L, p, level=d)
-        parts = [ModPClass(piece.variety, p,
-                           piece.dim_component(d - k * (p - 1)).coeffs)
-                 for k, piece in enumerate(dec.pieces)]
+        if lift is None:
+            pieces = _psi_pieces(X, p, d, x.dim_component(d).lift().coeffs)
+        else:
+            pieces = atiyah_decompose(lift, p, level=d).pieces
+        parts = [ModPClass(X, p, piece.dim_component(d - k * (p - 1)).coeffs)
+                 for k, piece in enumerate(pieces)]
         if lift is not None and parts[0] != x:
             raise ValueError("the lift does not reduce to x mod %d" % p)
         if w is not None:

@@ -82,6 +82,7 @@ def projective_space(n):
     X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
                      tangent, tau)
     X.hyperplane = {"h^1": 1} if n >= 1 else {}
+    X.builder = "projective_space"
     _VARIETY_CACHE[key] = X
     return X
 
@@ -164,6 +165,7 @@ def odd_quadric(d):
 
     X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}
+    X.builder = "odd_quadric"
     _VARIETY_CACHE[key] = X
     return X
 
@@ -214,6 +216,7 @@ def product(X, Y):
         k = lab(X.fundamental, b)
         hypx[k] = hypx.get(k, 0) + v
     XY.hyperplane = hypx
+    XY.builder = "product"
     XY._factors = (X, Y)
     _VARIETY_CACHE[key] = XY
     return XY
@@ -516,9 +519,9 @@ def _parse_spec(spec):
             return _product_spec([_parse_spec(part) for part in parts])
         text = spec.strip()
         if text.startswith("P^"):
-            return _builder_spec(projective_space, text[2:])
+            return _builder_spec(projective_space, int(text[2:]))
         if text.startswith("Q_"):
-            return _builder_spec(odd_quadric, text[2:])
+            return _builder_spec(odd_quadric, int(text[2:]))
         raise ValueError("cannot parse variety shorthand %r" % text)
     if isinstance(spec, dict):
         t = spec.get("type")
@@ -527,6 +530,9 @@ def _parse_spec(spec):
         if t == "odd_quadric":
             return _builder_spec(odd_quadric, spec["dim"])
         if t == "product":
+            if not isinstance(spec["factors"], list):
+                raise ValueError("product factors must be a list, got %r"
+                                 % (spec["factors"],))
             if len(spec["factors"]) < 2:
                 raise ValueError("product needs at least two factors")
             return _product_spec([_parse_spec(f) for f in spec["factors"]])
@@ -536,7 +542,9 @@ def _parse_spec(spec):
 
 def _builder_spec(builder, n):
     # P^n and Q_d have dimension n and d; a negative one fails in its builder
-    n = int(n)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("%s needs an integer size, got %r"
+                         % (builder.__name__, n))
     return max(n, 0), lambda: builder(n)
 
 

@@ -347,6 +347,15 @@ def _cartan_pairs(max_dim):
 
 
 def suite_cartan(r, params):
+    """Total operation of x boxtimes y against the product of the totals.
+
+    On products psi_p is the Kronecker product of the factors' Adams
+    matrices, so this law is partly true by construction: what it still
+    checks independently is the per-degree extraction, the mod-p read-off
+    and the w^{CH,p}(T) twist.  The Kronecker matrices are compared with the
+    tau route (adams_lower, then the triangular solve) on products in
+    tests/test_ktheory.py.
+    """
     max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
     for a, b in _cartan_pairs(max_dim):
         Xa, Xb = projective_space(a), projective_space(b)

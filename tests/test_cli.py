@@ -182,6 +182,41 @@ def test_extraction_failure_exits_3(capsys, monkeypatch):
         assert '"p": 2' in err
 
 
+def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
+    # P^2's data with one off-diagonal tau entry changed (1/2 -> 1/3): the
+    # Adams matrix of a raw table comes from the tau route, and extracting
+    # S_1(h^1) mod 2 meets a non-integral coordinate
+    from fractions import Fraction
+
+    from chowops import CellularVariety, ModPClass, cli, projective_space
+    from chowops import steenrod_homological
+
+    P2 = projective_space(2)
+    tau = {c: dict(col) for c, col in P2.tau_columns.items()}
+    tau["h^1"]["h^2"] = Fraction(1, 3)
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+                        P2.degree_vector, P2.tangent_ch, tau)
+    message = "dimension-0 component of p^2 psi_2 is not integral"
+    details = {"variety": "P^2-corrupt", "p": 2, "dimension": 0,
+               "exponent": 2, "component": {"h^2": "2/3"},
+               "input": {"h^1": "1", "h^2": "1/3"}}
+    try:
+        steenrod_homological(ModPClass(X, 2, {"h^1": 1}))
+    except ExtractionFailure as exc:
+        assert str(exc) == message
+        assert exc.details == details
+    else:
+        raise AssertionError("extraction passed on a corrupted tau matrix")
+
+    monkeypatch.setattr(cli, "_load_variety", lambda text: X)
+    code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
+                       "--class", '{"h^1":"1"}')
+    assert code == 3
+    first, dump = err.split("\n", 1)
+    assert first == "theory check failed (ExtractionFailure): " + message
+    assert json.loads(dump) == details
+
+
 def test_vacuous_suite_exits_1(capsys, monkeypatch):
     # no default builder fits a cap of 0, so whitney checks nothing
     monkeypatch.setenv("STEENROD_MAX_DIM", "0")
@@ -250,6 +285,45 @@ def test_wide_product_within_the_cap_is_quick():
     assert code == 0
     assert len(json.loads(out)["cells"]) == 256
     assert seconds < 5, seconds
+
+
+def test_wide_product_table_is_quick():
+    # psi_p on (P^1)^8 is the Kronecker power of the 2x2 matrix of P^1, so
+    # the table costs no per-cell ring product (it took 2.5 s)
+    code, out, seconds = run_timed("table", "--variety",
+                                   "x".join(["P^1"] * 8), "--p", "2")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 256 * 9
+    assert seconds < 5, seconds
+
+
+def test_table_cost_does_not_grow_with_p():
+    # the closed form on P^n uses C(p, m+1) for m <= n, never a loop over p
+    code, out, seconds = run_timed("table", "--variety", "P^8",
+                                   "--p", "2305843009213693951")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["output"] for row in rows] == [
+        {"h^%d" % j: "1"} for j in range(9)]
+    assert seconds < 5, seconds
+
+
+def test_malformed_json_input_exits_2():
+    # a class must be a JSON object, a size an integer (not a bool or a
+    # float) and product factors a list; none of them may reach a traceback
+    cases = [("operate", "--variety", "P^2", "--class", cls)
+             for cls in ("[1]", '"h^1"', "5", "null")]
+    cases += [("describe", "--variety", spec) for spec in (
+        '{"type":"product","factors":5}',
+        '{"type":"projective_space","n":[1]}',
+        '{"type":"odd_quadric","dim":null}',
+        '{"type":"projective_space","n":2.7}',
+        '{"type":"projective_space","n":true}')]
+    for argv in cases:
+        out, _ = run_process(*argv)
+        assert out.returncode == 2, (argv, out.stderr)
+        assert out.stderr.startswith("error: "), (argv, out.stderr)
+        assert "Traceback" not in out.stderr, argv
 
 
 def test_operate_cost_does_not_grow_with_p():

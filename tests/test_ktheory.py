@@ -6,6 +6,7 @@ import pytest
 from chowops import (
     KClass,
     adams_lower,
+    adams_matrix,
     adams_upper,
     bott_decompose,
     euler_char,
@@ -25,6 +26,7 @@ from chowops import (
     theta_p,
     trivial_bundle,
     build_morphism,
+    variety_from_spec,
 )
 from chowops.char_classes import todd_class
 from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
@@ -226,3 +228,50 @@ def test_adams_lower_closed_form_on_quadrics():
             expected = oracles.h_powers_on_quadric(
                 X, oracles.psi_p_structure_sheaf_quadric(d, p))
             assert adams_lower(structure_sheaf(X), p).tau == expected
+
+
+# -- the Adams matrix against the tau route ---------------------------------------
+
+def adams_by_tau_route(X, p):
+    """Column l: adams_lower of the lift of cell l, solved in the tau basis."""
+    lattice = tau_lattice(X)
+    return {l: lattice.coordinates(
+                adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
+            for l in X.labels()}
+
+
+# every builder of dimension <= 8: the closed form on P^n, the tau route on
+# Q_d, and Kronecker products of both, nested ones included
+SMALL_BUILDERS = (["P^%d" % n for n in range(9)]
+                  + ["Q_%d" % d for d in (1, 3, 5, 7)]
+                  + ["P^1xP^1", "P^1xP^2", "P^2xP^2", "P^1xQ_1", "P^1xQ_3",
+                     "P^2xQ_5", "Q_3xQ_3", "Q_3xQ_5", "P^3xP^4", "P^4xP^4",
+                     "P^1xP^1xP^1", "P^1xP^1xQ_3", "P^2xP^2xP^1",
+                     "P^2xP^2xP^2", "P^1xP^2xP^1xP^2"])
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILDERS)
+def test_adams_matrix_equals_the_tau_route(spec):
+    X = variety_from_spec(spec)
+    assert X.dim <= 8
+    for p in (2, 3, 5):
+        assert adams_matrix(X, p) == adams_by_tau_route(X, p), p
+
+
+def test_projective_adams_matrix_past_p_minus_one():
+    # at p = 7 the binomials C(p, m+1) vanish from m = 7 on
+    for n in range(14):
+        X = projective_space(n)
+        assert adams_matrix(X, 7) == adams_by_tau_route(X, 7), n
+
+
+def test_adams_matrix_has_p_power_denominators():
+    for spec in ("P^6", "Q_5", "P^2xQ_3"):
+        X = variety_from_spec(spec)
+        for p in (2, 3, 5):
+            for col in adams_matrix(X, p).values():
+                for v in col.values():
+                    den = Fraction(v).denominator
+                    while den % p == 0:
+                        den //= p
+                    assert den == 1, (spec, p, v)

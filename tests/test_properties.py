@@ -2,8 +2,10 @@
 (the Riemann-Roch lift, pushforward and pullback) all go through one shared
 matrix step, so they must act linearly on any input, and the Atiyah and Bott
 p-adic decompositions must hold on random lattice classes and bundles.  The
-operations read S_k off the scaled tau-coordinates, and must agree with
-lifting the x_k and reading their tau-vectors.  The ring exponential and the
+Atiyah decomposition reads psi_p off the cached Adams matrix, and must
+rebuild what adams_lower computes by the tau route.  The operations read S_k
+off the scaled tau-coordinates, and must agree with lifting the x_k and
+reading their tau-vectors.  The ring exponential and the
 series exp and log are computed by recurrences, and must agree with the
 power sums they replace on random rational input."""
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from chowops import series as S
 from chowops import (
     ModPClass,
+    adams_lower,
     atiyah_decompose,
     bott_decompose,
     k0_from_chow_lift,
@@ -46,14 +49,14 @@ def integral_class(draw, X):
 
 
 @st.composite
-def classes(draw):
-    X = draw(st.sampled_from(VARIETIES))
+def classes(draw, varieties=VARIETIES):
+    X = draw(st.sampled_from(varieties))
     return integral_class(draw, X)
 
 
 @st.composite
-def lattice_classes_and_primes(draw):
-    x = k0_from_chow_lift(draw(classes()))
+def lattice_classes_and_primes(draw, varieties=VARIETIES):
+    x = k0_from_chow_lift(draw(classes(varieties)))
     assume(not x.is_zero())
     return x, draw(st.sampled_from([2, 3, 5]))
 
@@ -110,6 +113,15 @@ def test_atiyah_decomposition_of_lattice_classes(case):
     L = tau_lattice(x.variety)
     for part in dec.parts:
         assert part.integral and L.membership(part.tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_classes_and_primes(EXP_VARIETIES))
+def test_adams_matrix_decomposition_rebuilds_the_tau_route(case):
+    # the decomposition reads psi_p off the Adams matrix; adams_lower runs
+    # the tau route (Todd, p-power scale, Todd theta^p(-T))
+    x, p = case
+    assert atiyah_decompose(x, p).reconstruction() == adams_lower(x, p).tau
 
 
 @settings(max_examples=60, deadline=None)

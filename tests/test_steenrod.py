@@ -146,6 +146,48 @@ def test_explicit_level_must_dominate():
 
 # -- homological and cohomological operations ------------------------------------
 
+def count_tau_route(monkeypatch):
+    """Empty the builder cache and record every adams_lower and triangular
+    solve from then on."""
+    from chowops import ktheory
+    from chowops import steenrod
+    from chowops import varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    calls = []
+    adams_lower, coordinates = ktheory.adams_lower, ktheory.TauLattice.coordinates
+
+    def counting_adams(x, p):
+        calls.append("adams_lower")
+        return adams_lower(x, p)
+
+    def counting_solve(self, cls):
+        calls.append("coordinates")
+        return coordinates(self, cls)
+
+    for module in (ktheory, steenrod):
+        monkeypatch.setattr(module, "adams_lower", counting_adams)
+    monkeypatch.setattr(ktheory.TauLattice, "coordinates", counting_solve)
+    return calls
+
+
+def test_tables_on_pn_and_products_skip_the_tau_route(monkeypatch):
+    # psi_p comes from the closed form on P^n and Kronecker products on
+    # X x Y, and the canonical lift's coordinates are its coefficients
+    calls = count_tau_route(monkeypatch)
+    for X in (projective_space(12), chowops.variety_from_spec("P^2xP^2xP^2")):
+        for p in (2, 3):
+            for label in X.labels():
+                xbar = _bar(X, p, {label: 1})
+                steenrod_homological(xbar)
+                steenrod_cohomological(xbar)
+    assert calls == []
+    # a quadric's matrix is built by the tau route, once per prime
+    Q5 = odd_quadric(5)
+    for label in Q5.labels():
+        steenrod_homological(_bar(Q5, 2, {label: 1}))
+    assert calls.count("adams_lower") == len(Q5.cells)
+
+
 def test_s0_is_identity_spot():
     for X in (P2, Q3):
         for label in X.labels():
