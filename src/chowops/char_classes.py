@@ -104,7 +104,9 @@ class VirtualBundle:
 
     @classmethod
     def from_json(cls, variety, obj, integral=True):
-        rank = int(coeff_from_str(obj["rank"]))
+        if not isinstance(obj, dict):
+            raise ValueError("a bundle must be a JSON object, got %.40r" % (obj,))
+        rank = coeff_from_str(obj.get("rank"))
         ch = class_from_json(variety, obj.get("ch", {}))
         return cls(variety, rank, ch, integral=integral)
 

@@ -14,7 +14,7 @@ import sys
 
 from .core import ModPClass, class_from_json, class_to_json, coeff_to_str, modp_to_json
 from .errors import ChowopsError, TheoryViolation, require_prime
-from .steenrod import op_component, steenrod_operation
+from .steenrod import CONVENTIONS, op_component, steenrod_operation
 from .varieties import variety_from_spec
 from .verify import SUITES, run_suite
 
@@ -75,10 +75,6 @@ def cmd_describe(args):
     return 0
 
 
-def _convention_name(conv):
-    return "cohomological" if conv in ("coh", "cohomological") else "homological"
-
-
 def _operate_one(X, p, xbar, convention):
     ops = steenrod_operation(xbar, p, convention=convention)
     return {"S_%d" % k: modp_to_json(v) for k, v in enumerate(ops)}
@@ -96,7 +92,7 @@ def cmd_operate(args):
         "p": p,
         "input": class_to_json(x),
         "ops": _operate_one(X, p, xbar, args.convention),
-        "convention": _convention_name(args.convention),
+        "convention": CONVENTIONS[args.convention],
     }
     _dump(result, args.out)
     return 0
@@ -122,7 +118,7 @@ def cmd_table(args):
         _emit(buf.getvalue(), args.out)
     else:
         _dump({"variety": X.name, "p": p,
-               "convention": _convention_name(args.convention),
+               "convention": CONVENTIONS[args.convention],
                "rows": [{"cell": l, "k": k, "output": v}
                         for l, k, v in rows]}, args.out)
     return 0
@@ -163,8 +159,7 @@ def build_parser():
         if with_class:
             sp.add_argument("--class", dest="cls", required=True,
                             help='class JSON, e.g. {"h^1":"1"}')
-        sp.add_argument("--convention", choices=["coh", "hom", "cohomological",
-                                                 "homological"],
+        sp.add_argument("--convention", choices=list(CONVENTIONS),
                         default="coh")
         sp.add_argument("--out", help="write output to a file")
 

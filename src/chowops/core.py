@@ -8,9 +8,14 @@ structure comes from a finite table of structure constants.  Each entry is
 checked for grading, commutativity and unitality as it is read, and a table
 given directly is checked exhaustively for associativity; the builders'
 tables are associative by construction and skip that check
-(`varieties.BuiltVariety`).  Pushforward, pullback and the Riemann-Roch lift
-are linear maps given by sparse matrices over the cells (`apply_matrix`).
+(`varieties.BuiltVariety`).  Pushforward, pullback, the Riemann-Roch lift
+and psi_p are linear maps given by sparse matrices over the cells
+(`apply_matrix`).  On a product X x Y everything comes from the factors by
+one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
+u[a] v[b] in `kron(u, v)`.  In JSON a coefficient is an integer or a
+string "n" or "n/d" (`coeff_from_str`).
 """
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -77,6 +82,8 @@ class CellularVariety:
                                  "0-dimensional cells")
 
         self.tangent_ch = {l: Fraction(v) for l, v in tangent_ch.items() if v}
+        if not self.tangent_ch.keys() <= self._dims.keys():
+            raise InvalidVariety("tangent_ch has entries on unknown cells")
         if self.tangent_ch.get(self.fundamental, Fraction(0)) != dim:
             raise InvalidVariety("tangent_ch rank component must equal dim")
 
@@ -160,6 +167,9 @@ class CellularVariety:
             if vec.get(col) != 1:
                 raise InvalidVariety("tau column %r has no unit diagonal" % col)
             for row, v in vec.items():
+                if row not in self._dims:
+                    raise InvalidVariety("tau column %r has an unknown row %r"
+                                         % (col, row))
                 if row != col and self._dims[row] >= d:
                     raise InvalidVariety(
                         "tau column %r is not triangular (entry at %r)"
@@ -436,6 +446,16 @@ def apply_matrix(matrix, x, target):
     return ChowClass(target, out)
 
 
+def kunneth(a, b):
+    """Label of the product cell a x b of X x Y."""
+    return "%s*%s" % (a, b)
+
+
+def kron(u, v):
+    """u (x) v over the cells of X x Y: the cell a x b gets u[a] v[b]."""
+    return {kunneth(a, b): s * t for a, s in u.items() for b, t in v.items()}
+
+
 def degree(a):
     """Pair the dimension-0 component with the degree vector."""
     total = Fraction(0)
@@ -455,7 +475,16 @@ def coeff_to_str(v):
 
 
 def coeff_from_str(s):
-    return _as_coeff(Fraction(str(s)))
+    """Read what coeff_to_str writes: an int, or a string "n" or "n/d" with
+    d != 0.  Anything else ("0.5", "1e6000000", a float) is a ValueError,
+    raised before any number is built."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    if not (isinstance(s, str)
+            and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s)):
+        raise ValueError("a coefficient must be an integer or a string 'n' or "
+                         "'n/d' with d != 0, got %.40r" % (s,))
+    return _as_coeff(Fraction(s))
 
 
 def class_to_json(a):

@@ -26,7 +26,15 @@ from .char_classes import (
     todd_inv_class,
     w_chp,
 )
-from .core import ChowClass, apply_matrix, class_from_json, class_to_json, degree
+from .core import (
+    ChowClass,
+    apply_matrix,
+    class_from_json,
+    class_to_json,
+    degree,
+    kron,
+    kunneth,
+)
 from .errors import (
     DecompositionFailure,
     FlagViolation,
@@ -80,6 +88,8 @@ class KClass:
 
 
 def kclass_from_json(X, obj):
+    if not isinstance(obj, dict):
+        raise ValueError("a K-class must be a JSON object, got %.40r" % (obj,))
     tau = class_from_json(X, obj.get("tau", {}))
     integral = bool(obj.get("integral", False))
     if integral and not tau_lattice(X).membership(tau):
@@ -225,10 +235,7 @@ def _adams_columns(X, p):
         return _projective_adams(X.dim, p)
     if builder == "product":
         A, B = (adams_matrix(F, p) for F in X._factors)
-        return {"%s*%s" % (a, b): {"%s*%s" % (r, s): u * v
-                                   for r, u in col_a.items()
-                                   for s, v in col_b.items()}
-                for a, col_a in A.items() for b, col_b in B.items()}
+        return {kunneth(a, b): kron(A[a], B[b]) for a in A for b in B}
     lattice = tau_lattice(X)
     return {l: lattice.coordinates(
                 adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)

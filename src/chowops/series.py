@@ -4,10 +4,10 @@ A series truncated at degree n is a list of n+1 Fractions [a_0, ..., a_n].
 This is the auxiliary ring in which all per-Chern-root data (Todd, Bott,
 tau-matrix columns) is expanded before being mapped onto a cell basis.
 
-exp and log are read off the derivative t d/dt, which multiplies a_k by k:
-e = exp(a) satisfies t e' = t a' e, so k e_k = sum_{i=1..k} i a_i e_{k-i};
-g = log(a) satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}.
-Both take O(n^2) coefficient products, against O(n^3) for the power sums.
+log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
+satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)
+coefficient products against O(n^3) for the power sum.  There is no series
+exp: the one exponential is the ring's, `core.ChowClass.exp`.
 """
 from fractions import Fraction
 from math import factorial
@@ -62,18 +62,6 @@ def sinv(a, n):
         for i in range(1, k + 1):
             acc += a[i] * out[k - i]
         out[k] = -inv0 * acc
-    return out
-
-
-def sexp(a, n):
-    """exp of a series with zero constant term."""
-    if a[0] != 0:
-        raise SeriesDomainError("exp needs a zero constant term, got %s" % a[0])
-    a = series(a, n)
-    out = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        out[k] = sum((i * a[i] * out[k - i] for i in range(1, k + 1)),
-                     Fraction(0)) / k
     return out
 
 

@@ -115,19 +115,15 @@ def atiyah_decompose(x, p, level=None):
 def _psi_pieces(X, p, d, coords):
     """The scaled coordinates p^{d+k} psi_p(x), split by k, from the
     tau-coordinates of an x of level at most d."""
-    A = adams_matrix(X, p)
-    psi = {}
-    for l, v in coords.items():
-        for r, a in A[l].items():
-            psi[r] = psi.get(r, 0) + v * a
-    psi = ChowClass(X, psi)
+    x = ChowClass(X, coords)
+    psi = apply_matrix(adams_matrix(X, p), x, X)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
     # same top dimension, and x and its coordinates the same dimension-d part
     if psi.top_dim() is not None and psi.top_dim() > d:
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
-            details={"variety": X.name, "p": p,
-                     "tau": class_to_json(_tau(X, psi))})
+            details={"variety": X.name, "p": p, "tau": class_to_json(
+                apply_matrix(X.tau_columns, psi, X))})
     scale = [p ** (d + (d - j) // (p - 1)) for j in range(d + 1)]
     pieces = [{} for _ in range(d // (p - 1) + 1)]
     bad = set()
@@ -137,7 +133,6 @@ def _psi_pieces(X, p, d, coords):
         if isinstance(v, Fraction) and v.denominator != 1:
             bad.add(j)
         pieces[(d - j) // (p - 1)][r] = v
-    x = ChowClass(X, coords)
     if bad:
         j = max(bad)
         k = (d - j) // (p - 1)
@@ -148,17 +143,13 @@ def _psi_pieces(X, p, d, coords):
                      "exponent": d + k,
                      "component": class_to_json(
                          psi.dim_component(j).scale(scale[j])),
-                     "input": class_to_json(_tau(X, x))})
+                     "input": class_to_json(
+                         apply_matrix(X.tau_columns, x, X))})
     pieces = [ChowClass(X, piece) for piece in pieces]
     if pieces[0].dim_component(d) != x.dim_component(d):
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
     return pieces
-
-
-def _tau(X, coords):
-    """The tau-vector of the K-class with the given tau-coordinates."""
-    return apply_matrix(X.tau_columns, coords, X)
 
 
 def _as_modp(x, p):
@@ -245,14 +236,18 @@ def op_component(ops, k):
     return ModPClass(first.variety, first.p, {})
 
 
+CONVENTIONS = {"coh": "cohomological", "hom": "homological",
+               "cohomological": "cohomological", "homological": "homological"}
+
+
 def steenrod_operation(x, p=None, convention="cohomological", lift=None):
-    if convention in ("cohomological", "coh"):
-        if lift is not None:
-            raise ValueError("explicit lifts apply to the homological operation")
-        return steenrod_cohomological(x, p)
-    if convention in ("homological", "hom"):
+    if not (isinstance(convention, str) and convention in CONVENTIONS):
+        raise ValueError("convention must be cohomological or homological")
+    if CONVENTIONS[convention] == "homological":
         return steenrod_homological(x, p, lift=lift)
-    raise ValueError("convention must be cohomological or homological")
+    if lift is not None:
+        raise ValueError("explicit lifts apply to the homological operation")
+    return steenrod_cohomological(x, p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ All tau-matrix and tangent data for projective spaces and odd quadrics is
 expanded in a one-variable truncated series ring and then mapped onto the
 cell basis: on Q_d the substitution t -> h is a ring homomorphism because
 h^k equals the cell h^k for k <= (d-1)/2 and 2*l_{d-k} above the middle.
+A product takes every datum from its factors by the Kunneth rule of
+`core.kron`, and so do external products and the product projections.
 
 Morphisms are finite matrices, not symbolic maps; multiplicativity of the
 pullback and the projection formula are checked exhaustively on basis pairs
@@ -15,7 +17,15 @@ from math import comb, factorial
 
 from . import series as S
 from .char_classes import VirtualBundle, tangent_bundle
-from .core import CellularVariety, ChowClass, ModPClass, apply_matrix, make_class
+from .core import (
+    CellularVariety,
+    ChowClass,
+    ModPClass,
+    apply_matrix,
+    kron,
+    kunneth,
+    make_class,
+)
 from .errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -171,51 +181,36 @@ def odd_quadric(d):
 
 
 def product(X, Y):
-    """X x Y with the Kunneth basis; all data is the product of the factors'."""
+    """X x Y with the Kunneth basis: cell a x b, and every datum u (x) v of
+    the factors' data u, v (`core.kron`)."""
     key = ("prod", X.name, Y.name)
     hit = _VARIETY_CACHE.get(key)
     if hit is not None and hit._factors == (X, Y):
         return hit
 
-    def lab(a, b):
-        return "%s*%s" % (a, b)
+    def boxsum(u, v):
+        # u x 1 + 1 x v, for the additive data: tangent and hyperplane class
+        out = kron(u, {Y.fundamental: 1})
+        for l, s in kron({X.fundamental: 1}, v).items():
+            out[l] = out.get(l, 0) + s
+        return out
 
-    cells = [(lab(a, b), da + db) for (a, da) in X.cells for (b, db) in Y.cells]
-    table = {}
+    cells = [(kunneth(a, b), da + db) for (a, da) in X.cells for (b, db) in Y.cells]
     labels = [(a, b) for (a, _) in X.cells for (b, _) in Y.cells]
+    table = {}  # a missing pair multiplies to zero
     for i, (a, b) in enumerate(labels):
         for (a2, b2) in labels[i:]:
-            va = X._table.get((a, a2), {})
-            vb = Y._table.get((b, b2), {})
-            if va and vb:
-                table[(lab(a, b), lab(a2, b2))] = {
-                    lab(c, d): s1 * s2
-                    for c, s1 in va.items() for d, s2 in vb.items()}
-            else:
-                table[(lab(a, b), lab(a2, b2))] = {}
-
-    degree_vector = {lab(a, b): X.degree_vector[a] * Y.degree_vector[b]
-                     for a in X.points for b in Y.points}
-    tangent = {lab(a, Y.fundamental): v for a, v in X.tangent_ch.items()}
-    for b, v in Y.tangent_ch.items():
-        k = lab(X.fundamental, b)
-        tangent[k] = tangent.get(k, Fraction(0)) + v
-
-    tau = {}
-    for ca, cola in X.tau_columns.items():
-        for cb, colb in Y.tau_columns.items():
-            tau[lab(ca, cb)] = {lab(ra, rb): va * vb
-                                for ra, va in cola.items()
-                                for rb, vb in colb.items()}
+            u, v = X._table.get((a, a2)), Y._table.get((b, b2))
+            if u and v:
+                table[(kunneth(a, b), kunneth(a2, b2))] = kron(u, v)
+    tau = {kunneth(a, b): kron(u, v) for a, u in X.tau_columns.items()
+           for b, v in Y.tau_columns.items()}
 
     XY = BuiltVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
-                      table, degree_vector, tangent, tau)
-    hypx = {lab(a, Y.fundamental): v
-            for a, v in getattr(X, "hyperplane", {}).items()}
-    for b, v in getattr(Y, "hyperplane", {}).items():
-        k = lab(X.fundamental, b)
-        hypx[k] = hypx.get(k, 0) + v
-    XY.hyperplane = hypx
+                      table, kron(X.degree_vector, Y.degree_vector),
+                      boxsum(X.tangent_ch, Y.tangent_ch), tau)
+    XY.hyperplane = boxsum(getattr(X, "hyperplane", {}),
+                           getattr(Y, "hyperplane", {}))
     XY.builder = "product"
     XY._factors = (X, Y)
     _VARIETY_CACHE[key] = XY
@@ -225,10 +220,7 @@ def product(X, Y):
 def external_product(x, y):
     """x boxtimes y on the product of the two carrying varieties."""
     XY = product(x.variety, y.variety)
-    coeffs = {}
-    for a, va in x.coeffs.items():
-        for b, vb in y.coeffs.items():
-            coeffs["%s*%s" % (a, b)] = va * vb
+    coeffs = kron(x.coeffs, y.coeffs)
     if isinstance(x, ModPClass) or isinstance(y, ModPClass):
         p = x.p if isinstance(x, ModPClass) else y.p
         if isinstance(x, ModPClass) and isinstance(y, ModPClass) and x.p != y.p:
@@ -454,28 +446,18 @@ def _product_projection(factors, onto):
     if len(factors) != 2 or onto not in (0, 1):
         raise IncompatibleDimensions("product_projection needs two factors "
                                      "and onto in {0, 1}")
-    fs = [f if isinstance(f, CellularVariety) else variety_from_spec(f)
-          for f in factors]
-    X, Y = fs
-    XY = product(X, Y)
-    tgt = fs[onto]
-    other = fs[1 - onto]
-    push = {}
-    for (a, da) in X.cells:
-        for (b, db) in Y.cells:
-            lab = "%s*%s" % (a, b)
-            if onto == 0:
-                push[lab] = {a: Y.degree_vector[b]} if db == 0 else {}
-            else:
-                push[lab] = {b: X.degree_vector[a]} if da == 0 else {}
-    if onto == 0:
-        pull = {a: {"%s*%s" % (a, Y.fundamental): 1} for a in X.labels()}
-        ch = ChowClass(XY, {"%s*%s" % (X.fundamental, b): v
-                            for b, v in Y.tangent_ch.items()})
-    else:
-        pull = {b: {"%s*%s" % (X.fundamental, b): 1} for b in Y.labels()}
-        ch = ChowClass(XY, {"%s*%s" % (a, Y.fundamental): v
-                            for a, v in X.tangent_ch.items()})
+    XY = product(*factors)
+    tgt, other = factors[onto], factors[1 - onto]
+
+    def cell(t, q):
+        # the product cell of t on the target and q on the other factor
+        return kunneth(t, q) if onto == 0 else kunneth(q, t)
+
+    push = {cell(t, q): {t: deg} for t in tgt.labels()
+            for q, deg in other.degree_vector.items()}
+    pull = {t: {cell(t, other.fundamental): 1} for t in tgt.labels()}
+    ch = ChowClass(XY, {cell(tgt.fundamental, q): v
+                        for q, v in other.tangent_ch.items()})
     T_f = VirtualBundle(XY, other.dim, ch)
     return Morphism("%s->%s:projection" % (XY.name, tgt.name), XY, tgt,
                     push, pull, proper=True, lci=True, flat=True, T_f=T_f)

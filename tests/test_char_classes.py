@@ -143,6 +143,18 @@ def test_bundle_json_round_trip():
     assert back == e
 
 
+@pytest.mark.parametrize("obj", [[1], "x", 5, None, {}, {"rank": "1/0"},
+                                 {"rank": 2, "ch": [1]}])
+def test_bundle_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        VirtualBundle.from_json(P2, obj)
+
+
+def test_bundle_json_rank_is_not_truncated():
+    with pytest.raises(TypeError):
+        VirtualBundle.from_json(P2, {"rank": "3/2", "ch": {"1": "3/2"}})
+
+
 def test_bundle_arithmetic():
     e = line_bundle(P2, 1)
     f = line_bundle(P2, -1)

@@ -217,6 +217,51 @@ def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
     assert json.loads(dump) == details
 
 
+def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
+    # P^2's data with ch_2(T) = 5/2, a consistent but wrong c_2 = 2 (it is
+    # 3): deg w_2(-T) at p = 2 becomes 7, and the codim-2 coordinate of
+    # theta^2(T) Todd(T) in the tau basis is no longer integral
+    from fractions import Fraction
+
+    from chowops import CellularVariety, bott_decompose, cli
+    from chowops import projective_space, segre_number, tangent_bundle
+
+    P2 = projective_space(2)
+    tangent = dict(P2.tangent_ch, **{"h^2": Fraction(5, 2)})
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+                        P2.degree_vector, tangent, P2.tau_columns)
+    cases = [
+        (lambda: segre_number(X, 2), TheoryViolation,
+         "Segre-type number 7 of P^2-corrupt is not divisible by 2",
+         {"variety": "P^2-corrupt", "p": 2, "value": "7"}),
+        (lambda: bott_decompose(tangent_bundle(X), 2), DecompositionFailure,
+         "codim-2 piece of theta^2 is not divisible by 2^0",
+         {"variety": "P^2-corrupt", "p": 2, "codim": 2,
+          "piece": {"h^2": "11/3"}}),
+    ]
+    monkeypatch.setattr(cli, "_load_variety", lambda text: X)
+    for check, error, message, details in cases:
+        try:
+            check()
+        except TheoryViolation as exc:
+            assert type(exc) is error
+            assert str(exc) == message
+            assert exc.details == details
+        else:
+            raise AssertionError("%s passed on corrupted tangent data" % error)
+        # no verb runs these checks outside a suite, so operate stands in
+        # for one: the error from the data must exit 3 with its dump
+        monkeypatch.setattr(cli, "steenrod_operation",
+                            lambda *a, check=check, **k: check())
+        code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
+                           "--class", '{"h^1":"1"}')
+        assert code == 3
+        first, dump = err.split("\n", 1)
+        assert first == "theory check failed (%s): %s" % (error.__name__,
+                                                          message)
+        assert json.loads(dump) == details
+
+
 def test_vacuous_suite_exits_1(capsys, monkeypatch):
     # no default builder fits a cap of 0, so whitney checks nothing
     monkeypatch.setenv("STEENROD_MAX_DIM", "0")
@@ -324,6 +369,18 @@ def test_malformed_json_input_exits_2():
         assert out.returncode == 2, (argv, out.stderr)
         assert out.stderr.startswith("error: "), (argv, out.stderr)
         assert "Traceback" not in out.stderr, argv
+
+
+def test_malformed_coefficients_exit_2_at_once():
+    # a coefficient is an integer or a string "n" or "n/d" with d != 0: a
+    # zero denominator ended in a traceback, an exponent built a huge
+    # integer first (5.4 s for 1e6000000), and a float was read as 1/2
+    for coeff in ('"1/0"', '"1e6000000"', "0.5", '"0.5"'):
+        out, seconds = run_process("operate", "--variety", "P^2", "--p", "2",
+                                   "--class", '{"h^1":%s}' % coeff)
+        assert out.returncode == 2, (coeff, out.stderr)
+        assert out.stderr.startswith("error: "), (coeff, out.stderr)
+        assert seconds < 2, (coeff, seconds)
 
 
 def test_operate_cost_does_not_grow_with_p():

@@ -214,6 +214,14 @@ def test_rejects_bad_tau():
         _tiny({}, tau={"a": {"a": 1}, "b": {"b": 1, "a": 1}})
 
 
+def test_rejects_unknown_labels_in_tau_and_tangent_data():
+    with pytest.raises(InvalidVariety, match="unknown row 'z'"):
+        _tiny({}, tau={"a": {"a": 1, "z": 1}, "b": {"b": 1}})
+    with pytest.raises(InvalidVariety, match="tangent_ch"):
+        CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": 1, "z": 2}, {"a": {"a": 1}, "b": {"b": 1}})
+
+
 def test_tangent_rank_must_match_dim():
     with pytest.raises(InvalidVariety):
         CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},

@@ -20,6 +20,8 @@ CASES = [
     ("operate_Q7_p2_mixed.json",
      ["operate", "--variety", "Q_7", "--p", "2",
       "--class", '{"h^1":"1","h^3":"-2","l_2":"3","l_0":"5"}']),
+    # every datum product() builds: cells, table, degrees, tangent, tau
+    ("describe_P1xQ3xP1.json", ["describe", "--variety", "P^1xQ_3xP^1"]),
 ]
 
 

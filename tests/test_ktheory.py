@@ -92,6 +92,12 @@ def test_kclass_json():
         kclass_from_json(P2, {"tau": {"h^2": "1/2"}, "integral": True})
 
 
+@pytest.mark.parametrize("obj", [[1], "x", 5, None])
+def test_kclass_json_must_be_an_object(obj):
+    with pytest.raises(ValueError):
+        kclass_from_json(P2, obj)
+
+
 def test_adams_upper_examples():
     om1 = line_bundle(P2, -1)
     assert adams_upper(om1, 2).ch == line_bundle(P2, -2).ch

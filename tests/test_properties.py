@@ -5,9 +5,11 @@ p-adic decompositions must hold on random lattice classes and bundles.  The
 Atiyah decomposition reads psi_p off the cached Adams matrix, and must
 rebuild what adams_lower computes by the tau route.  The operations read S_k
 off the scaled tau-coordinates, and must agree with lifting the x_k and
-reading their tau-vectors.  The ring exponential and the
-series exp and log are computed by recurrences, and must agree with the
-power sums they replace on random rational input."""
+reading their tau-vectors, and they must obey the laws of the paper on
+random mod-p classes: additivity, S_0 = id, the x^p rule, and the Cartan
+formula on external products.  The ring exponential and the series log are
+computed by recurrences, and must agree with the power sums they replace on
+random rational input."""
 from fractions import Fraction
 from math import factorial
 
@@ -20,9 +22,12 @@ from chowops import (
     adams_lower,
     atiyah_decompose,
     bott_decompose,
+    external_product,
     k0_from_chow_lift,
     line_bundle,
     make_class,
+    op_component,
+    projective_space,
     steenrod_cohomological,
     steenrod_homological,
     steenrod_total,
@@ -33,6 +38,7 @@ from chowops import (
 )
 from chowops.char_classes import w_tangent
 from chowops.verify import standard_morphisms
+from oracles import h_powers_on_pn
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
@@ -173,6 +179,87 @@ def test_operations_match_the_lifted_parts(xbar):
     assert steenrod_cohomological(xbar) == ops_from_lifted_parts(xbar, True)
 
 
+OPERATIONS = (steenrod_homological, steenrod_cohomological)
+
+
+def padded(ops, n):
+    return [op_component(ops, k) for k in range(n)]
+
+
+@st.composite
+def modp_pairs(draw):
+    x = draw(modp_classes())
+    X, p = x.variety, x.p
+    return x, ModPClass(X, p, draw(st.dictionaries(st.sampled_from(X.labels()),
+                                                   st.integers(1, p - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(modp_pairs())
+def test_operations_are_additive(pair):
+    x, y = pair
+    n = x.variety.dim + 1  # S_k vanishes once k(p - 1) > dim
+    for S in OPERATIONS:
+        assert padded(S(x + y), n) == [
+            a + b for a, b in zip(padded(S(x), n), padded(S(y), n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(modp_classes())
+def test_s0_is_the_identity(xbar):
+    for S in OPERATIONS:
+        assert S(xbar)[0] == xbar
+
+
+@st.composite
+def pure_codim_classes(draw):
+    """A mod-p class of one codimension q, with q."""
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.integers(0, X.dim))
+    cells = [l for l in X.labels() if X.cell_codim(l) == q]
+    coeffs = draw(st.dictionaries(st.sampled_from(cells),
+                                  st.integers(1, p - 1), min_size=1))
+    return ModPClass(X, p, coeffs), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_codim_classes())
+def test_top_operation_is_the_p_th_power(case):
+    # S^q(x) = x^p on codimension q, and S^k(x) = 0 for k > q
+    xbar, q = case
+    ops = steenrod_cohomological(xbar)
+    power = xbar.lift().power(xbar.p)
+    assert op_component(ops, q) == ModPClass.from_integral(power, xbar.p)
+    assert all(op.is_zero() for op in ops[q + 1:])
+
+
+CARTAN_FACTORS = [variety_from_spec(name)
+                  for name in ("P^1", "P^2", "P^3", "Q_3", "P^1xP^1")]
+
+
+@st.composite
+def external_factors(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    out = []
+    for _ in range(2):
+        X = draw(st.sampled_from(CARTAN_FACTORS))
+        out.append(ModPClass(X, p, draw(st.dictionaries(
+            st.sampled_from(X.labels()), st.integers(1, p - 1)))))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(external_factors())
+def test_cartan_formula_on_external_products(pair):
+    # the product's data, and its Adams matrix, are Kronecker products of
+    # the factors' (the Kunneth rule); the total operation must follow
+    x, y = pair
+    for S in OPERATIONS:
+        assert steenrod_total(S(external_product(x, y))) == external_product(
+            steenrod_total(S(x)), steenrod_total(S(y)))
+
+
 @st.composite
 def positive_codim_pairs(draw):
     """Two rational classes of one variety with no codim-0 part."""
@@ -236,6 +323,10 @@ def slog_by_powers(a, n):
 def test_series_exp_and_log_are_the_power_sums(case):
     a, n = case
     u = [Fraction(0)] + a[1:]
-    assert S.sexp(u, n) == sexp_by_powers(u, n)
+    # t^k <-> h^k is a ring map onto CH(P^n), so the ring exp stands in for
+    # a series exp
+    Pn = projective_space(n)
+    assert h_powers_on_pn(Pn, u).exp() == h_powers_on_pn(
+        Pn, sexp_by_powers(u, n))
     one_plus_u = [Fraction(1)] + a[1:]
     assert S.slog(one_plus_u, n) == slog_by_powers(one_plus_u, n)

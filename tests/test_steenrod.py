@@ -382,3 +382,19 @@ def test_q3_operation_table_mod_2():
         for k in range(len(ops)):
             want = table.get(k, {})
             assert op_component(ops, k) == _bar(Q3, 2, want), (label, k)
+
+
+def test_convention_names_dispatch_through_one_table():
+    from chowops.steenrod import CONVENTIONS, steenrod_operation
+
+    xbar = ModPClass(Q3, 2, {"h^1": 1})
+    for name, full in CONVENTIONS.items():
+        expected = (steenrod_cohomological(xbar) if full == "cohomological"
+                    else steenrod_homological(xbar))
+        assert steenrod_operation(xbar, convention=name) == expected
+    for bad in ("Coh", "", None, ["coh"]):
+        with pytest.raises(ValueError):
+            steenrod_operation(xbar, convention=bad)
+    with pytest.raises(ValueError):
+        steenrod_operation(xbar, convention="coh",
+                           lift=k0_from_chow_lift(xbar.lift()))
