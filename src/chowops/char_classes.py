@@ -2,16 +2,21 @@
 
 A virtual bundle is carried by its Chern character (a rational Chow class);
 a multiplicative characteristic class is specified by its value on a single
-Chern root, a truncated power series with nonzero constant term.  Evaluation
-converts the Chern character to power sums of the roots, feeds them through
-the logarithm of the per-root series, and exponentiates back inside the
+Chern root, a truncated power series f with nonzero constant term f_0.
+Writing f = f_0 exp(sum_k w_k t^k / k!), the class of a bundle e is
+f_0^rank(e) exp(sum_k w_k ch_k(e)), the exponential taken inside the
 (nilpotent) positive-codimension part of the Chow ring.  Everything is exact.
+
+The log-weight vector (f_0, w_0..w_n) depends only on the series and the
+truncation n, so `SeriesSpec.weights(n)` computes it once per spec and n, and
+one spec per (name, n) serves todd, theta^p and w^{CH,p}.  The log class is
+then one pass over the Chern character: u[l] = w_{codim l} ch[l].
 """
 from fractions import Fraction
 from math import factorial
 
 from . import series as S
-from .core import class_from_json, coeff_from_str, coeff_to_str
+from .core import ChowClass, class_from_json, coeff_from_str, coeff_to_str
 from .errors import (
     IntegralityViolation,
     NonInvertibleSeries,
@@ -32,9 +37,21 @@ class SeriesSpec:
             raise NonInvertibleSeries("multiplicative series needs a nonzero "
                                       "constant term")
         self.name = name
+        self._weights = {}
 
     def truncated(self, n):
         return S.series(self.coeffs, n)
+
+    def weights(self, n):
+        """(f_0, [w_0, ..., w_n]) with w_k = k! [t^k] log(f / f_0).
+
+        Computed on the first call for each n and kept on the spec."""
+        if n not in self._weights:
+            f = self.truncated(n)
+            logs = S.slog(S.sscale(1 / f[0], f, n), n)
+            self._weights[n] = (f[0], [factorial(k) * c
+                                       for k, c in enumerate(logs)])
+        return self._weights[n]
 
 
 class VirtualBundle:
@@ -107,6 +124,9 @@ class VirtualBundle:
         if not isinstance(obj, dict):
             raise ValueError("a bundle must be a JSON object, got %.40r" % (obj,))
         rank = coeff_from_str(obj.get("rank"))
+        if not isinstance(rank, int):
+            raise ValueError("a bundle's rank must be an integer, got %s"
+                             % coeff_to_str(rank))
         ch = class_from_json(variety, obj.get("ch", {}))
         return cls(variety, rank, ch, integral=integral)
 
@@ -129,17 +149,11 @@ def power_sums(e):
 def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles."""
     X = e.variety
-    n = X.dim
-    f = spec.truncated(n)
-    a0 = f[0]
-    if a0 == 0:
-        raise NonInvertibleSeries("series has zero constant term")
-    logs = S.slog(S.sscale(1 / a0, f, n), n)
-    u = X.zero()
-    for k, pk in enumerate(power_sums(e), start=1):
-        if logs[k] and not pk.is_zero():
-            u = u + pk.scale(logs[k])
-    return u.exp().scale(Fraction(a0) ** e.rank)
+    n, dims = X.dim, X._dims
+    a0, w = spec.weights(n)
+    u = {l: w[n - dims[l]] * v for l, v in e.ch.coeffs.items()
+         if dims[l] != n}
+    return ChowClass._trusted(X, u).exp().scale(a0 ** e.rank)
 
 
 def chern(e):
@@ -164,24 +178,35 @@ def chern(e):
     return total.as_integral() if e.integral else total
 
 
+_SPECS = {}  # (name, n) -> SeriesSpec of a built-in per-root series
+
+
+def _spec(name, build, n):
+    """The one spec of a built-in series truncated at n, built on first use."""
+    key = (name, n)
+    if key not in _SPECS:
+        _SPECS[key] = SeriesSpec(build(n), name=name)
+    return _SPECS[key]
+
+
 def todd(e):
     """Todd class, per-root series t/(1 - e^{-t})."""
-    return multiplicative_class(
-        SeriesSpec(S.todd_series(e.variety.dim), name="todd"), e)
+    return multiplicative_class(_spec("todd", S.todd_series, e.variety.dim), e)
 
 
 def theta_p(e, p):
     """Bott's class: per-root series 1 + e^{-t} + ... + e^{-(p-1)t}."""
     require_prime(p)
-    return multiplicative_class(
-        SeriesSpec(S.theta_series(p, e.variety.dim), name="theta^%d" % p), e)
+    spec = _spec("theta^%d" % p, lambda n: S.theta_series(p, n),
+                 e.variety.dim)
+    return multiplicative_class(spec, e)
 
 
 def w_chp(e, p):
     """The class with w[L] = 1 + (-c_1 L)^{p-1}; integral on integral bundles."""
     require_prime(p)
-    out = multiplicative_class(
-        SeriesSpec(S.w_series(p, e.variety.dim), name="w^{CH,%d}" % p), e)
+    spec = _spec("w^{CH,%d}" % p, lambda n: S.w_series(p, n), e.variety.dim)
+    out = multiplicative_class(spec, e)
     if e.integral:
         if not out.is_integral():
             raise IntegralityViolation("w^{CH,%d} of an integral bundle came "

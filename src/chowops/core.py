@@ -14,6 +14,13 @@ and psi_p are linear maps given by sparse matrices over the cells
 one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
 u[a] v[b] in `kron(u, v)`.  In JSON a coefficient is an integer or a
 string "n" or "n/d" (`coeff_from_str`).
+
+Caller input is checked once and built data is trusted.  The public
+`ChowClass(...)`, `make_class`, `class_from_json` and `apply_matrix` check
+every label and coefficient, and `scale` rejects a float.  A result the ring
+computes from classes that passed those checks (`+`, `-`, `*`, `scale`,
+`dim_component`, `exp`) goes through `ChowClass._trusted`, which only drops
+zeros and stores a Fraction with denominator 1 as an integer.
 """
 import re
 from fractions import Fraction
@@ -237,6 +244,18 @@ class ChowClass:
         self.variety = variety
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, variety, coeffs):
+        """A class computed from checked classes: its labels are cells and its
+        coefficients ints or Fractions, so only zeros and integral Fractions
+        are normalized."""
+        self = object.__new__(cls)
+        self.variety = variety
+        self.coeffs = {l: v.numerator if isinstance(v, Fraction)
+                       and v.denominator == 1 else v
+                       for l, v in coeffs.items() if v}
+        return self
+
     # -- structure ------------------------------------------------------------
 
     def is_zero(self):
@@ -261,9 +280,9 @@ class ChowClass:
         return dims[-1] if dims else None
 
     def dim_component(self, d):
-        V = self.variety
-        return ChowClass(V, {l: v for l, v in self.coeffs.items()
-                             if V.cell_dim(l) == d})
+        dims = self.variety._dims
+        return ChowClass._trusted(self.variety, {
+            l: v for l, v in self.coeffs.items() if dims[l] == d})
 
     def codim_component(self, c):
         return self.dim_component(self.variety.dim - c)
@@ -280,19 +299,20 @@ class ChowClass:
         out = dict(self.coeffs)
         for l, v in other.coeffs.items():
             out[l] = out.get(l, 0) + v
-        return ChowClass(self.variety, out)
+        return ChowClass._trusted(self.variety, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChowClass(self.variety, {l: -v for l, v in self.coeffs.items()})
+        return ChowClass._trusted(self.variety,
+                                  {l: -v for l, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
             out = self.variety._raw_mul(self.coeffs, other.coeffs)
-            return ChowClass(self.variety, out)
+            return ChowClass._trusted(self.variety, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -302,8 +322,8 @@ class ChowClass:
         if isinstance(c, float):
             raise TypeError("exact arithmetic only; got a float scalar")
         c = Fraction(c) if not isinstance(c, int) else c
-        return ChowClass(self.variety,
-                         {l: v * c for l, v in self.coeffs.items()})
+        return ChowClass._trusted(self.variety,
+                                  {l: v * c for l, v in self.coeffs.items()})
 
     def power(self, k):
         out = self.variety.unit()
@@ -317,6 +337,8 @@ class ChowClass:
         The grading derivation D (multiplication by i in codimension i)
         satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
         k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
+        The E_k are kept as coefficient dicts and divided exactly by k; they
+        sit in distinct codimensions, so e^x is their union.
         """
         V = self.variety
         if V.fundamental in self.coeffs:
@@ -326,15 +348,19 @@ class ChowClass:
         for l, v in self.coeffs.items():
             i = V.dim - V._dims[l]
             dx[i][l] = i * v
-        dx = [ChowClass(V, part) for part in dx]
-        E = [V.unit()]
+        E = [{V.fundamental: 1}]
+        total = dict(E[0])
         for k in range(1, V.dim + 1):
-            E_k = V.zero()
+            E_k = {}
             for i in range(1, k + 1):
-                if dx[i].coeffs and E[k - i].coeffs:
-                    E_k = E_k + dx[i] * E[k - i]
-            E.append(E_k.scale(Fraction(1, k)))
-        return sum(E[1:], E[0])
+                if dx[i] and E[k - i]:
+                    for l, v in V._raw_mul(dx[i], E[k - i]).items():
+                        E_k[l] = E_k.get(l, 0) + v
+            inv_k = Fraction(1, k)
+            E_k = {l: v * inv_k for l, v in E_k.items() if v}
+            E.append(E_k)
+            total.update(E_k)
+        return ChowClass._trusted(V, total)
 
     def __eq__(self, other):
         if not isinstance(other, ChowClass):

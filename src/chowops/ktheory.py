@@ -91,7 +91,10 @@ def kclass_from_json(X, obj):
     if not isinstance(obj, dict):
         raise ValueError("a K-class must be a JSON object, got %.40r" % (obj,))
     tau = class_from_json(X, obj.get("tau", {}))
-    integral = bool(obj.get("integral", False))
+    integral = obj.get("integral", False)
+    if not isinstance(integral, bool):
+        raise ValueError("'integral' must be true or false, got %.40r"
+                         % (integral,))
     if integral and not tau_lattice(X).membership(tau):
         raise NonIntegralInput("tau vector declared integral is not in the "
                                "tau-lattice")
@@ -335,9 +338,11 @@ def bott_decompose(e, p):
         k = j // (p - 1)
         piece = coords.codim_component(j).scale(Fraction(p) ** (k - e.rank))
         if not piece.is_integral():
+            # at exponent rank - k <= 0 every integer would do
+            what = ("not divisible by %d^%d" % (p, e.rank - k)
+                    if e.rank > k else "not integral")
             raise DecompositionFailure(
-                "codim-%d piece of theta^%d is not divisible by %d^%d"
-                % (j, p, p, e.rank - k),
+                "codim-%d piece of theta^%d is %s" % (j, p, what),
                 details={"variety": X.name, "p": p, "codim": j,
                          "piece": class_to_json(piece)})
         pieces[k] = pieces[k] + piece

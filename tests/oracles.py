@@ -1,10 +1,14 @@
-"""Independent sympy-based oracles.
+"""Independent oracles.
 
-Everything here expands closed-form generating functions with sympy's series
-machinery, with no code shared with the package's own convolution arithmetic,
-so agreement is a real cross-check.
+Most of what is here expands closed-form generating functions with sympy's
+series machinery, with no code shared with the package's own convolution
+arithmetic, so agreement is a real cross-check.  `multiplicative_class_anew`
+instead replays the uncached route through the package's series functions
+(which `tests/test_series.py` checks against sympy): it cross-checks the
+cached log-weight vectors and the one-pass log class, not the series.
 """
 from fractions import Fraction
+from math import factorial
 
 import sympy as sp
 
@@ -85,3 +89,27 @@ def psi_p_structure_sheaf_quadric(d, p):
     todd_q = TODD ** (d + 2) / (2 * t / (1 - sp.exp(-2 * t)))
     theta_inv = p * theta_root_sum(p, 2) / theta_root_sum(p) ** (d + 2)
     return coeffs(todd_q * theta_inv, d)
+
+
+def multiplicative_class_anew(name, e, p=None):
+    """todd, theta^p or w^{CH,p} of the bundle e, rebuilt from nothing.
+
+    The per-root series is expanded afresh, its log taken after dividing by
+    the constant term f_0, and u = sum_k log_k p_k(e) summed from the power
+    sums p_k = k! ch_k; the class is f_0^rank sum_k u^k / k!.
+    """
+    from chowops import series as S
+    X = e.variety
+    n = X.dim
+    f = {"todd": lambda: S.todd_series(n),
+         "theta": lambda: S.theta_series(p, n),
+         "w": lambda: S.w_series(p, n)}[name]()
+    logs = S.slog(S.sscale(1 / f[0], f, n), n)
+    u = X.zero()
+    for k in range(1, n + 1):
+        u = u + e.ch.codim_component(k).scale(factorial(k) * logs[k])
+    out, term = X.zero(), X.unit()
+    for k in range(n + 1):
+        out = out + term.scale(Fraction(1, factorial(k)))
+        term = term * u
+    return out.scale(f[0] ** e.rank)

@@ -26,7 +26,9 @@ from chowops.errors import (
     NonInvertibleSeries,
     require_prime,
 )
-from chowops.verify import random_bundle
+from chowops import char_classes as CC
+from chowops import series as S
+from chowops.verify import _primes, default_builders, random_bundle, run_suite
 
 
 P1 = projective_space(1)
@@ -143,6 +145,27 @@ def test_bundle_json_round_trip():
     assert back == e
 
 
+def test_whitney_takes_each_series_log_once(monkeypatch):
+    # one log-weight vector per (series, p, dim): the suite's thousands of
+    # classes take the log of each per-root series exactly once
+    calls = []
+    slog = S.slog
+
+    def counting(a, n):
+        calls.append((tuple(a), n))
+        return slog(a, n)
+
+    monkeypatch.setattr(S, "slog", counting)
+    monkeypatch.setattr(CC, "_SPECS", {})
+    assert run_suite("whitney", trials=25)["passed"]
+    keys = set()
+    for X in default_builders():
+        keys.add(("todd", X.dim))
+        for p in _primes({}, X):
+            keys |= {("theta", p, X.dim), ("w", p, X.dim)}
+    assert len(calls) == len(set(calls)) == len(keys)
+
+
 @pytest.mark.parametrize("obj", [[1], "x", 5, None, {}, {"rank": "1/0"},
                                  {"rank": 2, "ch": [1]}])
 def test_bundle_json_rejects_malformed_input(obj):
@@ -151,7 +174,7 @@ def test_bundle_json_rejects_malformed_input(obj):
 
 
 def test_bundle_json_rank_is_not_truncated():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="rank must be an integer"):
         VirtualBundle.from_json(P2, {"rank": "3/2", "ch": {"1": "3/2"}})
 
 

@@ -235,7 +235,7 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
          "Segre-type number 7 of P^2-corrupt is not divisible by 2",
          {"variety": "P^2-corrupt", "p": 2, "value": "7"}),
         (lambda: bott_decompose(tangent_bundle(X), 2), DecompositionFailure,
-         "codim-2 piece of theta^2 is not divisible by 2^0",
+         "codim-2 piece of theta^2 is not integral",
          {"variety": "P^2-corrupt", "p": 2, "codim": 2,
           "piece": {"h^2": "11/3"}}),
     ]

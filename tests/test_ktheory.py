@@ -98,6 +98,16 @@ def test_kclass_json_must_be_an_object(obj):
         kclass_from_json(P2, obj)
 
 
+def test_kclass_json_integral_flag_is_a_json_boolean():
+    tau = {"h^1": "1", "h^2": "1"}
+    assert kclass_from_json(P2, {"tau": tau, "integral": True}).integral is True
+    assert kclass_from_json(P2, {"tau": tau, "integral": False}).integral is False
+    assert kclass_from_json(P2, {"tau": tau}).integral is False
+    for flag in ("false", "true", 0, 1, None, [], {}):
+        with pytest.raises(ValueError, match="'integral' must be true or false"):
+            kclass_from_json(P2, {"tau": tau, "integral": flag})
+
+
 def test_adams_upper_examples():
     om1 = line_bundle(P2, -1)
     assert adams_upper(om1, 2).ch == line_bundle(P2, -2).ch

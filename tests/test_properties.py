@@ -9,15 +9,21 @@ reading their tau-vectors, and they must obey the laws of the paper on
 random mod-p classes: additivity, S_0 = id, the x^p rule, and the Cartan
 formula on external products.  The ring exponential and the series log are
 computed by recurrences, and must agree with the power sums they replace on
-random rational input."""
+random rational input.  todd, theta^p and w^{CH,p} read one cached
+log-weight vector per (series, p, dim) and build the log class in one pass,
+and must agree with rebuilding the series and the power-sum class from
+scratch; and every ring result stores its coefficients as exact ints or
+non-integral Fractions."""
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowops import series as S
 from chowops import (
+    ChowClass,
     ModPClass,
     adams_lower,
     atiyah_decompose,
@@ -34,11 +40,13 @@ from chowops import (
     tangent_bundle,
     tau_lattice,
     theta_p,
+    todd,
     variety_from_spec,
+    w_chp,
 )
 from chowops.char_classes import w_tangent
 from chowops.verify import standard_morphisms
-from oracles import h_powers_on_pn
+from oracles import h_powers_on_pn, multiplicative_class_anew
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
@@ -138,6 +146,49 @@ def test_bott_parts_rebuild_theta(case):
     for k, ek in enumerate(bott_decompose(e, p)):
         total = total + ek.scale(Fraction(p) ** (e.rank - k))
     assert total == theta_p(e, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles_and_primes())
+def test_cached_classes_match_a_rebuild_from_scratch(case):
+    e, _ = case
+    assert todd(e) == multiplicative_class_anew("todd", e)
+    for p in (2, 3, 5):
+        assert theta_p(e, p) == multiplicative_class_anew("theta", e, p)
+        assert w_chp(e, p) == multiplicative_class_anew("w", e, p)
+
+
+@st.composite
+def rational_pairs_and_scalars(draw):
+    """Two rational classes of one variety and an int or Fraction scalar."""
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    cells = st.sampled_from(X.labels())
+    x, y = (make_class(X, draw(st.dictionaries(cells, rationals, max_size=4)))
+            for _ in range(2))
+    return x, y, draw(st.one_of(rationals, st.integers(-5, 5)))
+
+
+def is_normalized(z):
+    """No zero, no float, and no Fraction with denominator 1."""
+    return all(v and (type(v) is int or type(v) is Fraction
+                      and v.denominator != 1) for v in z.coeffs.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_pairs_and_scalars())
+def test_ring_results_are_stored_normalized(case):
+    x, y, c = case
+    u, v = (z - z.codim_component(0) for z in (x, y))
+    for z in (x + y, x - y, -x, x * y, x.scale(c), u.exp(), (u + v).exp()):
+        assert is_normalized(z), z.coeffs
+
+
+def test_caller_input_keeps_its_checks():
+    X = projective_space(2)
+    with pytest.raises(TypeError):
+        ChowClass(X, {"h^1": 0.5})
+    with pytest.raises(TypeError):
+        X.unit().scale(0.5)
 
 
 @st.composite

@@ -26,6 +26,26 @@ def test_whitney_full_trial_count():
     assert report["checks"] >= 100 * len(default_builders())
 
 
+# (suite, checks) of the benchmark's verify-sweep at seed 5, whitney at 25
+# trials, recorded before char classes were cached: a change that makes the
+# sweep faster by checking less fails here
+SWEEP_CHECKS = {
+    "algebra": 2392, "whitney": 2475, "bott": 270, "psipower": 153,
+    "integrality": 163, "rr-naturality": 780, "lift-independence": 2300,
+    "cartan": 184, "wu": 528, "xp": 4480, "s0": 256, "segre": 13,
+    "degree-formula": 153, "chi-defect": 7, "lucas-oracle": 9,
+}
+
+
+def test_sweep_keeps_its_check_counts():
+    assert set(SWEEP_CHECKS) == set(SUITES)
+    for name, checks in SWEEP_CHECKS.items():
+        params = {"trials": 25} if name == "whitney" else {}
+        report = run_suite(name, seed=5, **params)
+        assert report["passed"], (name, report["failures"][:2])
+        assert report["checks"] == checks, name
+
+
 def test_zero_parameters_are_taken_as_given():
     assert run_suite("lucas-oracle", n=0)["checks"] == 1
     vacuous = run_suite("whitney", trials=0)
