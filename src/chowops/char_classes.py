@@ -9,14 +9,15 @@ f_0^rank(e) exp(sum_k w_k ch_k(e)), the exponential taken inside the
 
 The log-weight vector (f_0, w_0..w_n) depends only on the series and the
 truncation n, so `SeriesSpec.weights(n)` computes it once per spec and n, and
-one spec per (name, n) serves todd, theta^p and w^{CH,p}.  The log class is
-then one pass over the Chern character: u[l] = w_{codim l} ch[l].
+one spec per (name, n) serves the total Chern class (f = 1 + t), todd,
+theta^p and w^{CH,p}.  The log class is then one pass over the Chern
+character: u[l] = w_{codim l} ch[l].
 """
 from fractions import Fraction
 from math import factorial
 
 from . import series as S
-from .core import ChowClass, class_from_json, coeff_from_str, coeff_to_str
+from .core import class_from_json, coeff_from_str, coeff_to_str
 from .errors import (
     IntegralityViolation,
     NonInvertibleSeries,
@@ -139,13 +140,6 @@ def tangent_bundle(X):
     return VirtualBundle(X, X.dim, X.tangent_chern_character())
 
 
-def power_sums(e):
-    """p_k = k! ch_k as Chow classes, k = 1..dim."""
-    X = e.variety
-    return [e.ch.codim_component(k).scale(factorial(k))
-            for k in range(1, X.dim + 1)]
-
-
 def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles."""
     X = e.variety
@@ -153,29 +147,7 @@ def multiplicative_class(spec, e):
     a0, w = spec.weights(n)
     u = {l: w[n - dims[l]] * v for l, v in e.ch.coeffs.items()
          if dims[l] != n}
-    return ChowClass._trusted(X, u).exp().scale(a0 ** e.rank)
-
-
-def chern(e):
-    """Total Chern class via Newton's identities; integral input, integral output."""
-    X = e.variety
-    ps = power_sums(e)
-    cs = [X.unit()]  # cs[k] = c_k
-    for k in range(1, X.dim + 1):
-        acc = X.zero()
-        for i in range(1, k + 1):
-            term = cs[k - i] * ps[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-        cs.append(acc.scale(Fraction(1, k)))
-    cs = cs[1:]
-    total = X.unit()
-    for c in cs:
-        total = total + c
-    if e.integral and not total.is_integral():
-        raise IntegralityViolation(
-            "total Chern class of an integral bundle came out fractional "
-            "(corrupted ch data?): %r" % total)
-    return total.as_integral() if e.integral else total
+    return e.ch._like(u).exp().scale(a0 ** e.rank)
 
 
 _SPECS = {}  # (name, n) -> SeriesSpec of a built-in per-root series
@@ -187,6 +159,17 @@ def _spec(name, build, n):
     if key not in _SPECS:
         _SPECS[key] = SeriesSpec(build(n), name=name)
     return _SPECS[key]
+
+
+def chern(e):
+    """Total Chern class, per-root series 1 + t; integral input, integral output."""
+    total = multiplicative_class(_spec("chern", lambda n: [1, 1],
+                                       e.variety.dim), e)
+    if e.integral and not total.is_integral():
+        raise IntegralityViolation(
+            "total Chern class of an integral bundle came out fractional "
+            "(corrupted ch data?): %r" % total)
+    return total
 
 
 def todd(e):
@@ -207,11 +190,9 @@ def w_chp(e, p):
     require_prime(p)
     spec = _spec("w^{CH,%d}" % p, lambda n: S.w_series(p, n), e.variety.dim)
     out = multiplicative_class(spec, e)
-    if e.integral:
-        if not out.is_integral():
-            raise IntegralityViolation("w^{CH,%d} of an integral bundle came "
-                                       "out fractional" % p)
-        return out.as_integral()
+    if e.integral and not out.is_integral():
+        raise IntegralityViolation("w^{CH,%d} of an integral bundle came "
+                                   "out fractional" % p)
     return out
 
 

@@ -15,12 +15,16 @@ one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
 u[a] v[b] in `kron(u, v)`.  In JSON a coefficient is an integer or a
 string "n" or "n/d" (`coeff_from_str`).
 
+Chow classes (`ChowClass`) and their reductions mod p (`ModPClass`) share
+one sparse-vector arithmetic: components by dimension, `+`, `==` and hash.
 Caller input is checked once and built data is trusted.  The public
-`ChowClass(...)`, `make_class`, `class_from_json` and `apply_matrix` check
-every label and coefficient, and `scale` rejects a float.  A result the ring
+`ChowClass(...)`, `ModPClass(...)`, `make_class`, `class_from_json` and
+`apply_matrix` check every label and coefficient; `scale` rejects a float,
+and a mod-p coefficient or scalar must be an integer.  A result the ring
 computes from classes that passed those checks (`+`, `-`, `*`, `scale`,
-`dim_component`, `exp`) goes through `ChowClass._trusted`, which only drops
-zeros and stores a Fraction with denominator 1 as an integer.
+`dim_component`, `exp`) goes through the subclass's `_like`, which only
+drops zeros and stores a Fraction with denominator 1 as an integer, or
+reduces mod p.
 """
 import re
 from fractions import Fraction
@@ -227,103 +231,133 @@ class CellularVariety:
             self.name, self.dim, len(self.cells))
 
 
-class ChowClass:
-    """Sparse exact coefficient vector over the cells of one variety."""
+class _CellVector:
+    """Sparse coefficient vector over the cells of one variety: the
+    arithmetic ChowClass and ModPClass share.
+
+    A subclass says how a result computed from checked classes is normalized
+    (`_like`) and how it scales; p is the modulus its coefficients are
+    reduced by, None when they are not.
+    """
 
     __slots__ = ("variety", "coeffs")
-
-    def __init__(self, variety, coeffs):
-        clean = {}
-        for label, v in coeffs.items():
-            if label not in variety._dims:
-                raise UnknownLabel("variety %s has no cell %r"
-                                   % (variety.name, label))
-            v = _as_coeff(v)
-            if v:
-                clean[label] = v
-        self.variety = variety
-        self.coeffs = clean
-
-    @classmethod
-    def _trusted(cls, variety, coeffs):
-        """A class computed from checked classes: its labels are cells and its
-        coefficients ints or Fractions, so only zeros and integral Fractions
-        are normalized."""
-        self = object.__new__(cls)
-        self.variety = variety
-        self.coeffs = {l: v.numerator if isinstance(v, Fraction)
-                       and v.denominator == 1 else v
-                       for l, v in coeffs.items() if v}
-        return self
-
-    # -- structure ------------------------------------------------------------
+    p = None
 
     def is_zero(self):
         return not self.coeffs
+
+    def support_dims(self):
+        dims = self.variety._dims
+        return sorted({dims[l] for l in self.coeffs})
+
+    def top_dim(self):
+        dims = self.variety._dims
+        return max(map(dims.__getitem__, self.coeffs), default=None)
+
+    def dim_component(self, d):
+        dims = self.variety._dims
+        return self._like({l: v for l, v in self.coeffs.items()
+                           if dims[l] == d})
+
+    def codim_component(self, c):
+        return self.dim_component(self.variety.dim - c)
+
+    def _same(self, other):
+        if self.variety is not other.variety or self.p != other.p:
+            raise VarietyMismatch("classes live on %s and %s"
+                                  % (_where(self), _where(other)))
+
+    def __add__(self, other):
+        # the check is repeated inline so that a sum makes one call, to _like
+        if self.variety is not other.variety or self.p != other.p:
+            self._same(other)
+        out = dict(self.coeffs)
+        for l, v in other.coeffs.items():
+            out[l] = out.get(l, 0) + v
+        return self._like(out)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, _CellVector):
+            return NotImplemented
+        return (self.variety is other.variety and self.p == other.p
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((id(self.variety), self.p, frozenset(self.coeffs.items())))
+
+
+def _where(x):
+    return x.variety.name if x.p is None else "%s mod %d" % (x.variety.name, x.p)
+
+
+def _checked(variety, coeffs, coeff):
+    """Caller input: every label must be a cell of variety, and each value
+    goes through coeff; zeros are dropped."""
+    clean = {}
+    for label, v in coeffs.items():
+        if label not in variety._dims:
+            raise UnknownLabel("variety %s has no cell %r"
+                               % (variety.name, label))
+        v = coeff(v)
+        if v:
+            clean[label] = v
+    return clean
+
+
+class ChowClass(_CellVector):
+    """Sparse exact coefficient vector over the cells of one variety."""
+
+    __slots__ = ()
+
+    def __init__(self, variety, coeffs):
+        self.variety = variety
+        self.coeffs = _checked(variety, coeffs, _as_coeff)
+
+    def _like(self, coeffs):
+        """A class on self's variety computed from checked classes: its labels
+        are cells and its coefficients ints or Fractions, so only zeros are
+        dropped and a Fraction with denominator 1 is stored as an int."""
+        new = object.__new__(ChowClass)
+        new.variety = self.variety
+        new.coeffs = {l: v.numerator if type(v) is Fraction
+                      and v.denominator == 1 else v
+                      for l, v in coeffs.items() if v}
+        return new
 
     def is_integral(self):
         return all(not isinstance(v, Fraction) or v.denominator == 1
                    for v in self.coeffs.values())
 
     def as_integral(self):
-        """Reinterpret as an integral class; raises if any coefficient is fractional."""
+        """The class itself, whose coefficients are then ints; raises if any
+        coefficient is fractional."""
         if not self.is_integral():
             raise IntegralityViolation("class has fractional coefficients: %s"
                                        % format_class(self))
-        return ChowClass(self.variety, {l: int(v) for l, v in self.coeffs.items()})
-
-    def support_dims(self):
-        return sorted({self.variety.cell_dim(l) for l in self.coeffs})
-
-    def top_dim(self):
-        dims = self.support_dims()
-        return dims[-1] if dims else None
-
-    def dim_component(self, d):
-        dims = self.variety._dims
-        return ChowClass._trusted(self.variety, {
-            l: v for l, v in self.coeffs.items() if dims[l] == d})
-
-    def codim_component(self, c):
-        return self.dim_component(self.variety.dim - c)
+        return self
 
     # -- arithmetic -------------------------------------------------------------
-
-    def _same(self, other):
-        if self.variety is not other.variety:
-            raise VarietyMismatch("classes live on %s and %s"
-                                  % (self.variety.name, other.variety.name))
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.coeffs)
-        for l, v in other.coeffs.items():
-            out[l] = out.get(l, 0) + v
-        return ChowClass._trusted(self.variety, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChowClass._trusted(self.variety,
-                                  {l: -v for l, v in self.coeffs.items()})
+        return self._like({l: -v for l, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
-            out = self.variety._raw_mul(self.coeffs, other.coeffs)
-            return ChowClass._trusted(self.variety, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
+            return self._like(self.variety._raw_mul(self.coeffs, other.coeffs))
         return self.scale(other)
 
     def scale(self, c):
         if isinstance(c, float):
             raise TypeError("exact arithmetic only; got a float scalar")
         c = Fraction(c) if not isinstance(c, int) else c
-        return ChowClass._trusted(self.variety,
-                                  {l: v * c for l, v in self.coeffs.items()})
+        return self._like({l: v * c for l, v in self.coeffs.items()})
 
     def power(self, k):
         out = self.variety.unit()
@@ -337,17 +371,19 @@ class ChowClass:
         The grading derivation D (multiplication by i in codimension i)
         satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
         k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
-        The E_k are kept as coefficient dicts and divided exactly by k; they
-        sit in distinct codimensions, so e^x is their union.
+        The E_k are coefficient dicts, divided exactly by k and normalized, so
+        an integral e^x (a total Chern class) is built from ints; they sit in
+        distinct codimensions, so e^x is their union.
         """
         V = self.variety
         if V.fundamental in self.coeffs:
             raise SeriesDomainError("exp needs x in positive codimension, "
                                     "got %s" % format_class(self))
-        dx = [{} for _ in range(V.dim + 1)]
-        for l, v in self.coeffs.items():
-            i = V.dim - V._dims[l]
-            dx[i][l] = i * v
+        n, dims = V.dim, V._dims
+        dx = [{} for _ in range(n + 1)]
+        Dx = self._like({l: (n - dims[l]) * v for l, v in self.coeffs.items()})
+        for l, v in Dx.coeffs.items():
+            dx[n - dims[l]][l] = v
         E = [{V.fundamental: 1}]
         total = dict(E[0])
         for k in range(1, V.dim + 1):
@@ -357,93 +393,61 @@ class ChowClass:
                     for l, v in V._raw_mul(dx[i], E[k - i]).items():
                         E_k[l] = E_k.get(l, 0) + v
             inv_k = Fraction(1, k)
-            E_k = {l: v * inv_k for l, v in E_k.items() if v}
+            E_k = self._like({l: v * inv_k for l, v in E_k.items()}).coeffs
             E.append(E_k)
             total.update(E_k)
-        return ChowClass._trusted(V, total)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return (self.variety is other.variety
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.variety), frozenset(self.coeffs.items())))
+        return self._like(total)
 
     def __repr__(self):
         return "ChowClass(%s: %s)" % (self.variety.name, format_class(self))
 
 
-class ModPClass:
+def _as_int(v):
+    """A mod-p coefficient: _as_coeff's rule, and integral."""
+    v = _as_coeff(v)
+    if isinstance(v, Fraction):
+        raise TypeError("a mod-p coefficient must be an integer, got %s" % v)
+    return v
+
+
+class ModPClass(_CellVector):
     """Chow class with coefficients reduced to [0, p)."""
 
-    __slots__ = ("variety", "p", "coeffs")
+    __slots__ = ("p",)
 
     def __init__(self, variety, p, coeffs):
         self.variety = variety
         self.p = p
-        clean = {}
-        for label, v in coeffs.items():
-            if label not in variety._dims:
-                raise UnknownLabel("variety %s has no cell %r"
-                                   % (variety.name, label))
-            v = int(v) % p
-            if v:
-                clean[label] = v
-        self.coeffs = clean
+        self.coeffs = _checked(variety, coeffs, lambda v: _as_int(v) % p)
+
+    def _like(self, coeffs):
+        """A mod-p class computed from checked ones: only reduced mod p."""
+        p = self.p
+        new = object.__new__(ModPClass)
+        new.variety = self.variety
+        new.p = p
+        new.coeffs = {l: r for l, v in coeffs.items() if (r := v % p)}
+        return new
 
     @classmethod
     def from_integral(cls, x, p):
         if not x.is_integral():
             raise IntegralityViolation("cannot reduce a fractional class mod %d" % p)
-        return cls(x.variety, p, {l: int(v) % p for l, v in x.coeffs.items()})
+        return cls(x.variety, p, x.coeffs)
 
     def lift(self):
         """Integral representative with coefficients in [0, p)."""
-        return ChowClass(self.variety, dict(self.coeffs))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def dim_component(self, d):
-        V = self.variety
-        return ModPClass(V, self.p, {l: v for l, v in self.coeffs.items()
-                                     if V.cell_dim(l) == d})
-
-    def support_dims(self):
-        return sorted({self.variety.cell_dim(l) for l in self.coeffs})
-
-    def _same(self, other):
-        if self.variety is not other.variety or self.p != other.p:
-            raise VarietyMismatch("mod-p classes do not match")
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.coeffs)
-        for l, v in other.coeffs.items():
-            out[l] = out.get(l, 0) + v
-        return ModPClass(self.variety, self.p, out)
+        return ChowClass(self.variety, self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, ModPClass):
             self._same(other)
-            out = self.variety._raw_mul(self.coeffs, other.coeffs)
-            return ModPClass(self.variety, self.p, out)
-        return ModPClass(self.variety, self.p,
-                         {l: v * int(other) for l, v in self.coeffs.items()})
+            return self._like(self.variety._raw_mul(self.coeffs, other.coeffs))
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other):
-        if not isinstance(other, ModPClass):
-            return NotImplemented
-        return (self.variety is other.variety and self.p == other.p
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.variety), self.p, frozenset(self.coeffs.items())))
+    def scale(self, c):
+        c = _as_int(c)
+        return self._like({l: v * c for l, v in self.coeffs.items()})
 
     def __repr__(self):
         return "ModPClass(%s mod %d: %s)" % (

@@ -4,9 +4,11 @@ A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
 cell closures); the matrix is triangular with unit diagonal, so coordinates
 in it come from one back-substitution (`TauLattice.coordinates`), which
-decides lattice membership and from which the Bott p-adic decomposition is
-read.  On the smooth builders K_0 and K^0 are identified by multiplying or
-dividing by Todd(T_X).
+decides lattice membership.  Both p-adic decompositions, Atiyah's of
+psi_p(x) and Bott's of theta^p(e), group these coordinates by a filtration
+index k and scale them by p^(shift + k) through one split (`_p_adic_split`).
+On the smooth builders K_0 and K^0 are identified by multiplying or dividing
+by Todd(T_X).
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
 so in the basis [O_Z] it is one matrix per (X, p), `adams_matrix`, built once
@@ -277,6 +279,31 @@ def _projective_adams(n, p):
     return cols
 
 
+def _p_adic_split(coords, p, top, shift):
+    """Split tau-coordinates by powers of p: the step the Atiyah
+    decomposition of psi_p and the Bott decomposition of theta^p share.
+
+    The coordinate on a cell of dimension j <= top goes to piece
+    k = [(top - j)/(p - 1)] and is multiplied by p^(shift + k).  Returns the
+    pieces, as classes, and the largest dimension whose scaled coordinate is
+    not integral (None when every one is).
+    """
+    dims = coords.variety._dims
+    n = top // (p - 1) + 1
+    scales = [p ** e if e >= 0 else Fraction(1, p ** -e)
+              for e in range(shift, shift + n)]
+    pieces = [{} for _ in range(n)]
+    bad = None
+    for l, v in coords.coeffs.items():
+        j = dims[l]
+        k = (top - j) // (p - 1)
+        v *= scales[k]
+        if type(v) is Fraction and v.denominator != 1:
+            bad = j if bad is None else max(bad, j)
+        pieces[k][l] = v
+    return [coords._like(piece) for piece in pieces], bad
+
+
 def kclass_to_bundle(x):
     """Identify K_0 with K^0 on a regular variety: divide tau by Todd."""
     ch = x.tau * todd_inv_class(x.variety)
@@ -322,39 +349,36 @@ def bott_decompose(e, p):
     codimension, so the coordinates of theta^p(e) in them are the
     tau-coordinates of theta^p(e) * Todd(T_X).  Each codim-j coordinate,
     multiplied by p^{k - rank(e)} with k = [j/(p - 1)], must be integral and
-    belongs to e_k.  The top-codimension part of each e_k is checked against
-    w^{CH,p}_k(e) mod p.
+    belongs to e_k (`_p_adic_split` with top = dim X, shift = -rank(e)).  The
+    top-codimension part of each e_k is checked against w^{CH,p}_k(e) mod p.
     """
     require_prime(p)
     if not e.integral:
         raise NonIntegralInput("Bott decomposition needs an integral bundle")
     X = e.variety
-    K = X.dim // (p - 1)
     w = w_chp(e, p)
     theta_tau = theta_p(e, p) * todd_class(X)
     coords = ChowClass(X, tau_lattice(X).coordinates(theta_tau))
-    pieces = [X.zero() for _ in range(K + 1)]
-    for j in range(X.dim + 1):
+    pieces, bad = _p_adic_split(coords, p, X.dim, -e.rank)
+    if bad is not None:
+        j = X.dim - bad
         k = j // (p - 1)
-        piece = coords.codim_component(j).scale(Fraction(p) ** (k - e.rank))
-        if not piece.is_integral():
-            # at exponent rank - k <= 0 every integer would do
-            what = ("not divisible by %d^%d" % (p, e.rank - k)
-                    if e.rank > k else "not integral")
-            raise DecompositionFailure(
-                "codim-%d piece of theta^%d is %s" % (j, p, what),
-                details={"variety": X.name, "p": p, "codim": j,
-                         "piece": class_to_json(piece)})
-        pieces[k] = pieces[k] + piece
+        # at exponent rank - k <= 0 every integer would do
+        what = ("not divisible by %d^%d" % (p, e.rank - k)
+                if e.rank > k else "not integral")
+        raise DecompositionFailure(
+            "codim-%d piece of theta^%d is %s" % (j, p, what),
+            details={"variety": X.name, "p": p, "codim": j,
+                     "piece": class_to_json(pieces[k].dim_component(bad))})
     tdinv = todd_inv_class(X)
     parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]
-    for k in range(K + 1):
-        support = parts[k].support_dims()
-        if support and X.dim - support[-1] < k * (p - 1):
+    for k, (piece, part) in enumerate(zip(pieces, parts)):
+        top = part.top_dim()
+        if top is not None and X.dim - top < k * (p - 1):
             raise DecompositionFailure(
                 "e_%d is supported below codimension %d" % (k, k * (p - 1)))
-        top = pieces[k].codim_component(k * (p - 1))
-        diff = top - w.codim_component(k * (p - 1))
+        diff = (piece.codim_component(k * (p - 1))
+                - w.codim_component(k * (p - 1)))
         if any(int(v) % p for v in diff.coeffs.values()):
             raise DecompositionFailure(
                 "top part of e_%d differs from w^{CH,%d}_%d mod %d" % (k, p, k, p),

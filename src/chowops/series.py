@@ -96,15 +96,11 @@ def theta_series(p, n):
     Summed in closed form as ((1 - e^{-pt})/t) / ((1 - e^{-t})/t), so the
     work is O(n^2) whatever the size of p.
     """
-    # (1 - e^{-ct})/t = sum_k (-1)^k c^{k+1} t^k / (k+1)!; at c = 1 the
-    # constant term is 1, so the long division needs no inverse
+    # (1 - e^{-ct})/t = sum_k (-1)^k c^{k+1} t^k / (k+1)!, and at c = 1 its
+    # inverse is the Todd series
     num = [Fraction((-1) ** k * p ** (k + 1), factorial(k + 1))
            for k in range(n + 1)]
-    den = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
-    out = []
-    for k in range(n + 1):
-        out.append(num[k] - sum(den[i] * out[k - i] for i in range(1, k + 1)))
-    return out
+    return smul(num, todd_series(n), n)
 
 
 def w_series(p, n):

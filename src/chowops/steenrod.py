@@ -8,7 +8,8 @@ in the unitriangular tau basis are the cached Adams matrix
 lift of a mod-p class these are its own coefficients, lifted, and an explicit
 K-class is solved for once.  Each degree is then scaled by a power of p: a
 dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is
-multiplied by p^{d+k}, which must leave it integral.  The basis is
+multiplied by p^{d+k}, which must leave it integral; the Bott
+decomposition shares this split (`ktheory._p_adic_split`).  The basis is
 unitriangular, so S_k mod p is read straight off these coordinates in
 dimension d - k(p-1); the x_k are lifted through the tau matrix only when
 asked for.
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .ktheory import (
     KClass,
+    _p_adic_split,
     adams_lower,
     adams_matrix,
     euler_char,
@@ -124,28 +126,17 @@ def _psi_pieces(X, p, d, coords):
             "psi_%d output has support above the filtration level" % p,
             details={"variety": X.name, "p": p, "tau": class_to_json(
                 apply_matrix(X.tau_columns, psi, X))})
-    scale = [p ** (d + (d - j) // (p - 1)) for j in range(d + 1)]
-    pieces = [{} for _ in range(d // (p - 1) + 1)]
-    bad = set()
-    for r, v in psi.coeffs.items():
-        j = X.cell_dim(r)
-        v = v * scale[j]
-        if isinstance(v, Fraction) and v.denominator != 1:
-            bad.add(j)
-        pieces[(d - j) // (p - 1)][r] = v
-    if bad:
-        j = max(bad)
-        k = (d - j) // (p - 1)
+    pieces, bad = _p_adic_split(psi, p, d, d)
+    if bad is not None:
+        k = (d - bad) // (p - 1)
         raise ExtractionFailure(
             "dimension-%d component of p^%d psi_%d is not integral"
-            % (j, d + k, p),
-            details={"variety": X.name, "p": p, "dimension": j,
+            % (bad, d + k, p),
+            details={"variety": X.name, "p": p, "dimension": bad,
                      "exponent": d + k,
-                     "component": class_to_json(
-                         psi.dim_component(j).scale(scale[j])),
+                     "component": class_to_json(pieces[k].dim_component(bad)),
                      "input": class_to_json(
                          apply_matrix(X.tau_columns, x, X))})
-    pieces = [ChowClass(X, piece) for piece in pieces]
     if pieces[0].dim_component(d) != x.dim_component(d):
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
@@ -190,10 +181,10 @@ def _steenrod(x, p, lift=None, cohomological=False):
     require_prime(p)
     X = x.variety
     if x.is_zero():
-        return [ModPClass(X, p, {})]
+        return [x]
     dims = x.support_dims()
     n_ops = max(d // (p - 1) for d in dims) + 1
-    out = [ModPClass(X, p, {}) for _ in range(n_ops)]
+    out = [x._like({}) for _ in range(n_ops)]
     if lift is not None and len(dims) > 1:
         raise ValueError("an explicit lift needs a homogeneous input")
     w = _w_tangent_modp(X, p) if cohomological else None
@@ -202,7 +193,8 @@ def _steenrod(x, p, lift=None, cohomological=False):
             pieces = _psi_pieces(X, p, d, x.dim_component(d).lift().coeffs)
         else:
             pieces = atiyah_decompose(lift, p, level=d).pieces
-        parts = [ModPClass(X, p, piece.dim_component(d - k * (p - 1)).coeffs)
+        # the split checked that the pieces are integral
+        parts = [x._like(piece.dim_component(d - k * (p - 1)).coeffs)
                  for k, piece in enumerate(pieces)]
         if lift is not None and parts[0] != x:
             raise ValueError("the lift does not reduce to x mod %d" % p)
@@ -232,8 +224,7 @@ def op_component(ops, k):
     """k-th entry of an operation list, zero beyond the computed range."""
     if k < len(ops):
         return ops[k]
-    first = ops[0]
-    return ModPClass(first.variety, first.p, {})
+    return ops[0]._like({})
 
 
 CONVENTIONS = {"coh": "cohomological", "hom": "homological",

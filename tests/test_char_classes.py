@@ -147,7 +147,8 @@ def test_bundle_json_round_trip():
 
 def test_whitney_takes_each_series_log_once(monkeypatch):
     # one log-weight vector per (series, p, dim): the suite's thousands of
-    # classes take the log of each per-root series exactly once
+    # classes, Chern classes among them, take the log of each per-root
+    # series exactly once
     calls = []
     slog = S.slog
 
@@ -160,7 +161,7 @@ def test_whitney_takes_each_series_log_once(monkeypatch):
     assert run_suite("whitney", trials=25)["passed"]
     keys = set()
     for X in default_builders():
-        keys.add(("todd", X.dim))
+        keys |= {("todd", X.dim), ("chern", X.dim)}
         for p in _primes({}, X):
             keys |= {("theta", p, X.dim), ("w", p, X.dim)}
     assert len(calls) == len(set(calls)) == len(keys)

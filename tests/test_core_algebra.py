@@ -157,6 +157,36 @@ def test_modp_reduction():
     assert (xbar * xbar).coeffs == {"h^2": 1}
 
 
+@pytest.mark.parametrize("p,v", [(2, Fraction(3, 2)), (3, 1.7), (3, True),
+                                 (3, "1"), (3, None)])
+def test_modp_coefficients_must_be_integers(p, v):
+    # a coefficient that is not an integer is an error, never truncated
+    with pytest.raises(TypeError):
+        ModPClass(P2, p, {"h^1": v})
+    xbar = ModPClass(P2, p, {"h^1": 1})
+    with pytest.raises(TypeError):
+        xbar * v
+    with pytest.raises(TypeError):
+        xbar.scale(v)
+
+
+def test_modp_integral_scalars():
+    xbar = ModPClass(P2, 3, {"h^1": 1, "h^2": 2})
+    assert ModPClass(P2, 3, {"h^1": Fraction(4, 1)}).coeffs == {"h^1": 1}
+    assert (xbar * Fraction(2, 1)).coeffs == {"h^1": 2, "h^2": 1}
+    assert (5 * xbar).coeffs == {"h^1": 2, "h^2": 1}
+    assert xbar.scale(-3).is_zero()
+
+
+def test_modp_classes_of_different_primes_do_not_mix():
+    with pytest.raises(VarietyMismatch):
+        ModPClass(P2, 2, {"h^1": 1}) + ModPClass(P2, 3, {"h^1": 1})
+    with pytest.raises(VarietyMismatch):
+        make_class(P2, {"h^1": 1}) + ModPClass(P2, 3, {"h^1": 1})
+    assert ModPClass(P2, 2, {"h^1": 1}) != ModPClass(P2, 3, {"h^1": 1})
+    assert make_class(P2, {"h^1": 1}) != ModPClass(P2, 3, {"h^1": 1})
+
+
 # -- construction invariants --------------------------------------------------
 
 def _tiny(mult, cells=None, tau=None):

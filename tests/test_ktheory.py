@@ -30,7 +30,7 @@ from chowops import (
 )
 from chowops.char_classes import todd_class
 from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
-from chowops.ktheory import k0_generator_bundles, kclass_to_bundle
+from chowops.ktheory import _p_adic_split, k0_generator_bundles, kclass_to_bundle
 
 
 P1 = projective_space(1)
@@ -209,6 +209,26 @@ def test_bott_reconstructs_theta():
                 for k, ek in enumerate(parts):
                     dims = ek.support_dims()
                     assert not dims or X.dim - dims[-1] >= k * (p - 1)
+
+
+def test_p_adic_split_groups_scales_and_finds_the_largest_bad_dimension():
+    # the split both decompositions share: the cell of dimension j goes to
+    # k = [(top - j)/(p - 1)], scaled by p^(shift + k); Bott's first bad
+    # codimension is the largest bad dimension
+    P4 = projective_space(4)
+    coords = _cls(P4, {"h^0": 1, "h^1": Fraction(1, 2), "h^3": Fraction(1, 4),
+                       "h^4": 3})
+    pieces, bad = _p_adic_split(coords, 2, 4, -1)  # Bott, rank 1
+    assert [piece.coeffs for piece in pieces] == [
+        {"h^0": Fraction(1, 2)}, {"h^1": Fraction(1, 2)}, {}, {"h^3": 1},
+        {"h^4": 24}]
+    assert bad == 4
+    coords = _cls(P4, {"h^1": 1, "h^2": Fraction(1, 243),
+                       "h^4": Fraction(1, 3 ** 7)})
+    pieces, bad = _p_adic_split(coords, 3, 4, 4)  # Atiyah, level 4
+    assert [piece.coeffs for piece in pieces] == [
+        {"h^1": 81}, {"h^2": 1}, {"h^4": Fraction(1, 3)}]
+    assert bad == 0
 
 
 def test_bott_needs_integral_bundle():

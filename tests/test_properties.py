@@ -13,7 +13,11 @@ random rational input.  todd, theta^p and w^{CH,p} read one cached
 log-weight vector per (series, p, dim) and build the log class in one pass,
 and must agree with rebuilding the series and the power-sum class from
 scratch; and every ring result stores its coefficients as exact ints or
-non-integral Fractions."""
+non-integral Fractions.  The total Chern class is the multiplicative class of
+1 + t, and must match the closed form prod_i (1 + i h)^{a_i} (1 + h)^{b(n+1)}
+of r + sum_i a_i O(i) + b T on P^n.  The operations must not depend on the
+cell basis: shearing one cell into another of its dimension and transporting
+the table, tangent data and tau columns transports every S_k unchanged."""
 from fractions import Fraction
 from math import factorial
 
@@ -23,11 +27,14 @@ from hypothesis import strategies as st
 
 from chowops import series as S
 from chowops import (
+    CellularVariety,
     ChowClass,
     ModPClass,
     adams_lower,
     atiyah_decompose,
     bott_decompose,
+    chern,
+    degree,
     external_product,
     k0_from_chow_lift,
     line_bundle,
@@ -41,12 +48,15 @@ from chowops import (
     tau_lattice,
     theta_p,
     todd,
+    trivial_bundle,
     variety_from_spec,
     w_chp,
 )
 from chowops.char_classes import w_tangent
+from chowops.core import apply_matrix
 from chowops.verify import standard_morphisms
-from oracles import h_powers_on_pn, multiplicative_class_anew
+from oracles import coeffs as taylor_coeffs
+from oracles import h_powers_on_pn, multiplicative_class_anew, t
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
@@ -381,3 +391,83 @@ def test_series_exp_and_log_are_the_power_sums(case):
         Pn, sexp_by_powers(u, n))
     one_plus_u = [Fraction(1)] + a[1:]
     assert S.slog(one_plus_u, n) == slog_by_powers(one_plus_u, n)
+
+
+PN = {n: projective_space(n) for n in range(1, 6)}
+
+
+@st.composite
+def pn_bundles(draw):
+    """r + sum_i a_i O(i) + b T on P^n, n <= 5, as (X, r, {i: a_i}, b)."""
+    X = PN[draw(st.integers(1, 5))]
+    twists = draw(st.dictionaries(st.integers(-3, 3).filter(bool),
+                                  st.integers(-3, 3), max_size=3))
+    return X, draw(st.integers(-3, 3)), twists, draw(st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pn_bundles())
+def test_chern_is_the_closed_form_on_pn(case):
+    # c(O(i)) = 1 + i h and c(T) = (1 + h)^(n+1), multiplied out by sympy
+    X, r, twists, b = case
+    e = trivial_bundle(X, r) + tangent_bundle(X).scale(b)
+    form = (1 + t) ** (b * (X.dim + 1))
+    for i, a in twists.items():
+        e = e + line_bundle(X, i).scale(a)
+        form *= (1 + i * t) ** a
+    assert chern(e) == h_powers_on_pn(X, taylor_coeffs(form, X.dim))
+
+
+SHEAR_VARIETIES = [variety_from_spec(name) for name in ("P^1xP^2", "P^2xP^2")]
+
+
+def sheared(X, a, b, c):
+    """X in the basis with the cell a replaced by a + c b, where a and b have
+    one dimension: the table, tangent_ch and tau columns transported, built
+    as a raw CellularVariety (so its Adams matrix comes from the tau route).
+    Returns it with the coordinate maps old -> new and new -> old."""
+    def to_old(v):
+        out = dict(v)
+        out[b] = out.get(b, 0) + c * v.get(a, 0)
+        return out
+
+    def to_new(v):
+        out = dict(v)
+        out[b] = out.get(b, 0) - c * v.get(a, 0)
+        return {l: s for l, s in out.items() if s}
+
+    def old(l):
+        return ChowClass(X, to_old({l: 1}))
+
+    L = X.labels()
+    table = {(x, y): to_new((old(x) * old(y)).coeffs) for x in L for y in L}
+    tau = {l: to_new(apply_matrix(X.tau_columns, old(l), X).coeffs)
+           for l in L}
+    Y = CellularVariety("sheared " + X.name, X.dim, X.cells, table,
+                        {l: degree(old(l)) for l in X.points},
+                        to_new(X.tangent_ch), tau)
+    return Y, to_new, to_old
+
+
+@st.composite
+def shears(draw):
+    X = draw(st.sampled_from(SHEAR_VARIETIES))
+    pairs = [(a, b) for a in X.labels() for b in X.labels()
+             if a != b and X.cell_dim(a) == X.cell_dim(b)]
+    a, b = draw(st.sampled_from(pairs))
+    c = draw(st.integers(-6, 6).filter(bool))
+    return X, a, b, c, draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(shears())
+def test_operations_do_not_depend_on_the_basis(case):
+    # S_k of the cell l of the sheared variety is S_k of the old class it
+    # stands for, read in the new coordinates
+    X, a, b, c, p = case
+    Y, to_new, to_old = sheared(X, a, b, c)
+    for l in Y.labels():
+        for op in OPERATIONS:
+            got = op(ModPClass(Y, p, {l: 1}))
+            want = op(ModPClass(X, p, to_old({l: 1})))
+            assert got == [ModPClass(Y, p, to_new(s.coeffs)) for s in want]
