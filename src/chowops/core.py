@@ -8,7 +8,10 @@ structure comes from a finite table of structure constants.  Each entry is
 checked for grading, commutativity and unitality as it is read, and a table
 given directly is checked exhaustively for associativity; the builders'
 tables are associative by construction and skip that check
-(`varieties.BuiltVariety`).  Pushforward, pullback, the Riemann-Roch lift
+(`varieties.BuiltVariety`).  The tau columns are checked to be
+unitriangular where they enter: a mapping in the constructor, and a
+builder's zero-argument callable when `tau_columns` is first read, which is
+also when it is built.  Pushforward, pullback, the Riemann-Roch lift
 and psi_p are linear maps given by sparse matrices over the cells
 (`apply_matrix`).  On a product X x Y everything comes from the factors by
 one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
@@ -28,6 +31,7 @@ reduces mod p.
 """
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InvalidVariety,
@@ -58,7 +62,12 @@ class CellularVariety:
     dimension == dim (the fundamental class, which is the ring unit) and at
     least one has dimension 0.  mult_table maps unordered label pairs to
     sparse integer vectors; missing pairs multiply to zero.  tau_columns maps
-    each cell label to the rational vector tau[O_Z] of its closure.
+    each cell label to the rational vector tau[O_Z] of its closure.  It is
+    given either as that mapping, normalized and checked here, or as a
+    zero-argument callable returning it, which is called, normalized and
+    checked on the first read of `tau_columns` (the builders pass one, as
+    the operations on P^n and its products never read tau); after that read
+    it is a plain attribute.
     """
 
     def __init__(self, name, dim, cells, mult_table, degree_vector,
@@ -98,11 +107,10 @@ class CellularVariety:
         if self.tangent_ch.get(self.fundamental, Fraction(0)) != dim:
             raise InvalidVariety("tangent_ch rank component must equal dim")
 
-        self.tau_columns = {
-            str(c): {str(r): Fraction(v) for r, v in col.items() if v}
-            for c, col in tau_columns.items()
-        }
-        self._check_tau()
+        if callable(tau_columns):
+            self._tau_source = tau_columns
+        else:
+            self.tau_columns = self._checked_tau(tau_columns)
         self._check_associativity()
         self._cache = {}
 
@@ -170,10 +178,21 @@ class CellularVariety:
                         raise InvalidVariety(
                             "associativity fails on (%r, %r, %r)" % (a, b, c))
 
-    def _check_tau(self):
-        if set(self.tau_columns) != set(self._dims):
+    @cached_property
+    def tau_columns(self):
+        """The columns a builder passed as a callable, built and checked on
+        first read; a mapping was stored here by the constructor."""
+        return self._checked_tau(self._tau_source())
+
+    def _checked_tau(self, columns):
+        """columns as Fractions without zeros, checked to be unitriangular:
+        one column per cell, entry 1 on the diagonal and every other entry
+        in a cell of lower dimension."""
+        tau = {str(c): {str(r): Fraction(v) for r, v in col.items() if v}
+               for c, col in columns.items()}
+        if set(tau) != set(self._dims):
             raise InvalidVariety("tau_matrix must have one column per cell")
-        for col, vec in self.tau_columns.items():
+        for col, vec in tau.items():
             d = self._dims[col]
             if vec.get(col) != 1:
                 raise InvalidVariety("tau column %r has no unit diagonal" % col)
@@ -185,6 +204,7 @@ class CellularVariety:
                     raise InvalidVariety(
                         "tau column %r is not triangular (entry at %r)"
                         % (col, row))
+        return tau
 
     # -- basic queries --------------------------------------------------------
 

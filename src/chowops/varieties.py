@@ -6,6 +6,11 @@ cell basis: on Q_d the substitution t -> h is a ring homomorphism because
 h^k equals the cell h^k for k <= (d-1)/2 and 2*l_{d-k} above the middle.
 A product takes every datum from its factors by the Kunneth rule of
 `core.kron`, and so do external products and the product projections.
+Each builder hands its tau columns to `CellularVariety` as a callable, so
+they are built, from the factors' columns on a product, and checked on the
+first read of `tau_columns`, never by an operation on P^n or a product of
+them.  `variety_from_spec` checks the dimension cap and the cell cap
+`MAX_CELLS` on the parsed spec, before anything is built.
 
 Morphisms are finite matrices, not symbolic maps; multiplicativity of the
 pullback and the projection formula are checked exhaustively on basis pairs
@@ -13,7 +18,7 @@ at registration time.
 """
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import series as S
 from .char_classes import VirtualBundle, tangent_bundle
@@ -79,15 +84,17 @@ def projective_space(n):
         if c:
             tangent["h^%d" % k] = c
 
-    # the column of h^j is td^{n-j+1}, one running product from j = n down
-    td = S.todd_series(n)
-    tau = {}
-    col_series = td
-    for j in range(n, -1, -1):
-        if j < n:
-            col_series = S.smul(col_series, td, n)
-        tau["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
-                           for k in range(n - j + 1) if col_series[k]}
+    def tau():
+        # the column of h^j is td^{n-j+1}, one running product from j = n down
+        td = S.todd_series(n)
+        columns = {}
+        col_series = td
+        for j in range(n, -1, -1):
+            if j < n:
+                col_series = S.smul(col_series, td, n)
+            columns["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
+                                   for k in range(n - j + 1) if col_series[k]}
+        return columns
 
     X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
                      tangent, tau)
@@ -155,23 +162,25 @@ def odd_quadric(d):
         S.sscale(-1, S.sadd(S.series([1], d), S.exp_t(2, d), d), d), d)
     tangent = map_series(tangent_series)
 
-    td = S.todd_series(d)
-    td2 = [td[k] * 2 ** k for k in range(d + 1)]  # td(2t)
-    todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
-    one_minus = [Fraction(0)] + [
-        -Fraction((-1) ** k, factorial(k)) for k in range(1, d + 1)]  # 1 - e^{-t}
-
-    # one running product per family: h^i has todd_q (1 - e^{-t})^i and
-    # l_i has td^{i+1} truncated at degree i
-    tau = {}
-    col, tdj = todd_q, td
-    for i in range(m + 1):
-        if i:
-            col = S.smul(col, one_minus, d)
-            tdj = S.smul(tdj, td, m)
-        tau["h^%d" % i] = map_series(col)
-        tau["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
-                           for k in range(i + 1) if tdj[k]}
+    def tau():
+        td = S.todd_series(d)
+        td2 = [td[k] * 2 ** k for k in range(d + 1)]  # td(2t)
+        todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
+        one_minus = [Fraction(0)] + [
+            -Fraction((-1) ** k, factorial(k))
+            for k in range(1, d + 1)]  # 1 - e^{-t}
+        # one running product per family: h^i has todd_q (1 - e^{-t})^i and
+        # l_i has td^{i+1} truncated at degree i
+        columns = {}
+        col, tdj = todd_q, td
+        for i in range(m + 1):
+            if i:
+                col = S.smul(col, one_minus, d)
+                tdj = S.smul(tdj, td, m)
+            columns["h^%d" % i] = map_series(col)
+            columns["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
+                                   for k in range(i + 1) if tdj[k]}
+        return columns
 
     X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}
@@ -203,8 +212,10 @@ def product(X, Y):
             u, v = X._table.get((a, a2)), Y._table.get((b, b2))
             if u and v:
                 table[(kunneth(a, b), kunneth(a2, b2))] = kron(u, v)
-    tau = {kunneth(a, b): kron(u, v) for a, u in X.tau_columns.items()
-           for b, v in Y.tau_columns.items()}
+
+    def tau():
+        return {kunneth(a, b): kron(u, v) for a, u in X.tau_columns.items()
+                for b, v in Y.tau_columns.items()}
 
     XY = BuiltVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
                       table, kron(X.degree_vector, Y.degree_vector),
@@ -479,22 +490,32 @@ def _pn_self_map(degree):
 # JSON specs
 # ---------------------------------------------------------------------------
 
+# the most cells a spec may have: (P^1)^8, the widest variety within the
+# default dimension cap of 8, has 2^8
+MAX_CELLS = 256
+
+
 def variety_from_spec(spec, max_dim=None):
     """Builder dispatch for {"type": ...} dicts and P^n / Q_d / AxB shorthand.
 
-    The dimension cap is checked on the parsed spec, before anything is built.
+    The dimension cap max_dim and the cell cap MAX_CELLS are checked on the
+    parsed spec, before anything is built.
     """
-    dim, build = _parse_spec(spec)
+    dim, cells, build = _parse_spec(spec)
     if max_dim is not None and dim > max_dim:
         raise ValueError("variety of dimension %d exceeds the dimension cap %d"
                          % (dim, max_dim))
+    if cells > MAX_CELLS:
+        raise ValueError("variety with %d cells exceeds the cell cap %d"
+                         % (cells, MAX_CELLS))
     return build()
 
 
 def _parse_spec(spec):
-    """(dimension, build) for a spec; nothing is built until build() runs."""
+    """(dimension, cell count, build) for a spec; nothing is built until
+    build() runs."""
     if isinstance(spec, CellularVariety):
-        return spec.dim, lambda: spec
+        return spec.dim, len(spec.cells), lambda: spec
     if isinstance(spec, str):
         parts = spec.split("x")
         if len(parts) > 1:
@@ -523,16 +544,18 @@ def _parse_spec(spec):
 
 
 def _builder_spec(builder, n):
-    # P^n and Q_d have dimension n and d; a negative one fails in its builder
+    # P^n and Q_d have dimension n and d and n + 1 and d + 1 cells; a
+    # negative size fails in its builder
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("%s needs an integer size, got %r"
                          % (builder.__name__, n))
-    return max(n, 0), lambda: builder(n)
+    return max(n, 0), max(n, 0) + 1, lambda: builder(n)
 
 
 def _product_spec(specs):
-    return (sum(dim for dim, _ in specs),
-            lambda: reduce(product, [build() for _, build in specs]))
+    return (sum(dim for dim, _, _ in specs),
+            prod(cells for _, cells, _ in specs),
+            lambda: reduce(product, [build() for _, _, build in specs]))
 
 
 def morphism_from_spec(spec):

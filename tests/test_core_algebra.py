@@ -244,6 +244,21 @@ def test_rejects_bad_tau():
         _tiny({}, tau={"a": {"a": 1}, "b": {"b": 1, "a": 1}})
 
 
+@pytest.mark.parametrize("tau,message", [
+    ({"a": {"a": 2}, "b": {"b": 1}}, "no unit diagonal"),
+    ({"a": {"a": 1}, "b": {"b": 1, "a": 1}}, "not triangular"),
+    ({"a": {"a": 1}}, "one column per cell"),
+])
+def test_tau_is_checked_where_it_enters(tau, message):
+    # a mapping is checked by the constructor, a builder's callable on the
+    # first read of tau_columns, with the same message
+    with pytest.raises(InvalidVariety, match=message):
+        _tiny({}, tau=tau)
+    X = _tiny({}, tau=lambda: tau)
+    with pytest.raises(InvalidVariety, match=message):
+        X.tau_columns
+
+
 def test_rejects_unknown_labels_in_tau_and_tangent_data():
     with pytest.raises(InvalidVariety, match="unknown row 'z'"):
         _tiny({}, tau={"a": {"a": 1, "z": 1}, "b": {"b": 1}})

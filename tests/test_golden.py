@@ -22,6 +22,9 @@ CASES = [
       "--class", '{"h^1":"1","h^3":"-2","l_2":"3","l_0":"5"}']),
     # every datum product() builds: cells, table, degrees, tangent, tau
     ("describe_P1xQ3xP1.json", ["describe", "--variety", "P^1xQ_3xP^1"]),
+    # tau columns built on first read: a running product and a Kunneth one
+    ("describe_P8.json", ["describe", "--variety", "P^8"]),
+    ("describe_P2xP2.json", ["describe", "--variety", "P^2xP^2"]),
     # verify reports: the Bott split of theta^p and the Chern engine
     ("verify_bott_seed5.json", ["verify", "--suite", "bott", "--seed", "5"]),
     ("verify_whitney_seed5_trials5.json",

@@ -21,7 +21,8 @@ from chowops import (
 )
 from chowops import series as S
 from chowops import varieties as V
-from chowops.core import CellularVariety, ModPClass
+from chowops.cli import main
+from chowops.core import CellularVariety, ModPClass, kron, kunneth
 from chowops.errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -29,6 +30,7 @@ from chowops.errors import (
     UnknownKind,
     VarietyMismatch,
 )
+from chowops.steenrod import steenrod_operation
 from chowops.varieties import BuiltVariety, Morphism
 
 
@@ -171,7 +173,7 @@ def count_smul(monkeypatch):
 @pytest.mark.parametrize("n", [12, 24])
 def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
     calls = count_smul(monkeypatch)
-    projective_space(n)
+    projective_space(n).tau_columns
     assert len(calls) <= n + 1
 
 
@@ -179,8 +181,31 @@ def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
 def test_fresh_quadric_makes_linearly_many_products(monkeypatch, d):
     # td^{d+2} for the Todd class, then one product per column
     calls = count_smul(monkeypatch)
-    odd_quadric(d)
+    odd_quadric(d).tau_columns
     assert len(calls) <= 2 * d + 2
+
+
+def test_fresh_pn_build_makes_no_series_product(monkeypatch):
+    # the tau columns are built on first read, and the build reads none
+    calls = count_smul(monkeypatch)
+    X = variety_from_spec("P^40")
+    assert calls == [] and "tau_columns" not in X.__dict__
+
+
+@pytest.mark.parametrize("spec", ["P^12", "P^2xP^3"])
+def test_operations_on_fresh_builds_never_read_tau(monkeypatch, spec):
+    # psi_p on P^n and on products comes from the closed form and its
+    # Kronecker products, so no operation reads the tau columns
+    calls = count_smul(monkeypatch)
+    X = variety_from_spec(spec)
+    for p in (2, 3, 5):
+        for label in X.labels():
+            for convention in ("hom", "coh"):
+                steenrod_operation(ModPClass(X, p, {label: 1}), p,
+                                   convention=convention)
+    built = [X, *getattr(X, "_factors", ())]
+    assert calls == []
+    assert all("tau_columns" not in Y.__dict__ for Y in built)
 
 
 # -- products ------------------------------------------------------------------
@@ -233,6 +258,16 @@ def test_products_pass_the_full_associativity_check(spec):
     CellularVariety._check_associativity(X)
 
 
+@pytest.mark.parametrize("spec", ["P^1xQ_3", "P^2xP^2"])
+def test_product_tau_columns_are_the_kronecker_products(monkeypatch, spec):
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    X = variety_from_spec(spec)
+    A, B = X._factors
+    assert X.tau_columns == {kunneth(a, b): kron(u, v)
+                             for a, u in A.tau_columns.items()
+                             for b, v in B.tau_columns.items()}
+
+
 def test_fresh_product_runs_no_associativity_check(monkeypatch):
     monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     P1, P2, Q3 = projective_space(1), projective_space(2), odd_quadric(3)
@@ -248,6 +283,38 @@ def test_fresh_product_runs_no_associativity_check(monkeypatch):
     assert XY.name == "P^1xP^1xP^2xQ_3" and len(XY.cells) == 48
     assert projective_space(12).dim == 12 and odd_quadric(13).dim == 13
     assert calls == []
+
+
+# -- size caps -----------------------------------------------------------------
+
+def refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a capped spec reached a builder")
+
+    for builder in ("projective_space", "odd_quadric", "product"):
+        monkeypatch.setattr(V, builder, refuse)
+
+
+def test_parsed_spec_counts_cells(monkeypatch):
+    refuse_to_build(monkeypatch)
+    for spec, dim, cells in [
+            ("P^40", 40, 41), ("Q_15", 15, 16), ("P^4xP^4", 8, 25),
+            ("x".join(["P^1"] * 8), 8, 256), ("P^1xQ_3xP^1", 5, 16),
+            ({"type": "product", "factors": [
+                "P^2", {"type": "odd_quadric", "dim": 5}]}, 7, 18)]:
+        assert V._parse_spec(spec)[:2] == (dim, cells), spec
+
+
+def test_cell_cap_is_checked_before_building(monkeypatch):
+    # (P^1)^20 is within a dimension cap of 40 and has 2^20 cells
+    refuse_to_build(monkeypatch)
+    wide = "x".join(["P^1"] * 20)
+    for spec in (wide, "x".join(["P^1"] * 9), "P^256", "Q_257",
+                 {"type": "product", "factors": ["P^15", "P^16"]}):
+        with pytest.raises(ValueError, match="cell cap 256"):
+            variety_from_spec(spec, max_dim=1000)
+    monkeypatch.setenv("STEENROD_MAX_DIM", "40")
+    assert main(["describe", "--variety", wide]) == 2
 
 
 # -- morphism catalog ----------------------------------------------------------
