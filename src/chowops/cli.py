@@ -20,7 +20,15 @@ from .verify import SUITES, run_suite
 
 
 def _max_dim():
-    return int(os.environ.get("STEENROD_MAX_DIM", "8"))
+    text = os.environ.get("STEENROD_MAX_DIM", "8")
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError("STEENROD_MAX_DIM must be a non-negative integer, "
+                         "got %r" % text)
+    return value
 
 
 def _load_variety(text):

@@ -13,6 +13,12 @@ decomposition shares this split (`ktheory._p_adic_split`).  The basis is
 unitriangular, so S_k mod p is read straight off these coordinates in
 dimension d - k(p-1); the x_k are lifted through the tau matrix only when
 asked for.
+
+S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
+F_p.  Its columns are cached per (X, p, convention) and built on first use:
+the column of a basis cell l is the extraction above applied to [l], with
+the w^{CH,p}(T_X) twist folded in for the cohomological convention, and an
+operation is the sparse sum S_k(x) = sum_l c_l S_k(l) mod p.
 """
 from fractions import Fraction
 from functools import cached_property
@@ -169,47 +175,69 @@ def steenrod_cohomological(x, p=None):
 
 
 def _steenrod(x, p, lift=None, cohomological=False):
-    """Both conventions: check the input once, then one extraction per dimension.
+    """Both conventions: check the input once, then a sparse apply over F_p.
 
-    The canonical lift of the dimension-d part has the lifted coefficients
-    as its tau-coordinates, so they go straight through the Adams matrix; an
-    explicit lift goes through atiyah_decompose, which checks its
-    integrality and level, and S_0 = x checks that it reduces to x.  S_k is
-    pieces[k] in dimension d - k(p-1).
+    S-bar is linear on CH/p, so S_k(x) = sum_l c_l S_k(l) over the cells l
+    of x, read off the cached columns (`_column`).  An explicit lift goes
+    through atiyah_decompose, which checks its integrality and level, and
+    S_0 = x checks that it reduces to x; S_k is pieces[k] in dimension
+    d - k(p-1).
     """
     x, p = _as_modp(x, p)
     require_prime(p)
-    X = x.variety
     if x.is_zero():
         return [x]
-    dims = x.support_dims()
-    n_ops = max(d // (p - 1) for d in dims) + 1
-    out = [x._like({}) for _ in range(n_ops)]
-    if lift is not None and len(dims) > 1:
-        raise ValueError("an explicit lift needs a homogeneous input")
-    w = _w_tangent_modp(X, p) if cohomological else None
-    for d in dims:
-        if lift is None:
-            pieces = _psi_pieces(X, p, d, x.dim_component(d).lift().coeffs)
-        else:
-            pieces = atiyah_decompose(lift, p, level=d).pieces
+    if lift is not None:
+        dims = x.support_dims()
+        if len(dims) > 1:
+            raise ValueError("an explicit lift needs a homogeneous input")
+        d = dims[0]
+        pieces = atiyah_decompose(lift, p, level=d).pieces
         # the split checked that the pieces are integral
-        parts = [x._like(piece.dim_component(d - k * (p - 1)).coeffs)
-                 for k, piece in enumerate(pieces)]
-        if lift is not None and parts[0] != x:
+        out = [x._like(piece.dim_component(d - k * (p - 1)).coeffs)
+               for k, piece in enumerate(pieces)]
+        if out[0] != x:
             raise ValueError("the lift does not reduce to x mod %d" % p)
-        if w is not None:
-            twisted = w * steenrod_total(parts)
-            parts = [twisted.dim_component(d - k * (p - 1))
-                     for k in range(n_ops)]
-        for k, part in enumerate(parts):
-            out[k] = out[k] + part
-    return out
+        return out
+    X, q = x.variety, p - 1
+    cell_dim = X._dims
+    out = [{} for _ in range(x.top_dim() // q + 1)]
+    for l, c in x.coeffs.items():
+        d = cell_dim[l]
+        for m, v in _column(X, p, l, cohomological).items():
+            acc = out[(d - cell_dim[m]) // q]
+            acc[m] = acc.get(m, 0) + c * v
+    return [x._like(acc) for acc in out]
 
 
-def _w_tangent_modp(X, p):
-    return _cached(X, ("w_T_modp", p),
-                   lambda: ModPClass.from_integral(w_tangent(X, p), p))
+def _column(X, p, label, cohomological):
+    """The total operation S_0(l) + ... + S_K(l) of the basis cell l, as a
+    {cell: int mod p} dict; S_k(l) is its part in dimension dim l - k(p-1).
+
+    Columns are cached per (X, p, convention) and built on first use by the
+    one extraction, `_psi_pieces` of the canonical lift [l], so a failing
+    column raises its ExtractionFailure for that basis cell.  The
+    cohomological column is w^{CH,p}(T_X) times the homological one; the
+    per-root series 1 + (-t)^{p-1} puts w^{CH,p} in codimensions divisible
+    by p - 1, so the product stays in the dimensions d - k(p-1).
+    """
+    columns = _cached(X, ("sbar", p, cohomological), dict)
+    column = columns.get(label)
+    if column is not None:
+        return column
+    if cohomological:
+        w = _cached(X, ("w_T_modp", p),
+                    lambda: ModPClass.from_integral(w_tangent(X, p), p))
+        twisted = X._raw_mul(w.coeffs, _column(X, p, label, False))
+        column = {m: r for m, v in twisted.items() if (r := v % p)}
+    else:
+        dims, d = X._dims, X._dims[label]
+        pieces = _psi_pieces(X, p, d, {label: 1})
+        column = {m: r for k, piece in enumerate(pieces)
+                  for m, v in piece.coeffs.items()
+                  if dims[m] == d - k * (p - 1) and (r := v % p)}
+    columns[label] = column
+    return column
 
 
 def steenrod_total(ops):

@@ -165,6 +165,17 @@ def test_dimension_cap_from_environment(capsys, monkeypatch):
     assert code == 0
 
 
+def test_malformed_dimension_cap_is_an_input_error(capsys, monkeypatch):
+    for text in ("", "abc", "-1"):
+        monkeypatch.setenv("STEENROD_MAX_DIM", text)
+        for argv in (("describe", "--variety", "P^2"),
+                     ("verify", "--suite", "s0")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == ("error: STEENROD_MAX_DIM must be a non-negative "
+                           "integer, got %r\n" % text)
+
+
 def test_extraction_failure_exits_3(capsys, monkeypatch):
     # every failed theory check exits 3 with its details dump, not only
     # ExtractionFailure
@@ -185,11 +196,14 @@ def test_extraction_failure_exits_3(capsys, monkeypatch):
 def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
     # P^2's data with one off-diagonal tau entry changed (1/2 -> 1/3): the
     # Adams matrix of a raw table comes from the tau route, and extracting
-    # S_1(h^1) mod 2 meets a non-integral coordinate
+    # S_1(h^1) mod 2 meets a non-integral coordinate.  An operation reads one
+    # cached column per basis cell of its input, so a mixed class fails on
+    # the column of h^1 with that cell's dump (its "input" is the tau-vector
+    # of h^1), in either convention; h^0 and h^2 extract cleanly
     from fractions import Fraction
 
     from chowops import CellularVariety, ModPClass, cli, projective_space
-    from chowops import steenrod_homological
+    from chowops import steenrod_cohomological, steenrod_homological
 
     P2 = projective_space(2)
     tau = {c: dict(col) for c, col in P2.tau_columns.items()}
@@ -200,13 +214,19 @@ def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
     details = {"variety": "P^2-corrupt", "p": 2, "dimension": 0,
                "exponent": 2, "component": {"h^2": "2/3"},
                "input": {"h^1": "1", "h^2": "1/3"}}
-    try:
-        steenrod_homological(ModPClass(X, 2, {"h^1": 1}))
-    except ExtractionFailure as exc:
-        assert str(exc) == message
-        assert exc.details == details
-    else:
-        raise AssertionError("extraction passed on a corrupted tau matrix")
+    for coeffs in ({"h^1": 1}, {"h^0": 1, "h^1": 1}, {"h^2": 1, "h^1": 1},
+                   {"h^0": 1, "h^1": 1, "h^2": 1}):
+        for operation in (steenrod_homological, steenrod_cohomological):
+            try:
+                operation(ModPClass(X, 2, coeffs))
+            except ExtractionFailure as exc:
+                assert str(exc) == message
+                assert exc.details == details
+            else:
+                raise AssertionError("extraction passed on %s" % coeffs)
+    for label in ("h^0", "h^2"):
+        xbar = ModPClass(X, 2, {label: 1})
+        assert steenrod_homological(xbar)[0] == xbar
 
     monkeypatch.setattr(cli, "_load_variety", lambda text: X)
     code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",

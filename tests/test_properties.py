@@ -1,5 +1,5 @@
-"""Property tests on random classes, not just basis cells: the linear maps
-(the Riemann-Roch lift, pushforward and pullback) all go through one shared
+"""Property tests on random classes, not just basis cells: the linear maps (the
+Riemann-Roch lift, pushforward and pullback) all go through one shared
 matrix step, so they must act linearly on any input, and the Atiyah and Bott
 p-adic decompositions must hold on random lattice classes and bundles.  The
 Atiyah decomposition reads psi_p off the cached Adams matrix, and must
@@ -7,17 +7,20 @@ rebuild what adams_lower computes by the tau route.  The operations read S_k
 off the scaled tau-coordinates, and must agree with lifting the x_k and
 reading their tau-vectors, and they must obey the laws of the paper on
 random mod-p classes: additivity, S_0 = id, the x^p rule, and the Cartan
-formula on external products.  The ring exponential and the series log are
-computed by recurrences, and must agree with the power sums they replace on
-random rational input.  todd, theta^p and w^{CH,p} read one cached
-log-weight vector per (series, p, dim) and build the log class in one pass,
-and must agree with rebuilding the series and the power-sum class from
-scratch; and every ring result stores its coefficients as exact ints or
-non-integral Fractions.  The total Chern class is the multiplicative class of
-1 + t, and must match the closed form prod_i (1 + i h)^{a_i} (1 + h)^{b(n+1)}
-of r + sum_i a_i O(i) + b T on P^n.  The operations must not depend on the
-cell basis: shearing one cell into another of its dimension and transporting
-the table, tangent data and tau columns transports every S_k unchanged."""
+formula on external products.  They are read off one cached column per basis
+cell, and must agree with decomposing each homogeneous part of a random
+class as a whole, whichever columns earlier operations cached.  The ring
+exponential and the series log are computed by recurrences, and must agree
+with the power sums they replace on random rational input.  todd, theta^p
+and w^{CH,p} read one cached log-weight vector per (series, p, dim) and
+build the log class in one pass, and must agree with rebuilding the series
+and the power-sum class from scratch; and every ring result stores its
+coefficients as exact ints or non-integral Fractions.  The total Chern class
+is the multiplicative class of 1 + t, and must match the closed form prod_i
+(1 + i h)^{a_i} (1 + h)^{b(n+1)} of r + sum_i a_i O(i) + b T on P^n.  The
+operations must not depend on the cell basis: shearing one cell into another
+of its dimension and transporting the table, tangent data and tau columns
+transports every S_k unchanged."""
 from fractions import Fraction
 from math import factorial
 
@@ -26,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowops import series as S
+from chowops import varieties
 from chowops import (
     CellularVariety,
     ChowClass,
@@ -210,9 +214,11 @@ def modp_classes(draw):
     return ModPClass(X, p, coeffs)
 
 
-def ops_from_lifted_parts(xbar, cohomological):
-    """The operations by the route that lifts each x_k: S_k of the dim-d
-    part is the tau-vector of x_k in dimension d - k(p-1), mod p."""
+def ops_from_lifted_parts(xbar, cohomological, lifted=True):
+    """The operations by the per-class route: atiyah_decompose of the
+    canonical lift of each homogeneous part.  S_k of the dim-d part is the
+    tau-vector of x_k (lifted) or the piece of x_k (not lifted) in dimension
+    d - k(p-1), mod p, then twisted by w^{CH,p}(T_X) when cohomological."""
     X, p = xbar.variety, xbar.p
     dims = xbar.support_dims()
     n_ops = max(d // (p - 1) for d in dims) + 1
@@ -221,9 +227,10 @@ def ops_from_lifted_parts(xbar, cohomological):
     for d in dims:
         lift = k0_from_chow_lift(xbar.dim_component(d).lift())
         dec = atiyah_decompose(lift, p, level=d)
+        vectors = [part.tau for part in dec.parts] if lifted else dec.pieces
         parts = [ModPClass.from_integral(
-                     part.tau.dim_component(d - k * (p - 1)).as_integral(), p)
-                 for k, part in enumerate(dec.parts)]
+                     v.dim_component(d - k * (p - 1)).as_integral(), p)
+                 for k, v in enumerate(vectors)]
         if cohomological:
             total = w * steenrod_total(parts)
             parts = [total.dim_component(d - k * (p - 1))
@@ -238,6 +245,48 @@ def ops_from_lifted_parts(xbar, cohomological):
 def test_operations_match_the_lifted_parts(xbar):
     assert steenrod_homological(xbar) == ops_from_lifted_parts(xbar, False)
     assert steenrod_cohomological(xbar) == ops_from_lifted_parts(xbar, True)
+
+
+CACHE_SPECS = ("P^8", "Q_7", "P^2xP^3", "P^1xP^1xP^1xP^1")
+CACHE_VARIETIES = {name: variety_from_spec(name) for name in CACHE_SPECS}
+
+
+def fresh_variety(name):
+    """The builder's output for name, built anew, so nothing is cached on it."""
+    saved = varieties._VARIETY_CACHE
+    varieties._VARIETY_CACHE = {}
+    try:
+        return variety_from_spec(name)
+    finally:
+        varieties._VARIETY_CACHE = saved
+
+
+@st.composite
+def cache_cases(draw):
+    name = draw(st.sampled_from(CACHE_SPECS))
+    p = draw(st.sampled_from([2, 3, 5]))
+    labels = CACHE_VARIETIES[name].labels()
+    coeffs = draw(st.dictionaries(st.sampled_from(labels),
+                                  st.integers(1, p - 1), min_size=2))
+    return name, p, coeffs, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cache_cases())
+def test_cached_columns_match_the_per_class_route(case):
+    # the cache makes S additive by construction, so compare it with the
+    # route that decomposes each homogeneous part as a whole; the shared
+    # variety holds the columns of every earlier example, the fresh one
+    # only what this example builds, in either order of the conventions
+    name, p, coeffs, coh_first = case
+    warm, fresh = CACHE_VARIETIES[name], fresh_variety(name)
+    conventions = [(False, steenrod_homological), (True, steenrod_cohomological)]
+    for cohomological, S in conventions[::-1] if coh_first else conventions:
+        expected = ops_from_lifted_parts(ModPClass(warm, p, coeffs),
+                                         cohomological, lifted=False)
+        assert S(ModPClass(warm, p, coeffs)) == expected
+        assert [y.coeffs for y in S(ModPClass(fresh, p, coeffs))] == \
+            [y.coeffs for y in expected]
 
 
 OPERATIONS = (steenrod_homological, steenrod_cohomological)

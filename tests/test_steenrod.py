@@ -188,6 +188,89 @@ def test_tables_on_pn_and_products_skip_the_tau_route(monkeypatch):
     assert calls.count("adams_lower") == len(Q5.cells)
 
 
+def count_extractions(monkeypatch):
+    """Empty the builder cache and record, from then on, every extraction
+    (`_psi_pieces`, with the cells its coordinates sit on) and every
+    `apply_matrix` call of the operation path."""
+    from chowops import steenrod
+    from chowops import varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    calls = []
+    psi_pieces, apply_matrix = steenrod._psi_pieces, steenrod.apply_matrix
+
+    def counting_pieces(X, p, d, coords):
+        calls.append(("_psi_pieces", p, tuple(sorted(coords))))
+        return psi_pieces(X, p, d, coords)
+
+    def counting_apply(*args):
+        calls.append(("apply_matrix",))
+        return apply_matrix(*args)
+
+    monkeypatch.setattr(steenrod, "_psi_pieces", counting_pieces)
+    monkeypatch.setattr(steenrod, "apply_matrix", counting_apply)
+    return calls
+
+
+def test_an_operation_builds_one_column_per_input_cell(monkeypatch):
+    calls = count_extractions(monkeypatch)
+    X = projective_space(40)
+    xbar = _bar(X, 5, {"h^3": 1, "h^17": 2})
+    ops = steenrod_homological(xbar)
+    assert sorted(c for c in calls if c[0] == "_psi_pieces") == [
+        ("_psi_pieces", 5, ("h^17",)), ("_psi_pieces", 5, ("h^3",))]
+    assert sorted(X._cache[("sbar", 5, False)]) == ["h^17", "h^3"]
+    # the same op again reads the two cached columns
+    del calls[:]
+    assert steenrod_homological(xbar) == ops
+    assert calls == []
+
+
+def test_cohomological_table_reuses_the_homological_columns(monkeypatch):
+    calls = count_extractions(monkeypatch)
+    X = projective_space(12)
+    for p in (2, 3):
+        for operation in (steenrod_homological, steenrod_cohomological):
+            for label in X.labels():
+                operation(_bar(X, p, {label: 1}))
+    extracted = [c[1:] for c in calls if c[0] == "_psi_pieces"]
+    assert sorted(extracted) == sorted((p, (label,)) for p in (2, 3)
+                                       for label in X.labels())
+
+
+def test_cached_operations_build_no_checked_class(capsys, monkeypatch):
+    # once its columns are cached, table and operate run no validating
+    # ChowClass(...) and no extraction; operate parses its --class input
+    from chowops import cli
+    from chowops.core import ChowClass
+
+    calls = count_extractions(monkeypatch)
+    X = odd_quadric(7)
+    monkeypatch.setattr(cli, "_load_variety", lambda text: X)
+    cli_args = [("table", "--variety", "Q_7", "--p", "3", "--convention", c)
+                for c in ("hom", "coh")]
+    cli_args += [("operate", "--variety", "Q_7", "--p", "3", "--class",
+                  '{"h^0":"1","h^1":"2","l_1":"4"}', "--convention", "coh")]
+    for argv in cli_args:
+        assert cli.main(list(argv)) == 0
+    first = capsys.readouterr().out
+    assert len([c for c in calls if c[0] == "_psi_pieces"]) == len(X.cells)
+
+    checked = []
+    init = ChowClass.__init__
+
+    def counting_init(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ChowClass, "__init__", counting_init)
+    del calls[:]
+    for argv in cli_args:
+        assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == first
+    assert calls == []
+    assert len(checked) == 1  # the --class input of operate
+
+
 def test_s0_is_identity_spot():
     for X in (P2, Q3):
         for label in X.labels():
