@@ -21,13 +21,15 @@ string "n" or "n/d" (`coeff_from_str`).
 Chow classes (`ChowClass`) and their reductions mod p (`ModPClass`) share
 one sparse-vector arithmetic: components by dimension, `+`, `==` and hash.
 Caller input is checked once and built data is trusted.  The public
-`ChowClass(...)`, `ModPClass(...)`, `make_class`, `class_from_json` and
-`apply_matrix` check every label and coefficient; `scale` rejects a float,
-and a mod-p coefficient or scalar must be an integer.  A result the ring
-computes from classes that passed those checks (`+`, `-`, `*`, `scale`,
-`dim_component`, `exp`) goes through the subclass's `_like`, which only
-drops zeros and stores a Fraction with denominator 1 as an integer, or
-reduces mod p.
+`ChowClass(...)`, `ModPClass(...)`, `make_class` and `class_from_json` check
+every label and coefficient; `scale` rejects a float, and a mod-p
+coefficient or scalar must be an integer.  A result the ring computes from
+classes that passed those checks (`+`, `-`, `*`, `scale`, `dim_component`,
+`exp`) goes through the subclass's `_like`, which only drops zeros and
+stores a Fraction with denominator 1 as an integer, or reduces mod p.  So
+does `apply_matrix`, on its target: every matrix it is given was checked
+where it entered (the tau columns, a `Morphism`'s integer matrices) or was
+built by the library (the Adams matrices).
 """
 import re
 from fractions import Fraction
@@ -244,7 +246,7 @@ class CellularVariety:
         return ChowClass(self, self.tau_columns[self.resolve_label(label)])
 
     def tangent_chern_character(self):
-        return ChowClass(self, self.tangent_ch)
+        return _built(self, self.tangent_ch)
 
     def __repr__(self):
         return "CellularVariety(%s, dim=%d, %d cells)" % (
@@ -336,16 +338,9 @@ class ChowClass(_CellVector):
         self.variety = variety
         self.coeffs = _checked(variety, coeffs, _as_coeff)
 
-    def _like(self, coeffs):
-        """A class on self's variety computed from checked classes: its labels
-        are cells and its coefficients ints or Fractions, so only zeros are
-        dropped and a Fraction with denominator 1 is stored as an int."""
-        new = object.__new__(ChowClass)
-        new.variety = self.variety
-        new.coeffs = {l: v.numerator if type(v) is Fraction
-                      and v.denominator == 1 else v
-                      for l, v in coeffs.items() if v}
-        return new
+    def _like(self, coeffs, variety=None):
+        """`_built` on self's variety, or on variety."""
+        return _built(self.variety if variety is None else variety, coeffs)
 
     def is_integral(self):
         return all(not isinstance(v, Fraction) or v.denominator == 1
@@ -422,6 +417,18 @@ class ChowClass(_CellVector):
         return "ChowClass(%s: %s)" % (self.variety.name, format_class(self))
 
 
+def _built(variety, coeffs):
+    """A class on variety computed from checked data: its labels are cells
+    and its coefficients ints or Fractions, so only zeros are dropped and a
+    Fraction with denominator 1 is stored as an int."""
+    new = object.__new__(ChowClass)
+    new.variety = variety
+    new.coeffs = {l: v.numerator if type(v) is Fraction
+                  and v.denominator == 1 else v
+                  for l, v in coeffs.items() if v}
+    return new
+
+
 def _as_int(v):
     """A mod-p coefficient: _as_coeff's rule, and integral."""
     v = _as_coeff(v)
@@ -440,11 +447,12 @@ class ModPClass(_CellVector):
         self.p = p
         self.coeffs = _checked(variety, coeffs, lambda v: _as_int(v) % p)
 
-    def _like(self, coeffs):
-        """A mod-p class computed from checked ones: only reduced mod p."""
+    def _like(self, coeffs, variety=None):
+        """A mod-p class on self's variety, or on variety, computed from
+        checked ones: only reduced mod p."""
         p = self.p
         new = object.__new__(ModPClass)
-        new.variety = self.variety
+        new.variety = self.variety if variety is None else variety
         new.p = p
         new.coeffs = {l: r for l, v in coeffs.items() if (r := v % p)}
         return new
@@ -486,14 +494,13 @@ def make_class(variety, coeffs):
 
 def apply_matrix(matrix, x, target):
     """Image of x under the linear map sending cell l to the vector matrix[l]
-    over the cells of target; a mod-p class maps to a mod-p class."""
+    over the cells of target; a mod-p class maps to a mod-p class.  The
+    matrix is trusted: checked where it entered, or built here."""
     out = {}
     for l, v in x.coeffs.items():
         for l2, s in matrix.get(l, {}).items():
             out[l2] = out.get(l2, 0) + v * s
-    if isinstance(x, ModPClass):
-        return ModPClass(target, x.p, out)
-    return ChowClass(target, out)
+    return x._like(out, target)
 
 
 def kunneth(a, b):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .char_classes import _cached, w_tangent
-from .core import ChowClass, ModPClass, apply_matrix, class_to_json, degree
+from .core import ModPClass, _built, apply_matrix, class_to_json, degree
 from .errors import (
     DimensionMismatch,
     ExtractionFailure,
@@ -123,7 +123,7 @@ def atiyah_decompose(x, p, level=None):
 def _psi_pieces(X, p, d, coords):
     """The scaled coordinates p^{d+k} psi_p(x), split by k, from the
     tau-coordinates of an x of level at most d."""
-    x = ChowClass(X, coords)
+    x = _built(X, coords)
     psi = apply_matrix(adams_matrix(X, p), x, X)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
     # same top dimension, and x and its coordinates the same dimension-d part
@@ -226,9 +226,10 @@ def _column(X, p, label, cohomological):
     if column is not None:
         return column
     if cohomological:
-        w = _cached(X, ("w_T_modp", p),
-                    lambda: ModPClass.from_integral(w_tangent(X, p), p))
-        twisted = X._raw_mul(w.coeffs, _column(X, p, label, False))
+        # w^{CH,p}(T_X) is integral, and reducing after the product is the
+        # same as before
+        twisted = X._raw_mul(w_tangent(X, p).coeffs,
+                             _column(X, p, label, False))
         column = {m: r for m, v in twisted.items() if (r := v % p)}
     else:
         dims, d = X._dims, X._dims[label]

@@ -12,9 +12,15 @@ first read of `tau_columns`, never by an operation on P^n or a product of
 them.  `variety_from_spec` checks the dimension cap and the cell cap
 `MAX_CELLS` on the parsed spec, before anything is built.
 
-Morphisms are finite matrices, not symbolic maps; multiplicativity of the
-pullback and the projection formula are checked exhaustively on basis pairs
-at registration time.
+The morphism catalogue is one table, `_KINDS`.  Morphism kinds and
+`{"type": ...}` variety specs take their parameters by one rule
+(`_arguments`); a morphism is interned under (kind, arguments), a product
+on its factor objects, and every variety a kind builds goes through
+`variety_from_spec`, so the cell cap holds for it too.
+
+Morphisms are finite integer matrices, not symbolic maps; multiplicativity
+of the pullback and the projection formula are checked exhaustively on
+basis pairs when the morphism is built.
 """
 from fractions import Fraction
 from functools import reduce
@@ -41,8 +47,7 @@ from .errors import (
 )
 
 _VARIETY_CACHE = {}
-_MORPHISM_CACHE = {}
-_REGISTRY = []
+_MORPHISM_CACHE = {}  # (kind, arguments) -> Morphism, in build order
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +196,10 @@ def odd_quadric(d):
 
 def product(X, Y):
     """X x Y with the Kunneth basis: cell a x b, and every datum u (x) v of
-    the factors' data u, v (`core.kron`)."""
-    key = ("prod", X.name, Y.name)
-    hit = _VARIETY_CACHE.get(key)
-    if hit is not None and hit._factors == (X, Y):
-        return hit
+    the factors' data u, v (`core.kron`).  Interned on the factor objects."""
+    key = ("prod", X, Y)
+    if key in _VARIETY_CACHE:
+        return _VARIETY_CACHE[key]
 
     def boxsum(u, v):
         # u x 1 + 1 x v, for the additive data: tangent and hyperplane class
@@ -266,10 +270,13 @@ class Morphism:
         self.name = name
         self.source = source
         self.target = target
-        self.push = {a: {b: int(v) for b, v in row.items() if v}
-                     for a, row in push.items()}
-        self.pull = {b: {a: int(v) for a, v in row.items() if v}
-                     for b, row in pull.items()}
+        if any(type(v) is not int for m in (push, pull)
+               for row in m.values() for v in row.values()):
+            raise InvalidVariety("%s: push and pull entries must be integers"
+                                 % name)
+        self.push, self.pull = (
+            {a: {b: v for b, v in row.items() if v} for a, row in m.items()}
+            for m in (push, pull))
         self.proper = proper
         self.lci = lci
         self.flat = flat
@@ -351,49 +358,37 @@ def pullback(f, y):
 
 
 def registered_morphisms():
-    return tuple(_REGISTRY)
+    """Every morphism built so far, in the order of its first build."""
+    return tuple(_MORPHISM_CACHE.values())
 
 
 def build_morphism(kind, **params):
-    """Construct and register a morphism from the finite catalog.
+    """The catalogue morphism of this kind (`_KINDS`) and parameters, built
+    on first use and interned under (kind, arguments).
 
-    Kinds: linear_embedding(m, n), veronese(n, deg), quadric_in_projective(d),
-    linear_in_quadric(j, d), product_projection(factors, onto),
-    pn_self_map(degree).
+    The parameters follow the one rule of `_arguments`.  product_projection's
+    onto defaults to 0, and its factors are resolved by variety_from_spec
+    first, so it is interned on the factor objects.
     """
-    if kind == "product_projection" and "factors" in params:
-        params = dict(params)
-        params["factors"] = tuple(variety_from_spec(f)
-                                  for f in params["factors"])
-    key = (kind, tuple(sorted(
-        (k, v if isinstance(v, (int, str)) else tuple(f.name for f in v))
-        for k, v in params.items())))
-    if key in _MORPHISM_CACHE:
-        return _MORPHISM_CACHE[key]
-
-    if kind == "linear_embedding":
-        f = _linear_embedding(params["m"], params["n"])
-    elif kind == "veronese":
-        f = _veronese(params["n"], params["deg"])
-    elif kind == "quadric_in_projective":
-        f = _quadric_in_projective(params["d"])
-    elif kind == "linear_in_quadric":
-        f = _linear_in_quadric(params["j"], params["d"])
-    elif kind == "product_projection":
-        f = _product_projection(params["factors"], params.get("onto", 0))
-    elif kind == "pn_self_map":
-        f = _pn_self_map(params["degree"])
-    else:
-        raise UnknownKind("no morphism kind %r" % kind)
-    _MORPHISM_CACHE[key] = f
-    _REGISTRY.append(f)
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise UnknownKind("no morphism kind %r; the kinds are %s"
+                          % (kind, ", ".join(_KINDS)))
+    builder, names = _KINDS[kind]
+    if kind == "product_projection":
+        params.setdefault("onto", 0)
+    args = _arguments(kind, names, params)
+    if kind == "product_projection":
+        args = (tuple(variety_from_spec(f) for f in args[0]), args[1])
+    f = _MORPHISM_CACHE.get((kind, args))
+    if f is None:
+        f = _MORPHISM_CACHE[(kind, args)] = builder(*args)
     return f
 
 
 def _linear_embedding(m, n):
     if not 0 <= m <= n:
         raise IncompatibleDimensions("linear embedding needs 0 <= m <= n")
-    Pm, Pn = projective_space(m), projective_space(n)
+    Pm, Pn = variety_from_spec("P^%d" % m), variety_from_spec("P^%d" % n)
     push = {"h^%d" % (m - j): {"h^%d" % (n - j): 1} for j in range(m + 1)}
     pull = {"h^%d" % i: ({"h^%d" % i: 1} if i <= m else {}) for i in range(n + 1)}
     T_f = line_bundle(Pm, 1).scale(-(n - m)) if n > m else \
@@ -405,8 +400,9 @@ def _linear_embedding(m, n):
 def _veronese(n, deg):
     if n < 0 or deg < 1:
         raise IncompatibleDimensions("veronese needs n >= 0, deg >= 1")
+    Pn = variety_from_spec("P^%d" % n)
     N = comb(n + deg, n) - 1
-    Pn, PN = projective_space(n), projective_space(N)
+    PN = variety_from_spec("P^%d" % N)
     push = {"h^%d" % (n - j): {"h^%d" % (N - j): deg ** j} for j in range(n + 1)}
     pull = {"h^%d" % i: ({"h^%d" % i: deg ** i} if i <= n else {})
             for i in range(N + 1)}
@@ -419,8 +415,8 @@ def _veronese(n, deg):
 
 
 def _quadric_in_projective(d):
-    Q = odd_quadric(d)
-    P = projective_space(d + 1)
+    Q = variety_from_spec("Q_%d" % d)
+    P = variety_from_spec("P^%d" % (d + 1))
     m = (d - 1) // 2
     push = {}
     for i in range(m + 1):
@@ -434,12 +430,12 @@ def _quadric_in_projective(d):
 
 
 def _linear_in_quadric(j, d):
-    Q = odd_quadric(d)
+    Q = variety_from_spec("Q_%d" % d)
     m = (d - 1) // 2
     if not 0 <= j <= m:
         raise IncompatibleDimensions(
             "Q_%d contains linear subspaces only up to dimension %d" % (d, m))
-    Pj = projective_space(j)
+    Pj = variety_from_spec("P^%d" % j)
     push = {"h^%d" % (j - a): {"l_%d" % a: 1} for a in range(j + 1)}
     pull = {}
     for i in range(m + 1):
@@ -457,7 +453,7 @@ def _product_projection(factors, onto):
     if len(factors) != 2 or onto not in (0, 1):
         raise IncompatibleDimensions("product_projection needs two factors "
                                      "and onto in {0, 1}")
-    XY = product(*factors)
+    XY = variety_from_spec({"type": "product", "factors": list(factors)})
     tgt, other = factors[onto], factors[1 - onto]
 
     def cell(t, q):
@@ -477,13 +473,24 @@ def _product_projection(factors, onto):
 def _pn_self_map(degree):
     if degree < 1:
         raise IncompatibleDimensions("self map degree must be >= 1")
-    P1 = projective_space(1)
+    P1 = variety_from_spec("P^1")
     push = {"h^0": {"h^0": degree}, "h^1": {"h^1": 1}}
     pull = {"h^0": {"h^0": 1}, "h^1": {"h^1": degree}}
     ch = ChowClass(P1, {"h^1": Fraction(2 - 2 * degree)})
     T_f = VirtualBundle(P1, 0, ch)  # [O(2)] - [O(2m)]
     return Morphism("P^1->P^1:deg%d" % degree, P1, P1, push, pull,
                     proper=True, lci=True, flat=True, T_f=T_f)
+
+
+# the catalogue: kind -> (builder, its parameter names in order)
+_KINDS = {
+    "linear_embedding": (_linear_embedding, ("m", "n")),
+    "veronese": (_veronese, ("n", "deg")),
+    "quadric_in_projective": (_quadric_in_projective, ("d",)),
+    "linear_in_quadric": (_linear_in_quadric, ("j", "d")),
+    "product_projection": (_product_projection, ("factors", "onto")),
+    "pn_self_map": (_pn_self_map, ("degree",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +534,43 @@ def _parse_spec(spec):
             return _builder_spec(odd_quadric, int(text[2:]))
         raise ValueError("cannot parse variety shorthand %r" % text)
     if isinstance(spec, dict):
-        t = spec.get("type")
-        if t == "projective_space":
-            return _builder_spec(projective_space, spec["n"])
-        if t == "odd_quadric":
-            return _builder_spec(odd_quadric, spec["dim"])
-        if t == "product":
-            if not isinstance(spec["factors"], list):
-                raise ValueError("product factors must be a list, got %r"
-                                 % (spec["factors"],))
-            if len(spec["factors"]) < 2:
+        kind = spec.get("type")
+        if not (isinstance(kind, str) and kind in _TYPES):
+            raise ValueError("unknown variety type %r; the types are %s"
+                             % (kind, ", ".join(_TYPES)))
+        (arg,) = _arguments(kind, _TYPES[kind],
+                            {k: v for k, v in spec.items() if k != "type"})
+        if kind == "product":
+            if len(arg) < 2:
                 raise ValueError("product needs at least two factors")
-            return _product_spec([_parse_spec(f) for f in spec["factors"]])
-        raise ValueError("unknown variety type %r" % t)
+            return _product_spec([_parse_spec(f) for f in arg])
+        return _builder_spec(projective_space if kind == "projective_space"
+                             else odd_quadric, arg)
     raise ValueError("variety spec must be a dict or shorthand string")
+
+
+# the {"type": ...} variety specs: type -> its parameter names
+_TYPES = {"projective_space": ("n",), "odd_quadric": ("dim",),
+          "product": ("factors",)}
+
+
+def _arguments(kind, names, params):
+    """The values of params in the order of names, by the one parameter rule
+    of variety types and morphism kinds: each name is given exactly once and
+    nothing else is, factors is a list or tuple of variety specs, and every
+    other parameter is a size, an int and not a bool."""
+    if set(params) == set(names) and all(
+            isinstance(v, (list, tuple)) if name == "factors"
+            else type(v) is int for name, v in params.items()):
+        return tuple(params[name] for name in names)
+    raise ValueError("%s takes exactly %s; got %.200r" % (kind, ", ".join(
+        name + (" (a list)" if name == "factors" else " (an integer)")
+        for name in names), params))
 
 
 def _builder_spec(builder, n):
     # P^n and Q_d have dimension n and d and n + 1 and d + 1 cells; a
     # negative size fails in its builder
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("%s needs an integer size, got %r"
-                         % (builder.__name__, n))
     return max(n, 0), max(n, 0) + 1, lambda: builder(n)
 
 
@@ -559,7 +581,10 @@ def _product_spec(specs):
 
 
 def morphism_from_spec(spec):
-    """Morphism spec JSON mirrors the build_morphism kinds."""
-    kind = spec.get("kind")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return build_morphism(kind, **params)
+    """{"kind": ..., parameter: value, ...}: build_morphism's arguments as
+    JSON."""
+    if not isinstance(spec, dict):
+        raise ValueError("a morphism spec must be a JSON object, got %.40r"
+                         % (spec,))
+    params = dict(spec)
+    return build_morphism(params.pop("kind", None), **params)

@@ -42,3 +42,20 @@ def test_every_named_span_resolves():
              + [spans.MULT_CLASS, spans.MORPHISM])
     missing = [name for name in names if not _resolves(spans, name)]
     assert not missing, missing
+
+
+def test_every_layer_imports():
+    # install() skips a layer that does not import, and its metrics vanish
+    for layer in _load_spans().LAYERS:
+        importlib.import_module("chowops." + layer)
+
+
+def test_every_suite_is_a_public_verify_function():
+    # the verify.<suite>_s metrics time a suite through the wrapper install()
+    # puts on the public function of chowops.verify that SUITES holds
+    from chowops import verify
+    for suite, fn in verify.SUITES.items():
+        assert isinstance(fn, types.FunctionType), suite
+        assert fn.__module__ == verify.__name__, suite
+        assert not fn.__name__.startswith("_"), suite
+        assert vars(verify).get(fn.__name__) is fn, suite

@@ -37,6 +37,7 @@ from chowops import (
     adams_lower,
     atiyah_decompose,
     bott_decompose,
+    build_morphism,
     chern,
     degree,
     external_product,
@@ -54,10 +55,12 @@ from chowops import (
     todd,
     trivial_bundle,
     variety_from_spec,
+    VirtualBundle,
     w_chp,
 )
 from chowops.char_classes import w_tangent
 from chowops.core import apply_matrix
+from chowops.varieties import Morphism
 from chowops.verify import standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
@@ -522,3 +525,102 @@ def test_operations_do_not_depend_on_the_basis(case):
             got = op(ModPClass(Y, p, {l: 1}))
             want = op(ModPClass(X, p, to_old({l: 1})))
             assert got == [ModPClass(Y, p, to_new(s.coeffs)) for s in want]
+
+
+def matmul(first, second):
+    """The matrix of the map `second` after the map `first`, as rows of
+    cell -> image vector."""
+    out = {}
+    for a, row in first.items():
+        image = {}
+        for b, s in row.items():
+            for c, t in second.get(b, {}).items():
+                image[c] = image.get(c, 0) + s * t
+        out[a] = {c: v for c, v in image.items() if v}
+    return out
+
+
+def compose(f, g):
+    """g after f: push matrices multiply, pull matrices multiply, and
+    T_{g f} = T_f + f^* T_g."""
+    assert f.target is g.source
+    T = f.T_f + VirtualBundle(f.source, g.T_f.rank, f.pull_class(g.T_f.ch))
+    return Morphism("%s;%s" % (f.name, g.name), f.source, g.target,
+                    matmul(f.push, g.push), matmul(g.pull, f.pull),
+                    proper=f.proper and g.proper, lci=f.lci and g.lci,
+                    flat=f.flat and g.flat, T_f=T)
+
+
+def nonzero_rows(matrix):
+    return {a: row for a, row in matrix.items() if row}
+
+
+@pytest.mark.parametrize("first, second, direct", [
+    (("linear_in_quadric", {"j": 1, "d": 3}),
+     ("quadric_in_projective", {"d": 3}),
+     ("linear_embedding", {"m": 1, "n": 4})),
+    (("linear_in_quadric", {"j": 2, "d": 5}),
+     ("quadric_in_projective", {"d": 5}),
+     ("linear_embedding", {"m": 2, "n": 6})),
+    (("linear_embedding", {"m": 1, "n": 2}),
+     ("linear_embedding", {"m": 2, "n": 4}),
+     ("linear_embedding", {"m": 1, "n": 4})),
+    (("pn_self_map", {"degree": 2}), ("pn_self_map", {"degree": 3}),
+     ("pn_self_map", {"degree": 6})),
+])
+def test_composites_are_the_catalogue_entries(first, second, direct):
+    # each binds the table's parameters by name: swapping m and n, or j
+    # and d, breaks the chain
+    h = compose(build_morphism(first[0], **first[1]),
+                build_morphism(second[0], **second[1]))
+    f = build_morphism(direct[0], **direct[1])
+    assert (h.source, h.target) == (f.source, f.target)
+    assert nonzero_rows(h.push) == nonzero_rows(f.push)
+    assert nonzero_rows(h.pull) == nonzero_rows(f.pull)
+    assert h.T_f == f.T_f
+
+
+CHAINS = [(f, g) for f in MORPHISMS for g in MORPHISMS if f.target is g.source]
+
+
+def fresh_copy(h):
+    """h on freshly built copies of its source and target, so nothing is
+    cached on them."""
+    saved = varieties._VARIETY_CACHE
+    varieties._VARIETY_CACHE = {}
+    try:
+        X, Y = (variety_from_spec(V.name) for V in (h.source, h.target))
+    finally:
+        varieties._VARIETY_CACHE = saved
+    T = VirtualBundle(X, h.T_f.rank, ChowClass(X, h.T_f.ch.coeffs))
+    return Morphism(h.name, X, Y, h.push, h.pull, proper=h.proper,
+                    lci=h.lci, flat=h.flat, T_f=T)
+
+
+@st.composite
+def chains_and_classes(draw):
+    f, g = draw(st.sampled_from(CHAINS))
+    h = compose(f, g)
+    if draw(st.booleans()):
+        h = fresh_copy(h)
+    p = draw(st.sampled_from([2, 3]))
+    x, y = (ModPClass(V, p, draw(st.dictionaries(
+                st.sampled_from(V.labels()), st.integers(1, p - 1))))
+            for V in (h.source, h.target))
+    return h, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains_and_classes())
+def test_composites_obey_naturality_and_wu(case):
+    # S-bar commutes with the lci pullback, and the proper pushforward
+    # needs the Wu twist w^{CH,p}(-T_h)
+    h, x, y = case
+    p = x.p
+
+    def S(z):
+        return steenrod_total(steenrod_cohomological(z, p))
+
+    assert S(h.pull_class(y)) == h.pull_class(S(y))
+    w = ModPClass.from_integral(w_chp(-h.T_f, p), p)
+    assert S(h.push_class(x)) == h.push_class(w * S(x))

@@ -271,6 +271,31 @@ def test_cached_operations_build_no_checked_class(capsys, monkeypatch):
     assert len(checked) == 1  # the --class input of operate
 
 
+@pytest.mark.parametrize("operation", [steenrod_homological,
+                                       steenrod_cohomological])
+def test_cold_columns_build_no_checked_class(monkeypatch, operation):
+    # the extraction wraps its coordinates, and apply_matrix its result,
+    # without the validating constructors: their data is already checked
+    from chowops.core import ChowClass
+
+    calls = count_extractions(monkeypatch)
+    X = projective_space(12)
+    inputs = [_bar(X, 3, {label: 1}) for label in X.labels()]
+    checked = []
+    for cls in (ChowClass, ModPClass):
+        init = cls.__init__
+
+        def counting_init(self, *args, init=init):
+            checked.append((type(self).__name__, args))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for xbar in inputs:
+        operation(xbar)
+    assert len([c for c in calls if c[0] == "_psi_pieces"]) == len(X.cells)
+    assert checked == []
+
+
 def test_s0_is_identity_spot():
     for X in (P2, Q3):
         for label in X.labels():

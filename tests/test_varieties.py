@@ -1,4 +1,5 @@
 """Builders and the morphism catalog, cross-checked against sympy series."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from chowops import (
     projective_space,
     pullback,
     pushforward,
+    registered_morphisms,
     variety_from_spec,
 )
 from chowops import series as S
@@ -27,6 +29,7 @@ from chowops.errors import (
     EvenDimensionUnsupported,
     FlagViolation,
     IncompatibleDimensions,
+    InvalidVariety,
     UnknownKind,
     VarietyMismatch,
 )
@@ -488,6 +491,107 @@ def test_registry_is_append_only():
     assert len(after) == len(before) + 1 and after[-1] is f
     assert build_morphism("pn_self_map", degree=7) is f
     assert len(registered_morphisms()) == len(after)
+
+
+def test_one_map_is_one_morphism():
+    # onto defaults to 0, so leaving it out names the same map
+    P1, P2 = projective_space(1), projective_space(2)
+    f = build_morphism("product_projection", factors=(P1, P2))
+    assert build_morphism("product_projection", factors=(P1, P2), onto=0) is f
+    assert build_morphism("product_projection", factors=["P^1", "P^2"]) is f
+    assert [g for g in registered_morphisms() if g.name == f.name] == [f]
+
+
+def raw_copy(X):
+    """X as a table given to CellularVariety directly, under X's name."""
+    return CellularVariety(X.name, X.dim, X.cells, dict(X._table),
+                           X.degree_vector, X.tangent_ch, X.tau_columns)
+
+
+def test_products_and_projections_are_interned_on_objects():
+    P1, P2 = projective_space(1), projective_space(2)
+    raw = raw_copy(P1)
+    assert product(raw, P2) is product(raw, P2)
+    assert product(raw, P2) is not product(P1, P2)
+    f = build_morphism("product_projection", factors=(raw, P2))
+    assert f.source is product(raw, P2) and f.target is raw
+    g = build_morphism("product_projection", factors=(P1, P2))
+    assert g is not f and g.source is product(P1, P2)
+
+
+MALFORMED_MORPHISM_SPECS = [
+    {"kind": "veronese", "n": 1, "deg": 2, "note": "x"},  # unknown parameter
+    {"kind": "veronese", "n": 1},                         # missing parameter
+    {"kind": "linear_embedding", "m": 1.5, "n": 2},       # a float size
+    {"kind": "veronese", "n": 1, "deg": True},            # a bool size
+    {"kind": "pn_self_map", "degree": "2"},               # a string size
+    {"kind": "product_projection", "factors": "P^1xP^2"},  # not a list
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_MORPHISM_SPECS)
+def test_malformed_morphism_specs_name_the_kind(spec):
+    before = registered_morphisms()
+    with pytest.raises(ValueError, match=r"^%s takes exactly " % spec["kind"]):
+        morphism_from_spec(spec)
+    assert registered_morphisms() == before
+
+
+def test_a_morphism_spec_must_be_an_object():
+    for spec in ([1], "veronese", None):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            morphism_from_spec(spec)
+    with pytest.raises(UnknownKind):
+        morphism_from_spec({"kind": ["veronese"]})
+
+
+def build_only_small(monkeypatch):
+    """Let the builders make P^n and Q_d with n, d <= 17 and nothing else."""
+    for name in ("projective_space", "odd_quadric", "product"):
+        builder = getattr(V, name)
+
+        def spy(*args, name=name, builder=builder):
+            if name == "product" or args[0] > 17:
+                raise AssertionError("%s%r reached its builder" % (name, args))
+            return builder(*args)
+
+        monkeypatch.setattr(V, name, spy)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("veronese", {"n": 8, "deg": 8}),        # P^12869: 12870 cells
+    ("linear_embedding", {"m": 1, "n": 300}),
+    ("quadric_in_projective", {"d": 301}),
+    ("linear_in_quadric", {"j": 1, "d": 301}),
+    ("product_projection", {"factors": ["P^15", "P^16"]}),
+])
+def test_catalogue_varieties_are_capped_before_building(monkeypatch, kind,
+                                                        params):
+    build_only_small(monkeypatch)
+    with pytest.raises(ValueError, match="cell cap 256"):
+        build_morphism(kind, **params)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type":"projective_space"}',
+    '{"type":"projective_space","n":2,"dim":9}',
+    '{"type":"odd_quadric","dim":true}',
+    '{"type":"product","factors":"P^1xP^1"}',
+])
+def test_malformed_variety_specs_name_the_type(capsys, spec):
+    assert main(["describe", "--variety", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s takes exactly " % json.loads(spec)["type"])
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), True, "2"])
+def test_morphism_matrices_must_be_integers(bad):
+    f = build_morphism("pn_self_map", degree=2)
+    for push, pull in (({**f.push, "h^1": {"h^1": bad}}, f.pull),
+                       (f.push, {**f.pull, "h^1": {"h^1": bad}})):
+        with pytest.raises(InvalidVariety, match="must be integers"):
+            Morphism("bad", f.source, f.target, push, pull,
+                     proper=True, lci=True, flat=True, T_f=f.T_f)
 
 
 def test_floats_are_rejected():
