@@ -17,7 +17,13 @@ from fractions import Fraction
 from math import factorial
 
 from . import series as S
-from .core import class_from_json, coeff_from_str, coeff_to_str
+from .core import (
+    _exp,
+    _integer_form,
+    class_from_json,
+    coeff_from_str,
+    coeff_to_str,
+)
 from .errors import (
     IntegralityViolation,
     NonInvertibleSeries,
@@ -44,14 +50,16 @@ class SeriesSpec:
         return S.series(self.coeffs, n)
 
     def weights(self, n):
-        """(f_0, [w_0, ..., w_n]) with w_k = k! [t^k] log(f / f_0).
+        """(f_0, {k: W_k}, d) for k = 0..n: the log weights
+        w_k = k! [t^k] log(f / f_0) as integers W_k = d w_k over one
+        denominator d.
 
         Computed on the first call for each n and kept on the spec."""
         if n not in self._weights:
             f = self.truncated(n)
             logs = S.slog(S.sscale(1 / f[0], f, n), n)
-            self._weights[n] = (f[0], [factorial(k) * c
-                                       for k, c in enumerate(logs)])
+            self._weights[n] = (f[0], *_integer_form(
+                {k: factorial(k) * c for k, c in enumerate(logs)}))
         return self._weights[n]
 
 
@@ -141,13 +149,18 @@ def tangent_bundle(X):
 
 
 def multiplicative_class(spec, e):
-    """Unique multiplicative extension of a per-root series to virtual bundles."""
+    """Unique multiplicative extension of a per-root series to virtual bundles.
+
+    The log class u[l] = w_{codim l} ch[l] is formed in integers, over the
+    weights' denominator times ch's, and a0^rank rides along into the one
+    division per cell of the exponential (`core._exp`); w_0 = 0, so u has
+    no codim-0 part."""
     X = e.variety
     n, dims = X.dim, X._dims
-    a0, w = spec.weights(n)
-    u = {l: w[n - dims[l]] * v for l, v in e.ch.coeffs.items()
-         if dims[l] != n}
-    return e.ch._like(u).exp().scale(a0 ** e.rank)
+    a0, w, d = spec.weights(n)
+    ch, dc = _integer_form(e.ch.coeffs)
+    u = {l: c for l, v in ch.items() if (c := w[n - dims[l]] * v)}
+    return _exp(X, u, d * dc, a0 ** e.rank)
 
 
 _SPECS = {}  # (name, n) -> SeriesSpec of a built-in per-root series

@@ -1,9 +1,15 @@
 """Exact graded commutative algebra over the cell basis of a cellular variety.
 
-Chow classes are sparse coefficient vectors over the cells.  A coefficient
-is an arbitrary-precision integer, or a Fraction where Riemann-Roch brings in
-denominators; a Fraction with denominator 1 is stored as an integer, so
-whether a class is integral is read off its coefficients.  The ring
+Chow classes are sparse coefficient vectors over the cells.  A stored
+coefficient is an arbitrary-precision integer, or a reduced Fraction where
+Riemann-Roch brings in denominators; a Fraction with denominator 1 is stored
+as an integer, so whether a class is integral is read off its coefficients.
+Rationals are computed as integers over one denominator, divided once: the
+ring product, the exponential (`_exp`) and `apply_matrix` scale each operand
+to integers over the lcm of its denominators (`_integer_form`), run their
+loops in integers, and divide each cell of the result once (`_quotient`).
+A matrix (`Matrix`) is stored in that form, columns over one denominator.
+The ring
 structure comes from a finite table of structure constants.  Each entry is
 checked for grading, commutativity and unitality as it is read, and a table
 given directly is checked exhaustively for associativity; the builders'
@@ -26,14 +32,17 @@ every label and coefficient; `scale` rejects a float, and a mod-p
 coefficient or scalar must be an integer.  A result the ring computes from
 classes that passed those checks (`+`, `-`, `*`, `scale`, `dim_component`,
 `exp`) goes through the subclass's `_like`, which only drops zeros and
-stores a Fraction with denominator 1 as an integer, or reduces mod p.  So
-does `apply_matrix`, on its target: every matrix it is given was checked
+stores a Fraction with denominator 1 as an integer, or divides integers
+over their denominator once per cell, or reduces mod p.  So does
+`apply_matrix`, on its target: every matrix it is given was checked
 where it entered (the tau columns, a `Morphism`'s integer matrices) or was
 built by the library (the Adams matrices).
 """
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     InvalidVariety,
@@ -156,17 +165,17 @@ class CellularVariety:
         return table
 
     def _raw_mul(self, va, vb):
-        """Multiply sparse label->coefficient dicts through the table."""
+        """Multiply sparse label->integer dicts through the table."""
+        table = self._table
         out = {}
         for a, ca in va.items():
-            if not ca:
-                continue
             for b, cb in vb.items():
-                if not cb:
-                    continue
-                for c, s in self._table.get((a, b), {}).items():
-                    out[c] = out.get(c, 0) + ca * cb * s
-        return {c: v for c, v in out.items() if v}
+                row = table.get((a, b))
+                if row:
+                    c = ca * cb
+                    for r, s in row.items():
+                        out[r] = out.get(r, 0) + c * s
+        return {r: v for r, v in out.items() if v}
 
     def _check_associativity(self):
         labels = self.labels()
@@ -187,9 +196,9 @@ class CellularVariety:
         return self._checked_tau(self._tau_source())
 
     def _checked_tau(self, columns):
-        """columns as Fractions without zeros, checked to be unitriangular:
-        one column per cell, entry 1 on the diagonal and every other entry
-        in a cell of lower dimension."""
+        """columns as a `Matrix`, checked to be unitriangular: one column
+        per cell, entry 1 on the diagonal and every other entry in a cell of
+        lower dimension."""
         tau = {str(c): {str(r): Fraction(v) for r, v in col.items() if v}
                for c, col in columns.items()}
         if set(tau) != set(self._dims):
@@ -206,7 +215,7 @@ class CellularVariety:
                     raise InvalidVariety(
                         "tau column %r is not triangular (entry at %r)"
                         % (col, row))
-        return tau
+        return Matrix.of(tau)
 
     # -- basic queries --------------------------------------------------------
 
@@ -338,9 +347,10 @@ class ChowClass(_CellVector):
         self.variety = variety
         self.coeffs = _checked(variety, coeffs, _as_coeff)
 
-    def _like(self, coeffs, variety=None):
+    def _like(self, coeffs, variety=None, den=1):
         """`_built` on self's variety, or on variety."""
-        return _built(self.variety if variety is None else variety, coeffs)
+        return _built(self.variety if variety is None else variety, coeffs,
+                      den)
 
     def is_integral(self):
         return all(not isinstance(v, Fraction) or v.denominator == 1
@@ -365,7 +375,9 @@ class ChowClass(_CellVector):
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
-            return self._like(self.variety._raw_mul(self.coeffs, other.coeffs))
+            a, da = _integer_form(self.coeffs)
+            b, db = _integer_form(other.coeffs)
+            return self._like(self.variety._raw_mul(a, b), den=da * db)
         return self.scale(other)
 
     def scale(self, c):
@@ -381,52 +393,85 @@ class ChowClass(_CellVector):
         return out
 
     def exp(self):
-        """e^x for x supported in positive codimension, where the series stops.
-
-        The grading derivation D (multiplication by i in codimension i)
-        satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
-        k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
-        The E_k are coefficient dicts, divided exactly by k and normalized, so
-        an integral e^x (a total Chern class) is built from ints; they sit in
-        distinct codimensions, so e^x is their union.
-        """
-        V = self.variety
-        if V.fundamental in self.coeffs:
+        """e^x for x supported in positive codimension, where the series
+        stops; computed in integers by `_exp`."""
+        if self.variety.fundamental in self.coeffs:
             raise SeriesDomainError("exp needs x in positive codimension, "
                                     "got %s" % format_class(self))
-        n, dims = V.dim, V._dims
-        dx = [{} for _ in range(n + 1)]
-        Dx = self._like({l: (n - dims[l]) * v for l, v in self.coeffs.items()})
-        for l, v in Dx.coeffs.items():
-            dx[n - dims[l]][l] = v
-        E = [{V.fundamental: 1}]
-        total = dict(E[0])
-        for k in range(1, V.dim + 1):
-            E_k = {}
-            for i in range(1, k + 1):
-                if dx[i] and E[k - i]:
-                    for l, v in V._raw_mul(dx[i], E[k - i]).items():
-                        E_k[l] = E_k.get(l, 0) + v
-            inv_k = Fraction(1, k)
-            E_k = self._like({l: v * inv_k for l, v in E_k.items()}).coeffs
-            E.append(E_k)
-            total.update(E_k)
-        return self._like(total)
+        return _exp(self.variety, *_integer_form(self.coeffs))
 
     def __repr__(self):
         return "ChowClass(%s: %s)" % (self.variety.name, format_class(self))
 
 
-def _built(variety, coeffs):
-    """A class on variety computed from checked data: its labels are cells
-    and its coefficients ints or Fractions, so only zeros are dropped and a
-    Fraction with denominator 1 is stored as an int."""
+def _built(variety, coeffs, den=1):
+    """A class on variety computed from checked data: its labels are cells.
+    With den 1 its coefficients are ints or Fractions, so only zeros are
+    dropped and a Fraction with denominator 1 is stored as an int; otherwise
+    they are integers over den, divided once per cell (`_quotient`)."""
     new = object.__new__(ChowClass)
     new.variety = variety
-    new.coeffs = {l: v.numerator if type(v) is Fraction
-                  and v.denominator == 1 else v
-                  for l, v in coeffs.items() if v}
+    if den == 1:
+        new.coeffs = {l: v.numerator if type(v) is Fraction
+                      and v.denominator == 1 else v
+                      for l, v in coeffs.items() if v}
+    else:
+        new.coeffs = {l: _quotient(v, den) for l, v in coeffs.items() if v}
     return new
+
+
+def _integer_form(coeffs):
+    """(integers, d): coeffs, ints and Fractions, as integers over d, the
+    lcm of their denominators; a dict of ints comes back as it is."""
+    dens = [v.denominator for v in coeffs.values() if type(v) is not int]
+    if not dens:
+        return coeffs, 1
+    d = lcm(*dens)
+    return {l: v * d if type(v) is int else v.numerator * (d // v.denominator)
+            for l, v in coeffs.items()}, d
+
+
+def _quotient(v, d):
+    """v / d for integers, as a class stores it: an int when d divides v,
+    else a reduced Fraction."""
+    q, r = divmod(v, d)
+    return Fraction(v, d) if r else q
+
+
+def _exp(V, num, d, f=1):
+    """f e^x on V for x = num / d, with num integers supported in positive
+    codimension and f an int or Fraction: the one ring exponential.
+
+    The grading derivation D (multiplication by i in codimension i)
+    satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
+    k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
+    It runs in integers: with y_i = i num_i and G_k = k! d^k E_k, which is
+    integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, one
+    cell product per pair (i, k - i), and f E_k is G_k f divided by k! d^k,
+    once per cell.  The E_k sit in distinct codimensions, so f e^x is their
+    union.
+    """
+    n, dims = V.dim, V._dims
+    y = [{} for _ in range(n + 1)]
+    for l, v in num.items():
+        i = n - dims[l]
+        y[i][l] = i * v
+    fn, den = f.numerator, f.denominator  # den runs through k! d^k f_den
+    G = [{V.fundamental: 1}]
+    total = {V.fundamental: _quotient(fn, den)}
+    for k in range(1, n + 1):
+        G_k = {}
+        c = 1  # (k-1)!/(k-i)! d^(i-1)
+        for i in range(1, k + 1):
+            if y[i] and G[k - i]:
+                for l, v in V._raw_mul(y[i], G[k - i]).items():
+                    G_k[l] = G_k.get(l, 0) + c * v
+            c *= (k - i) * d
+        G.append(G_k)
+        den *= k * d
+        for l, v in G_k.items():
+            total[l] = _quotient(v * fn, den)
+    return _built(V, total)
 
 
 def _as_int(v):
@@ -447,10 +492,12 @@ class ModPClass(_CellVector):
         self.p = p
         self.coeffs = _checked(variety, coeffs, lambda v: _as_int(v) % p)
 
-    def _like(self, coeffs, variety=None):
+    def _like(self, coeffs, variety=None, den=1):
         """A mod-p class on self's variety, or on variety, computed from
         checked ones: only reduced mod p."""
         p = self.p
+        if den != 1:
+            raise TypeError("a mod-%d class cannot be divided by %d" % (p, den))
         new = object.__new__(ModPClass)
         new.variety = self.variety if variety is None else variety
         new.p = p
@@ -492,15 +539,63 @@ def make_class(variety, coeffs):
                                for l, v in coeffs.items()})
 
 
+class Matrix(Mapping):
+    """A sparse linear map over cells, stored in its integer form: `ints`,
+    {column cell: {row cell: integer}}, is the columns times `den`, one
+    common denominator of every entry, and is what `apply_matrix` reads.
+
+    Read as a mapping it is {column cell: {row cell: entry}}, the entries
+    ints and reduced Fractions without zeros: each column is divided out on
+    its first read and kept, so a matrix only ever applied (an Adams
+    matrix) holds no Fraction.  Built once, from the integer form, or from
+    the entries by `of`; treat it as read-only.
+    """
+
+    __slots__ = ("ints", "den", "_columns")
+
+    def __init__(self, ints, den):
+        self.ints = ints
+        self.den = den
+        self._columns = ints if den == 1 else {}
+
+    @classmethod
+    def of(cls, columns):
+        """The Matrix of columns of ints and Fractions, over their lcm."""
+        den = lcm(*[v.denominator for col in columns.values()
+                    for v in col.values()])
+        return cls({c: {r: v.numerator * (den // v.denominator)
+                        for r, v in col.items()}
+                    for c, col in columns.items()}, den)
+
+    def __getitem__(self, c):
+        column = self._columns.get(c)
+        if column is None:
+            column = self._columns[c] = {r: _quotient(v, self.den)
+                                         for r, v in self.ints[c].items()}
+        return column
+
+    def __iter__(self):
+        return iter(self.ints)
+
+    def __len__(self):
+        return len(self.ints)
+
+
 def apply_matrix(matrix, x, target):
     """Image of x under the linear map sending cell l to the vector matrix[l]
-    over the cells of target; a mod-p class maps to a mod-p class.  The
-    matrix is trusted: checked where it entered, or built here."""
+    over the cells of target; a mod-p class maps to a mod-p class.
+
+    It runs on the integer forms: x as integers over one denominator d, the
+    Matrix as its `ints` over its `den`, and each image cell is divided once
+    by d * den.  The matrix is trusted: checked where it entered, or built
+    by the library."""
+    num, d = _integer_form(x.coeffs)
+    columns = matrix.ints
     out = {}
-    for l, v in x.coeffs.items():
-        for l2, s in matrix.get(l, {}).items():
-            out[l2] = out.get(l2, 0) + v * s
-    return x._like(out, target)
+    for l, v in num.items():
+        for r, s in columns.get(l, {}).items():
+            out[r] = out.get(r, 0) + v * s
+    return x._like(out, target, d * matrix.den)
 
 
 def kunneth(a, b):

@@ -30,6 +30,7 @@ from .char_classes import (
 )
 from .core import (
     ChowClass,
+    Matrix,
     apply_matrix,
     class_from_json,
     class_to_json,
@@ -223,7 +224,8 @@ def adams_matrix(X, p):
     """psi_p in the basis [O_Z] of K_0, built once per (X, p).
 
     Column l holds the tau-coordinates of psi_p([O_{Z_l}]); the entries have
-    only powers of p as denominators.  On P^n it is a closed form, on a
+    only powers of p as denominators, and it is a `core.Matrix`, stored in
+    integer form.  On P^n it is a closed form, on a
     product the Kronecker product of the factors' matrices (K_0(X x Y) =
     K_0(X) (x) K_0(Y), and psi^p and theta^p are multiplicative), and
     otherwise (Q_d, a table given to CellularVariety directly) the columns
@@ -240,11 +242,12 @@ def _adams_columns(X, p):
         return _projective_adams(X.dim, p)
     if builder == "product":
         A, B = (adams_matrix(F, p) for F in X._factors)
-        return {kunneth(a, b): kron(A[a], B[b]) for a in A for b in B}
+        return Matrix({kunneth(a, b): kron(A.ints[a], B.ints[b])
+                       for a in A for b in B}, A.den * B.den)
     lattice = tau_lattice(X)
-    return {l: lattice.coordinates(
-                adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
-            for l in X.labels()}
+    return Matrix.of({l: lattice.coordinates(
+                          adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
+                      for l in X.labels()})
 
 
 def _projective_adams(n, p):
@@ -255,7 +258,9 @@ def _projective_adams(n, p):
     psi^p(x^j) = x^j theta^j and theta^p(-T) = p theta^{-(n+1)}, so column j
     is p x^j u^{n+1-j} with u = 1/theta.  In integers u_m = U_m / p^{m+1},
     and the coefficients of u^e are V_m / p^{m+e}, so u^e is one running
-    integer product, the mirror of the tau columns h^j td^{n+1-j}.
+    integer product, the mirror of the tau columns h^j td^{n+1-j}.  The
+    entry V_m / p^{m+e-1} of column j is at most p^{2n} in its denominator,
+    so the matrix is written straight into its integer form over p^{2n}.
     """
     theta = []
     c = 1
@@ -274,9 +279,9 @@ def _projective_adams(n, p):
         if e > 1:
             V = [sum(V[i] * U[m - i] for i in range(m + 1))
                  for m in range(n + 1)]
-        cols["h^%d" % j] = {"h^%d" % (j + m): Fraction(V[m], p ** (m + e - 1))
+        cols["h^%d" % j] = {"h^%d" % (j + m): V[m] * p ** (n + j - m)
                             for m in range(n - j + 1) if V[m]}
-    return cols
+    return Matrix(cols, p ** (2 * n))
 
 
 def _p_adic_split(coords, p, top, shift):

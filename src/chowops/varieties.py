@@ -22,6 +22,7 @@ Morphisms are finite integer matrices, not symbolic maps; multiplicativity
 of the pullback and the projection formula are checked exhaustively on
 basis pairs when the morphism is built.
 """
+import re
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
@@ -31,6 +32,7 @@ from .char_classes import VirtualBundle, tangent_bundle
 from .core import (
     CellularVariety,
     ChowClass,
+    Matrix,
     ModPClass,
     apply_matrix,
     kron,
@@ -275,7 +277,8 @@ class Morphism:
             raise InvalidVariety("%s: push and pull entries must be integers"
                                  % name)
         self.push, self.pull = (
-            {a: {b: v for b, v in row.items() if v} for a, row in m.items()}
+            Matrix({a: {b: v for b, v in row.items() if v}
+                    for a, row in m.items()}, 1)
             for m in (push, pull))
         self.proper = proper
         self.lci = lci
@@ -385,10 +388,20 @@ def build_morphism(kind, **params):
     return f
 
 
+def _pn(n):
+    # a catalogue variety goes through variety_from_spec as a dict spec, so
+    # the cell cap is checked before its size is ever formatted
+    return variety_from_spec({"type": "projective_space", "n": n})
+
+
+def _qd(d):
+    return variety_from_spec({"type": "odd_quadric", "dim": d})
+
+
 def _linear_embedding(m, n):
     if not 0 <= m <= n:
         raise IncompatibleDimensions("linear embedding needs 0 <= m <= n")
-    Pm, Pn = variety_from_spec("P^%d" % m), variety_from_spec("P^%d" % n)
+    Pm, Pn = _pn(m), _pn(n)
     push = {"h^%d" % (m - j): {"h^%d" % (n - j): 1} for j in range(m + 1)}
     pull = {"h^%d" % i: ({"h^%d" % i: 1} if i <= m else {}) for i in range(n + 1)}
     T_f = line_bundle(Pm, 1).scale(-(n - m)) if n > m else \
@@ -400,9 +413,9 @@ def _linear_embedding(m, n):
 def _veronese(n, deg):
     if n < 0 or deg < 1:
         raise IncompatibleDimensions("veronese needs n >= 0, deg >= 1")
-    Pn = variety_from_spec("P^%d" % n)
+    Pn = _pn(n)
     N = comb(n + deg, n) - 1
-    PN = variety_from_spec("P^%d" % N)
+    PN = _pn(N)
     push = {"h^%d" % (n - j): {"h^%d" % (N - j): deg ** j} for j in range(n + 1)}
     pull = {"h^%d" % i: ({"h^%d" % i: deg ** i} if i <= n else {})
             for i in range(N + 1)}
@@ -415,8 +428,8 @@ def _veronese(n, deg):
 
 
 def _quadric_in_projective(d):
-    Q = variety_from_spec("Q_%d" % d)
-    P = variety_from_spec("P^%d" % (d + 1))
+    Q = _qd(d)
+    P = _pn(d + 1)
     m = (d - 1) // 2
     push = {}
     for i in range(m + 1):
@@ -430,12 +443,12 @@ def _quadric_in_projective(d):
 
 
 def _linear_in_quadric(j, d):
-    Q = variety_from_spec("Q_%d" % d)
+    Q = _qd(d)
     m = (d - 1) // 2
     if not 0 <= j <= m:
         raise IncompatibleDimensions(
             "Q_%d contains linear subspaces only up to dimension %d" % (d, m))
-    Pj = variety_from_spec("P^%d" % j)
+    Pj = _pn(j)
     push = {"h^%d" % (j - a): {"l_%d" % a: 1} for a in range(j + 1)}
     pull = {}
     for i in range(m + 1):
@@ -473,7 +486,7 @@ def _product_projection(factors, onto):
 def _pn_self_map(degree):
     if degree < 1:
         raise IncompatibleDimensions("self map degree must be >= 1")
-    P1 = variety_from_spec("P^1")
+    P1 = _pn(1)
     push = {"h^0": {"h^0": degree}, "h^1": {"h^1": 1}}
     pull = {"h^0": {"h^0": 1}, "h^1": {"h^1": degree}}
     ch = ChowClass(P1, {"h^1": Fraction(2 - 2 * degree)})
@@ -509,12 +522,11 @@ def variety_from_spec(spec, max_dim=None):
     parsed spec, before anything is built.
     """
     dim, cells, build = _parse_spec(spec)
+    # the messages leave the size out: it may be too long to print
     if max_dim is not None and dim > max_dim:
-        raise ValueError("variety of dimension %d exceeds the dimension cap %d"
-                         % (dim, max_dim))
+        raise ValueError("variety exceeds the dimension cap %d" % max_dim)
     if cells > MAX_CELLS:
-        raise ValueError("variety with %d cells exceeds the cell cap %d"
-                         % (cells, MAX_CELLS))
+        raise ValueError("variety exceeds the cell cap %d" % MAX_CELLS)
     return build()
 
 
@@ -528,10 +540,14 @@ def _parse_spec(spec):
         if len(parts) > 1:
             return _product_spec([_parse_spec(part) for part in parts])
         text = spec.strip()
-        if text.startswith("P^"):
-            return _builder_spec(projective_space, int(text[2:]))
-        if text.startswith("Q_"):
-            return _builder_spec(odd_quadric, int(text[2:]))
+        for prefix, builder in (("P^", projective_space), ("Q_", odd_quadric)):
+            if text.startswith(prefix):
+                size = text[len(prefix):]
+                if not re.fullmatch("[0-9]+", size):
+                    raise ValueError("variety shorthand %.40r needs a "
+                                     "non-negative integer after %s"
+                                     % (text, prefix))
+                return _builder_spec(builder, int(size))
         raise ValueError("cannot parse variety shorthand %r" % text)
     if isinstance(spec, dict):
         kind = spec.get("type")

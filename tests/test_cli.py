@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import chowops
 from chowops.cli import main
 from chowops.errors import (
@@ -44,6 +46,16 @@ def test_describe_malformed_spec_exits_2(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "describe", "--variety", '{broken json')
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["P^1.5", "Q_1.0", "P^", "P^ 3", "P^+3",
+                                  "P^\u0663"])
+def test_malformed_shorthand_sizes_exit_2(capsys, spec):
+    # a size is ASCII digits: no fraction, sign, space or other script's digit
+    code, out, err = run(capsys, "describe", "--variety", spec)
+    assert code == 2 and out == ""
+    assert err == ("error: variety shorthand %r needs a non-negative integer "
+                   "after %s\n" % (spec, spec[:2]))
 
 
 def test_operate_line_class_mod_2(capsys):

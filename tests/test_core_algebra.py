@@ -149,6 +149,45 @@ def test_exp_makes_at_most_quadratically_many_products(monkeypatch, n):
     assert 0 < sum(cell_products) <= n * (n + 1) // 2
 
 
+def count_fraction_work(monkeypatch):
+    """Counters of Fraction multiplications and of Fractions built."""
+    counts = {"mul": 0, "new": 0}
+    new, mul, rmul = Fraction.__new__, Fraction.__mul__, Fraction.__rmul__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting(op):
+        def spy(a, b):
+            counts["mul"] += 1
+            return op(a, b)
+        return spy
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Fraction, "__mul__", counting(mul))
+    monkeypatch.setattr(Fraction, "__rmul__", counting(rmul))
+    return counts
+
+
+def test_product_and_exp_divide_once_per_cell(monkeypatch):
+    # the engine scales each operand to integers over one denominator and
+    # divides once per output cell: no Fraction product, and at most one
+    # Fraction built per cell of the result
+    X = projective_space(8)
+    x = make_class(X, {"h^%d" % i: Fraction(2 * i + 1, 3 ** i + 4)
+                       for i in range(9)})
+    y = make_class(X, {"h^%d" % i: Fraction(i - 7, 2 ** i * 5)
+                       for i in range(9)})
+    u = x - x.codim_component(0)
+    counts = count_fraction_work(monkeypatch)
+    for compute in (lambda: x * y, u.exp):
+        counts.update(mul=0, new=0)
+        z = compute()
+        assert counts["mul"] == 0
+        assert 0 < counts["new"] <= len(z.coeffs) == 9
+
+
 def test_modp_reduction():
     x = make_class(P2, {"h^1": 5, "h^2": -1})
     xbar = ModPClass.from_integral(x, 3)

@@ -20,9 +20,12 @@ is the multiplicative class of 1 + t, and must match the closed form prod_i
 (1 + i h)^{a_i} (1 + h)^{b(n+1)} of r + sum_i a_i O(i) + b T on P^n.  The
 operations must not depend on the cell basis: shearing one cell into another
 of its dimension and transporting the table, tangent data and tau columns
-transports every S_k unchanged."""
+transports every S_k unchanged.  The ring product, the exponential and every
+matrix apply run on integers over one denominator, and must agree with plain
+Fraction arithmetic on random rational classes whose denominators mix powers
+of p, factorials and large primes."""
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +38,7 @@ from chowops import (
     ChowClass,
     ModPClass,
     adams_lower,
+    adams_matrix,
     atiyah_decompose,
     bott_decompose,
     build_morphism,
@@ -624,3 +628,81 @@ def test_composites_obey_naturality_and_wu(case):
     assert S(h.pull_class(y)) == h.pull_class(S(y))
     w = ModPClass.from_integral(w_chp(-h.T_f, p), p)
     assert S(h.push_class(x)) == h.push_class(w * S(x))
+
+
+# -- the integer engine against a Fraction oracle -------------------------------
+
+# denominators the engine meets: powers of p, factorials, and large primes
+DENOMINATORS = [2 ** 9, 3 ** 5, 5 ** 4, factorial(7), factorial(9),
+                1000003, 2 ** 61 - 1]
+oracle_rationals = st.builds(
+    lambda n, dens: Fraction(n, prod(dens)), st.integers(-10 ** 9, 10 ** 9),
+    st.lists(st.sampled_from(DENOMINATORS), max_size=3))
+
+
+def oracle_class(draw, X, positive=False):
+    cells = [l for l in X.labels() if not positive or l != X.fundamental]
+    return make_class(X, draw(st.dictionaries(st.sampled_from(cells),
+                                              oracle_rationals, max_size=5)))
+
+
+def oracle_mul(x, y):
+    """x y through the structure constants, one Fraction at a time."""
+    table, out = x.variety._table, {}
+    for a, s in x.coeffs.items():
+        for b, t in y.coeffs.items():
+            for c, k in table.get((a, b), {}).items():
+                out[c] = out.get(c, Fraction(0)) + Fraction(s) * t * k
+    return out
+
+
+def oracle_exp(x):
+    """sum_k x^k / k!, by oracle_mul."""
+    X = x.variety
+    out, term = {}, {X.fundamental: Fraction(1)}
+    for k in range(X.dim + 1):
+        for l, v in term.items():
+            out[l] = out.get(l, Fraction(0)) + v / factorial(k)
+        term = oracle_mul(make_class(X, term), x)
+    return out
+
+
+def oracle_apply(matrix, x):
+    out = {}
+    for l, v in x.coeffs.items():
+        for r, s in matrix.get(l, {}).items():
+            out[r] = out.get(r, Fraction(0)) + Fraction(v) * s
+    return out
+
+
+def agrees(z, oracle):
+    """z is the oracle's vector, stored normalized."""
+    assert is_normalized(z), z.coeffs
+    assert z.coeffs == {l: v for l, v in oracle.items() if v}
+
+
+@st.composite
+def oracle_cases(draw):
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    f = draw(st.sampled_from(MORPHISMS))
+    push = draw(st.booleans())
+    return (oracle_class(draw, X), oracle_class(draw, X),
+            oracle_class(draw, X, positive=True),
+            f, push, oracle_class(draw, f.source if push else f.target))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_integer_engine_matches_a_fraction_oracle(case):
+    x, y, u, f, push, z = case
+    X = x.variety
+    agrees(x * y, oracle_mul(x, y))
+    agrees(u.exp(), oracle_exp(u))
+    agrees(apply_matrix(X.tau_columns, x, X), oracle_apply(X.tau_columns, x))
+    for p in (2, 3, 5):
+        A = adams_matrix(X, p)
+        agrees(apply_matrix(A, x, X), oracle_apply(A, x))
+    if push:
+        agrees(f.push_class(z), oracle_apply(f.push, z))
+    else:
+        agrees(f.pull_class(z), oracle_apply(f.pull, z))

@@ -1,5 +1,6 @@
 """Builders and the morphism catalog, cross-checked against sympy series."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -570,6 +571,25 @@ def test_catalogue_varieties_are_capped_before_building(monkeypatch, kind,
     build_only_small(monkeypatch)
     with pytest.raises(ValueError, match="cell cap 256"):
         build_morphism(kind, **params)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("veronese", {"n": 2, "deg": 10 ** 3000}),
+    ("veronese", {"n": 10 ** 3000, "deg": 1}),
+    ("linear_embedding", {"m": 1, "n": 10 ** 3000}),
+    ("quadric_in_projective", {"d": 10 ** 3000 + 1}),
+    ("linear_in_quadric", {"j": 1, "d": 10 ** 3000 + 1}),
+])
+def test_sizes_too_long_to_print_hit_the_cap(kind, params):
+    # the cap is checked before a size is formatted, and its message prints
+    # no size: a 3000-digit int is past the int-to-str conversion limit
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^variety exceeds the cell cap 256$"):
+        build_morphism(kind, **params)
+    with pytest.raises(ValueError, match="^variety exceeds the dimension cap 8$"):
+        variety_from_spec({"type": "projective_space", "n": 10 ** 3000},
+                          max_dim=8)
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("spec", [
