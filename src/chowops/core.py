@@ -8,35 +8,33 @@ Rationals are computed as integers over one denominator, divided once: the
 ring product, the exponential (`_exp`) and `apply_matrix` scale each operand
 to integers over the lcm of its denominators (`_integer_form`), run their
 loops in integers, and divide each cell of the result once (`_quotient`).
-A matrix (`Matrix`) is stored in that form, columns over one denominator.
-The ring
-structure comes from a finite table of structure constants.  Each entry is
-checked for grading, commutativity and unitality as it is read, and a table
-given directly is checked exhaustively for associativity; the builders'
-tables are associative by construction and skip that check
-(`varieties.BuiltVariety`).  The tau columns are checked to be
-unitriangular where they enter: a mapping in the constructor, and a
-builder's zero-argument callable when `tau_columns` is first read, which is
-also when it is built.  Pushforward, pullback, the Riemann-Roch lift
-and psi_p are linear maps given by sparse matrices over the cells
-(`apply_matrix`).  On a product X x Y everything comes from the factors by
-one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
-u[a] v[b] in `kron(u, v)`.  In JSON a coefficient is an integer or a
-string "n" or "n/d" (`coeff_from_str`).
+A linear map (`Matrix`) is stored in that form, columns over one
+denominator: pushforward, pullback, the Riemann-Roch lift, its inverse and
+psi_p are each applied to a class by `apply_matrix`.  The ring structure
+comes from a finite table of structure constants, each entry checked for
+grading, commutativity and unitality as it is read; a table given directly
+is also checked for associativity, which the builders' tables have by
+construction (`varieties.BuiltVariety`).  The tau columns are checked to be
+unitriangular, in integer form, where they enter: a caller's mapping in the
+constructor, a builder's callable when `tau_columns` is first read, which
+is when it is built.  On a product X x Y everything comes from the factors
+by one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
+u[a] v[b] in `kron(u, v)`, and a product's matrices are the Kronecker
+products of the factors' integer forms (`Matrix.kron`).  In JSON a
+coefficient is an integer or a string "n" or "n/d" (`coeff_from_str`).
 
 Chow classes (`ChowClass`) and their reductions mod p (`ModPClass`) share
 one sparse-vector arithmetic: components by dimension, `+`, `==` and hash.
 Caller input is checked once and built data is trusted.  The public
 `ChowClass(...)`, `ModPClass(...)`, `make_class` and `class_from_json` check
-every label and coefficient; `scale` rejects a float, and a mod-p
-coefficient or scalar must be an integer.  A result the ring computes from
-classes that passed those checks (`+`, `-`, `*`, `scale`, `dim_component`,
-`exp`) goes through the subclass's `_like`, which only drops zeros and
-stores a Fraction with denominator 1 as an integer, or divides integers
-over their denominator once per cell, or reduces mod p.  So does
-`apply_matrix`, on its target: every matrix it is given was checked
-where it entered (the tau columns, a `Morphism`'s integer matrices) or was
-built by the library (the Adams matrices).
+every label and coefficient, and a scalar follows the coefficient rule: an
+int or a Fraction, and an integer mod p.  A result the ring computes from
+checked classes (`+`, `-`, `*`, `scale`, `dim_component`, `exp`) goes
+through the subclass's `_like`, which only drops zeros and stores a
+Fraction with denominator 1 as an integer, or divides integers over their
+denominator once per cell, or reduces mod p.  So does `apply_matrix`, on
+its target: every matrix it is given was checked where it entered (the tau
+columns, a `Morphism`'s integer matrices) or was built by the library.
 """
 import re
 from collections.abc import Mapping
@@ -56,13 +54,11 @@ FUNDAMENTAL_ALIAS = "1"  # accepted in JSON input for the codim-0 cell
 
 
 def _as_coeff(v):
-    # floats are rejected on purpose: the whole engine is exact
-    if isinstance(v, bool) or isinstance(v, float):
-        raise TypeError("coefficient must be int or Fraction, got %r" % (v,))
-    if isinstance(v, int):
+    # a bool, float, str or Decimal is refused on purpose: the engine is exact
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
+        return v.numerator if v.denominator == 1 else v
     raise TypeError("coefficient must be int or Fraction, got %r" % (v,))
 
 
@@ -75,7 +71,7 @@ class CellularVariety:
     sparse integer vectors; missing pairs multiply to zero.  tau_columns maps
     each cell label to the rational vector tau[O_Z] of its closure.  It is
     given either as that mapping, normalized and checked here, or as a
-    zero-argument callable returning it, which is called, normalized and
+    zero-argument callable returning it or its `Matrix`, which is called and
     checked on the first read of `tau_columns` (the builders pass one, as
     the operations on P^n and its products never read tau); after that read
     it is a plain attribute.
@@ -196,18 +192,20 @@ class CellularVariety:
         return self._checked_tau(self._tau_source())
 
     def _checked_tau(self, columns):
-        """columns as a `Matrix`, checked to be unitriangular: one column
-        per cell, entry 1 on the diagonal and every other entry in a cell of
-        lower dimension."""
-        tau = {str(c): {str(r): Fraction(v) for r, v in col.items() if v}
-               for c, col in columns.items()}
-        if set(tau) != set(self._dims):
+        """A builder's `Matrix` or a caller's mapping of rational columns,
+        as a Matrix checked to be unitriangular in integer form: one column
+        per cell, `den` on the diagonal, other entries in lower cells."""
+        if not isinstance(columns, Matrix):
+            columns = Matrix.of({str(c): {str(r): Fraction(v)
+                                          for r, v in col.items() if v}
+                                 for c, col in columns.items()})
+        if set(columns) != set(self._dims):
             raise InvalidVariety("tau_matrix must have one column per cell")
-        for col, vec in tau.items():
+        for col, vec in columns.ints.items():
             d = self._dims[col]
-            if vec.get(col) != 1:
+            if vec.get(col) != columns.den:
                 raise InvalidVariety("tau column %r has no unit diagonal" % col)
-            for row, v in vec.items():
+            for row in vec:
                 if row not in self._dims:
                     raise InvalidVariety("tau column %r has an unknown row %r"
                                          % (col, row))
@@ -215,7 +213,7 @@ class CellularVariety:
                     raise InvalidVariety(
                         "tau column %r is not triangular (entry at %r)"
                         % (col, row))
-        return Matrix.of(tau)
+        return columns
 
     # -- basic queries --------------------------------------------------------
 
@@ -381,9 +379,7 @@ class ChowClass(_CellVector):
         return self.scale(other)
 
     def scale(self, c):
-        if isinstance(c, float):
-            raise TypeError("exact arithmetic only; got a float scalar")
-        c = Fraction(c) if not isinstance(c, int) else c
+        c = _as_coeff(c)
         return self._like({l: v * c for l, v in self.coeffs.items()})
 
     def power(self, k):
@@ -567,6 +563,13 @@ class Matrix(Mapping):
                         for r, v in col.items()}
                     for c, col in columns.items()}, den)
 
+    @classmethod
+    def kron(cls, A, B):
+        """A (x) B over the cells of X x Y: column a x b is A[a] (x) B[b],
+        the Kronecker product of the integer forms over A.den * B.den."""
+        return cls({kunneth(a, b): kron(u, v) for a, u in A.ints.items()
+                    for b, v in B.ints.items()}, A.den * B.den)
+
     def __getitem__(self, c):
         column = self._columns.get(c)
         if column is None:
@@ -610,20 +613,14 @@ def kron(u, v):
 
 def degree(a):
     """Pair the dimension-0 component with the degree vector."""
-    total = Fraction(0)
-    for l, v in a.coeffs.items():
-        if a.variety.cell_dim(l) == 0:
-            total += Fraction(v) * a.variety.degree_vector[l]
-    return int(total) if total.denominator == 1 else total
+    return _as_coeff(sum(a.coeffs.get(l, 0) * v
+                         for l, v in a.variety.degree_vector.items()))
 
 
 # -- exact serialization -------------------------------------------------------
 
 def coeff_to_str(v):
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return "%d/%d" % (v.numerator, v.denominator)
+    return str(Fraction(v))  # "n" or "n/d"
 
 
 def coeff_from_str(s):
@@ -656,10 +653,5 @@ def modp_to_json(a):
 
 
 def format_class(a):
-    if not a.coeffs:
-        return "0"
-    parts = []
-    order = {l: i for i, (l, _) in enumerate(a.variety.cells)}
-    for l in sorted(a.coeffs, key=order.get):
-        parts.append("%s.%s" % (coeff_to_str(a.coeffs[l]), l))
-    return " + ".join(parts)
+    return " + ".join("%s.%s" % (coeff_to_str(a.coeffs[l]), l)
+                      for l in sorted(a.coeffs, key=a.variety._index.get)) or "0"

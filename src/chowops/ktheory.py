@@ -2,22 +2,24 @@
 
 A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
-cell closures); the matrix is triangular with unit diagonal, so coordinates
-in it come from one back-substitution (`TauLattice.coordinates`), which
-decides lattice membership.  Both p-adic decompositions, Atiyah's of
-psi_p(x) and Bott's of theta^p(e), group these coordinates by a filtration
-index k and scale them by p^(shift + k) through one split (`_p_adic_split`).
-On the smooth builders K_0 and K^0 are identified by multiplying or dividing
-by Todd(T_X).
+cell closures).  The matrix is unitriangular, so its inverse is built once
+per variety, as a `core.Matrix` (`tau_lattice`), and the coordinates of a
+class in the lattice basis are one `apply_matrix` of it; they decide lattice
+membership.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
+theta^p(e), group these coordinates by a filtration index k and scale them
+by p^(shift + k) through one split (`_p_adic_split`).  On the smooth
+builders K_0 and K^0 are identified by multiplying or dividing by Todd(T_X).
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
 so in the basis [O_Z] it is one matrix per (X, p), `adams_matrix`, built once
 and cached: a closed form on P^n, the Kronecker product of the factors'
-matrices on a product, and the tau route column by column otherwise.  The
-tau route itself, `adams_lower` (divide by Todd, scale by powers of p,
-multiply by Todd theta^p(-T_X)), stays as the independent oracle.
+matrices on a product (`Matrix.kron`), and the tau route column by column
+otherwise.  The tau route itself, `adams_lower` (divide by Todd, psi^p on
+the Chern character, multiply by Todd theta^p(-T_X)), stays as the
+independent oracle.
 """
 from fractions import Fraction
+from math import gcd, lcm
 
 from .char_classes import (
     VirtualBundle,
@@ -29,21 +31,17 @@ from .char_classes import (
     w_chp,
 )
 from .core import (
-    ChowClass,
     Matrix,
     apply_matrix,
     class_from_json,
     class_to_json,
     degree,
-    kron,
-    kunneth,
 )
 from .errors import (
     DecompositionFailure,
     FlagViolation,
     IntegralityViolation,
     NonIntegralInput,
-    TheoryViolation,
     ZeroClass,
     require_prime,
 )
@@ -105,40 +103,41 @@ def kclass_from_json(X, obj):
 
 
 class TauLattice:
-    """The integral lattice spanned by the tau_matrix columns."""
+    """The lattice spanned by the tau_matrix columns, and the inverse of the
+    matrix: coordinates in the column basis are one `apply_matrix` of it."""
 
     def __init__(self, variety):
         self.variety = variety
-        # solve order: strictly decreasing cell dimension
-        self.order = sorted(variety.labels(),
-                            key=lambda l: -variety.cell_dim(l))
+        self.inverse = _unitriangular_inverse(variety.tau_columns,
+                                              variety._dims)
 
     def coordinates(self, cls):
-        """Back-substitute: coefficients of cls in the column basis."""
-        work = {l: Fraction(v) for l, v in cls.coeffs.items()}
-        coords = {}
-        for label in self.order:
-            v = work.pop(label, Fraction(0))
-            if not v:
-                continue
-            coords[label] = v
-            for r, c in self.variety.tau_columns[label].items():
-                if r == label:
-                    continue
-                nv = work.get(r, Fraction(0)) - v * c
-                if nv:
-                    work[r] = nv
-                else:
-                    work.pop(r, None)
-        if work:
-            raise TheoryViolation(
-                "triangular solve left a residue",
-                details={"variety": self.variety.name,
-                         "residue": {l: str(v) for l, v in sorted(work.items())}})
-        return coords
+        """The coefficients of cls in the column basis, as a dict."""
+        return apply_matrix(self.inverse, cls, self.variety).coeffs
 
     def membership(self, cls):
-        return all(v.denominator == 1 for v in self.coordinates(cls).values())
+        return apply_matrix(self.inverse, cls, self.variety).is_integral()
+
+
+def _unitriangular_inverse(tau, dims):
+    """T^{-1} for the checked tau matrix T, as a `Matrix`: column c of T is
+    e_c plus cells of lower dimension, so T^{-1} e_c = e_c - sum_{r != c}
+    T[r, c] T^{-1} e_r, one pass by increasing dimension, each column in
+    integers over its own denominator, reduced."""
+    D, cols = tau.den, {}
+    for c in sorted(tau.ints, key=dims.__getitem__):
+        below = [(s, cols[r]) for r, s in tau.ints[c].items() if r != c]
+        den = D * lcm(*[e for _, (_, e) in below])
+        col = {c: den}
+        for s, (u, e) in below:
+            k = s * (den // (D * e))
+            for m, v in u.items():
+                col[m] = col.get(m, 0) - k * v
+        g = gcd(den, *col.values())
+        cols[c] = ({m: v // g for m, v in col.items() if v}, den // g)
+    den = lcm(*[e for _, e in cols.values()])
+    return Matrix({c: {m: v * (den // e) for m, v in u.items()}
+                   for c, (u, e) in cols.items()}, den)
 
 
 def tau_lattice(X):
@@ -190,13 +189,17 @@ def euler_char(x):
 # Adams operations
 # ---------------------------------------------------------------------------
 
+def _psi_ch(ch, p):
+    """psi^p on a Chern character: the codim-i component times p^i."""
+    return ch._like({l: v * p ** ch.variety.cell_codim(l)
+                     for l, v in ch.coeffs.items()})
+
+
 def adams_upper(y, p):
     """psi^p on K^0: scales the codim-i Chern character component by p^i."""
     require_prime(p)
-    X = y.variety
-    ch = ChowClass(X, {l: v * p ** X.cell_codim(l)
-                       for l, v in y.ch.coeffs.items()})
-    return VirtualBundle(X, y.rank, ch, integral=y.integral)
+    return VirtualBundle(y.variety, y.rank, _psi_ch(y.ch, p),
+                         integral=y.integral)
 
 
 def _psi_twist(X, p):
@@ -214,9 +217,7 @@ def adams_lower(x, p):
     """
     require_prime(p)
     X = x.variety
-    ch_y = x.tau * todd_inv_class(X)
-    scaled = ChowClass(X, {l: v * p ** X.cell_codim(l)
-                           for l, v in ch_y.coeffs.items()})
+    scaled = _psi_ch(x.tau * todd_inv_class(X), p)
     return KClass(X, _psi_twist(X, p) * scaled, integral=False)
 
 
@@ -225,12 +226,12 @@ def adams_matrix(X, p):
 
     Column l holds the tau-coordinates of psi_p([O_{Z_l}]); the entries have
     only powers of p as denominators, and it is a `core.Matrix`, stored in
-    integer form.  On P^n it is a closed form, on a
-    product the Kronecker product of the factors' matrices (K_0(X x Y) =
-    K_0(X) (x) K_0(Y), and psi^p and theta^p are multiplicative), and
-    otherwise (Q_d, a table given to CellularVariety directly) the columns
-    of adams_lower on the canonical lifts of the cells, solved in the tau
-    basis.  The result is cached and shared: treat it as read-only.
+    integer form.  On P^n it is a closed form, on a product the
+    Kronecker product of the factors' matrices (K_0(X x Y) = K_0(X) (x)
+    K_0(Y), and psi^p and theta^p are multiplicative), and otherwise (Q_d,
+    a table given to CellularVariety directly) the columns of adams_lower
+    on the canonical lifts of the cells, taken to the tau basis by the
+    inverse.  The result is cached and shared: treat it as read-only.
     """
     require_prime(p)
     return _cached(X, ("adams_matrix", p), lambda: _adams_columns(X, p))
@@ -241,12 +242,10 @@ def _adams_columns(X, p):
     if builder == "projective_space":
         return _projective_adams(X.dim, p)
     if builder == "product":
-        A, B = (adams_matrix(F, p) for F in X._factors)
-        return Matrix({kunneth(a, b): kron(A.ints[a], B.ints[b])
-                       for a in A for b in B}, A.den * B.den)
-    lattice = tau_lattice(X)
-    return Matrix.of({l: lattice.coordinates(
-                          adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
+        return Matrix.kron(*(adams_matrix(F, p) for F in X._factors))
+    inverse = tau_lattice(X).inverse
+    return Matrix.of({l: apply_matrix(inverse, adams_lower(
+                          k0_from_chow_lift(X.basis_class(l)), p).tau, X).coeffs
                       for l in X.labels()})
 
 
@@ -363,7 +362,7 @@ def bott_decompose(e, p):
     X = e.variety
     w = w_chp(e, p)
     theta_tau = theta_p(e, p) * todd_class(X)
-    coords = ChowClass(X, tau_lattice(X).coordinates(theta_tau))
+    coords = apply_matrix(tau_lattice(X).inverse, theta_tau, X)
     pieces, bad = _p_adic_split(coords, p, X.dim, -e.rank)
     if bad is not None:
         j = X.dim - bad

@@ -5,8 +5,8 @@ integral lift, integral classes x_k of filtration level at most d - k(p-1)
 such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  The coordinates of psi_p(x)
 in the unitriangular tau basis are the cached Adams matrix
 (`ktheory.adams_matrix`) applied to the coordinates of x: for the canonical
-lift of a mod-p class these are its own coefficients, lifted, and an explicit
-K-class is solved for once.  Each degree is then scaled by a power of p: a
+lift of a mod-p class these are its own coefficients, and an explicit K-class
+takes one apply of the inverse tau matrix.  Each degree is then scaled by a power of p: a
 dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is
 multiplied by p^{d+k}, which must leave it integral; the Bott
 decomposition shares this split (`ktheory._p_adic_split`).  The basis is
@@ -32,6 +32,7 @@ from .errors import (
     LevelViolation,
     NonIntegralInput,
     TheoryViolation,
+    VarietyMismatch,
     require_prime,
 )
 from .ktheory import (
@@ -66,11 +67,8 @@ class AtiyahDecomposition:
 
     def reconstruction(self):
         """The right-hand side sum, for the exactness check."""
-        X = self.x.variety
-        out = X.zero()
-        for k, part in enumerate(self.parts):
-            out = out + part.tau.scale(Fraction(1, self.p ** (self.level + k)))
-        return out
+        return sum((part.tau.scale(Fraction(1, self.p ** (self.level + k)))
+                    for k, part in enumerate(self.parts)), self.x.variety.zero())
 
     def verify(self):
         """Check the decomposition identities; a failure raises ExtractionFailure."""
@@ -97,7 +95,7 @@ class AtiyahDecomposition:
 def atiyah_decompose(x, p, level=None):
     """p-adic decomposition of psi_p(x): the Adams matrix, then a p-power scale.
 
-    The tau-coordinates of x are solved for once and sent through
+    The tau-coordinates of x, one apply of the inverse, are sent through
     adams_matrix(X, p); the resulting coordinates of psi_p(x) on the
     dimension-j cells, multiplied by p^{d+k} with k = [(d - j)/(p - 1)], must
     be integral (ExtractionFailure otherwise) and are the tau-coordinates of
@@ -116,8 +114,8 @@ def atiyah_decompose(x, p, level=None):
     if not x.is_zero() and filtration_level(x) > d:
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
-    coords = tau_lattice(X).coordinates(x.tau)
-    return AtiyahDecomposition(x, p, d, _psi_pieces(X, p, d, coords))
+    coords = apply_matrix(tau_lattice(X).inverse, x.tau, X)
+    return AtiyahDecomposition(x, p, d, _psi_pieces(X, p, d, coords.coeffs))
 
 
 def _psi_pieces(X, p, d, coords):
@@ -188,6 +186,8 @@ def _steenrod(x, p, lift=None, cohomological=False):
     if x.is_zero():
         return [x]
     if lift is not None:
+        if lift.variety is not x.variety:
+            raise VarietyMismatch("the lift is not on %s" % x.variety.name)
         dims = x.support_dims()
         if len(dims) > 1:
             raise ValueError("an explicit lift needs a homogeneous input")

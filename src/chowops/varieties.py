@@ -14,15 +14,16 @@ them.  `variety_from_spec` checks the dimension cap and the cell cap
 
 The morphism catalogue is one table, `_KINDS`.  Morphism kinds and
 `{"type": ...}` variety specs take their parameters by one rule
-(`_arguments`); a morphism is interned under (kind, arguments), a product
-on its factor objects, and every variety a kind builds goes through
-`variety_from_spec`, so the cell cap holds for it too.
+(`_arguments`), which refuses a size too long to print by name; a morphism
+is interned under (kind, arguments), a product on its factor objects, and
+every variety a kind builds meets the caps of `variety_from_spec` first.
 
 Morphisms are finite integer matrices, not symbolic maps; multiplicativity
 of the pullback and the projection formula are checked exhaustively on
 basis pairs when the morphism is built.
 """
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
@@ -219,13 +220,10 @@ def product(X, Y):
             if u and v:
                 table[(kunneth(a, b), kunneth(a2, b2))] = kron(u, v)
 
-    def tau():
-        return {kunneth(a, b): kron(u, v) for a, u in X.tau_columns.items()
-                for b, v in Y.tau_columns.items()}
-
     XY = BuiltVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
                       table, kron(X.degree_vector, Y.degree_vector),
-                      boxsum(X.tangent_ch, Y.tangent_ch), tau)
+                      boxsum(X.tangent_ch, Y.tangent_ch),
+                      lambda: Matrix.kron(X.tau_columns, Y.tau_columns))
     XY.hyperplane = boxsum(getattr(X, "hyperplane", {}),
                            getattr(Y, "hyperplane", {}))
     XY.builder = "product"
@@ -389,13 +387,13 @@ def build_morphism(kind, **params):
 
 
 def _pn(n):
-    # a catalogue variety goes through variety_from_spec as a dict spec, so
-    # the cell cap is checked before its size is ever formatted
-    return variety_from_spec({"type": "projective_space", "n": n})
+    # a size a builder computes is an int: it skips the parameter rule, and
+    # the caps are checked before it is ever formatted
+    return _capped(*_builder_spec(projective_space, n))
 
 
 def _qd(d):
-    return variety_from_spec({"type": "odd_quadric", "dim": d})
+    return _capped(*_builder_spec(odd_quadric, d))
 
 
 def _linear_embedding(m, n):
@@ -521,7 +519,10 @@ def variety_from_spec(spec, max_dim=None):
     The dimension cap max_dim and the cell cap MAX_CELLS are checked on the
     parsed spec, before anything is built.
     """
-    dim, cells, build = _parse_spec(spec)
+    return _capped(*_parse_spec(spec), max_dim)
+
+
+def _capped(dim, cells, build, max_dim=None):
     # the messages leave the size out: it may be too long to print
     if max_dim is not None and dim > max_dim:
         raise ValueError("variety exceeds the dimension cap %d" % max_dim)
@@ -574,7 +575,13 @@ def _arguments(kind, names, params):
     """The values of params in the order of names, by the one parameter rule
     of variety types and morphism kinds: each name is given exactly once and
     nothing else is, factors is a list or tuple of variety specs, and every
-    other parameter is a size, an int and not a bool."""
+    other parameter is a size, an int and not a bool, short enough to print
+    (checked first, and without printing it)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    for name, v in params.items():
+        if type(v) is int and limit and not -10 ** limit < v < 10 ** limit:
+            raise ValueError("%s parameter %s is too long to print"
+                             % (kind, name))
     if set(params) == set(names) and all(
             isinstance(v, (list, tuple)) if name == "factors"
             else type(v) is int for name, v in params.items()):

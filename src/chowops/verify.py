@@ -9,7 +9,8 @@ from fractions import Fraction
 from math import comb
 
 from . import char_classes as CC
-from .core import ModPClass, class_to_json, degree, make_class, modp_to_json
+from .core import (ModPClass, apply_matrix, class_to_json, degree, make_class,
+                   modp_to_json)
 from .errors import ChowopsError
 from .ktheory import (
     adams_lower,
@@ -238,11 +239,11 @@ def suite_psipower(r, params):
         for p in _primes(params):
             for label, g in k0_generator_bundles(X):
                 diff = (adams_upper(g, p).ch - g.ch.power(p)) * td
-                coords = L.coordinates(diff)
-                ok = all(v.denominator == 1 and v.numerator % p == 0
-                         for v in coords.values())
+                coords = apply_matrix(L.inverse, diff, X)
+                ok = coords.is_integral() and all(
+                    v % p == 0 for v in coords.coeffs.values())
                 r.check(ok, variety=X.name, p=p, generator=label,
-                        coords={k: str(v) for k, v in coords.items()})
+                        coords=class_to_json(coords))
 
 
 def suite_integrality(r, params):
@@ -353,7 +354,7 @@ def suite_cartan(r, params):
     matrices, so this law is partly true by construction: what it still
     checks independently is the per-degree extraction, the mod-p read-off
     and the w^{CH,p}(T) twist.  The Kronecker matrices are compared with the
-    tau route (adams_lower, then the triangular solve) on products in
+    tau route (adams_lower, then the inverse tau matrix) on products in
     tests/test_ktheory.py.
     """
     max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)

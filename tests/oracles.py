@@ -113,3 +113,27 @@ def multiplicative_class_anew(name, e, p=None):
         out = out + term.scale(Fraction(1, factorial(k)))
         term = term * u
     return out.scale(f[0] ** e.rank)
+
+
+def tau_coordinates(X, cls):
+    """The coefficients of cls in the tau column basis of X, by
+    back-substitution over Fractions: the cells in order of decreasing
+    dimension, each column subtracted once.  The columns are unitriangular,
+    so nothing may be left over."""
+    work = {l: Fraction(v) for l, v in cls.coeffs.items()}
+    coords = {}
+    for label in sorted(X.labels(), key=lambda l: -X.cell_dim(l)):
+        v = work.pop(label, Fraction(0))
+        if not v:
+            continue
+        coords[label] = v
+        for r, c in X.tau_columns[label].items():
+            if r == label:
+                continue
+            nv = work.get(r, Fraction(0)) - v * c
+            if nv:
+                work[r] = nv
+            else:
+                work.pop(r, None)
+    assert not work, "triangular solve left a residue: %r" % work
+    return coords

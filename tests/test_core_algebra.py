@@ -1,4 +1,5 @@
 """Ring structure, grading, degree and serialization of Chow classes."""
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from chowops import (
     pushforward,
     build_morphism,
 )
-from chowops.core import CellularVariety, ModPClass
+from chowops.core import CellularVariety, Matrix, ModPClass
 from chowops.errors import (
     IntegralityViolation,
     InvalidVariety,
@@ -209,6 +210,20 @@ def test_modp_coefficients_must_be_integers(p, v):
         xbar.scale(v)
 
 
+@pytest.mark.parametrize("c", ["1/2", "2", Decimal("0.5"), Decimal(2), 0.5,
+                               True])
+def test_chow_scalars_are_ints_or_fractions(c):
+    # the scalar follows the coefficient rule: exact numbers only
+    x = make_class(P2, {"h^1": 1, "h^2": Fraction(1, 3)})
+    with pytest.raises(TypeError):
+        x.scale(c)
+    with pytest.raises(TypeError):
+        x * c
+    assert x.scale(Fraction(3, 1)).coeffs == {"h^1": 3, "h^2": 1}
+    assert (Fraction(1, 2) * x).coeffs == {"h^1": Fraction(1, 2),
+                                           "h^2": Fraction(1, 6)}
+
+
 def test_modp_integral_scalars():
     xbar = ModPClass(P2, 3, {"h^1": 1, "h^2": 2})
     assert ModPClass(P2, 3, {"h^1": Fraction(4, 1)}).coeffs == {"h^1": 1}
@@ -290,12 +305,16 @@ def test_rejects_bad_tau():
 ])
 def test_tau_is_checked_where_it_enters(tau, message):
     # a mapping is checked by the constructor, a builder's callable on the
-    # first read of tau_columns, with the same message
+    # first read of tau_columns, with the same message, and a builder's
+    # Matrix in its integer form
     with pytest.raises(InvalidVariety, match=message):
         _tiny({}, tau=tau)
-    X = _tiny({}, tau=lambda: tau)
-    with pytest.raises(InvalidVariety, match=message):
-        X.tau_columns
+    for columns in (tau, Matrix.of(tau), Matrix(
+            {c: {r: 6 * v for r, v in col.items()} for c, col in tau.items()},
+            6)):
+        X = _tiny({}, tau=lambda: columns)
+        with pytest.raises(InvalidVariety, match=message):
+            X.tau_columns
 
 
 def test_rejects_unknown_labels_in_tau_and_tangent_data():

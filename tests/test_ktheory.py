@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowops import (
     KClass,
@@ -29,6 +31,7 @@ from chowops import (
     variety_from_spec,
 )
 from chowops.char_classes import todd_class
+from chowops.core import CellularVariety, Matrix, apply_matrix, kron, kunneth
 from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
 from chowops.ktheory import _p_adic_split, k0_generator_bundles, kclass_to_bundle
 
@@ -292,6 +295,62 @@ def test_adams_matrix_equals_the_tau_route(spec):
     assert X.dim <= 8
     for p in (2, 3, 5):
         assert adams_matrix(X, p) == adams_by_tau_route(X, p), p
+
+
+# one table given to CellularVariety directly, its tau columns as a mapping
+_P1Q3 = variety_from_spec("P^1xQ_3")
+RAW = CellularVariety("raw P^1xQ_3", _P1Q3.dim, _P1Q3.cells,
+                      dict(_P1Q3._table), _P1Q3.degree_vector,
+                      _P1Q3.tangent_ch,
+                      {c: dict(col) for c, col in _P1Q3.tau_columns.items()})
+
+
+@st.composite
+def rational_classes(draw):
+    X = draw(st.sampled_from([RAW] + SMALL_BUILDERS))
+    if isinstance(X, str):
+        X = variety_from_spec(X)
+    values = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 4))
+    return make_class(X, draw(st.dictionaries(st.sampled_from(X.labels()),
+                                              values)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_classes())
+def test_tau_coordinates_match_a_back_substitution(x):
+    import oracles
+    X = x.variety
+    lattice = tau_lattice(X)
+    coords = lattice.coordinates(x)
+    assert coords == oracles.tau_coordinates(X, x)
+    assert lattice.membership(x) == all(Fraction(v).denominator == 1
+                                        for v in coords.values())
+    # the inverse times tau, and tau times the inverse, is the identity
+    for l in X.labels():
+        assert lattice.coordinates(X.tau_class(l)) == {l: 1}
+        assert apply_matrix(X.tau_columns, make_class(X, lattice.inverse[l]),
+                            X) == X.basis_class(l)
+
+
+def test_product_tau_columns_are_one_kronecker_product(monkeypatch):
+    # a fresh product's columns are the Kronecker product of its factors'
+    # integer forms: no Fraction entries and no Matrix.of round trip
+    from chowops import varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    X, Y = variety_from_spec("P^2"), variety_from_spec("Q_3")
+    A, B = X.tau_columns, Y.tau_columns
+    of, calls = Matrix.of, []
+
+    def counting_of(cls, columns):
+        calls.append(columns)
+        return of(columns)
+
+    monkeypatch.setattr(Matrix, "of", classmethod(counting_of))
+    tau = variety_from_spec("P^2xQ_3").tau_columns
+    assert calls == []
+    assert tau.den == A.den * B.den
+    assert tau == {kunneth(a, b): kron(A[a], B[b]) for a in A for b in B}
 
 
 def test_projective_adams_matrix_past_p_minus_one():

@@ -20,10 +20,13 @@ is the multiplicative class of 1 + t, and must match the closed form prod_i
 (1 + i h)^{a_i} (1 + h)^{b(n+1)} of r + sum_i a_i O(i) + b T on P^n.  The
 operations must not depend on the cell basis: shearing one cell into another
 of its dimension and transporting the table, tangent data and tau columns
-transports every S_k unchanged.  The ring product, the exponential and every
+transports every S_k unchanged.  Along composite chains of catalogue
+morphisms psi_p commutes with the proper pushforward, and with the lci
+pullback up to theta^p(-T_h), on random lattice K-classes.  The ring product, the exponential and every
 matrix apply run on integers over one denominator, and must agree with plain
 Fraction arithmetic on random rational classes whose denominators mix powers
 of p, factorials and large primes."""
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -46,6 +49,8 @@ from chowops import (
     degree,
     external_product,
     k0_from_chow_lift,
+    kclass_pullback,
+    kclass_pushforward,
     line_bundle,
     make_class,
     op_component,
@@ -65,7 +70,7 @@ from chowops import (
 from chowops.char_classes import w_tangent
 from chowops.core import apply_matrix
 from chowops.varieties import Morphism
-from chowops.verify import standard_morphisms
+from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
 
@@ -628,6 +633,31 @@ def test_composites_obey_naturality_and_wu(case):
     assert S(h.pull_class(y)) == h.pull_class(S(y))
     w = ModPClass.from_integral(w_chp(-h.T_f, p), p)
     assert S(h.push_class(x)) == h.push_class(w * S(x))
+
+
+@st.composite
+def chains_and_kclasses(draw):
+    f, g = draw(st.sampled_from(CHAINS))
+    h = compose(f, g)
+    if draw(st.booleans()):
+        h = fresh_copy(h)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    x, y = (random_lattice_kclass(V, rng, V.dim)
+            for V in (h.source, h.target))
+    return h, x, y, draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains_and_kclasses())
+def test_composites_obey_riemann_roch(case):
+    # psi_p commutes with the proper pushforward, and with the lci pullback
+    # up to the twist theta^p(-T_h)
+    h, x, y, p = case
+    assert h.proper and h.lci
+    assert (adams_lower(kclass_pushforward(h, x), p).tau
+            == h.push_class(adams_lower(x, p).tau))
+    assert (adams_lower(kclass_pullback(h, y), p).tau
+            == theta_p(-h.T_f, p) * kclass_pullback(h, adams_lower(y, p)).tau)
 
 
 # -- the integer engine against a Fraction oracle -------------------------------

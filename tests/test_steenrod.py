@@ -9,6 +9,7 @@ import pytest
 import chowops
 
 from chowops import (
+    CellularVariety,
     KClass,
     ModPClass,
     atiyah_decompose,
@@ -36,6 +37,7 @@ from chowops.errors import (
     ExtractionFailure,
     LevelViolation,
     NonIntegralInput,
+    VarietyMismatch,
 )
 from chowops.verify import lucas_binom, random_lattice_kclass
 
@@ -147,14 +149,15 @@ def test_explicit_level_must_dominate():
 # -- homological and cohomological operations ------------------------------------
 
 def count_tau_route(monkeypatch):
-    """Empty the builder cache and record every adams_lower and triangular
-    solve from then on."""
+    """Empty the builder cache and record every adams_lower, triangular
+    solve and build of the inverse tau matrix from then on."""
     from chowops import ktheory
     from chowops import steenrod
     from chowops import varieties
     monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
     calls = []
     adams_lower, coordinates = ktheory.adams_lower, ktheory.TauLattice.coordinates
+    inverse = ktheory._unitriangular_inverse
 
     def counting_adams(x, p):
         calls.append("adams_lower")
@@ -164,9 +167,14 @@ def count_tau_route(monkeypatch):
         calls.append("coordinates")
         return coordinates(self, cls)
 
+    def counting_inverse(*args):
+        calls.append("inverse")
+        return inverse(*args)
+
     for module in (ktheory, steenrod):
         monkeypatch.setattr(module, "adams_lower", counting_adams)
     monkeypatch.setattr(ktheory.TauLattice, "coordinates", counting_solve)
+    monkeypatch.setattr(ktheory, "_unitriangular_inverse", counting_inverse)
     return calls
 
 
@@ -186,6 +194,7 @@ def test_tables_on_pn_and_products_skip_the_tau_route(monkeypatch):
     for label in Q5.labels():
         steenrod_homological(_bar(Q5, 2, {label: 1}))
     assert calls.count("adams_lower") == len(Q5.cells)
+    assert calls.count("inverse") == 1
 
 
 def count_extractions(monkeypatch):
@@ -372,6 +381,18 @@ def test_lift_guards():
     for wrong in ({"h^2": 1}, {"h^1": 2}):
         with pytest.raises(ValueError):
             steenrod_homological(line, lift=k0_from_chow_lift(_cls(P2, wrong)))
+
+
+def test_a_lift_on_another_variety_is_refused(monkeypatch):
+    # a raw copy of P^2 has the same cells, so nothing but the variety
+    # itself tells its classes apart; the split must never run
+    from chowops import steenrod
+    Y = CellularVariety(P2.name, P2.dim, P2.cells, dict(P2._table),
+                        P2.degree_vector, P2.tangent_ch, P2.tau_columns)
+    lift = k0_from_chow_lift(_cls(Y, {"h^1": 1}))
+    monkeypatch.setattr(steenrod, "atiyah_decompose", None)
+    with pytest.raises(VarietyMismatch):
+        steenrod_homological(_bar(P2, 2, {"h^1": 1}), 2, lift=lift)
 
 
 def test_lucas_binom():

@@ -592,6 +592,30 @@ def test_sizes_too_long_to_print_hit_the_cap(kind, params):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("veronese", {"n": 2, "deg": 10 ** 5000, "note": 1}, "deg"),
+    ("pn_self_map", {"degree": 10 ** 5000}, "degree"),
+    ("linear_embedding", {"m": -10 ** 5000, "n": 2}, "m"),
+])
+def test_sizes_past_the_print_limit_are_refused_by_name(monkeypatch, kind,
+                                                        params, name):
+    # refused by the parameter rule before any builder runs, with a message
+    # that formats no size
+    refuse_to_build(monkeypatch)
+    monkeypatch.setitem(V._KINDS, kind, (None, V._KINDS[kind][1]))
+    before = registered_morphisms()
+    with pytest.raises(ValueError,
+                       match="^%s parameter %s is too long to print$"
+                       % (kind, name)):
+        build_morphism(kind, **params)
+    assert registered_morphisms() == before
+    huge = {"type": "odd_quadric", "dim": 10 ** 5000}
+    for spec in (huge, {"type": "product", "factors": ["P^1", huge]}):
+        with pytest.raises(ValueError, match="^odd_quadric parameter dim is "
+                                             "too long to print$"):
+            variety_from_spec(spec)
+
+
 @pytest.mark.parametrize("spec", [
     '{"type":"projective_space"}',
     '{"type":"projective_space","n":2,"dim":9}',
