@@ -46,9 +46,6 @@ class SeriesSpec:
         self.name = name
         self._weights = {}
 
-    def truncated(self, n):
-        return S.series(self.coeffs, n)
-
     def weights(self, n):
         """(f_0, {k: W_k}, d) for k = 0..n: the log weights
         w_k = k! [t^k] log(f / f_0) as integers W_k = d w_k over one
@@ -56,7 +53,7 @@ class SeriesSpec:
 
         Computed on the first call for each n and kept on the spec."""
         if n not in self._weights:
-            f = self.truncated(n)
+            f = S.series(self.coeffs, n)
             logs = S.slog(S.sscale(1 / f[0], f, n), n)
             self._weights[n] = (f[0], *_integer_form(
                 {k: factorial(k) * c for k, c in enumerate(logs)}))

@@ -83,11 +83,6 @@ def cmd_describe(args):
     return 0
 
 
-def _operate_one(X, p, xbar, convention):
-    ops = steenrod_operation(xbar, p, convention=convention)
-    return {"S_%d" % k: modp_to_json(v) for k, v in enumerate(ops)}
-
-
 def cmd_operate(args):
     p = args.p
     require_prime(p)
@@ -95,11 +90,12 @@ def cmd_operate(args):
     raw = json.loads(args.cls)
     x = class_from_json(X, raw)
     xbar = ModPClass.from_integral(x.as_integral(), p)
+    ops = steenrod_operation(xbar, p, convention=args.convention)
     result = {
         "variety": X.name,
         "p": p,
         "input": class_to_json(x),
-        "ops": _operate_one(X, p, xbar, args.convention),
+        "ops": {"S_%d" % k: modp_to_json(v) for k, v in enumerate(ops)},
         "convention": CONVENTIONS[args.convention],
     }
     _dump(result, args.out)

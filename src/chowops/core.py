@@ -5,12 +5,13 @@ coefficient is an arbitrary-precision integer, or a reduced Fraction where
 Riemann-Roch brings in denominators; a Fraction with denominator 1 is stored
 as an integer, so whether a class is integral is read off its coefficients.
 Rationals are computed as integers over one denominator, divided once: the
-ring product, the exponential (`_exp`) and `apply_matrix` scale each operand
+ring product, the exponential (`_exp`) and a matrix apply scale each operand
 to integers over the lcm of its denominators (`_integer_form`), run their
 loops in integers, and divide each cell of the result once (`_quotient`).
 A linear map (`Matrix`) is stored in that form, columns over one
-denominator: pushforward, pullback, the Riemann-Roch lift, its inverse and
-psi_p are each applied to a class by `apply_matrix`.  The ring structure
+denominator, and has one integer apply (`Matrix.apply`), whose image stays
+undivided: `apply_matrix` is that apply and one divide, and the p-adic
+split of psi_p and theta^p reads the undivided image.  The ring structure
 comes from a finite table of structure constants, each entry checked for
 grading, commutativity and unitality as it is read; a table given directly
 is also checked for associativity, which the builders' tables have by
@@ -62,6 +63,15 @@ def _as_coeff(v):
     raise TypeError("coefficient must be int or Fraction, got %r" % (v,))
 
 
+def _entry(v, where, *cells):
+    """A caller's entry in a variety's data, by `_as_coeff`'s rule; a bad
+    one is an InvalidVariety that says where (`where % cells`)."""
+    try:
+        return _as_coeff(v)
+    except TypeError as exc:
+        raise InvalidVariety("%s: %s" % (where % cells, exc)) from None
+
+
 class CellularVariety:
     """Finite presentation of a split cellular variety.
 
@@ -108,10 +118,11 @@ class CellularVariety:
             raise InvalidVariety("degree_vector must cover exactly the "
                                  "0-dimensional cells")
 
-        self.tangent_ch = {l: Fraction(v) for l, v in tangent_ch.items() if v}
+        self.tangent_ch = {l: c for l, v in tangent_ch.items()
+                           if (c := _entry(v, "tangent_ch at cell %r", l))}
         if not self.tangent_ch.keys() <= self._dims.keys():
             raise InvalidVariety("tangent_ch has entries on unknown cells")
-        if self.tangent_ch.get(self.fundamental, Fraction(0)) != dim:
+        if self.tangent_ch.get(self.fundamental, 0) != dim:
             raise InvalidVariety("tangent_ch rank component must equal dim")
 
         if callable(tau_columns):
@@ -196,9 +207,10 @@ class CellularVariety:
         as a Matrix checked to be unitriangular in integer form: one column
         per cell, `den` on the diagonal, other entries in lower cells."""
         if not isinstance(columns, Matrix):
-            columns = Matrix.of({str(c): {str(r): Fraction(v)
-                                          for r, v in col.items() if v}
-                                 for c, col in columns.items()})
+            columns = Matrix.of({str(c): {
+                str(r): e for r, v in col.items()
+                if (e := _entry(v, "tau column %r at row %r", c, r))}
+                for c, col in columns.items()})
         if set(columns) != set(self._dims):
             raise InvalidVariety("tau_matrix must have one column per cell")
         for col, vec in columns.ints.items():
@@ -538,7 +550,7 @@ def make_class(variety, coeffs):
 class Matrix(Mapping):
     """A sparse linear map over cells, stored in its integer form: `ints`,
     {column cell: {row cell: integer}}, is the columns times `den`, one
-    common denominator of every entry, and is what `apply_matrix` reads.
+    common denominator of every entry, and is what `apply` reads.
 
     Read as a mapping it is {column cell: {row cell: entry}}, the entries
     ints and reduced Fractions without zeros: each column is divided out on
@@ -570,6 +582,17 @@ class Matrix(Mapping):
         return cls({kunneth(a, b): kron(u, v) for a, u in A.ints.items()
                     for b, v in B.ints.items()}, A.den * B.den)
 
+    def apply(self, coeffs):
+        """(integers, d): the image of coeffs, ints and Fractions, as
+        integers over one denominator d, undivided; a cancelled cell is 0."""
+        num, d = _integer_form(coeffs)
+        columns = self.ints
+        out = {}
+        for l, v in num.items():
+            for r, s in columns.get(l, {}).items():
+                out[r] = out.get(r, 0) + v * s
+        return out, d * self.den
+
     def __getitem__(self, c):
         column = self._columns.get(c)
         if column is None:
@@ -586,19 +609,11 @@ class Matrix(Mapping):
 
 def apply_matrix(matrix, x, target):
     """Image of x under the linear map sending cell l to the vector matrix[l]
-    over the cells of target; a mod-p class maps to a mod-p class.
-
-    It runs on the integer forms: x as integers over one denominator d, the
-    Matrix as its `ints` over its `den`, and each image cell is divided once
-    by d * den.  The matrix is trusted: checked where it entered, or built
-    by the library."""
-    num, d = _integer_form(x.coeffs)
-    columns = matrix.ints
-    out = {}
-    for l, v in num.items():
-        for r, s in columns.get(l, {}).items():
-            out[r] = out.get(r, 0) + v * s
-    return x._like(out, target, d * matrix.den)
+    over the cells of target; a mod-p class maps to a mod-p class: the
+    integer `Matrix.apply`, then one divide per image cell.  The matrix is
+    trusted: checked where it entered, or built by the library."""
+    image, d = matrix.apply(x.coeffs)
+    return x._like(image, target, d)
 
 
 def kunneth(a, b):

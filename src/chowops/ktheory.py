@@ -7,7 +7,8 @@ per variety, as a `core.Matrix` (`tau_lattice`), and the coordinates of a
 class in the lattice basis are one `apply_matrix` of it; they decide lattice
 membership.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
 theta^p(e), group these coordinates by a filtration index k and scale them
-by p^(shift + k) through one split (`_p_adic_split`).  On the smooth
+by p^(shift + k) through one split on integers over one denominator
+(`_p_adic_split`), fed undivided by `core.Matrix.apply`.  On the smooth
 builders K_0 and K^0 are identified by multiplying or dividing by Todd(T_X).
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
@@ -32,6 +33,7 @@ from .char_classes import (
 )
 from .core import (
     Matrix,
+    _built,
     apply_matrix,
     class_from_json,
     class_to_json,
@@ -202,12 +204,6 @@ def adams_upper(y, p):
                          integral=y.integral)
 
 
-def _psi_twist(X, p):
-    # Todd(T_X) * ch(theta^p(-T_X)): constant per (variety, prime)
-    return _cached(X, ("psi_twist", p),
-                   lambda: todd_class(X) * theta_minus_tangent(X, p))
-
-
 def adams_lower(x, p):
     """Homological Adams operation on a smooth variety, in tau-coordinates.
 
@@ -218,7 +214,10 @@ def adams_lower(x, p):
     require_prime(p)
     X = x.variety
     scaled = _psi_ch(x.tau * todd_inv_class(X), p)
-    return KClass(X, _psi_twist(X, p) * scaled, integral=False)
+    # Todd(T_X) * ch(theta^p(-T_X)): constant per (variety, prime)
+    twist = _cached(X, ("psi_twist", p),
+                    lambda: todd_class(X) * theta_minus_tangent(X, p))
+    return KClass(X, twist * scaled, integral=False)
 
 
 def adams_matrix(X, p):
@@ -283,29 +282,32 @@ def _projective_adams(n, p):
     return Matrix(cols, p ** (2 * n))
 
 
-def _p_adic_split(coords, p, top, shift):
-    """Split tau-coordinates by powers of p: the step the Atiyah
+def _p_adic_split(dims, num, den, p, top, shift):
+    """Split tau-coordinates num / den by powers of p: the step the Atiyah
     decomposition of psi_p and the Bott decomposition of theta^p share.
 
-    The coordinate on a cell of dimension j <= top goes to piece
-    k = [(top - j)/(p - 1)] and is multiplied by p^(shift + k).  Returns the
-    pieces, as classes, and the largest dimension whose scaled coordinate is
-    not integral (None when every one is).
+    The coordinate v / den on a cell of dimension j = dims[l] <= top goes to
+    piece k = [(top - j)/(p - 1)] times p^e, e = shift + k: one divmod of
+    v p^max(e, 0) by den p^max(-e, 0).  Returns the pieces, {cell: int}
+    (a value that does not divide is kept as its Fraction), and the largest
+    dimension of such a value (None when there is none).
     """
-    dims = coords.variety._dims
     n = top // (p - 1) + 1
-    scales = [p ** e if e >= 0 else Fraction(1, p ** -e)
+    scales = [(p ** e, den) if e >= 0 else (1, den * p ** -e)
               for e in range(shift, shift + n)]
     pieces = [{} for _ in range(n)]
     bad = None
-    for l, v in coords.coeffs.items():
-        j = dims[l]
-        k = (top - j) // (p - 1)
-        v *= scales[k]
-        if type(v) is Fraction and v.denominator != 1:
-            bad = j if bad is None else max(bad, j)
-        pieces[k][l] = v
-    return [coords._like(piece) for piece in pieces], bad
+    for l, v in num.items():
+        if v:
+            j = dims[l]
+            k = (top - j) // (p - 1)
+            mul, div = scales[k]
+            q, r = divmod(v * mul, div)
+            if r:
+                bad = j if bad is None else max(bad, j)
+                q = Fraction(v * mul, div)
+            pieces[k][l] = q
+    return pieces, bad
 
 
 def kclass_to_bundle(x):
@@ -361,9 +363,10 @@ def bott_decompose(e, p):
         raise NonIntegralInput("Bott decomposition needs an integral bundle")
     X = e.variety
     w = w_chp(e, p)
-    theta_tau = theta_p(e, p) * todd_class(X)
-    coords = apply_matrix(tau_lattice(X).inverse, theta_tau, X)
-    pieces, bad = _p_adic_split(coords, p, X.dim, -e.rank)
+    coords, den = tau_lattice(X).inverse.apply(
+        (theta_p(e, p) * todd_class(X)).coeffs)
+    pieces, bad = _p_adic_split(X._dims, coords, den, p, X.dim, -e.rank)
+    pieces = [_built(X, piece) for piece in pieces]
     if bad is not None:
         j = X.dim - bad
         k = j // (p - 1)

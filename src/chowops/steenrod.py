@@ -6,13 +6,15 @@ such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  The coordinates of psi_p(x)
 in the unitriangular tau basis are the cached Adams matrix
 (`ktheory.adams_matrix`) applied to the coordinates of x: for the canonical
 lift of a mod-p class these are its own coefficients, and an explicit K-class
-takes one apply of the inverse tau matrix.  Each degree is then scaled by a power of p: a
-dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is
-multiplied by p^{d+k}, which must leave it integral; the Bott
-decomposition shares this split (`ktheory._p_adic_split`).  The basis is
-unitriangular, so S_k mod p is read straight off these coordinates in
-dimension d - k(p-1); the x_k are lifted through the tau matrix only when
-asked for.
+takes one apply of the inverse tau matrix.  Each degree is then scaled by a
+power of p: a dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)]
+and is multiplied by p^{d+k}, which must leave it integral; the Bott
+decomposition shares this split (`ktheory._p_adic_split`).  It runs on
+integers over one denominator, psi_p(x) undivided from the Adams matrix's
+integer apply (`core.Matrix.apply`), so only a failing extraction builds a
+Fraction.  The basis is unitriangular, so S_k mod p is read straight off
+these coordinates in dimension d - k(p-1); the x_k are lifted through the
+tau matrix only when asked for.
 
 S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
 F_p.  Its columns are cached per (X, p, convention) and built on first use:
@@ -115,22 +117,24 @@ def atiyah_decompose(x, p, level=None):
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
     coords = apply_matrix(tau_lattice(X).inverse, x.tau, X)
-    return AtiyahDecomposition(x, p, d, _psi_pieces(X, p, d, coords.coeffs))
+    return AtiyahDecomposition(x, p, d, [
+        _built(X, piece) for piece in _psi_pieces(X, p, d, coords.coeffs)])
 
 
 def _psi_pieces(X, p, d, coords):
-    """The scaled coordinates p^{d+k} psi_p(x), split by k, from the
-    tau-coordinates of an x of level at most d."""
-    x = _built(X, coords)
-    psi = apply_matrix(adams_matrix(X, p), x, X)
+    """The scaled coordinates p^{d+k} psi_p(x), split by k into int dicts,
+    from the tau-coordinates of an x of level at most d, all in integers;
+    the classes of psi_p(x) and x are built only for a failure's dump."""
+    dims = X._dims
+    psi, den = adams_matrix(X, p).apply(coords)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
     # same top dimension, and x and its coordinates the same dimension-d part
-    if psi.top_dim() is not None and psi.top_dim() > d:
+    if any(v and dims[l] > d for l, v in psi.items()):
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
             details={"variety": X.name, "p": p, "tau": class_to_json(
-                apply_matrix(X.tau_columns, psi, X))})
-    pieces, bad = _p_adic_split(psi, p, d, d)
+                apply_matrix(X.tau_columns, _built(X, psi, den), X))})
+    pieces, bad = _p_adic_split(dims, psi, den, p, d, d)
     if bad is not None:
         k = (d - bad) // (p - 1)
         raise ExtractionFailure(
@@ -138,23 +142,15 @@ def _psi_pieces(X, p, d, coords):
             % (bad, d + k, p),
             details={"variety": X.name, "p": p, "dimension": bad,
                      "exponent": d + k,
-                     "component": class_to_json(pieces[k].dim_component(bad)),
+                     "component": class_to_json(
+                         _built(X, pieces[k]).dim_component(bad)),
                      "input": class_to_json(
-                         apply_matrix(X.tau_columns, x, X))})
-    if pieces[0].dim_component(d) != x.dim_component(d):
+                         apply_matrix(X.tau_columns, _built(X, coords), X))})
+    top = {l: v for l, v in coords.items() if dims[l] == d}
+    if {l: v for l, v in pieces[0].items() if dims[l] == d} != top:
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
     return pieces
-
-
-def _as_modp(x, p):
-    if isinstance(x, ModPClass):
-        if p is not None and p != x.p:
-            raise ValueError("class is mod %d, not mod %s" % (x.p, p))
-        return x, x.p
-    if p is None:
-        raise ValueError("p is required for an integral input")
-    return ModPClass.from_integral(x, p), p
 
 
 def steenrod_homological(x, p=None, lift=None):
@@ -181,7 +177,14 @@ def _steenrod(x, p, lift=None, cohomological=False):
     S_0 = x checks that it reduces to x; S_k is pieces[k] in dimension
     d - k(p-1).
     """
-    x, p = _as_modp(x, p)
+    if isinstance(x, ModPClass):
+        if p is not None and p != x.p:
+            raise ValueError("class is mod %d, not mod %s" % (x.p, p))
+        p = x.p
+    elif p is None:
+        raise ValueError("p is required for an integral input")
+    else:
+        x = ModPClass.from_integral(x, p)
     require_prime(p)
     if x.is_zero():
         return [x]
@@ -235,7 +238,7 @@ def _column(X, p, label, cohomological):
         dims, d = X._dims, X._dims[label]
         pieces = _psi_pieces(X, p, d, {label: 1})
         column = {m: r for k, piece in enumerate(pieces)
-                  for m, v in piece.coeffs.items()
+                  for m, v in piece.items()
                   if dims[m] == d - k * (p - 1) and (r := v % p)}
     columns[label] = column
     return column

@@ -82,15 +82,12 @@ def projective_space(n):
     cells = [("h^%d" % i, n - i) for i in range(n + 1)]
     table = {}
     for i in range(n + 1):
-        for j in range(i, n + 1):
-            table[("h^%d" % i, "h^%d" % j)] = (
-                {"h^%d" % (i + j): 1} if i + j <= n else {})
+        for j in range(i, n - i + 1):
+            table[("h^%d" % i, "h^%d" % j)] = {"h^%d" % (i + j): 1}
 
-    tangent = {}
-    for k in range(n + 1):
-        c = Fraction(n + 1, factorial(k)) - (1 if k == 0 else 0)
-        if c:
-            tangent["h^%d" % k] = c
+    tangent = {"h^0": n}  # ch(T) = (n + 1) e^h - 1
+    for k in range(1, n + 1):
+        tangent["h^%d" % k] = Fraction(n + 1, factorial(k))
 
     def tau():
         # the column of h^j is td^{n-j+1}, one running product from j = n down
@@ -141,29 +138,20 @@ def odd_quadric(d):
     cells = [("h^%d" % i, d - i) for i in range(m + 1)]
     cells += [("l_%d" % j, j) for j in range(m, -1, -1)]
 
+    # unit products are filled in, and a missing pair multiplies to zero
     table = {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            if i == 0:
-                continue  # unit products are filled automatically
-            table[("h^%d" % i, "h^%d" % j)] = {
-                k: v for k, v in _quadric_h_power(d, i + j).items()}
     for i in range(1, m + 1):
-        for j in range(m + 1):
-            table[("h^%d" % i, "l_%d" % j)] = (
-                {"l_%d" % (j - i): 1} if j - i >= 0 else {})
-    for i in range(m + 1):
         for j in range(i, m + 1):
-            table[("l_%d" % i, "l_%d" % j)] = {}
+            table[("h^%d" % i, "h^%d" % j)] = _quadric_h_power(d, i + j)
+            table[("h^%d" % i, "l_%d" % j)] = {"l_%d" % (j - i): 1}
 
     def map_series(coeffs):
+        # the constructor drops the zeros of the tangent data and tau columns
         out = {}
         for k, c in enumerate(coeffs):
-            if not c:
-                continue
             for label, mult in _quadric_h_power(d, k).items():
-                out[label] = out.get(label, Fraction(0)) + c * mult
-        return {l: v for l, v in out.items() if v}
+                out[label] = out.get(label, 0) + c * mult
+        return out
 
     tangent_series = S.sadd(
         S.sscale(d + 2, S.exp_t(1, d), d),
@@ -401,7 +389,7 @@ def _linear_embedding(m, n):
         raise IncompatibleDimensions("linear embedding needs 0 <= m <= n")
     Pm, Pn = _pn(m), _pn(n)
     push = {"h^%d" % (m - j): {"h^%d" % (n - j): 1} for j in range(m + 1)}
-    pull = {"h^%d" % i: ({"h^%d" % i: 1} if i <= m else {}) for i in range(n + 1)}
+    pull = {"h^%d" % i: {"h^%d" % i: 1} for i in range(m + 1)}
     T_f = line_bundle(Pm, 1).scale(-(n - m)) if n > m else \
         VirtualBundle(Pm, 0, Pm.zero())
     return Morphism("P^%d->P^%d:linear" % (m, n), Pm, Pn, push, pull,
@@ -415,8 +403,7 @@ def _veronese(n, deg):
     N = comb(n + deg, n) - 1
     PN = _pn(N)
     push = {"h^%d" % (n - j): {"h^%d" % (N - j): deg ** j} for j in range(n + 1)}
-    pull = {"h^%d" % i: ({"h^%d" % i: deg ** i} if i <= n else {})
-            for i in range(N + 1)}
+    pull = {"h^%d" % i: {"h^%d" % i: deg ** i} for i in range(n + 1)}
     # T_f = T_{P^n} - pull T_{P^N}
     ch = tangent_bundle(Pn).ch - (
         line_bundle(Pn, deg).ch.scale(N + 1) - Pn.unit())
@@ -448,11 +435,8 @@ def _linear_in_quadric(j, d):
             "Q_%d contains linear subspaces only up to dimension %d" % (d, m))
     Pj = _pn(j)
     push = {"h^%d" % (j - a): {"l_%d" % a: 1} for a in range(j + 1)}
-    pull = {}
-    for i in range(m + 1):
-        pull["h^%d" % i] = {"h^%d" % i: 1} if i <= j else {}
-    for a in range(m + 1):
-        pull["l_%d" % a] = {}  # codim d-a exceeds j on P^j
+    # h^i for i > j and every l_a (codim d - a > j) pull back to zero
+    pull = {"h^%d" % i: {"h^%d" % i: 1} for i in range(j + 1)}
     t = S.sadd(S.sscale(j - d - 1, S.exp_t(1, j), j), S.exp_t(2, j), j)
     ch = ChowClass(Pj, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]})
     T_f = VirtualBundle(Pj, j - d, ch)
@@ -576,7 +560,7 @@ def _arguments(kind, names, params):
     of variety types and morphism kinds: each name is given exactly once and
     nothing else is, factors is a list or tuple of variety specs, and every
     other parameter is a size, an int and not a bool, short enough to print
-    (checked first, and without printing it)."""
+    (checked first).  A refusal prints parameter names and types, no value."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     for name, v in params.items():
         if type(v) is int and limit and not -10 ** limit < v < 10 ** limit:
@@ -586,9 +570,11 @@ def _arguments(kind, names, params):
             isinstance(v, (list, tuple)) if name == "factors"
             else type(v) is int for name, v in params.items()):
         return tuple(params[name] for name in names)
-    raise ValueError("%s takes exactly %s; got %.200r" % (kind, ", ".join(
+    raise ValueError("%s takes exactly %s; got %s" % (kind, ", ".join(
         name + (" (a list)" if name == "factors" else " (an integer)")
-        for name in names), params))
+        for name in names), ", ".join("%s (%s)" % (name, type(v).__name__)
+                                      for name, v in params.items())
+        or "nothing"))
 
 
 def _builder_spec(builder, n):

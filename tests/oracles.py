@@ -6,6 +6,8 @@ arithmetic, so agreement is a real cross-check.  `multiplicative_class_anew`
 instead replays the uncached route through the package's series functions
 (which `tests/test_series.py` checks against sympy): it cross-checks the
 cached log-weight vectors and the one-pass log class, not the series.
+`p_adic_split` is the p-adic split by Fraction scales, the reference for the
+package's split on integers over one denominator.
 """
 from fractions import Fraction
 from math import factorial
@@ -137,3 +139,26 @@ def tau_coordinates(X, cls):
                 work.pop(r, None)
     assert not work, "triangular solve left a residue: %r" % work
     return coords
+
+
+def p_adic_split(coords, p, top, shift):
+    """The p-adic split of a class of tau-coordinates by Fraction scales:
+    the coordinate on a cell of dimension j <= top goes to piece
+    k = [(top - j)/(p - 1)] and is multiplied by p^(shift + k), a Fraction
+    when the exponent is negative.  Returns the pieces, as classes, and the
+    largest dimension whose scaled coordinate is not integral (None when
+    every one is)."""
+    dims = coords.variety._dims
+    n = top // (p - 1) + 1
+    scales = [p ** e if e >= 0 else Fraction(1, p ** -e)
+              for e in range(shift, shift + n)]
+    pieces = [{} for _ in range(n)]
+    bad = None
+    for l, v in coords.coeffs.items():
+        j = dims[l]
+        k = (top - j) // (p - 1)
+        v *= scales[k]
+        if type(v) is Fraction and v.denominator != 1:
+            bad = j if bad is None else max(bad, j)
+        pieces[k][l] = v
+    return [coords._like(piece) for piece in pieces], bad

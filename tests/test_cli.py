@@ -249,6 +249,37 @@ def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
     assert json.loads(dump) == details
 
 
+_CORRUPT_TABLE = """
+import sys
+from fractions import Fraction
+from chowops import CellularVariety, cli, projective_space
+P2 = projective_space(2)
+tau = {c: dict(col) for c, col in P2.tau_columns.items()}
+tau["h^1"]["h^2"] = Fraction(1, 3)
+X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+                    P2.degree_vector, P2.tangent_ch, tau)
+cli._load_variety = lambda text: X
+sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
+"""
+
+
+def test_corrupted_tau_table_fails_under_optimize():
+    # the integer checks of the extraction are not assert statements, which
+    # -O strips: the corrupted P^2 above still fails on the column of h^1
+    src = os.path.dirname(os.path.dirname(chowops.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    first, dump = out.stderr.split("\n", 1)
+    assert first == ("theory check failed (ExtractionFailure): dimension-0 "
+                     "component of p^2 psi_2 is not integral")
+    assert json.loads(dump) == {
+        "variety": "P^2-corrupt", "p": 2, "dimension": 0, "exponent": 2,
+        "component": {"h^2": "2/3"}, "input": {"h^1": "1", "h^2": "1/3"}}
+
+
 def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
     # P^2's data with ch_2(T) = 5/2, a consistent but wrong c_2 = 2 (it is
     # 3): deg w_2(-T) at p = 2 becomes 7, and the codim-2 coordinate of

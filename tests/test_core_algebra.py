@@ -298,6 +298,34 @@ def test_rejects_bad_tau():
         _tiny({}, tau={"a": {"a": 1}, "b": {"b": 1, "a": 1}})
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, "3/2", True, False, Decimal("0.5")])
+def test_variety_data_follows_the_coefficient_rule(bad):
+    # a caller's tau entry or tangent_ch entry is an int or a Fraction;
+    # anything else, zero or not, is refused naming the cell
+    with pytest.raises(InvalidVariety,
+                       match=r"^tau column 'a' at row 'b': coefficient must "
+                             r"be int or Fraction, got "):
+        _tiny({}, tau={"a": {"a": 1, "b": bad}, "b": {"b": 1}})
+    with pytest.raises(InvalidVariety,
+                       match=r"^tangent_ch at cell 'b': coefficient must be "
+                             r"int or Fraction, got "):
+        CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": 1, "b": bad}, {"a": {"a": 1}, "b": {"b": 1}})
+
+
+def test_variety_data_is_stored_by_the_coefficient_rule():
+    # a Fraction with denominator 1 is stored as an int, in both places
+    X = _tiny({}, tau={"a": {"a": Fraction(1), "b": Fraction(4, 2)},
+                       "b": {"b": 1}})
+    assert X.tau_columns["a"] == {"a": 1, "b": 2}
+    assert all(type(v) is int for v in X.tau_columns["a"].values())
+    X = CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": Fraction(1), "b": Fraction(1, 2)},
+                        {"a": {"a": 1}, "b": {"b": 1}})
+    assert X.tangent_ch == {"a": 1, "b": Fraction(1, 2)}
+    assert type(X.tangent_ch["a"]) is int
+
+
 @pytest.mark.parametrize("tau,message", [
     ({"a": {"a": 2}, "b": {"b": 1}}, "no unit diagonal"),
     ({"a": {"a": 1}, "b": {"b": 1, "a": 1}}, "not triangular"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from chowops import (
     KClass,
     adams_lower,
@@ -218,20 +219,53 @@ def test_p_adic_split_groups_scales_and_finds_the_largest_bad_dimension():
     # the split both decompositions share: the cell of dimension j goes to
     # k = [(top - j)/(p - 1)], scaled by p^(shift + k); Bott's first bad
     # codimension is the largest bad dimension
-    P4 = projective_space(4)
-    coords = _cls(P4, {"h^0": 1, "h^1": Fraction(1, 2), "h^3": Fraction(1, 4),
-                       "h^4": 3})
-    pieces, bad = _p_adic_split(coords, 2, 4, -1)  # Bott, rank 1
-    assert [piece.coeffs for piece in pieces] == [
+    # (coordinates as integers over one denominator: 1, 1/2, 1/4, 3 over 4)
+    dims = projective_space(4)._dims
+    coords = {"h^0": 4, "h^1": 2, "h^3": 1, "h^4": 12}
+    pieces, bad = _p_adic_split(dims, coords, 4, 2, 4, -1)  # Bott, rank 1
+    assert pieces == [
         {"h^0": Fraction(1, 2)}, {"h^1": Fraction(1, 2)}, {}, {"h^3": 1},
         {"h^4": 24}]
     assert bad == 4
-    coords = _cls(P4, {"h^1": 1, "h^2": Fraction(1, 243),
-                       "h^4": Fraction(1, 3 ** 7)})
-    pieces, bad = _p_adic_split(coords, 3, 4, 4)  # Atiyah, level 4
-    assert [piece.coeffs for piece in pieces] == [
-        {"h^1": 81}, {"h^2": 1}, {"h^4": Fraction(1, 3)}]
+    coords = {"h^1": 3 ** 7, "h^2": 9, "h^4": 1}  # 1, 1/243, 1/3^7
+    pieces, bad = _p_adic_split(dims, coords, 3 ** 7, 3, 4, 4)  # Atiyah, d = 4
+    assert pieces == [{"h^1": 81}, {"h^2": 1}, {"h^4": Fraction(1, 3)}]
     assert bad == 0
+
+
+SPLIT_VARIETIES = [projective_space(6), odd_quadric(5),
+                   variety_from_spec("P^1xP^2")]
+
+
+@st.composite
+def split_cases(draw):
+    """Coordinates num / den on the cells of dimension <= top, whose
+    numerators and denominator mix powers of p with other factors, and a
+    shift of either sign."""
+    X = draw(st.sampled_from(SPLIT_VARIETIES))
+    p = draw(st.sampled_from([2, 3, 5, 7, 3317044064679887385961813]))
+    top = draw(st.integers(0, X.dim))
+    labels = [l for l, d in X.cells if d <= top]
+    p_power = st.integers(0, 6).map(lambda e: p ** e)
+    num = draw(st.dictionaries(st.sampled_from(labels), st.builds(
+        lambda c, q: c * q, st.integers(-10 ** 12, 10 ** 12), p_power)))
+    den = draw(p_power) * draw(st.integers(1, 10 ** 6))
+    return X, num, den, p, top, draw(st.integers(-8, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+def test_integer_split_matches_the_fraction_oracle(case):
+    # the split on integers over one denominator, against Fraction scales
+    X, num, den, p, top, shift = case
+    coords = _cls(X, {l: Fraction(v, den) for l, v in num.items()})
+    want, want_bad = oracles.p_adic_split(coords, p, top, shift)
+    pieces, bad = _p_adic_split(X._dims, num, den, p, top, shift)
+    assert pieces == [piece.coeffs for piece in want]
+    assert bad == want_bad
+    # an integral value is an int, and only a failing one a Fraction
+    assert all(type(v) is int or v.denominator != 1
+               for piece in pieces for v in piece.values())
 
 
 def test_bott_needs_integral_bundle():

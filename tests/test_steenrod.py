@@ -305,6 +305,29 @@ def test_cold_columns_build_no_checked_class(monkeypatch, operation):
     assert checked == []
 
 
+def test_cold_columns_run_in_integers(monkeypatch):
+    # a cold homological column is one integer apply of the Adams matrix
+    # and the integer split: no apply_matrix, which divides, and no Fraction
+    calls = count_extractions(monkeypatch)
+    inputs = [_bar(X, p, {label: 1})
+              for X in (projective_space(12),
+                        chowops.variety_from_spec("P^2xP^2xP^2"))
+              for p in (2, 3) for label in X.labels()]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for xbar in inputs:
+        steenrod_homological(xbar)
+    assert len([c for c in calls if c[0] == "_psi_pieces"]) == len(inputs)
+    assert ("apply_matrix",) not in calls
+    assert made == []
+
+
 def test_s0_is_identity_spot():
     for X in (P2, Q3):
         for label in X.labels():

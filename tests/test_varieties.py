@@ -616,6 +616,23 @@ def test_sizes_past_the_print_limit_are_refused_by_name(monkeypatch, kind,
             variety_from_spec(spec)
 
 
+def test_a_malformed_call_names_types_not_values():
+    # the stray note fails the rule, and the message prints no value, not
+    # even a nested size too long to print
+    huge = {"type": "odd_quadric", "dim": 10 ** 5000}
+    before = registered_morphisms()
+    with pytest.raises(ValueError) as err:
+        build_morphism("product_projection", factors=[huge, "P^1"], onto=0,
+                       note=1)
+    assert str(err.value) == (
+        "product_projection takes exactly factors (a list), onto (an "
+        "integer); got factors (list), onto (int), note (int)")
+    assert registered_morphisms() == before
+    with pytest.raises(ValueError, match=r"^projective_space takes exactly "
+                                         r"n \(an integer\); got nothing$"):
+        variety_from_spec({"type": "projective_space"})
+
+
 @pytest.mark.parametrize("spec", [
     '{"type":"projective_space"}',
     '{"type":"projective_space","n":2,"dim":9}',
