@@ -21,11 +21,12 @@ from .core import (
     _exp,
     _integer_form,
     class_from_json,
+    class_to_json,
     coeff_from_str,
-    coeff_to_str,
 )
 from .errors import (
     IntegralityViolation,
+    NonIntegralInput,
     NonInvertibleSeries,
     require_prime,
 )
@@ -70,10 +71,9 @@ class VirtualBundle:
             raise TypeError("rank must be an integer")
         if ch.variety is not variety:
             raise ValueError("ch lives on the wrong variety")
-        r0 = ch.coeffs.get(variety.fundamental, 0)
-        if Fraction(r0) != rank:
+        if ch.num.get(variety.fundamental, 0) != rank * ch.den:
             raise ValueError("codim-0 component of ch (%s) must equal rank (%d)"
-                             % (r0, rank))
+                             % (ch.coeffs.get(variety.fundamental, 0), rank))
         self.variety = variety
         self.rank = rank
         self.ch = ch
@@ -119,11 +119,10 @@ class VirtualBundle:
         return "VirtualBundle(%s, rank=%d)" % (self.variety.name, self.rank)
 
     def to_json(self):
-        ch = {}
-        for l, v in sorted(self.ch.coeffs.items()):
-            key = "1" if l == self.variety.fundamental else l
-            ch[key] = coeff_to_str(v)
-        return {"rank": str(self.rank), "ch": ch}
+        one = self.variety.fundamental
+        return {"rank": str(self.rank),
+                "ch": {"1" if l == one else l: v
+                       for l, v in class_to_json(self.ch).items()}}
 
     @classmethod
     def from_json(cls, variety, obj, integral=True):
@@ -132,9 +131,15 @@ class VirtualBundle:
         rank = coeff_from_str(obj.get("rank"))
         if not isinstance(rank, int):
             raise ValueError("a bundle's rank must be an integer, got %s"
-                             % coeff_to_str(rank))
-        ch = class_from_json(variety, obj.get("ch", {}))
-        return cls(variety, rank, ch, integral=integral)
+                             % rank)
+        bundle = cls(variety, rank, class_from_json(variety, obj.get("ch", {})),
+                     integral=integral)
+        from .ktheory import tau_lattice
+        if integral and not tau_lattice(variety).membership(
+                bundle.ch * todd_class(variety)):
+            raise NonIntegralInput("bundle declared integral has ch * Todd(T_X) "
+                                   "outside the tau-lattice")
+        return bundle
 
 
 def trivial_bundle(X, rank):
@@ -149,15 +154,14 @@ def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles.
 
     The log class u[l] = w_{codim l} ch[l] is formed in integers, over the
-    weights' denominator times ch's, and a0^rank rides along into the one
-    division per cell of the exponential (`core._exp`); w_0 = 0, so u has
-    no codim-0 part."""
+    weights' denominator times ch's, and a0^rank rides along into the
+    exponential's one denominator (`core._exp`); w_0 = 0, so u has no
+    codim-0 part."""
     X = e.variety
     n, dims = X.dim, X._dims
     a0, w, d = spec.weights(n)
-    ch, dc = _integer_form(e.ch.coeffs)
-    u = {l: c for l, v in ch.items() if (c := w[n - dims[l]] * v)}
-    return _exp(X, u, d * dc, a0 ** e.rank)
+    u = {l: c for l, v in e.ch.num.items() if (c := w[n - dims[l]] * v)}
+    return _exp(X, u, d * e.ch.den, a0 ** e.rank)
 
 
 _SPECS = {}  # (name, n) -> SeriesSpec of a built-in per-root series

@@ -1,47 +1,39 @@
 """Exact graded commutative algebra over the cell basis of a cellular variety.
 
-Chow classes are sparse coefficient vectors over the cells.  A stored
-coefficient is an arbitrary-precision integer, or a reduced Fraction where
-Riemann-Roch brings in denominators; a Fraction with denominator 1 is stored
-as an integer, so whether a class is integral is read off its coefficients.
-Rationals are computed as integers over one denominator, divided once: the
-ring product, the exponential (`_exp`) and a matrix apply scale each operand
-to integers over the lcm of its denominators (`_integer_form`), run their
-loops in integers, and divide each cell of the result once (`_quotient`).
-A linear map (`Matrix`) is stored in that form, columns over one
-denominator, and has one integer apply (`Matrix.apply`), whose image stays
-undivided: `apply_matrix` is that apply and one divide, and the p-adic
-split of psi_p and theta^p reads the undivided image.  The ring structure
-comes from a finite table of structure constants, each entry checked for
-grading, commutativity and unitality as it is read; a table given directly
-is also checked for associativity, which the builders' tables have by
-construction (`varieties.BuiltVariety`).  The tau columns are checked to be
-unitriangular, in integer form, where they enter: a caller's mapping in the
-constructor, a builder's callable when `tau_columns` is first read, which
-is when it is built.  On a product X x Y everything comes from the factors
-by one Kunneth rule: the cell a x b is labelled `kunneth(a, b)` and gets
-u[a] v[b] in `kron(u, v)`, and a product's matrices are the Kronecker
-products of the factors' integer forms (`Matrix.kron`).  In JSON a
-coefficient is an integer or a string "n" or "n/d" (`coeff_from_str`).
+A Chow class is a sparse vector over the cells, stored as integers over one
+denominator: `num`, {cell: int} without zeros, over `den` >= 1, in lowest
+terms, so equal classes are stored alike; `coeffs`, ints and reduced
+Fractions, is a view of it.  A linear map (`Matrix`) is stored the same way,
+its columns over one denominator.  The ring product, the exponential
+(`_exp`) and a matrix apply (`Matrix.apply`, `apply_matrix`) run on the
+integers and reduce their result once (`_built`); the p-adic split of psi_p
+and theta^p reads an apply's image undivided.
 
-Chow classes (`ChowClass`) and their reductions mod p (`ModPClass`) share
-one sparse-vector arithmetic: components by dimension, `+`, `==` and hash.
-Caller input is checked once and built data is trusted.  The public
-`ChowClass(...)`, `ModPClass(...)`, `make_class` and `class_from_json` check
-every label and coefficient, and a scalar follows the coefficient rule: an
-int or a Fraction, and an integer mod p.  A result the ring computes from
-checked classes (`+`, `-`, `*`, `scale`, `dim_component`, `exp`) goes
-through the subclass's `_like`, which only drops zeros and stores a
-Fraction with denominator 1 as an integer, or divides integers over their
-denominator once per cell, or reduces mod p.  So does `apply_matrix`, on
-its target: every matrix it is given was checked where it entered (the tau
-columns, a `Morphism`'s integer matrices) or was built by the library.
+The ring structure comes from a finite table of structure constants, each
+entry checked for grading, commutativity and unitality as it is read; a
+table given directly is also checked for associativity, which the builders'
+tables have by construction (`varieties.BuiltVariety`).  The tau columns
+are checked to be unitriangular, in integer form, where they enter: a
+caller's mapping in the constructor, a builder's callable on the first read
+of `tau_columns`.  On a product X x Y the cell a x b is labelled
+`kunneth(a, b)` and gets u[a] v[b] in `kron(u, v)`, and a product's
+matrices are the Kronecker products of the factors' (`Matrix.kron`).  In
+JSON a coefficient is an integer or a string "n" or "n/d" (`coeff_from_str`).
+
+Chow classes (`ChowClass`) and their reductions mod p (`ModPClass`, over
+den 1) share one sparse-vector arithmetic.  Caller input is checked once and
+built data is trusted: `ChowClass(...)`, `ModPClass(...)`, `make_class` and
+`class_from_json` check every label and coefficient (an int or a Fraction;
+an integer mod a prime p), while a result the ring computes from checked
+classes, or `apply_matrix` with a matrix checked where it entered or built
+by the library, goes through the subclass's `_like`, which only drops zeros
+and reduces, over the denominator or mod p.
 """
 import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, gcd, lcm
 
 from .errors import (
     InvalidVariety,
@@ -49,6 +41,7 @@ from .errors import (
     SeriesDomainError,
     UnknownLabel,
     VarietyMismatch,
+    require_prime,
 )
 
 FUNDAMENTAL_ALIAS = "1"  # accepted in JSON input for the codim-0 cell
@@ -72,6 +65,14 @@ def _entry(v, where, *cells):
         raise InvalidVariety("%s: %s" % (where % cells, exc)) from None
 
 
+def _integer(v, where, *cells):
+    """A caller's dimension, structure constant or degree: an int, no bool."""
+    if type(v) is not int:
+        raise InvalidVariety("%s: must be an integer, got %.40r"
+                             % (where % cells, v))
+    return v
+
+
 class CellularVariety:
     """Finite presentation of a split cellular variety.
 
@@ -90,8 +91,9 @@ class CellularVariety:
     def __init__(self, name, dim, cells, mult_table, degree_vector,
                  tangent_ch, tau_columns):
         self.name = name
-        self.dim = dim
-        self.cells = [(str(l), int(d)) for (l, d) in cells]
+        self.dim = dim = _integer(dim, "dim")
+        self.cells = [(str(l), _integer(d, "dimension of cell %r", l))
+                      for (l, d) in cells]
         self._dims = {}
         self._index = {}
         for i, (label, d) in enumerate(self.cells):
@@ -113,7 +115,8 @@ class CellularVariety:
             raise InvalidVariety("need at least one 0-dimensional cell")
 
         self._table = self._build_table(mult_table)
-        self.degree_vector = {str(l): int(v) for l, v in degree_vector.items()}
+        self.degree_vector = {str(l): _integer(v, "degree at cell %r", l)
+                              for l, v in degree_vector.items()}
         if set(self.degree_vector) != set(self.points):
             raise InvalidVariety("degree_vector must cover exactly the "
                                  "0-dimensional cells")
@@ -144,9 +147,7 @@ class CellularVariety:
             for c, v in vec.items():
                 if c not in self._dims:
                     raise InvalidVariety("mult_table value label %r unknown" % c)
-                if not isinstance(v, int):
-                    raise InvalidVariety("structure constants must be integers")
-                if v:
+                if _integer(v, "structure constant of %r * %r at %r", a, b, c):
                     clean[c] = v
                     if self._dims[c] != self._dims[a] + self._dims[b] - self.dim:
                         raise InvalidVariety(
@@ -265,7 +266,7 @@ class CellularVariety:
         return ChowClass(self, self.tau_columns[self.resolve_label(label)])
 
     def tangent_chern_character(self):
-        return _built(self, self.tangent_ch)
+        return _built(self, *_integer_form(self.tangent_ch))
 
     def __repr__(self):
         return "CellularVariety(%s, dim=%d, %d cells)" % (
@@ -273,32 +274,40 @@ class CellularVariety:
 
 
 class _CellVector:
-    """Sparse coefficient vector over the cells of one variety: the
-    arithmetic ChowClass and ModPClass share.
+    """Sparse vector over the cells of one variety, stored as integers
+    `num` over `den`: the arithmetic ChowClass and ModPClass share.
 
     A subclass says how a result computed from checked classes is normalized
     (`_like`) and how it scales; p is the modulus its coefficients are
     reduced by, None when they are not.
     """
 
-    __slots__ = ("variety", "coeffs")
+    __slots__ = ("variety", "num")
     p = None
 
+    @property
+    def coeffs(self):
+        """The coefficients, ints and reduced Fractions, as a read-only view:
+        `num` itself over den 1, else each cell divided once."""
+        if self.den == 1:
+            return self.num
+        return {l: _quotient(v, self.den) for l, v in self.num.items()}
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def support_dims(self):
         dims = self.variety._dims
-        return sorted({dims[l] for l in self.coeffs})
+        return sorted({dims[l] for l in self.num})
 
     def top_dim(self):
         dims = self.variety._dims
-        return max(map(dims.__getitem__, self.coeffs), default=None)
+        return max(map(dims.__getitem__, self.num), default=None)
 
     def dim_component(self, d):
         dims = self.variety._dims
-        return self._like({l: v for l, v in self.coeffs.items()
-                           if dims[l] == d})
+        return self._like({l: v for l, v in self.num.items()
+                           if dims[l] == d}, den=self.den)
 
     def codim_component(self, c):
         return self.dim_component(self.variety.dim - c)
@@ -312,10 +321,15 @@ class _CellVector:
         # the check is repeated inline so that a sum makes one call, to _like
         if self.variety is not other.variety or self.p != other.p:
             self._same(other)
-        out = dict(self.coeffs)
-        for l, v in other.coeffs.items():
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = {l: v * (den // self.den) for l, v in a.items()}
+            b = {l: v * (den // other.den) for l, v in b.items()}
+        out = dict(a)
+        for l, v in b.items():
             out[l] = out.get(l, 0) + v
-        return self._like(out)
+        return self._like(out, den=den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -324,10 +338,15 @@ class _CellVector:
         if not isinstance(other, _CellVector):
             return NotImplemented
         return (self.variety is other.variety and self.p == other.p
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.variety), self.p, frozenset(self.coeffs.items())))
+        return hash((id(self.variety), self.p, self.den,
+                     frozenset(self.num.items())))
+
+    def __repr__(self):
+        return "%s(%s: %s)" % (type(self).__name__, _where(self),
+                               format_class(self))
 
 
 def _where(x):
@@ -349,22 +368,22 @@ def _checked(variety, coeffs, coeff):
 
 
 class ChowClass(_CellVector):
-    """Sparse exact coefficient vector over the cells of one variety."""
+    """Sparse exact vector over the cells of one variety, integers `num`
+    over `den` in lowest terms."""
 
-    __slots__ = ()
+    __slots__ = ("den",)
 
     def __init__(self, variety, coeffs):
         self.variety = variety
-        self.coeffs = _checked(variety, coeffs, _as_coeff)
+        self.num, self.den = _integer_form(_checked(variety, coeffs,
+                                                    _as_coeff))
 
-    def _like(self, coeffs, variety=None, den=1):
+    def _like(self, num, variety=None, den=1):
         """`_built` on self's variety, or on variety."""
-        return _built(self.variety if variety is None else variety, coeffs,
-                      den)
+        return _built(self.variety if variety is None else variety, num, den)
 
     def is_integral(self):
-        return all(not isinstance(v, Fraction) or v.denominator == 1
-                   for v in self.coeffs.values())
+        return self.den == 1
 
     def as_integral(self):
         """The class itself, whose coefficients are then ints; raises if any
@@ -380,19 +399,19 @@ class ChowClass(_CellVector):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({l: -v for l, v in self.coeffs.items()})
+        return self._like({l: -v for l, v in self.num.items()}, den=self.den)
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
-            a, da = _integer_form(self.coeffs)
-            b, db = _integer_form(other.coeffs)
-            return self._like(self.variety._raw_mul(a, b), den=da * db)
+            return self._like(self.variety._raw_mul(self.num, other.num),
+                              den=self.den * other.den)
         return self.scale(other)
 
     def scale(self, c):
-        c = _as_coeff(c)
-        return self._like({l: v * c for l, v in self.coeffs.items()})
+        n, d = _as_coeff(c).as_integer_ratio()
+        return self._like({l: v * n for l, v in self.num.items()},
+                          den=self.den * d)
 
     def power(self, k):
         out = self.variety.unit()
@@ -403,28 +422,23 @@ class ChowClass(_CellVector):
     def exp(self):
         """e^x for x supported in positive codimension, where the series
         stops; computed in integers by `_exp`."""
-        if self.variety.fundamental in self.coeffs:
+        if self.variety.fundamental in self.num:
             raise SeriesDomainError("exp needs x in positive codimension, "
                                     "got %s" % format_class(self))
-        return _exp(self.variety, *_integer_form(self.coeffs))
-
-    def __repr__(self):
-        return "ChowClass(%s: %s)" % (self.variety.name, format_class(self))
+        return _exp(self.variety, self.num, self.den)
 
 
-def _built(variety, coeffs, den=1):
-    """A class on variety computed from checked data: its labels are cells.
-    With den 1 its coefficients are ints or Fractions, so only zeros are
-    dropped and a Fraction with denominator 1 is stored as an int; otherwise
-    they are integers over den, divided once per cell (`_quotient`)."""
+def _built(variety, num, den=1):
+    """A class on variety computed from checked data: its labels are cells,
+    its values integers over den >= 1.  Zeros are dropped and num and den
+    divided by their gcd."""
     new = object.__new__(ChowClass)
     new.variety = variety
-    if den == 1:
-        new.coeffs = {l: v.numerator if type(v) is Fraction
-                      and v.denominator == 1 else v
-                      for l, v in coeffs.items() if v}
-    else:
-        new.coeffs = {l: _quotient(v, den) for l, v in coeffs.items() if v}
+    num = {l: v for l, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {l: v // g for l, v in num.items()}
+    new.num, new.den = num, den // g
     return new
 
 
@@ -440,7 +454,7 @@ def _integer_form(coeffs):
 
 
 def _quotient(v, d):
-    """v / d for integers, as a class stores it: an int when d divides v,
+    """v / d for integers, as a class shows it: an int when d divides v,
     else a reduced Fraction."""
     q, r = divmod(v, d)
     return Fraction(v, d) if r else q
@@ -455,9 +469,9 @@ def _exp(V, num, d, f=1):
     k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
     It runs in integers: with y_i = i num_i and G_k = k! d^k E_k, which is
     integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, one
-    cell product per pair (i, k - i), and f E_k is G_k f divided by k! d^k,
-    once per cell.  The E_k sit in distinct codimensions, so f e^x is their
-    union.
+    cell product per pair (i, k - i), and f E_k is G_k f_num over
+    k! d^k f_den.  The E_k sit in distinct codimensions, so f e^x is their
+    union, over the one denominator n! d^n f_den.
     """
     n, dims = V.dim, V._dims
     y = [{} for _ in range(n + 1)]
@@ -465,8 +479,9 @@ def _exp(V, num, d, f=1):
         i = n - dims[l]
         y[i][l] = i * v
     fn, den = f.numerator, f.denominator  # den runs through k! d^k f_den
+    top = den * factorial(n) * d ** n
     G = [{V.fundamental: 1}]
-    total = {V.fundamental: _quotient(fn, den)}
+    total = {V.fundamental: fn * (top // den)}
     for k in range(1, n + 1):
         G_k = {}
         c = 1  # (k-1)!/(k-i)! d^(i-1)
@@ -477,9 +492,10 @@ def _exp(V, num, d, f=1):
             c *= (k - i) * d
         G.append(G_k)
         den *= k * d
+        s = fn * (top // den)
         for l, v in G_k.items():
-            total[l] = _quotient(v * fn, den)
-    return _built(V, total)
+            total[l] = v * s
+    return _built(V, total, top)
 
 
 def _as_int(v):
@@ -491,16 +507,18 @@ def _as_int(v):
 
 
 class ModPClass(_CellVector):
-    """Chow class with coefficients reduced to [0, p)."""
+    """Chow class with coefficients reduced to [0, p), over den 1."""
 
     __slots__ = ("p",)
+    den = 1
 
     def __init__(self, variety, p, coeffs):
+        require_prime(p)
         self.variety = variety
         self.p = p
-        self.coeffs = _checked(variety, coeffs, lambda v: _as_int(v) % p)
+        self.num = _checked(variety, coeffs, lambda v: _as_int(v) % p)
 
-    def _like(self, coeffs, variety=None, den=1):
+    def _like(self, num, variety=None, den=1):
         """A mod-p class on self's variety, or on variety, computed from
         checked ones: only reduced mod p."""
         p = self.p
@@ -509,34 +527,29 @@ class ModPClass(_CellVector):
         new = object.__new__(ModPClass)
         new.variety = self.variety if variety is None else variety
         new.p = p
-        new.coeffs = {l: r for l, v in coeffs.items() if (r := v % p)}
+        new.num = {l: r for l, v in num.items() if (r := v % p)}
         return new
 
     @classmethod
     def from_integral(cls, x, p):
+        require_prime(p)
         if not x.is_integral():
             raise IntegralityViolation("cannot reduce a fractional class mod %d" % p)
-        return cls(x.variety, p, x.coeffs)
+        return cls(x.variety, p, x.num)
 
     def lift(self):
         """Integral representative with coefficients in [0, p)."""
-        return ChowClass(self.variety, self.coeffs)
+        return _built(self.variety, self.num)
 
     def __mul__(self, other):
         if isinstance(other, ModPClass):
             self._same(other)
-            return self._like(self.variety._raw_mul(self.coeffs, other.coeffs))
+            return self._like(self.variety._raw_mul(self.num, other.num))
         return self.scale(other)
 
     def scale(self, c):
         c = _as_int(c)
-        return self._like({l: v * c for l, v in self.coeffs.items()})
-
-    def __repr__(self):
-        return "ModPClass(%s mod %d: %s)" % (
-            self.variety.name, self.p,
-            " + ".join("%d.%s" % (v, l) for l, v in sorted(self.coeffs.items()))
-            or "0")
+        return self._like({l: v * c for l, v in self.num.items()})
 
 
 # -- module-level operations ---------------------------------------------------
@@ -548,23 +561,21 @@ def make_class(variety, coeffs):
 
 
 class Matrix(Mapping):
-    """A sparse linear map over cells, stored in its integer form: `ints`,
+    """A sparse linear map over cells, stored as a class is: `ints`,
     {column cell: {row cell: integer}}, is the columns times `den`, one
     common denominator of every entry, and is what `apply` reads.
 
     Read as a mapping it is {column cell: {row cell: entry}}, the entries
-    ints and reduced Fractions without zeros: each column is divided out on
-    its first read and kept, so a matrix only ever applied (an Adams
-    matrix) holds no Fraction.  Built once, from the integer form, or from
+    ints and reduced Fractions without zeros, a view built on each read,
+    like a class's `coeffs`.  Built once, from the integer form, or from
     the entries by `of`; treat it as read-only.
     """
 
-    __slots__ = ("ints", "den", "_columns")
+    __slots__ = ("ints", "den")
 
     def __init__(self, ints, den):
         self.ints = ints
         self.den = den
-        self._columns = ints if den == 1 else {}
 
     @classmethod
     def of(cls, columns):
@@ -582,10 +593,9 @@ class Matrix(Mapping):
         return cls({kunneth(a, b): kron(u, v) for a, u in A.ints.items()
                     for b, v in B.ints.items()}, A.den * B.den)
 
-    def apply(self, coeffs):
-        """(integers, d): the image of coeffs, ints and Fractions, as
-        integers over one denominator d, undivided; a cancelled cell is 0."""
-        num, d = _integer_form(coeffs)
+    def apply(self, num, d=1):
+        """(integers, e): the image of num / d, num integers, as integers
+        over e = d * den, undivided; a cancelled cell is 0."""
         columns = self.ints
         out = {}
         for l, v in num.items():
@@ -594,11 +604,10 @@ class Matrix(Mapping):
         return out, d * self.den
 
     def __getitem__(self, c):
-        column = self._columns.get(c)
-        if column is None:
-            column = self._columns[c] = {r: _quotient(v, self.den)
-                                         for r, v in self.ints[c].items()}
-        return column
+        column, den = self.ints[c], self.den
+        if den == 1:
+            return column
+        return {r: _quotient(v, den) for r, v in column.items()}
 
     def __iter__(self):
         return iter(self.ints)
@@ -609,10 +618,10 @@ class Matrix(Mapping):
 
 def apply_matrix(matrix, x, target):
     """Image of x under the linear map sending cell l to the vector matrix[l]
-    over the cells of target; a mod-p class maps to a mod-p class: the
-    integer `Matrix.apply`, then one divide per image cell.  The matrix is
-    trusted: checked where it entered, or built by the library."""
-    image, d = matrix.apply(x.coeffs)
+    over the cells of target, mod p for a mod-p class: `Matrix.apply` of
+    x.num over x.den, reduced once.  The matrix is trusted: checked where it
+    entered, or built by the library."""
+    image, d = matrix.apply(x.num, x.den)
     return x._like(image, target, d)
 
 
@@ -628,14 +637,14 @@ def kron(u, v):
 
 def degree(a):
     """Pair the dimension-0 component with the degree vector."""
-    return _as_coeff(sum(a.coeffs.get(l, 0) * v
-                         for l, v in a.variety.degree_vector.items()))
+    return _quotient(sum(a.num.get(l, 0) * v
+                         for l, v in a.variety.degree_vector.items()), a.den)
 
 
 # -- exact serialization -------------------------------------------------------
 
 def coeff_to_str(v):
-    return str(Fraction(v))  # "n" or "n/d"
+    return str(v)  # "n" or "n/d": v is an int or a reduced Fraction
 
 
 def coeff_from_str(s):
@@ -663,10 +672,10 @@ def class_from_json(variety, obj):
     return make_class(variety, {l: coeff_from_str(v) for l, v in obj.items()})
 
 
-def modp_to_json(a):
-    return {l: str(v) for l, v in sorted(a.coeffs.items())}
+modp_to_json = class_to_json  # a mod-p class's coefficients are ints
 
 
 def format_class(a):
-    return " + ".join("%s.%s" % (coeff_to_str(a.coeffs[l]), l)
-                      for l in sorted(a.coeffs, key=a.variety._index.get)) or "0"
+    coeffs = a.coeffs
+    return " + ".join("%s.%s" % (coeff_to_str(coeffs[l]), l)
+                      for l in sorted(coeffs, key=a.variety._index.get)) or "0"

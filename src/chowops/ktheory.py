@@ -3,12 +3,12 @@
 A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
 cell closures).  The matrix is unitriangular, so its inverse is built once
-per variety, as a `core.Matrix` (`tau_lattice`), and the coordinates of a
-class in the lattice basis are one `apply_matrix` of it; they decide lattice
-membership.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
+per variety, one class per column (`tau_lattice`), and the coordinates of a
+class in the lattice basis, which decide membership, are one `apply_matrix`
+of it.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
 theta^p(e), group these coordinates by a filtration index k and scale them
-by p^(shift + k) through one split on integers over one denominator
-(`_p_adic_split`), fed undivided by `core.Matrix.apply`.  On the smooth
+by p^(shift + k) through one split (`_p_adic_split`) of the integers over
+one denominator that `core.Matrix.apply` leaves undivided.  On the smooth
 builders K_0 and K^0 are identified by multiplying or dividing by Todd(T_X).
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
@@ -20,7 +20,6 @@ the Chern character, multiply by Todd theta^p(-T_X)), stays as the
 independent oracle.
 """
 from fractions import Fraction
-from math import gcd, lcm
 
 from .char_classes import (
     VirtualBundle,
@@ -32,6 +31,7 @@ from .char_classes import (
     w_chp,
 )
 from .core import (
+    ChowClass,
     Matrix,
     _built,
     apply_matrix,
@@ -110,8 +110,7 @@ class TauLattice:
 
     def __init__(self, variety):
         self.variety = variety
-        self.inverse = _unitriangular_inverse(variety.tau_columns,
-                                              variety._dims)
+        self.inverse = _unitriangular_inverse(variety)
 
     def coordinates(self, cls):
         """The coefficients of cls in the column basis, as a dict."""
@@ -121,25 +120,17 @@ class TauLattice:
         return apply_matrix(self.inverse, cls, self.variety).is_integral()
 
 
-def _unitriangular_inverse(tau, dims):
-    """T^{-1} for the checked tau matrix T, as a `Matrix`: column c of T is
-    e_c plus cells of lower dimension, so T^{-1} e_c = e_c - sum_{r != c}
-    T[r, c] T^{-1} e_r, one pass by increasing dimension, each column in
-    integers over its own denominator, reduced."""
-    D, cols = tau.den, {}
-    for c in sorted(tau.ints, key=dims.__getitem__):
-        below = [(s, cols[r]) for r, s in tau.ints[c].items() if r != c]
-        den = D * lcm(*[e for _, (_, e) in below])
-        col = {c: den}
-        for s, (u, e) in below:
-            k = s * (den // (D * e))
-            for m, v in u.items():
-                col[m] = col.get(m, 0) - k * v
-        g = gcd(den, *col.values())
-        cols[c] = ({m: v // g for m, v in col.items() if v}, den // g)
-    den = lcm(*[e for _, e in cols.values()])
-    return Matrix({c: {m: v * (den // e) for m, v in u.items()}
-                   for c, (u, e) in cols.items()}, den)
+def _unitriangular_inverse(X):
+    """T^{-1} for the checked tau matrix T of X, as a `Matrix`: column c of
+    T is e_c plus cells of lower dimension, so T^{-1} e_c = e_c - sum_{r !=
+    c} T[r, c] T^{-1} e_r, one class per column, by increasing dimension,
+    put over the lcm of their denominators."""
+    tau, cols = X.tau_columns, {}
+    for c in sorted(tau.ints, key=X._dims.__getitem__):
+        below = sum((cols[r].scale(s) for r, s in tau.ints[c].items()
+                     if r != c), X.zero())
+        cols[c] = X.basis_class(c) - below.scale(Fraction(1, tau.den))
+    return Matrix.of({c: col.coeffs for c, col in cols.items()})
 
 
 def tau_lattice(X):
@@ -194,7 +185,7 @@ def euler_char(x):
 def _psi_ch(ch, p):
     """psi^p on a Chern character: the codim-i component times p^i."""
     return ch._like({l: v * p ** ch.variety.cell_codim(l)
-                     for l, v in ch.coeffs.items()})
+                     for l, v in ch.num.items()}, den=ch.den)
 
 
 def adams_upper(y, p):
@@ -363,10 +354,9 @@ def bott_decompose(e, p):
         raise NonIntegralInput("Bott decomposition needs an integral bundle")
     X = e.variety
     w = w_chp(e, p)
-    coords, den = tau_lattice(X).inverse.apply(
-        (theta_p(e, p) * todd_class(X)).coeffs)
+    theta = theta_p(e, p) * todd_class(X)
+    coords, den = tau_lattice(X).inverse.apply(theta.num, theta.den)
     pieces, bad = _p_adic_split(X._dims, coords, den, p, X.dim, -e.rank)
-    pieces = [_built(X, piece) for piece in pieces]
     if bad is not None:
         j = X.dim - bad
         k = j // (p - 1)
@@ -376,7 +366,9 @@ def bott_decompose(e, p):
         raise DecompositionFailure(
             "codim-%d piece of theta^%d is %s" % (j, p, what),
             details={"variety": X.name, "p": p, "codim": j,
-                     "piece": class_to_json(pieces[k].dim_component(bad))})
+                     "piece": class_to_json(
+                         ChowClass(X, pieces[k]).dim_component(bad))})
+    pieces = [_built(X, piece) for piece in pieces]
     tdinv = todd_inv_class(X)
     parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]
     for k, (piece, part) in enumerate(zip(pieces, parts)):
@@ -386,7 +378,7 @@ def bott_decompose(e, p):
                 "e_%d is supported below codimension %d" % (k, k * (p - 1)))
         diff = (piece.codim_component(k * (p - 1))
                 - w.codim_component(k * (p - 1)))
-        if any(int(v) % p for v in diff.coeffs.values()):
+        if any(v % p for v in diff.num.values()):
             raise DecompositionFailure(
                 "top part of e_%d differs from w^{CH,%d}_%d mod %d" % (k, p, k, p),
                 details={"variety": X.name, "p": p, "k": k,

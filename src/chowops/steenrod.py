@@ -4,17 +4,14 @@ The central routine extracts, from the homological Adams operation of an
 integral lift, integral classes x_k of filtration level at most d - k(p-1)
 such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  The coordinates of psi_p(x)
 in the unitriangular tau basis are the cached Adams matrix
-(`ktheory.adams_matrix`) applied to the coordinates of x: for the canonical
-lift of a mod-p class these are its own coefficients, and an explicit K-class
-takes one apply of the inverse tau matrix.  Each degree is then scaled by a
-power of p: a dimension-j coordinate belongs to x_k with k = [(d - j)/(p - 1)]
-and is multiplied by p^{d+k}, which must leave it integral; the Bott
-decomposition shares this split (`ktheory._p_adic_split`).  It runs on
-integers over one denominator, psi_p(x) undivided from the Adams matrix's
-integer apply (`core.Matrix.apply`), so only a failing extraction builds a
-Fraction.  The basis is unitriangular, so S_k mod p is read straight off
-these coordinates in dimension d - k(p-1); the x_k are lifted through the
-tau matrix only when asked for.
+(`ktheory.adams_matrix`) applied to the coordinates of x, its own
+coefficients for the canonical lift of a mod-p class.  A dimension-j
+coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is multiplied by
+p^{d+k}, which must leave it integral: the split the Bott decomposition
+shares (`ktheory._p_adic_split`), run on the integers over one denominator
+of a class and an apply, so only a failing extraction builds a Fraction.
+S_k mod p is read straight off these coordinates in dimension d - k(p-1);
+the x_k are lifted through the tau matrix only when asked for.
 
 S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
 F_p.  Its columns are cached per (X, p, convention) and built on first use:
@@ -26,7 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .char_classes import _cached, w_tangent
-from .core import ModPClass, _built, apply_matrix, class_to_json, degree
+from .core import (ChowClass, ModPClass, _built, apply_matrix, class_to_json,
+                   degree)
 from .errors import (
     DimensionMismatch,
     ExtractionFailure,
@@ -118,23 +116,25 @@ def atiyah_decompose(x, p, level=None):
                              % (filtration_level(x), d))
     coords = apply_matrix(tau_lattice(X).inverse, x.tau, X)
     return AtiyahDecomposition(x, p, d, [
-        _built(X, piece) for piece in _psi_pieces(X, p, d, coords.coeffs)])
+        _built(X, piece)
+        for piece in _psi_pieces(X, p, d, coords.num, coords.den)])
 
 
-def _psi_pieces(X, p, d, coords):
+def _psi_pieces(X, p, d, coords, den=1):
     """The scaled coordinates p^{d+k} psi_p(x), split by k into int dicts,
-    from the tau-coordinates of an x of level at most d, all in integers;
-    the classes of psi_p(x) and x are built only for a failure's dump."""
+    from the tau-coordinates coords / den of an x of level at most d, all
+    in integers; the classes of psi_p(x) and x are built only for a
+    failure's dump."""
     dims = X._dims
-    psi, den = adams_matrix(X, p).apply(coords)
+    psi, psi_den = adams_matrix(X, p).apply(coords, den)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
     # same top dimension, and x and its coordinates the same dimension-d part
     if any(v and dims[l] > d for l, v in psi.items()):
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
             details={"variety": X.name, "p": p, "tau": class_to_json(
-                apply_matrix(X.tau_columns, _built(X, psi, den), X))})
-    pieces, bad = _p_adic_split(dims, psi, den, p, d, d)
+                apply_matrix(X.tau_columns, _built(X, psi, psi_den), X))})
+    pieces, bad = _p_adic_split(dims, psi, psi_den, p, d, d)
     if bad is not None:
         k = (d - bad) // (p - 1)
         raise ExtractionFailure(
@@ -143,11 +143,11 @@ def _psi_pieces(X, p, d, coords):
             details={"variety": X.name, "p": p, "dimension": bad,
                      "exponent": d + k,
                      "component": class_to_json(
-                         _built(X, pieces[k]).dim_component(bad)),
-                     "input": class_to_json(
-                         apply_matrix(X.tau_columns, _built(X, coords), X))})
+                         ChowClass(X, pieces[k]).dim_component(bad)),
+                     "input": class_to_json(apply_matrix(
+                         X.tau_columns, _built(X, coords, den), X))})
     top = {l: v for l, v in coords.items() if dims[l] == d}
-    if {l: v for l, v in pieces[0].items() if dims[l] == d} != top:
+    if {l: v * den for l, v in pieces[0].items() if dims[l] == d} != top:
         raise ExtractionFailure("x_0 does not agree with x at the top level",
                                 details={"variety": X.name, "p": p})
     return pieces
@@ -185,7 +185,7 @@ def _steenrod(x, p, lift=None, cohomological=False):
         raise ValueError("p is required for an integral input")
     else:
         x = ModPClass.from_integral(x, p)
-    require_prime(p)
+    # p is prime: a mod-p class checks its modulus when it is made
     if x.is_zero():
         return [x]
     if lift is not None:
@@ -197,7 +197,7 @@ def _steenrod(x, p, lift=None, cohomological=False):
         d = dims[0]
         pieces = atiyah_decompose(lift, p, level=d).pieces
         # the split checked that the pieces are integral
-        out = [x._like(piece.dim_component(d - k * (p - 1)).coeffs)
+        out = [x._like(piece.dim_component(d - k * (p - 1)).num)
                for k, piece in enumerate(pieces)]
         if out[0] != x:
             raise ValueError("the lift does not reduce to x mod %d" % p)
@@ -205,7 +205,7 @@ def _steenrod(x, p, lift=None, cohomological=False):
     X, q = x.variety, p - 1
     cell_dim = X._dims
     out = [{} for _ in range(x.top_dim() // q + 1)]
-    for l, c in x.coeffs.items():
+    for l, c in x.num.items():
         d = cell_dim[l]
         for m, v in _column(X, p, l, cohomological).items():
             acc = out[(d - cell_dim[m]) // q]
@@ -231,7 +231,7 @@ def _column(X, p, label, cohomological):
     if cohomological:
         # w^{CH,p}(T_X) is integral, and reducing after the product is the
         # same as before
-        twisted = X._raw_mul(w_tangent(X, p).coeffs,
+        twisted = X._raw_mul(w_tangent(X, p).num,
                              _column(X, p, label, False))
         column = {m: r for m, v in twisted.items() if (r := v % p)}
     else:
@@ -246,10 +246,7 @@ def _column(X, p, label, cohomological):
 
 def steenrod_total(ops):
     """Sum of all graded components of an operation table."""
-    out = None
-    for part in ops:
-        out = part if out is None else out + part
-    return out
+    return sum(ops[1:], ops[0])
 
 
 def op_component(ops, k):
@@ -285,8 +282,7 @@ def segre_number(X, p):
             "dim %s = %d is not a positive multiple of %d"
             % (X.name, X.dim, p - 1))
     from .char_classes import w_minus_tangent
-    val = degree(w_minus_tangent(X, p).dim_component(0))
-    val = int(val)
+    val = degree(w_minus_tangent(X, p))
     if val % p:
         raise TheoryViolation(
             "Segre-type number %d of %s is not divisible by %d"
@@ -336,7 +332,7 @@ def degree_formula_witness(x, p):
         problem = "degree identity failed"
     elif not (lam_final.numerator % p and lam_final.denominator % p):
         problem = "lambda is not a p-adic unit"
-    elif any(Fraction(v).denominator % p == 0 for v in total.coeffs.values()):
+    elif total.den % p == 0:
         problem = "witness left Z_(p)"
     else:
         return total, lam_final

@@ -221,15 +221,13 @@ def product(X, Y):
 
 
 def external_product(x, y):
-    """x boxtimes y on the product of the two carrying varieties."""
-    XY = product(x.variety, y.variety)
+    """x boxtimes y on the product of the two carrying varieties, mod p when
+    a factor is."""
+    if None not in (x.p, y.p) and x.p != y.p:
+        raise VarietyMismatch("mod-p classes with different p")
+    XY, p = product(x.variety, y.variety), x.p or y.p
     coeffs = kron(x.coeffs, y.coeffs)
-    if isinstance(x, ModPClass) or isinstance(y, ModPClass):
-        p = x.p if isinstance(x, ModPClass) else y.p
-        if isinstance(x, ModPClass) and isinstance(y, ModPClass) and x.p != y.p:
-            raise VarietyMismatch("mod-p classes with different p")
-        return ModPClass(XY, p, coeffs)
-    return ChowClass(XY, coeffs)
+    return ChowClass(XY, coeffs) if p is None else ModPClass(XY, p, coeffs)
 
 
 def hyperplane_class(X):

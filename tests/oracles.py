@@ -148,6 +148,7 @@ def p_adic_split(coords, p, top, shift):
     when the exponent is negative.  Returns the pieces, as classes, and the
     largest dimension whose scaled coordinate is not integral (None when
     every one is)."""
+    from chowops.core import ChowClass
     dims = coords.variety._dims
     n = top // (p - 1) + 1
     scales = [p ** e if e >= 0 else Fraction(1, p ** -e)
@@ -161,4 +162,4 @@ def p_adic_split(coords, p, top, shift):
         if type(v) is Fraction and v.denominator != 1:
             bad = j if bad is None else max(bad, j)
         pieces[k][l] = v
-    return [coords._like(piece) for piece in pieces], bad
+    return [ChowClass(coords.variety, piece) for piece in pieces], bad

@@ -23,6 +23,7 @@ from chowops import (
 from chowops.errors import (
     PRIME_BOUND,
     IntegralityViolation,
+    NonIntegralInput,
     NonInvertibleSeries,
     require_prime,
 )
@@ -177,6 +178,14 @@ def test_bundle_json_rejects_malformed_input(obj):
 def test_bundle_json_rank_is_not_truncated():
     with pytest.raises(ValueError, match="rank must be an integer"):
         VirtualBundle.from_json(P2, {"rank": "3/2", "ch": {"1": "3/2"}})
+
+
+def test_bundle_json_declared_integral_is_checked():
+    # ch = 1 + h/2 is no bundle's: ch * Todd(T_X) is outside the tau-lattice
+    obj = {"rank": "1", "ch": {"1": "1", "h^1": "1/2"}}
+    with pytest.raises(NonIntegralInput, match="outside the tau-lattice"):
+        VirtualBundle.from_json(P2, obj)
+    assert not VirtualBundle.from_json(P2, obj, integral=False).integral
 
 
 def test_bundle_arithmetic():

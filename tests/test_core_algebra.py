@@ -1,4 +1,5 @@
 """Ring structure, grading, degree and serialization of Chow classes."""
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,8 +14,12 @@ from chowops import (
     projective_space,
     pushforward,
     build_morphism,
+    chern,
+    line_bundle,
+    tangent_bundle,
+    todd,
 )
-from chowops.core import CellularVariety, Matrix, ModPClass
+from chowops.core import CellularVariety, Matrix, ModPClass, apply_matrix
 from chowops.errors import (
     IntegralityViolation,
     InvalidVariety,
@@ -172,9 +177,9 @@ def count_fraction_work(monkeypatch):
 
 
 def test_product_and_exp_divide_once_per_cell(monkeypatch):
-    # the engine scales each operand to integers over one denominator and
-    # divides once per output cell: no Fraction product, and at most one
-    # Fraction built per cell of the result
+    # a class is stored as integers over one denominator, so the product and
+    # the exponential build no Fraction at all; reading the coefficients
+    # afterwards divides once per cell of the result
     X = projective_space(8)
     x = make_class(X, {"h^%d" % i: Fraction(2 * i + 1, 3 ** i + 4)
                        for i in range(9)})
@@ -185,8 +190,38 @@ def test_product_and_exp_divide_once_per_cell(monkeypatch):
     for compute in (lambda: x * y, u.exp):
         counts.update(mul=0, new=0)
         z = compute()
-        assert counts["mul"] == 0
-        assert 0 < counts["new"] <= len(z.coeffs) == 9
+        assert counts == {"mul": 0, "new": 0}
+        assert len(z.coeffs) == 9
+        assert counts["mul"] == 0 and 0 < counts["new"] <= 9
+
+
+def test_ring_operations_read_the_stored_form(monkeypatch):
+    # a class is stored as integers over one denominator, so no ring
+    # operation converts its operands: _integer_form is for caller input
+    from chowops import char_classes, core
+
+    X = projective_space(6)
+    x = make_class(X, {"h^%d" % i: Fraction(i - 3, 2 ** i + 1)
+                       for i in range(7)})
+    y = make_class(X, {"h^%d" % i: Fraction(5, 3 ** i) for i in range(1, 7)})
+    e = line_bundle(X, 2) + tangent_bundle(X)
+    todd(e), chern(e)  # each series' log weights come once, from outside
+    calls = []
+    integer_form = core._integer_form
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return integer_form(coeffs)
+
+    for module in (core, char_classes):
+        monkeypatch.setattr(module, "_integer_form", spy)
+    x * y
+    x + y
+    (y * y).exp()
+    apply_matrix(X.tau_columns, x, X)
+    todd(e)
+    chern(e)
+    assert calls == []
 
 
 def test_modp_reduction():
@@ -230,6 +265,16 @@ def test_modp_integral_scalars():
     assert (xbar * Fraction(2, 1)).coeffs == {"h^1": 2, "h^2": 1}
     assert (5 * xbar).coeffs == {"h^1": 2, "h^2": 1}
     assert xbar.scale(-3).is_zero()
+
+
+@pytest.mark.parametrize("p", [0, -3, 4, True, 2.0])
+def test_modp_classes_need_a_prime(p):
+    # the modulus is checked like every p: no division by zero, no negative
+    # or composite modulus, no bool or float
+    with pytest.raises(ValueError, match="p must be (a )?prime"):
+        ModPClass(P2, p, {"h^1": 1})
+    with pytest.raises(ValueError, match="p must be (a )?prime"):
+        ModPClass.from_integral(P2.unit(), p)
 
 
 def test_modp_classes_of_different_primes_do_not_mix():
@@ -311,6 +356,33 @@ def test_variety_data_follows_the_coefficient_rule(bad):
                              r"int or Fraction, got "):
         CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
                         {"a": 1, "b": bad}, {"a": {"a": 1}, "b": {"b": 1}})
+
+
+def _raw_p2(**changes):
+    P = projective_space(2)
+    data = dict(name="P^2-raw", dim=2, cells=P.cells, mult_table=P._table,
+                degree_vector=P.degree_vector, tangent_ch=P.tangent_ch,
+                tau_columns=P.tau_columns)
+    return CellularVariety(**dict(data, **changes))
+
+
+@pytest.mark.parametrize("changes,where", [
+    ({"degree_vector": {"h^2": 2.7}}, "degree at cell 'h^2'"),
+    ({"degree_vector": {"h^2": "3"}}, "degree at cell 'h^2'"),
+    ({"degree_vector": {"h^2": True}}, "degree at cell 'h^2'"),
+    ({"cells": [("h^0", 2), ("h^1", 1.5), ("h^2", 0)]},
+     "dimension of cell 'h^1'"),
+    ({"mult_table": {**P2._table, ("h^1", "h^1"): {"h^2": True}}},
+     "structure constant of 'h^1' * 'h^1' at 'h^2'"),
+    ({"dim": 2.0}, "dim"),
+], ids=["degree-float", "degree-str", "degree-bool", "cell-dim-float",
+        "structure-constant-bool", "dim-float"])
+def test_variety_integers_are_ints(changes, where):
+    # a dimension, structure constant or degree is an int, never coerced
+    assert _raw_p2().degree_vector == {"h^2": 1}
+    with pytest.raises(InvalidVariety,
+                       match=r"^%s: must be an integer, got " % re.escape(where)):
+        _raw_p2(**changes)
 
 
 def test_variety_data_is_stored_by_the_coefficient_rule():

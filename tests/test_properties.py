@@ -25,10 +25,12 @@ morphisms psi_p commutes with the proper pushforward, and with the lci
 pullback up to theta^p(-T_h), on random lattice K-classes.  The ring product, the exponential and every
 matrix apply run on integers over one denominator, and must agree with plain
 Fraction arithmetic on random rational classes whose denominators mix powers
-of p, factorials and large primes."""
+of p, factorials and large primes; every result, a class or a matrix apply,
+is stored in lowest terms, and equal classes reached by different routes
+are equal and hash alike."""
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,6 +75,7 @@ from chowops.varieties import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
+from oracles import tau_coordinates
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
@@ -736,3 +739,60 @@ def test_integer_engine_matches_a_fraction_oracle(case):
         agrees(f.push_class(z), oracle_apply(f.push, z))
     else:
         agrees(f.pull_class(z), oracle_apply(f.pull, z))
+
+
+# -- the stored form: integers over one denominator, in lowest terms ----------
+
+def in_lowest_terms(z):
+    """z stores nonzero ints over a den >= 1 that shares no factor with all
+    of them."""
+    return (type(z.den) is int and z.den >= 1
+            and all(type(v) is int and v for v in z.num.values())
+            and gcd(z.den, *z.num.values()) == 1)
+
+
+def oracle_sum(*terms):
+    """sum c x over the (c, x) terms, one Fraction at a time."""
+    out = {}
+    for c, x in terms:
+        for l, v in x.coeffs.items():
+            out[l] = out.get(l, Fraction(0)) + c * Fraction(v)
+    return out
+
+
+@st.composite
+def stored_form_cases(draw):
+    X = draw(st.sampled_from(VARIETIES))
+    return (oracle_class(draw, X), oracle_class(draw, X),
+            oracle_class(draw, X, positive=True), draw(st.integers(-5, 5)),
+            draw(oracle_rationals), draw(st.integers(0, X.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_form_cases())
+def test_every_result_is_stored_in_lowest_terms(case):
+    x, y, u, k, c, d = case
+    X = x.variety
+    results = [
+        (x + y, oracle_sum((1, x), (1, y))),
+        (x - y, oracle_sum((1, x), (-1, y))),
+        (x * y, oracle_mul(x, y)),
+        (x.scale(k), oracle_sum((k, x))),
+        (x.scale(c), oracle_sum((c, x))),
+        (u.exp(), oracle_exp(u)),
+        (x.dim_component(d), {l: v for l, v in x.coeffs.items()
+                              if X.cell_dim(l) == d}),
+        (apply_matrix(X.tau_columns, x, X), oracle_apply(X.tau_columns, x)),
+        (apply_matrix(tau_lattice(X).inverse, x, X), tau_coordinates(X, x)),
+    ]
+    for z, oracle in results:
+        assert in_lowest_terms(z), (z.num, z.den)
+        assert z.coeffs == {l: v for l, v in oracle.items() if v}
+    # equal classes reached by different routes are equal and hash alike
+    for a, b in [(x + y - y, x), (x.scale(Fraction(2, 4)),
+                                  x.scale(Fraction(1, 2))),
+                 (x * y, y * x), (x - x, X.zero()),
+                 ((x + y).dim_component(d),
+                  x.dim_component(d) + y.dim_component(d)),
+                 (x.scale(c).scale(k), x.scale(c * k))]:
+        assert a == b and hash(a) == hash(b)
