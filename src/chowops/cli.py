@@ -4,19 +4,28 @@ Exit codes: 0 pass, 1 verification failure, 2 input error, 3 a failed
 theory check (any TheoryViolation), with its details dumped on stderr.  All
 numeric output is exact decimal strings; serialization is deterministic
 (sorted keys) so output is byte-stable for a fixed seed and input.
+
+A call loads only the modules its verb runs: `describe` loads neither the
+operation layers (`steenrod`, `ktheory`) nor `verify`, and `table` and
+`operate` do not load `verify`.  The parser reads the convention and suite
+names from `errors`.
 """
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
 from .core import ModPClass, class_from_json, class_to_json, coeff_to_str, modp_to_json
-from .errors import ChowopsError, TheoryViolation, require_prime
-from .steenrod import CONVENTIONS, op_component, steenrod_operation
+from .errors import (CONVENTIONS, SUITE_NAMES, ChowopsError, TheoryViolation,
+                     require_prime)
 from .varieties import variety_from_spec
-from .verify import SUITES, run_suite
+
+
+def steenrod_operation(xbar, p, convention):
+    """`steenrod.steenrod_operation`, loaded on the first operation."""
+    from .steenrod import steenrod_operation
+    return steenrod_operation(xbar, p, convention=convention)
 
 
 def _max_dim():
@@ -90,7 +99,7 @@ def cmd_operate(args):
     raw = json.loads(args.cls)
     x = class_from_json(X, raw)
     xbar = ModPClass.from_integral(x.as_integral(), p)
-    ops = steenrod_operation(xbar, p, convention=args.convention)
+    ops = steenrod_operation(xbar, p, args.convention)
     result = {
         "variety": X.name,
         "p": p,
@@ -103,6 +112,7 @@ def cmd_operate(args):
 
 
 def cmd_table(args):
+    from .steenrod import op_component
     p = args.p
     require_prime(p)
     X = _load_variety(args.variety)
@@ -110,10 +120,11 @@ def cmd_table(args):
     rows = []
     for label in X.labels():
         xbar = ModPClass(X, p, {label: 1})
-        ops = steenrod_operation(xbar, p, convention=args.convention)
+        ops = steenrod_operation(xbar, p, args.convention)
         for k in range(k_max + 1):
             rows.append((label, k, modp_to_json(op_component(ops, k))))
     if args.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["cell", "k", "output"])
@@ -129,6 +140,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     if args.p is not None:
         require_prime(args.p)
     for flag in ("k", "trials"):
@@ -183,7 +195,7 @@ def build_parser():
     sp.set_defaults(func=cmd_table)
 
     sp = subs.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", required=True, choices=sorted(SUITES))
+    sp.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--p", type=int)
     sp.add_argument("--variety")

@@ -33,7 +33,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .errors import (
     InvalidVariety,
@@ -442,6 +442,15 @@ def _built(variety, num, den=1):
     return new
 
 
+def _lowest(num, den):
+    """Integers num ({key: int}) over den in lowest terms: both divided by
+    their gcd, as `_built` does inline on its hot path."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {l: v // g for l, v in num.items()}, den // g
+
+
 def _integer_form(coeffs):
     """(integers, d): coeffs, ints and Fractions, as integers over d, the
     lcm of their denominators; a dict of ints comes back as it is."""
@@ -471,7 +480,8 @@ def _exp(V, num, d, f=1):
     integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, one
     cell product per pair (i, k - i), and f E_k is G_k f_num over
     k! d^k f_den.  The E_k sit in distinct codimensions, so f e^x is their
-    union, over the one denominator n! d^n f_den.
+    union, over n! d^n f_den or, on large integers, over the lcm of the
+    blocks' denominators in lowest terms.
     """
     n, dims = V.dim, V._dims
     y = [{} for _ in range(n + 1)]
@@ -479,9 +489,8 @@ def _exp(V, num, d, f=1):
         i = n - dims[l]
         y[i][l] = i * v
     fn, den = f.numerator, f.denominator  # den runs through k! d^k f_den
-    top = den * factorial(n) * d ** n
     G = [{V.fundamental: 1}]
-    total = {V.fundamental: fn * (top // den)}
+    dens = [den]
     for k in range(1, n + 1):
         G_k = {}
         c = 1  # (k-1)!/(k-i)! d^(i-1)
@@ -492,10 +501,17 @@ def _exp(V, num, d, f=1):
             c *= (k - i) * d
         G.append(G_k)
         den *= k * d
-        s = fn * (top // den)
-        for l, v in G_k.items():
-            total[l] = v * s
-    return _built(V, total, top)
+        dens.append(den)
+    L = den
+    if L.bit_length() > 128:
+        # reduce each block on its own first: past about 128 bits (measured)
+        # the gcds on the blocks cost less than scaling every block to
+        # n! d^n f_den and reducing the lot, below it they cost more
+        L = lcm(*[e // gcd(e, fn * gcd(*G_k.values()))
+                  for G_k, e in zip(G, dens)])
+    s = fn * L
+    return _built(V, {l: v * s // e for G_k, e in zip(G, dens)
+                      for l, v in G_k.items()}, L)
 
 
 def _as_int(v):
@@ -580,11 +596,16 @@ class Matrix(Mapping):
     @classmethod
     def of(cls, columns):
         """The Matrix of columns of ints and Fractions, over their lcm."""
-        den = lcm(*[v.denominator for col in columns.values()
-                    for v in col.values()])
-        return cls({c: {r: v.numerator * (den // v.denominator)
-                        for r, v in col.items()}
-                    for c, col in columns.items()}, den)
+        return cls.over({c: _integer_form(col) for c, col in columns.items()})
+
+    @classmethod
+    def over(cls, columns):
+        """The Matrix of columns {cell: ({row: int}, den)}, each integers
+        over its own denominator, put over the lcm of their lowest terms."""
+        columns = {c: _lowest(num, d) for c, (num, d) in columns.items()}
+        den = lcm(*[d for _, d in columns.values()])
+        return cls({c: {r: v * (den // d) for r, v in num.items()}
+                    for c, (num, d) in columns.items()}, den)
 
     @classmethod
     def kron(cls, A, B):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the input rules shared across the package: the prime
+test, and the names of the operation conventions and the verification suites,
+kept here so that the CLI parses them without loading the modules that use
+them."""
 
 
 class ChowopsError(Exception):
@@ -115,3 +118,13 @@ def require_prime(p):
                 break
         else:
             raise ValueError("p must be prime, got %d" % p)
+
+
+# convention name -> the grading it names, for steenrod_operation and the CLI
+CONVENTIONS = {"coh": "cohomological", "hom": "homological",
+               "cohomological": "cohomological", "homological": "homological"}
+
+# the verification suites; verify.SUITES is keyed from this tuple
+SUITE_NAMES = ("algebra", "whitney", "bott", "psipower", "integrality",
+               "rr-naturality", "lift-independence", "cartan", "wu", "xp",
+               "s0", "segre", "degree-formula", "chi-defect", "lucas-oracle")

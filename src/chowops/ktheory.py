@@ -3,7 +3,7 @@
 A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
 integral lattice is spanned by the tau_matrix columns (structure sheaves of
 cell closures).  The matrix is unitriangular, so its inverse is built once
-per variety, one class per column (`tau_lattice`), and the coordinates of a
+per variety, in integers (`tau_lattice`), and the coordinates of a
 class in the lattice basis, which decide membership, are one `apply_matrix`
 of it.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
 theta^p(e), group these coordinates by a filtration index k and scale them
@@ -20,6 +20,7 @@ the Chern character, multiply by Todd theta^p(-T_X)), stays as the
 independent oracle.
 """
 from fractions import Fraction
+from math import lcm
 
 from .char_classes import (
     VirtualBundle,
@@ -34,6 +35,7 @@ from .core import (
     ChowClass,
     Matrix,
     _built,
+    _lowest,
     apply_matrix,
     class_from_json,
     class_to_json,
@@ -121,16 +123,22 @@ class TauLattice:
 
 
 def _unitriangular_inverse(X):
-    """T^{-1} for the checked tau matrix T of X, as a `Matrix`: column c of
-    T is e_c plus cells of lower dimension, so T^{-1} e_c = e_c - sum_{r !=
-    c} T[r, c] T^{-1} e_r, one class per column, by increasing dimension,
-    put over the lcm of their denominators."""
+    """T^{-1} for the checked tau matrix T = A / D of X, as a `Matrix`:
+    column c of A is D e_c plus cells of lower dimension, so T^{-1} e_c =
+    e_c - sum_{r != c} A[r, c] T^{-1} e_r / D, by increasing dimension, each
+    column integers over its own denominator in lowest terms."""
     tau, cols = X.tau_columns, {}
+    D = tau.den
     for c in sorted(tau.ints, key=X._dims.__getitem__):
-        below = sum((cols[r].scale(s) for r, s in tau.ints[c].items()
-                     if r != c), X.zero())
-        cols[c] = X.basis_class(c) - below.scale(Fraction(1, tau.den))
-    return Matrix.of({c: col.coeffs for c, col in cols.items()})
+        below = [(s, *cols[r]) for r, s in tau.ints[c].items() if r != c]
+        L = lcm(*[e for _, _, e in below])
+        out = {c: D * L}
+        for s, num, e in below:
+            s *= L // e
+            for l, v in num.items():
+                out[l] = out.get(l, 0) - s * v
+        cols[c] = _lowest({l: v for l, v in out.items() if v}, D * L)
+    return Matrix.over(cols)
 
 
 def tau_lattice(X):
@@ -234,9 +242,9 @@ def _adams_columns(X, p):
     if builder == "product":
         return Matrix.kron(*(adams_matrix(F, p) for F in X._factors))
     inverse = tau_lattice(X).inverse
-    return Matrix.of({l: apply_matrix(inverse, adams_lower(
-                          k0_from_chow_lift(X.basis_class(l)), p).tau, X).coeffs
-                      for l in X.labels()})
+    columns = {l: apply_matrix(inverse, adams_lower(
+        k0_from_chow_lift(X.basis_class(l)), p).tau, X) for l in X.labels()}
+    return Matrix.over({l: (c.num, c.den) for l, c in columns.items()})
 
 
 def _projective_adams(n, p):

@@ -26,6 +26,7 @@ from .char_classes import _cached, w_tangent
 from .core import (ChowClass, ModPClass, _built, apply_matrix, class_to_json,
                    degree)
 from .errors import (
+    CONVENTIONS,
     DimensionMismatch,
     ExtractionFailure,
     FlagViolation,
@@ -254,10 +255,6 @@ def op_component(ops, k):
     if k < len(ops):
         return ops[k]
     return ops[0]._like({})
-
-
-CONVENTIONS = {"coh": "cohomological", "hom": "homological",
-               "cohomological": "cohomological", "homological": "homological"}
 
 
 def steenrod_operation(x, p=None, convention="cohomological", lift=None):

@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from . import series as S
 from .char_classes import VirtualBundle, tangent_bundle
@@ -35,6 +35,7 @@ from .core import (
     ChowClass,
     Matrix,
     ModPClass,
+    _integer_form,
     apply_matrix,
     kron,
     kunneth,
@@ -91,15 +92,15 @@ def projective_space(n):
 
     def tau():
         # the column of h^j is td^{n-j+1}, one running product from j = n down
-        td = S.todd_series(n)
+        td = _series(S.todd_series(n))
         columns = {}
-        col_series = td
+        col, den = td
         for j in range(n, -1, -1):
             if j < n:
-                col_series = S.smul(col_series, td, n)
-            columns["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
-                                   for k in range(n - j + 1) if col_series[k]}
-        return columns
+                col, den = _times((col, den), td, n)
+            columns["h^%d" % j] = ({"h^%d" % (j + k): col[k]
+                                    for k in range(n - j + 1) if col[k]}, den)
+        return Matrix.over(columns)
 
     X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
                      tangent, tau)
@@ -107,6 +108,21 @@ def projective_space(n):
     X.builder = "projective_space"
     _VARIETY_CACHE[key] = X
     return X
+
+
+def _series(coeffs):
+    """A series of Fractions as (integers, den): `core._integer_form` of
+    {degree: coefficient}."""
+    return _integer_form(dict(enumerate(coeffs)))
+
+
+def _times(a, b, n):
+    """The product of two series (integers, den), each integers at the
+    degrees 0..n at least, truncated at degree n and in lowest terms."""
+    (u, du), (v, dv) = a, b
+    out = [sum(u[i] * v[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    g = gcd(du * dv, *out)
+    return [w // g for w in out], du * dv // g
 
 
 def _quadric_h_power(d, k):
@@ -146,12 +162,11 @@ def odd_quadric(d):
             table[("h^%d" % i, "l_%d" % j)] = {"l_%d" % (j - i): 1}
 
     def map_series(coeffs):
-        # the constructor drops the zeros of the tangent data and tau columns
         out = {}
         for k, c in enumerate(coeffs):
             for label, mult in _quadric_h_power(d, k).items():
                 out[label] = out.get(label, 0) + c * mult
-        return out
+        return {label: c for label, c in out.items() if c}
 
     tangent_series = S.sadd(
         S.sscale(d + 2, S.exp_t(1, d), d),
@@ -159,24 +174,28 @@ def odd_quadric(d):
     tangent = map_series(tangent_series)
 
     def tau():
-        td = S.todd_series(d)
-        td2 = [td[k] * 2 ** k for k in range(d + 1)]  # td(2t)
-        todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
-        one_minus = [Fraction(0)] + [
-            -Fraction((-1) ** k, factorial(k))
-            for k in range(1, d + 1)]  # 1 - e^{-t}
+        tds = S.todd_series(d)
+        td = _series(tds)
+        # todd_q = td^{d+2} / td(2t), the Todd class of Q_d
+        todd_q = _series(S.sinv([c * 2 ** k for k, c in enumerate(tds)], d))
+        for _ in range(d + 2):
+            todd_q = _times(todd_q, td, d)
+        one_minus = ([0] + [(-1) ** (k + 1) * (factorial(d) // factorial(k))
+                            for k in range(1, d + 1)],
+                     factorial(d))  # 1 - e^{-t}
         # one running product per family: h^i has todd_q (1 - e^{-t})^i and
         # l_i has td^{i+1} truncated at degree i
         columns = {}
         col, tdj = todd_q, td
         for i in range(m + 1):
             if i:
-                col = S.smul(col, one_minus, d)
-                tdj = S.smul(tdj, td, m)
-            columns["h^%d" % i] = map_series(col)
-            columns["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
-                                   for k in range(i + 1) if tdj[k]}
-        return columns
+                col = _times(col, one_minus, d)
+                tdj = _times(tdj, td, m)
+            columns["h^%d" % i] = (map_series(col[0]), col[1])
+            columns["l_%d" % i] = ({"l_%d" % (i - k): tdj[0][k]
+                                    for k in range(i + 1) if tdj[0][k]},
+                                   tdj[1])
+        return Matrix.over(columns)
 
     X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}

@@ -11,7 +11,7 @@ from math import comb
 from . import char_classes as CC
 from .core import (ModPClass, apply_matrix, class_to_json, degree, make_class,
                    modp_to_json)
-from .errors import ChowopsError
+from .errors import SUITE_NAMES, ChowopsError
 from .ktheory import (
     adams_lower,
     adams_upper,
@@ -546,23 +546,10 @@ def suite_lucas_oracle(r, params):
                 got=modp_to_json(total), expected=expected)
 
 
-SUITES = {
-    "algebra": suite_algebra,
-    "whitney": suite_whitney,
-    "bott": suite_bott,
-    "psipower": suite_psipower,
-    "integrality": suite_integrality,
-    "rr-naturality": suite_rr_naturality,
-    "lift-independence": suite_lift_independence,
-    "cartan": suite_cartan,
-    "wu": suite_wu,
-    "xp": suite_xp,
-    "s0": suite_s0,
-    "segre": suite_segre,
-    "degree-formula": suite_degree_formula,
-    "chi-defect": suite_chi_defect,
-    "lucas-oracle": suite_lucas_oracle,
-}
+# the suite of each name in SUITE_NAMES is the function suite_<name>, with
+# "-" read as "_"
+SUITES = {name: globals()["suite_" + name.replace("-", "_")]
+          for name in SUITE_NAMES}
 
 
 def run_suite(name, **params):

@@ -7,7 +7,9 @@ instead replays the uncached route through the package's series functions
 (which `tests/test_series.py` checks against sympy): it cross-checks the
 cached log-weight vectors and the one-pass log class, not the series.
 `p_adic_split` is the p-adic split by Fraction scales, the reference for the
-package's split on integers over one denominator.
+package's split on integers over one denominator, and `pn_tau_running` and
+`quadric_tau_running` are the builders' running products over Fractions, the
+reference for the ones on integers over one denominator.
 """
 from fractions import Fraction
 from math import factorial
@@ -163,3 +165,50 @@ def p_adic_split(coords, p, top, shift):
             bad = j if bad is None else max(bad, j)
         pieces[k][l] = v
     return [ChowClass(coords.variety, piece) for piece in pieces], bad
+
+
+def pn_tau_running(n):
+    """The tau columns of P^n by the Fraction running product: the column
+    of h^j is td^{n-j+1}, one product per column from j = n down."""
+    from chowops import series as S
+    td = S.todd_series(n)
+    columns = {}
+    col_series = td
+    for j in range(n, -1, -1):
+        if j < n:
+            col_series = S.smul(col_series, td, n)
+        columns["h^%d" % j] = {"h^%d" % (j + k): col_series[k]
+                               for k in range(n - j + 1) if col_series[k]}
+    return columns
+
+
+def quadric_tau_running(d):
+    """The tau columns of Q_d by the Fraction running products: h^i has
+    todd_q (1 - e^{-t})^i, mapped onto the cells (h^k is 2 l_{d-k} above
+    the middle), and l_i has td^{i+1} truncated at degree i."""
+    from chowops import series as S
+    m = (d - 1) // 2
+
+    def map_series(coeffs):
+        out = {}
+        for k, c in enumerate(coeffs):
+            label, mult = ("h^%d" % k, 1) if k <= m else ("l_%d" % (d - k), 2)
+            if c:
+                out[label] = out.get(label, 0) + c * mult
+        return out
+
+    td = S.todd_series(d)
+    td2 = [td[k] * 2 ** k for k in range(d + 1)]  # td(2t)
+    todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
+    one_minus = [Fraction(0)] + [-Fraction((-1) ** k, factorial(k))
+                                 for k in range(1, d + 1)]  # 1 - e^{-t}
+    columns = {}
+    col, tdj = todd_q, td
+    for i in range(m + 1):
+        if i:
+            col = S.smul(col, one_minus, d)
+            tdj = S.smul(tdj, td, m)
+        columns["h^%d" % i] = map_series(col)
+        columns["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
+                               for k in range(i + 1) if tdj[k]}
+    return columns

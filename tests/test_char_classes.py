@@ -138,6 +138,25 @@ def test_w2_is_alternating_total_chern():
             assert w_chp(e, 2) == alt
 
 
+@pytest.mark.parametrize("n", [24, 40])
+def test_classes_of_large_tangent_bundles_match_the_power_sums(n):
+    # the exponential reduces each codimension's block on its own before
+    # taking the lcm; the result is the power-sum oracle's, in lowest terms
+    from math import lcm
+
+    import oracles
+    X = projective_space(n)
+    T = tangent_bundle(X)
+    for e in (T, -T):
+        for got, want in ((todd(e), oracles.multiplicative_class_anew("todd", e)),
+                          (theta_p(e, 3),
+                           oracles.multiplicative_class_anew("theta", e, 3)),
+                          (w_chp(e, 2), oracles.multiplicative_class_anew("w", e, 2))):
+            assert got == want
+            assert got.den == lcm(*[Fraction(v).denominator
+                                    for v in got.coeffs.values()])
+
+
 def test_bundle_json_round_trip():
     e = tangent_bundle(P2) + trivial_bundle(P2, 1)
     blob = e.to_json()

@@ -387,6 +387,31 @@ def test_product_tau_columns_are_one_kronecker_product(monkeypatch):
     assert tau == {kunneth(a, b): kron(A[a], B[b]) for a in A for b in B}
 
 
+@pytest.mark.parametrize("spec", ["P^0", "P^7", "P^24", "Q_1", "Q_9", "Q_15",
+                                  "P^2xQ_3", "P^2xP^2xP^2xP^2"])
+def test_tau_inverse_is_the_back_substitution_in_one_integer_loop(
+        monkeypatch, spec):
+    # column c of T^{-1} is the tau-coordinates of the cell c, over the lcm
+    # of their denominators; the integer loop builds no Fraction
+    from chowops import ktheory
+    X = variety_from_spec(spec)
+    X.tau_columns
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    inverse = ktheory._unitriangular_inverse(X)
+    assert made == []
+    monkeypatch.undo()
+    want = Matrix.of({c: oracles.tau_coordinates(X, X.basis_class(c))
+                      for c in X.labels()})
+    assert (inverse.ints, inverse.den) == (want.ints, want.den)
+
+
 def test_projective_adams_matrix_past_p_minus_one():
     # at p = 7 the binomials C(p, m+1) vanish from m = 7 on
     for n in range(14):

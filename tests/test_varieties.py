@@ -25,7 +25,7 @@ from chowops import (
 from chowops import series as S
 from chowops import varieties as V
 from chowops.cli import main
-from chowops.core import CellularVariety, ModPClass, kron, kunneth
+from chowops.core import CellularVariety, Matrix, ModPClass, kron, kunneth
 from chowops.errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -159,6 +159,45 @@ def test_pn_tau_columns_equal_powers_from_scratch(n):
 @pytest.mark.parametrize("d", range(1, 14, 2))
 def test_quadric_tau_columns_equal_powers_from_scratch(d):
     assert odd_quadric(d).tau_columns == scratch_quadric_tau(d)
+
+
+@pytest.mark.parametrize("spec, oracle", [
+    *(("P^%d" % n, lambda n=n: oracles.pn_tau_running(n)) for n in range(41)),
+    *(("Q_%d" % d, lambda d=d: oracles.quadric_tau_running(d))
+      for d in range(1, 16, 2))])
+def test_integer_tau_columns_equal_the_fraction_running_products(
+        monkeypatch, spec, oracle):
+    # the builders run their products on integers over one denominator and
+    # hand the constructor a Matrix; entry by entry it is the Fraction
+    # running product, over the same lcm
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    X = variety_from_spec(spec)
+    assert isinstance(X._tau_source(), Matrix)
+    tau, want = X.tau_columns, oracle()
+    assert set(tau) == set(want)
+    for c, col in want.items():
+        assert tau[c] == col, (spec, c)
+    expected = Matrix.of(want)
+    assert (tau.ints, tau.den) == (expected.ints, expected.den)
+
+
+@pytest.mark.parametrize("spec, products", [
+    ("P^0", 0), ("P^12", 12), ("P^40", 40), ("Q_1", 3), ("Q_13", 27)])
+def test_fresh_tau_columns_make_one_integer_product_per_column(
+        monkeypatch, spec, products):
+    # P^n: one product for each column below h^n; Q_d: d + 2 for the Todd
+    # class, then two per step of the h and l families
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    calls = []
+    times = V._times
+
+    def counting(a, b, n):
+        calls.append(n)
+        return times(a, b, n)
+
+    monkeypatch.setattr(V, "_times", counting)
+    variety_from_spec(spec).tau_columns
+    assert len(calls) == products
 
 
 def count_smul(monkeypatch):
