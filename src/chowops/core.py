@@ -27,7 +27,8 @@ built data is trusted: `ChowClass(...)`, `ModPClass(...)`, `make_class` and
 an integer mod a prime p), while a result the ring computes from checked
 classes, or `apply_matrix` with a matrix checked where it entered or built
 by the library, goes through the subclass's `_like`, which only drops zeros
-and reduces, over the denominator or mod p.
+and reduces, over the denominator or mod p; `_modp` wraps mod-p data that
+is already reduced and free of zeros as it is.
 """
 import re
 from collections.abc import Mapping
@@ -516,6 +517,8 @@ def _exp(V, num, d, f=1):
 
 def _as_int(v):
     """A mod-p coefficient: _as_coeff's rule, and integral."""
+    if type(v) is int:
+        return v
     v = _as_coeff(v)
     if isinstance(v, Fraction):
         raise TypeError("a mod-p coefficient must be an integer, got %s" % v)
@@ -532,7 +535,8 @@ class ModPClass(_CellVector):
         require_prime(p)
         self.variety = variety
         self.p = p
-        self.num = _checked(variety, coeffs, lambda v: _as_int(v) % p)
+        self.num = {l: r for l, v in _checked(variety, coeffs, _as_int).items()
+                    if (r := v % p)}
 
     def _like(self, num, variety=None, den=1):
         """A mod-p class on self's variety, or on variety, computed from
@@ -540,18 +544,17 @@ class ModPClass(_CellVector):
         p = self.p
         if den != 1:
             raise TypeError("a mod-%d class cannot be divided by %d" % (p, den))
-        new = object.__new__(ModPClass)
-        new.variety = self.variety if variety is None else variety
-        new.p = p
-        new.num = {l: r for l, v in num.items() if (r := v % p)}
-        return new
+        return _modp(self.variety if variety is None else variety, p,
+                     {l: r for l, v in num.items() if (r := v % p)})
 
     @classmethod
     def from_integral(cls, x, p):
+        """x mod p; the ChowClass x is checked data, so it is only reduced."""
         require_prime(p)
         if not x.is_integral():
             raise IntegralityViolation("cannot reduce a fractional class mod %d" % p)
-        return cls(x.variety, p, x.num)
+        return _modp(x.variety, p, {l: r for l, v in x.num.items()
+                                    if (r := v % p)})
 
     def lift(self):
         """Integral representative with coefficients in [0, p)."""
@@ -566,6 +569,14 @@ class ModPClass(_CellVector):
     def scale(self, c):
         c = _as_int(c)
         return self._like({l: v * c for l, v in self.num.items()})
+
+
+def _modp(variety, p, num):
+    """The mod-p class num on variety, taken as it is: num is computed from
+    checked data, its labels cells and its values already in [1, p)."""
+    new = object.__new__(ModPClass)
+    new.variety, new.p, new.num = variety, p, num
+    return new
 
 
 # -- module-level operations ---------------------------------------------------

@@ -20,7 +20,7 @@ the Chern character, multiply by Todd theta^p(-T_X)), stays as the
 independent oracle.
 """
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .char_classes import (
     VirtualBundle,
@@ -250,34 +250,33 @@ def _adams_columns(X, p):
 def _projective_adams(n, p):
     """The Adams matrix of P^n, in K_0 = Z[x]/x^{n+1} with x = [O_H].
 
-    The cell h^j is x^j.  With theta = theta^p(O(1)) = sum_{i<p} (1-x)^i =
-    psi^p(x)/x, whose coefficients are theta_m = (-1)^m C(p, m+1), one has
-    psi^p(x^j) = x^j theta^j and theta^p(-T) = p theta^{-(n+1)}, so column j
-    is p x^j u^{n+1-j} with u = 1/theta.  In integers u_m = U_m / p^{m+1},
-    and the coefficients of u^e are V_m / p^{m+e}, so u^e is one running
-    integer product, the mirror of the tau columns h^j td^{n+1-j}.  The
-    entry V_m / p^{m+e-1} of column j is at most p^{2n} in its denominator,
-    so the matrix is written straight into its integer form over p^{2n}.
+    The cell h^j is x^j.  With theta = theta^p(O(1)) = psi^p(x)/x, one has
+    psi^p(x^j) = x^j theta^j and theta^p(-T) = p theta^{-(n+1)}, so column
+    j is p x^j theta^{j-n-1} = g f^j, a Riordan array: g = p theta^{-(n+1)},
+    f = x theta = 1 - (1-x)^p, f_i = (-1)^(i-1) C(p, i) for i <= p.  The
+    coefficients of theta^{-(n+1)} are V_m / p^{m+n+1}, with integers V_m
+    from Miller's power recurrence on theta_i = f_{i+1} (theta_0 = p):
+    m V_m = -sum_{i>=1} (n i + m) theta_i p^(i-1) V_{m-i}.  So over p^{2n}
+    column 0 is V_t p^{n-t}, and column j + 1 is column j times f,
+    truncated at x^n: O(n^2 min(p, n)) products.
     """
-    theta = []
-    c = 1
-    for m in range(n + 1):
-        c = c * (p - m) // (m + 1)  # C(p, m+1), zero once m + 1 > p
-        theta.append(-c if m % 2 else c)
-    # theta u = 1 with theta_0 = p: U_m = -sum_{i>=1} theta_i U_{m-i} p^{i-1}
-    U = [1]
+    f = [0] + [(-1) ** (i - 1) * comb(p, i)
+               for i in range(1, min(p, n + 1) + 1)]
+    # theta_i p^(i-1) at index i - 1; the division by m below is exact
+    theta = [f[i + 1] * p ** (i - 1) for i in range(1, len(f) - 1)]
+    V = [1]
     for m in range(1, n + 1):
-        U.append(-sum(theta[i] * U[m - i] * p ** (i - 1)
-                      for i in range(1, m + 1)))
+        V.append(-sum((n * i + m) * theta[i - 1] * V[m - i]
+                      for i in range(1, min(m, len(theta)) + 1)) // m)
+    labels = ["h^%d" % t for t in range(n + 1)]
+    column = [v * p ** (n - t) for t, v in enumerate(V)]
     cols = {}
-    V = U
-    for j in range(n, -1, -1):
-        e = n + 1 - j
-        if e > 1:
-            V = [sum(V[i] * U[m - i] for i in range(m + 1))
-                 for m in range(n + 1)]
-        cols["h^%d" % j] = {"h^%d" % (j + m): V[m] * p ** (n + j - m)
-                            for m in range(n - j + 1) if V[m]}
+    for j in range(n + 1):
+        cols[labels[j]] = {labels[t]: column[t] for t in range(j, n + 1)
+                           if column[t]}
+        column = [0] * (j + 1) + [
+            sum(f[i] * column[t - i] for i in range(1, min(t - j, p) + 1))
+            for t in range(j + 1, n + 1)]
     return Matrix(cols, p ** (2 * n))
 
 

@@ -17,14 +17,16 @@ S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
 F_p.  Its columns are cached per (X, p, convention) and built on first use:
 the column of a basis cell l is the extraction above applied to [l], with
 the w^{CH,p}(T_X) twist folded in for the cohomological convention, and an
-operation is the sparse sum S_k(x) = sum_l c_l S_k(l) mod p.
+operation is the sparse sum S_k(x) = sum_l c_l S_k(l) mod p.  A warm one-cell
+operation c [l], a table row, pays only for its output: c v mod p for each
+entry v of the column, never 0 as c and v are units mod p, wrapped as it is.
 """
 from fractions import Fraction
 from functools import cached_property
 
 from .char_classes import _cached, w_tangent
-from .core import (ChowClass, ModPClass, _built, apply_matrix, class_to_json,
-                   degree)
+from .core import (ChowClass, ModPClass, _built, _modp, apply_matrix,
+                   class_to_json, degree)
 from .errors import (
     CONVENTIONS,
     DimensionMismatch,
@@ -173,7 +175,11 @@ def _steenrod(x, p, lift=None, cohomological=False):
     """Both conventions: check the input once, then a sparse apply over F_p.
 
     S-bar is linear on CH/p, so S_k(x) = sum_l c_l S_k(l) over the cells l
-    of x, read off the cached columns (`_column`).  An explicit lift goes
+    of x, read off the cached columns (`_column`).  On one cell, x = c [l],
+    S_k gets c v mod p for each entry v of the column, wrapped as it is
+    (`core._modp`): c and v lie in [1, p), units mod the prime p, so c v is
+    never 0 and needs no zero filter.  Several cells reduce their summed
+    columns through `_like`, where terms can cancel.  An explicit lift goes
     through atiyah_decompose, which checks its integrality and level, and
     S_0 = x checks that it reduces to x; S_k is pieces[k] in dimension
     d - k(p-1).
@@ -205,6 +211,14 @@ def _steenrod(x, p, lift=None, cohomological=False):
         return out
     X, q = x.variety, p - 1
     cell_dim = X._dims
+    if len(x.num) == 1:
+        # the unit invariant of the docstring: no product is 0 mod p
+        ((l, c),) = x.num.items()
+        d = cell_dim[l]
+        out = [{} for _ in range(d // q + 1)]
+        for m, v in _column(X, p, l, cohomological).items():
+            out[(d - cell_dim[m]) // q][m] = c * v % p
+        return [_modp(X, p, acc) for acc in out]
     out = [{} for _ in range(x.top_dim() // q + 1)]
     for l, c in x.num.items():
         d = cell_dim[l]
@@ -260,11 +274,10 @@ def op_component(ops, k):
 def steenrod_operation(x, p=None, convention="cohomological", lift=None):
     if not (isinstance(convention, str) and convention in CONVENTIONS):
         raise ValueError("convention must be cohomological or homological")
-    if CONVENTIONS[convention] == "homological":
-        return steenrod_homological(x, p, lift=lift)
-    if lift is not None:
+    cohomological = CONVENTIONS[convention] == "cohomological"
+    if cohomological and lift is not None:
         raise ValueError("explicit lifts apply to the homological operation")
-    return steenrod_cohomological(x, p)
+    return _steenrod(x, p, lift, cohomological)
 
 
 # ---------------------------------------------------------------------------

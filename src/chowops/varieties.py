@@ -29,12 +29,13 @@ from functools import reduce
 from math import comb, factorial, gcd, prod
 
 from . import series as S
-from .char_classes import VirtualBundle, tangent_bundle
+from .char_classes import VirtualBundle, _cached, tangent_bundle
 from .core import (
     CellularVariety,
     ChowClass,
     Matrix,
     ModPClass,
+    _as_coeff,
     _integer_form,
     apply_matrix,
     kron,
@@ -254,8 +255,10 @@ def hyperplane_class(X):
 
 
 def line_bundle(X, i):
-    """O(i): rank one, c_1 = i times the hyperplane class."""
-    return VirtualBundle(X, 1, hyperplane_class(X).scale(i).exp())
+    """O(i): rank one, c_1 = i times the hyperplane class.  Built once per
+    (X, i) and cached on X, as `todd_class` is; a bundle is never changed."""
+    return _cached(X, ("line_bundle", _as_coeff(i)), lambda: VirtualBundle(
+        X, 1, hyperplane_class(X).scale(i).exp()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ cached log-weight vectors and the one-pass log class, not the series.
 package's split on integers over one denominator, and `pn_tau_running` and
 `quadric_tau_running` are the builders' running products over Fractions, the
 reference for the ones on integers over one denominator.
+`projective_adams_products` is the Adams matrix of P^n by one full series
+product per column, the reference for the package's Riordan-array build.
 """
 from fractions import Fraction
 from math import factorial
@@ -212,3 +214,29 @@ def quadric_tau_running(d):
         columns["l_%d" % i] = {"l_%d" % (i - k): tdj[k]
                                for k in range(i + 1) if tdj[k]}
     return columns
+
+
+def projective_adams_products(n, p):
+    """The Adams matrix of P^n as (ints, den), by running products: column
+    j is p x^j u^{n+1-j}, u = 1/theta with theta_m = (-1)^m C(p, m+1); in
+    integers u_m = U_m / p^{m+1}, u^e has coefficients V_m / p^{m+e}, one
+    full series product per column, and the entry V_m / p^{m+e-1} is
+    V_m p^{n+j-m} over p^{2n}."""
+    theta = []
+    c = 1
+    for m in range(n + 1):
+        c = c * (p - m) // (m + 1)  # C(p, m+1), zero once m + 1 > p
+        theta.append(-c if m % 2 else c)
+    U = [1]
+    for m in range(1, n + 1):
+        U.append(-sum(theta[i] * U[m - i] * p ** (i - 1)
+                      for i in range(1, m + 1)))
+    cols = {}
+    V = U
+    for j in range(n, -1, -1):
+        if n + 1 - j > 1:
+            V = [sum(V[i] * U[m - i] for i in range(m + 1))
+                 for m in range(n + 1)]
+        cols["h^%d" % j] = {"h^%d" % (j + m): V[m] * p ** (n + j - m)
+                            for m in range(n - j + 1) if V[m]}
+    return cols, p ** (2 * n)

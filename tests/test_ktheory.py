@@ -34,7 +34,8 @@ from chowops import (
 from chowops.char_classes import todd_class
 from chowops.core import CellularVariety, Matrix, apply_matrix, kron, kunneth
 from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
-from chowops.ktheory import _p_adic_split, k0_generator_bundles, kclass_to_bundle
+from chowops.ktheory import (_p_adic_split, _projective_adams,
+                             k0_generator_bundles, kclass_to_bundle)
 
 
 P1 = projective_space(1)
@@ -417,6 +418,20 @@ def test_projective_adams_matrix_past_p_minus_one():
     for n in range(14):
         X = projective_space(n)
         assert adams_matrix(X, 7) == adams_by_tau_route(X, 7), n
+
+
+# an 82-bit prime, the largest below errors.PRIME_BOUND
+BIG_PRIME = 3317044064679887385961813
+
+
+@pytest.mark.parametrize("n, p", [
+    (0, 2), (1, 3), (2, 2), (4, 3), (8, 7), (5, 11), (24, 3), (40, 2),
+    (40, 3), (40, 5), (12, 13), (39, BIG_PRIME)])
+def test_projective_adams_riordan_build_matches_the_running_products(n, p):
+    # column j + 1 is column j times f = 1 - (1-x)^p, from p theta^{-(n+1)}
+    # by Miller's recurrence, in the same integers over the same p^{2n}
+    A = _projective_adams(n, p)
+    assert (A.ints, A.den) == oracles.projective_adams_products(n, p)
 
 
 def test_adams_matrix_has_p_power_denominators():

@@ -262,6 +262,37 @@ def test_operations_match_the_lifted_parts(xbar):
     assert steenrod_cohomological(xbar) == ops_from_lifted_parts(xbar, True)
 
 
+@st.composite
+def single_cells(draw):
+    """c [l] with c in [1, p-1], and a second cell m != l of the variety."""
+    X = draw(st.sampled_from(EXP_VARIETIES))
+    p = draw(st.sampled_from([2, 3, 5]))
+    l, m = draw(st.lists(st.sampled_from(X.labels()), min_size=2, max_size=2,
+                         unique=True))
+    return ModPClass(X, p, {l: draw(st.integers(1, p - 1))}), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_cells())
+def test_single_cell_operations_match_the_multi_cell_route(case):
+    # one cell takes the wrap-as-it-is route; adding a second cell sends
+    # the same column through the accumulate-and-reduce route
+    xbar, m = case
+    X, p = xbar.variety, xbar.p
+    (l, c), = xbar.coeffs.items()
+    pair = ModPClass(X, p, {l: c, m: 1})
+    for cohomological, S in ((False, steenrod_homological),
+                             (True, steenrod_cohomological)):
+        ops = S(xbar)
+        assert ops == ops_from_lifted_parts(xbar, cohomological)
+        n = len(S(pair))
+        assert [a + b for a, b in zip(padded(ops, n),
+                                      padded(S(ModPClass(X, p, {m: 1})), n))
+                ] == S(pair)
+        assert all(v != 0 and type(v) is int for y in ops
+                   for v in y.num.values())
+
+
 CACHE_SPECS = ("P^8", "Q_7", "P^2xP^3", "P^1xP^1xP^1xP^1")
 CACHE_VARIETIES = {name: variety_from_spec(name) for name in CACHE_SPECS}
 

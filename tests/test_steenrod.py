@@ -328,6 +328,93 @@ def test_cold_columns_run_in_integers(monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("operation", [steenrod_homological,
+                                       steenrod_cohomological])
+def test_warm_single_cell_outputs_are_not_shared(operation):
+    # the one-cell route writes fresh dicts: changing an output's num
+    # changes neither the cached column nor the next call's result
+    X = projective_space(12)
+    xbar = _bar(X, 5, {"h^8": 3})
+    first = operation(xbar)
+    expected = [y.coeffs.copy() for y in first]
+    for y in first:
+        y.num.clear()
+        y.num["h^0"] = 4
+    assert [y.coeffs for y in operation(xbar)] == expected
+    assert [y.coeffs for y in operation(_bar(X, 5, {"h^8": 1}))] == \
+        [{l: v * 2 % 5 for l, v in c.items()} for c in expected]
+
+
+@pytest.mark.parametrize("operation", [steenrod_homological,
+                                       steenrod_cohomological])
+def test_warm_single_cell_op_builds_no_class_through_the_checks(
+        monkeypatch, operation):
+    # once the column is cached, c [l] is wrapped as it is: neither the
+    # checked constructor nor the reducing _like runs; two cells still add
+    # up through _like
+    X = odd_quadric(7)
+    inputs = [_bar(X, 3, {label: c}) for label in X.labels() for c in (1, 2)]
+    pair = _bar(X, 3, {"h^1": 1, "l_1": 2})
+    for xbar in inputs:
+        operation(xbar)
+    calls = []
+    init, like = ModPClass.__init__, ModPClass._like
+
+    def counting_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    def counting_like(self, *args, **kwargs):
+        calls.append("_like")
+        return like(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModPClass, "__init__", counting_init)
+    monkeypatch.setattr(ModPClass, "_like", counting_like)
+    for xbar in inputs:
+        operation(xbar)
+    assert calls == []
+    ops = operation(pair)
+    assert calls == ["_like"] * len(ops)
+
+
+def test_from_integral_reduces_without_the_checked_constructor(monkeypatch):
+    x = make_class(Q3, {"h^0": 7, "h^1": -3, "l_1": 9})
+    calls = []
+    monkeypatch.setattr(ModPClass, "__init__",
+                        lambda self, *args: calls.append(args))
+    xbar = ModPClass.from_integral(x, 3)
+    assert calls == []
+    assert xbar.coeffs == {"h^0": 1} and xbar.p == 3 and xbar.variety is Q3
+
+
+def test_checked_modp_input_keeps_its_refusals():
+    # the same errors and messages as before the fast paths of the
+    # constructor and of from_integral
+    from chowops.errors import IntegralityViolation, UnknownLabel
+
+    cases = [
+        ({"h^1": True}, TypeError,
+         "coefficient must be int or Fraction, got True"),
+        ({"h^1": 1.5}, TypeError,
+         "coefficient must be int or Fraction, got 1.5"),
+        ({"h^1": Fraction(1, 2)}, TypeError,
+         "a mod-p coefficient must be an integer, got 1/2"),
+        ({"h^9": 1}, UnknownLabel, "variety P^2 has no cell 'h^9'"),
+    ]
+    for coeffs, error, message in cases:
+        with pytest.raises(error) as info:
+            ModPClass(P2, 3, coeffs)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ModPClass(P2, 4, {"h^1": 1})
+    assert str(info.value) == "p must be prime, got 4"
+    with pytest.raises(IntegralityViolation) as info:
+        ModPClass.from_integral(make_class(P2, {"h^1": Fraction(1, 2)}), 3)
+    assert str(info.value) == "cannot reduce a fractional class mod 3"
+    assert ModPClass(P2, 3, {"h^1": 7, "h^2": Fraction(6, 2)}).coeffs == \
+        {"h^1": 1}
+
+
 def test_s0_is_identity_spot():
     for X in (P2, Q3):
         for label in X.labels():

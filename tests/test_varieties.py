@@ -213,19 +213,40 @@ def count_smul(monkeypatch):
     return calls
 
 
+def count_products(monkeypatch):
+    """The series products and the integer running products (`_times`) of
+    the tau builders, from an empty builder cache on."""
+    series_calls = count_smul(monkeypatch)
+    integer_calls = []
+    times = V._times
+
+    def counting(a, b, n):
+        integer_calls.append(n)
+        return times(a, b, n)
+
+    monkeypatch.setattr(V, "_times", counting)
+    return series_calls, integer_calls
+
+
+# the builders run their running products on integers, so reading the tau
+# columns makes no series product at all; the integer products keep the
+# bounds, counted exactly by the test above
+
 @pytest.mark.parametrize("n", [12, 24])
 def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
-    calls = count_smul(monkeypatch)
+    series_calls, integer_calls = count_products(monkeypatch)
     projective_space(n).tau_columns
-    assert len(calls) <= n + 1
+    assert series_calls == []
+    assert 0 < len(integer_calls) <= n + 1
 
 
 @pytest.mark.parametrize("d", [13, 25])
 def test_fresh_quadric_makes_linearly_many_products(monkeypatch, d):
-    # td^{d+2} for the Todd class, then one product per column
-    calls = count_smul(monkeypatch)
+    # td^{d+2} for the Todd class, then products per column
+    series_calls, integer_calls = count_products(monkeypatch)
     odd_quadric(d).tau_columns
-    assert len(calls) <= 2 * d + 2
+    assert series_calls == []
+    assert 0 < len(integer_calls) <= 2 * d + 2
 
 
 def test_fresh_pn_build_makes_no_series_product(monkeypatch):
@@ -484,6 +505,29 @@ def test_line_bundle_and_hyperplane():
     assert o2.rank == 1
     assert o2.ch.coeffs["h^1"] == 2
     assert hyperplane_class(odd_quadric(1)).coeffs == {"l_0": 2}
+
+
+def test_line_bundles_are_built_once_per_variety(monkeypatch):
+    # O(i) is cached on X: a second read runs no exponential and returns
+    # the same bundle; the twist is still checked on every call
+    from chowops import core
+
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
+    X = V.projective_space(5)
+    calls = []
+    exp = core._exp
+    monkeypatch.setattr(core, "_exp", lambda *a: calls.append(a) or exp(*a))
+    bundles = [line_bundle(X, i) for i in range(-3, 4)]
+    assert len(calls) == 7
+    assert all(line_bundle(X, i) is bundle
+               for i, bundle in zip(range(-3, 4), bundles))
+    assert line_bundle(X, Fraction(2)) is bundles[5]
+    assert len(calls) == 7
+    for i, bundle in zip(range(-3, 4), bundles):
+        assert bundle.ch == hyperplane_class(X).scale(i).exp()
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            line_bundle(X, bad)
 
 
 def test_variety_from_spec_shorthand_and_json():
