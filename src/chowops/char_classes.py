@@ -25,7 +25,7 @@ from .core import (
     coeff_from_str,
 )
 from .errors import (
-    IntegralityViolation,
+    IntegralityFailure,
     NonIntegralInput,
     NonInvertibleSeries,
     require_prime,
@@ -180,9 +180,9 @@ def chern(e):
     total = multiplicative_class(_spec("chern", lambda n: [1, 1],
                                        e.variety.dim), e)
     if e.integral and not total.is_integral():
-        raise IntegralityViolation(
+        raise IntegralityFailure(
             "total Chern class of an integral bundle came out fractional "
-            "(corrupted ch data?): %r" % total)
+            "(corrupted ch data?)", variety=e.variety, bundle=e, total=total)
     return total
 
 
@@ -205,8 +205,9 @@ def w_chp(e, p):
     spec = _spec("w^{CH,%d}" % p, lambda n: S.w_series(p, n), e.variety.dim)
     out = multiplicative_class(spec, e)
     if e.integral and not out.is_integral():
-        raise IntegralityViolation("w^{CH,%d} of an integral bundle came "
-                                   "out fractional" % p)
+        raise IntegralityFailure("w^{CH,%d} of an integral bundle came out "
+                                 "fractional" % p, variety=e.variety, p=p,
+                                 bundle=e, total=out)
     return out
 
 

@@ -16,10 +16,10 @@ import json
 import os
 import sys
 
-from .core import ModPClass, class_from_json, class_to_json, coeff_to_str, modp_to_json
+from .core import ModPClass, class_from_json, class_to_json, coeff_to_str
 from .errors import (CONVENTIONS, SUITE_NAMES, ChowopsError, TheoryViolation,
                      require_prime)
-from .varieties import variety_from_spec
+from .varieties import DEFAULT_MAX_DIM, variety_from_spec
 
 
 def steenrod_operation(xbar, p, convention):
@@ -29,7 +29,7 @@ def steenrod_operation(xbar, p, convention):
 
 
 def _max_dim():
-    text = os.environ.get("STEENROD_MAX_DIM", "8")
+    text = os.environ.get("STEENROD_MAX_DIM", str(DEFAULT_MAX_DIM))
     try:
         value = int(text)
     except ValueError:
@@ -104,7 +104,7 @@ def cmd_operate(args):
         "variety": X.name,
         "p": p,
         "input": class_to_json(x),
-        "ops": {"S_%d" % k: modp_to_json(v) for k, v in enumerate(ops)},
+        "ops": {"S_%d" % k: class_to_json(v) for k, v in enumerate(ops)},
         "convention": CONVENTIONS[args.convention],
     }
     _dump(result, args.out)
@@ -122,7 +122,7 @@ def cmd_table(args):
         xbar = ModPClass(X, p, {label: 1})
         ops = steenrod_operation(xbar, p, args.convention)
         for k in range(k_max + 1):
-            rows.append((label, k, modp_to_json(op_component(ops, k))))
+            rows.append((label, k, class_to_json(op_component(ops, k))))
     if args.format == "csv":
         import csv
         buf = io.StringIO()

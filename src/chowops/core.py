@@ -110,7 +110,6 @@ class CellularVariety:
             raise InvalidVariety("need exactly one %d-dimensional cell, got %r"
                                  % (dim, tops))
         self.fundamental = tops[0]
-        self.fundamental_index = self._index[self.fundamental]
         self.points = [l for (l, d) in self.cells if d == 0]
         if not self.points:
             raise InvalidVariety("need at least one 0-dimensional cell")
@@ -702,9 +701,6 @@ def class_from_json(variety, obj):
         raise ValueError("a class must be a JSON object of label: coefficient, "
                          "got %r" % (obj,))
     return make_class(variety, {l: coeff_from_str(v) for l, v in obj.items()})
-
-
-modp_to_json = class_to_json  # a mod-p class's coefficients are ints
 
 
 def format_class(a):

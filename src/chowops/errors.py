@@ -60,13 +60,17 @@ class TheoryViolation(ChowopsError):
     """An identity or divisibility the theory guarantees failed.
 
     This signals an implementation bug or corrupted data, never bad luck.
-    Carries a `details` dict with the variety, prime and offending values,
-    serialised as JSON-ready strings and dicts.
+    A raise site passes its evidence as keyword objects; `details` holds
+    them, and any `details` dict given, written down by `to_json`.
     """
 
-    def __init__(self, message, details=None):
+    def __init__(self, message, details=None, **evidence):
         super().__init__(message)
-        self.details = details or {}
+        self.details = to_json({**(details or {}), **evidence})
+
+
+class IntegralityFailure(TheoryViolation, IntegralityViolation):
+    """Corrupted ch data: a class of an integral bundle came out fractional."""
 
 
 class ExtractionFailure(TheoryViolation):
@@ -86,11 +90,31 @@ class LevelViolation(ChowopsError):
     """A class sits in a higher filtration level than allowed."""
 
 
+def to_json(value):
+    """Evidence as JSON: a Chow or mod-p class is its `class_to_json`, a
+    K-class its tau, a bundle its `to_json()`, a variety or morphism its name,
+    a list or dict goes item by item, an int or str stays, the rest is str."""
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    from .core import _CellVector, class_to_json  # core imports errors
+    value = getattr(value, "tau", value)  # a K-class is its tau
+    if isinstance(value, _CellVector):
+        return class_to_json(value)
+    if hasattr(value, "to_json"):  # a bundle
+        return value.to_json()
+    return getattr(value, "name", None) or str(value)
+
+
 # Miller-Rabin with the first thirteen primes as bases decides primality of
 # every integer below PRIME_BOUND, the least strong pseudoprime to all of
 # them (Sorenson and Webster, 2015; OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+_accepted = None  # the last prime require_prime accepted
 
 
 def require_prime(p):
@@ -99,6 +123,9 @@ def require_prime(p):
     The test is deterministic Miller-Rabin, so its cost grows with the number
     of digits of p, not with p.
     """
+    global _accepted
+    if type(p) is int and p == _accepted:  # never a bool, float or Fraction
+        return
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be a prime integer, got %r" % (p,))
     if p >= PRIME_BOUND:
@@ -118,6 +145,7 @@ def require_prime(p):
                 break
         else:
             raise ValueError("p must be prime, got %d" % p)
+    _accepted = p
 
 
 # convention name -> the grading it names, for steenrod_operation and the CLI

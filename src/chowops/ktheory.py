@@ -371,10 +371,8 @@ def bott_decompose(e, p):
         what = ("not divisible by %d^%d" % (p, e.rank - k)
                 if e.rank > k else "not integral")
         raise DecompositionFailure(
-            "codim-%d piece of theta^%d is %s" % (j, p, what),
-            details={"variety": X.name, "p": p, "codim": j,
-                     "piece": class_to_json(
-                         ChowClass(X, pieces[k]).dim_component(bad))})
+            "codim-%d piece of theta^%d is %s" % (j, p, what), variety=X, p=p,
+            codim=j, piece=ChowClass(X, pieces[k]).dim_component(bad))
     pieces = [_built(X, piece) for piece in pieces]
     tdinv = todd_inv_class(X)
     parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]
@@ -382,12 +380,12 @@ def bott_decompose(e, p):
         top = part.top_dim()
         if top is not None and X.dim - top < k * (p - 1):
             raise DecompositionFailure(
-                "e_%d is supported below codimension %d" % (k, k * (p - 1)))
+                "e_%d is supported below codimension %d" % (k, k * (p - 1)),
+                variety=X, p=p, bundle=e, k=k, part=part)
         diff = (piece.codim_component(k * (p - 1))
                 - w.codim_component(k * (p - 1)))
         if any(v % p for v in diff.num.values()):
             raise DecompositionFailure(
                 "top part of e_%d differs from w^{CH,%d}_%d mod %d" % (k, p, k, p),
-                details={"variety": X.name, "p": p, "k": k,
-                         "diff": class_to_json(diff)})
+                variety=X, p=p, k=k, diff=diff)
     return parts

@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .char_classes import _cached, w_tangent
-from .core import (ChowClass, ModPClass, _built, _modp, apply_matrix,
-                   class_to_json, degree)
+from .core import ChowClass, ModPClass, _built, _modp, apply_matrix, degree
 from .errors import (
     CONVENTIONS,
     DimensionMismatch,
@@ -77,22 +76,20 @@ class AtiyahDecomposition:
         """Check the decomposition identities; a failure raises ExtractionFailure."""
         psi = adams_lower(self.x, self.p).tau
         if self.reconstruction() != psi:
-            self._fail("reconstruction identity failed", psi=class_to_json(psi))
+            self._fail("reconstruction identity failed", psi=psi)
         top = (self.parts[0].tau - self.x.tau).dim_component(self.level)
         if not top.is_zero():
-            self._fail("x_0 differs from x at the top level",
-                       difference=class_to_json(top))
+            self._fail("x_0 differs from x at the top level", difference=top)
         for k, part in enumerate(self.parts):
             bound = self.level - k * (self.p - 1)
             if not part.is_zero() and filtration_level(part) > bound:
                 self._fail("x_%d has level above %d" % (k, bound))
         return True
 
-    def _fail(self, message, **details):
-        raise ExtractionFailure(message, details=dict(
-            details, variety=self.x.variety.name, p=self.p, level=self.level,
-            input=class_to_json(self.x.tau),
-            parts=[class_to_json(part.tau) for part in self.parts]))
+    def _fail(self, message, **evidence):
+        raise ExtractionFailure(message, variety=self.x.variety, p=self.p,
+                                level=self.level, input=self.x,
+                                parts=self.parts, **evidence)
 
 
 def atiyah_decompose(x, p, level=None):
@@ -126,8 +123,8 @@ def atiyah_decompose(x, p, level=None):
 def _psi_pieces(X, p, d, coords, den=1):
     """The scaled coordinates p^{d+k} psi_p(x), split by k into int dicts,
     from the tau-coordinates coords / den of an x of level at most d, all
-    in integers; the classes of psi_p(x) and x are built only for a
-    failure's dump."""
+    in integers; the classes of psi_p(x), x and the pieces are built only for
+    a failure's evidence."""
     dims = X._dims
     psi, psi_den = adams_matrix(X, p).apply(coords, den)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
@@ -135,24 +132,22 @@ def _psi_pieces(X, p, d, coords, den=1):
     if any(v and dims[l] > d for l, v in psi.items()):
         raise ExtractionFailure(
             "psi_%d output has support above the filtration level" % p,
-            details={"variety": X.name, "p": p, "tau": class_to_json(
-                apply_matrix(X.tau_columns, _built(X, psi, psi_den), X))})
+            variety=X, p=p,
+            tau=apply_matrix(X.tau_columns, _built(X, psi, psi_den), X))
     pieces, bad = _p_adic_split(dims, psi, psi_den, p, d, d)
     if bad is not None:
         k = (d - bad) // (p - 1)
         raise ExtractionFailure(
             "dimension-%d component of p^%d psi_%d is not integral"
-            % (bad, d + k, p),
-            details={"variety": X.name, "p": p, "dimension": bad,
-                     "exponent": d + k,
-                     "component": class_to_json(
-                         ChowClass(X, pieces[k]).dim_component(bad)),
-                     "input": class_to_json(apply_matrix(
-                         X.tau_columns, _built(X, coords, den), X))})
+            % (bad, d + k, p), variety=X, p=p, dimension=bad, exponent=d + k,
+            component=ChowClass(X, pieces[k]).dim_component(bad),
+            input=apply_matrix(X.tau_columns, _built(X, coords, den), X))
     top = {l: v for l, v in coords.items() if dims[l] == d}
     if {l: v * den for l, v in pieces[0].items() if dims[l] == d} != top:
-        raise ExtractionFailure("x_0 does not agree with x at the top level",
-                                details={"variety": X.name, "p": p})
+        raise ExtractionFailure(
+            "x_0 does not agree with x at the top level", variety=X, p=p,
+            input=apply_matrix(X.tau_columns, _built(X, coords, den), X),
+            pieces=[_built(X, piece) for piece in pieces])
     return pieces
 
 
@@ -296,8 +291,7 @@ def segre_number(X, p):
     if val % p:
         raise TheoryViolation(
             "Segre-type number %d of %s is not divisible by %d"
-            % (val, X.name, p),
-            details={"variety": X.name, "p": p, "value": str(val)})
+            % (val, X.name, p), variety=X, p=p, value=str(val))
     return val
 
 
@@ -346,10 +340,9 @@ def degree_formula_witness(x, p):
         problem = "witness left Z_(p)"
     else:
         return total, lam_final
-    raise TheoryViolation("%s on %s" % (problem, X.name), details={
-        "variety": X.name, "p": p, "input": class_to_json(x.tau),
-        "witness": class_to_json(total), "witness_degree": str(got),
-        "lambda": str(lam_final)})
+    raise TheoryViolation("%s on %s" % (problem, X.name), variety=X, p=p,
+                          input=x, witness=total, witness_degree=got,
+                          **{"lambda": lam_final})
 
 
 def chi_defect(f, p):
@@ -373,8 +366,8 @@ def chi_defect(f, p):
         raise LevelViolation("f_*[O_X] - (deg f)[O_Y] has full level")
     defect = euler_char(structure_sheaf(X)) - deg_f * euler_char(structure_sheaf(Y))
     if defect != euler_char(delta):
-        raise TheoryViolation("chi bookkeeping failed", details={
-            "morphism": f.name, "delta": class_to_json(tau_delta)})
+        raise TheoryViolation("chi bookkeeping failed", morphism=f,
+                              delta=tau_delta)
 
     exponent = (d - 1) // (p - 1) if d >= 1 else 0
     witness, lam = degree_formula_witness(delta, p)
@@ -383,8 +376,8 @@ def chi_defect(f, p):
         witness = witness.scale(Fraction(p) ** (exponent - sub_E))
     wdeg = Fraction(degree(witness))
     if wdeg != lam * Fraction(p) ** exponent * defect:
-        raise TheoryViolation("witness degree mismatch", details={
-            "morphism": f.name, "p": p, "witness": class_to_json(witness)})
+        raise TheoryViolation("witness degree mismatch", morphism=f, p=p,
+                              witness=witness)
     return {
         "defect": int(defect),
         "degree_of_map": deg_f,

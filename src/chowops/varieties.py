@@ -512,9 +512,10 @@ _KINDS = {
 # JSON specs
 # ---------------------------------------------------------------------------
 
-# the most cells a spec may have: (P^1)^8, the widest variety within the
-# default dimension cap of 8, has 2^8
-MAX_CELLS = 256
+# the dimension cap when none is set (STEENROD_MAX_DIM, a suite's max_dim);
+# the cell cap is the cell count of (P^1)^8, the widest variety within it
+DEFAULT_MAX_DIM = 8
+MAX_CELLS = 2 ** DEFAULT_MAX_DIM
 
 
 def variety_from_spec(spec, max_dim=None):

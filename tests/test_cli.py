@@ -493,3 +493,127 @@ def test_zero_is_a_size_not_a_missing_parameter():
         out, _ = run_process("verify", "--suite", *argv)
         assert out.returncode == 2, (argv, out.stdout)
         assert out.stderr.startswith("error: --"), (argv, out.stderr)
+
+
+# P^2's data with ch_1(T) = 7/2 in place of 3: the tau columns are still
+# P^2's, so the one check that sees the corruption is the integrality of
+# w^{CH,2}(T) (and of c(T)), which the cohomological columns read first
+_CORRUPT_CH1 = """
+from fractions import Fraction
+from chowops import CellularVariety, projective_space
+P2 = projective_space(2)
+X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table, P2.degree_vector,
+                    dict(P2.tangent_ch, **{"h^1": Fraction(7, 2)}),
+                    P2.tau_columns)
+"""
+_CH1_MESSAGE = ("theory check failed (IntegralityFailure): w^{CH,2} of an "
+                "integral bundle came out fractional")
+_CH1_DUMP = {
+    "variety": "P^2-corrupt", "p": 2,
+    "bundle": {"rank": "2", "ch": {"1": "2", "h^1": "7/2", "h^2": "3/2"}},
+    "total": {"h^0": "1", "h^1": "-7/2", "h^2": "37/8"}}
+
+
+def _corrupt_first_chern():
+    scope = {}
+    exec(_CORRUPT_CH1, scope)
+    return scope["X"]
+
+
+def test_fractional_w_chp_exits_3_with_its_dump(capsys, monkeypatch):
+    # a fractional w^{CH,p} or Chern class of a bundle declared integral is
+    # corrupted data: a theory failure with the bundle and the class, which
+    # still matches `except IntegralityViolation`
+    from chowops import chern, cli, tangent_bundle, w_chp
+    from chowops.errors import IntegralityFailure, IntegralityViolation
+
+    X = _corrupt_first_chern()
+    T = tangent_bundle(X)
+    with pytest.raises(IntegralityViolation) as err:
+        w_chp(T, 2)
+    assert type(err.value) is IntegralityFailure
+    assert err.value.details == _CH1_DUMP
+    with pytest.raises(IntegralityFailure) as err:
+        chern(T)
+    assert err.value.details == {
+        "variety": "P^2-corrupt", "bundle": _CH1_DUMP["bundle"],
+        "total": {"h^0": "1", "h^1": "7/2", "h^2": "37/8"}}
+
+    monkeypatch.setattr(cli, "_load_variety", lambda text: X)
+    code, out, err = run(capsys, "table", "--variety", "P^2", "--p", "2")
+    assert code == 3 and out == ""
+    first, dump = err.split("\n", 1)
+    assert first == _CH1_MESSAGE
+    assert json.loads(dump) == _CH1_DUMP
+
+
+def test_fractional_w_chp_exits_3_under_optimize():
+    # the integrality check is an if, not an assert that -O strips
+    src = os.path.dirname(os.path.dirname(chowops.__file__))
+    script = _CORRUPT_CH1 + """
+import sys
+from chowops import cli
+cli._load_variety = lambda text: X
+sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    first, dump = out.stderr.split("\n", 1)
+    assert first == _CH1_MESSAGE
+    assert json.loads(dump) == _CH1_DUMP
+
+
+def test_bott_support_failure_exits_3_with_its_dump(capsys, monkeypatch):
+    # a split that copies e_0 into e_1 puts e_1 in codimension 0; no verb
+    # runs bott_decompose outside a suite, so operate stands in for one
+    from chowops import bott_decompose, cli, ktheory, projective_space
+    from chowops import tangent_bundle
+
+    split = ktheory._p_adic_split
+
+    def copied(*args):
+        pieces, bad = split(*args)
+        return [pieces[0], dict(pieces[0])] + pieces[2:], bad
+
+    monkeypatch.setattr(ktheory, "_p_adic_split", copied)
+    T = tangent_bundle(projective_space(2))
+    monkeypatch.setattr(cli, "steenrod_operation",
+                        lambda *a, **k: bott_decompose(T, 2))
+    code, _, err = run(capsys, "operate", "--variety", "P^2", "--p", "2",
+                       "--class", '{"h^1":"1"}')
+    assert code == 3
+    first, dump = err.split("\n", 1)
+    assert first == ("theory check failed (DecompositionFailure): e_1 is "
+                     "supported below codimension 1")
+    assert json.loads(dump) == {
+        "variety": "P^2", "p": 2, "k": 1, "part": {"h^0": "1"},
+        "bundle": {"rank": "2", "ch": {"1": "2", "h^1": "3", "h^2": "3/2"}}}
+
+
+def test_top_level_extraction_failure_exits_3_with_its_dump(capsys,
+                                                            monkeypatch):
+    # the identity in place of the Adams matrix of P^2 leaves out the
+    # p^-d scale, so x_0 = p^d x on the column of h^0: the dump carries the
+    # input [O_P2] and the pieces, the tau-coordinates of the x_k.  A copy
+    # of P^2 has no cached columns, so its table reads the matrix
+    from chowops import CellularVariety, cli, projective_space, steenrod
+    from chowops.core import Matrix
+
+    P2 = projective_space(2)
+    X = CellularVariety("P^2-copy", 2, P2.cells, P2._table,
+                        P2.degree_vector, P2.tangent_ch, P2.tau_columns)
+    monkeypatch.setattr(cli, "_load_variety", lambda text: X)
+    monkeypatch.setattr(steenrod, "adams_matrix", lambda X, p: Matrix(
+        {l: {l: 1} for l in X.labels()}, 1))
+    code, out, err = run(capsys, "table", "--variety", "P^2", "--p", "2")
+    assert code == 3 and out == ""
+    first, dump = err.split("\n", 1)
+    assert first == ("theory check failed (ExtractionFailure): x_0 does not "
+                     "agree with x at the top level")
+    assert json.loads(dump) == {
+        "variety": "P^2-copy", "p": 2,
+        "input": {"h^0": "1", "h^1": "3/2", "h^2": "1"},
+        "pieces": [{"h^0": "4"}, {}, {}]}

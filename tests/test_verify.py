@@ -89,3 +89,25 @@ def test_adams_upper_ring_map_on_all_basis_pairs():
                 for _, b in gens:
                     assert adams_upper(a * b, p).ch == \
                         (adams_upper(a, p) * adams_upper(b, p)).ch
+
+
+@pytest.mark.parametrize("suite, name", [
+    ("segre", "segre_number"),
+    ("bott", "bott_decompose"),
+    ("degree-formula", "degree_formula_witness"),
+])
+def test_theory_failure_inside_a_suite_is_its_one_record(monkeypatch, suite,
+                                                          name):
+    # a theory check that fails inside a suite ends it with run_suite's
+    # record: the error and its details, not a counted failed check
+    from chowops import verify
+    from chowops.errors import TheoryViolation
+
+    def broke(x, p):
+        raise TheoryViolation("broke", p=p)
+
+    monkeypatch.setattr(verify, name, broke)
+    report = run_suite(suite)
+    assert not report["passed"]
+    assert report["checks"] == 0
+    assert report["failures"] == [{"error": "broke", "details": {"p": 2}}]
