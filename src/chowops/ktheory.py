@@ -372,7 +372,7 @@ def bott_decompose(e, p):
                 if e.rank > k else "not integral")
         raise DecompositionFailure(
             "codim-%d piece of theta^%d is %s" % (j, p, what), variety=X, p=p,
-            codim=j, piece=ChowClass(X, pieces[k]).dim_component(bad))
+            bundle=e, codim=j, piece=ChowClass(X, pieces[k]).dim_component(bad))
     pieces = [_built(X, piece) for piece in pieces]
     tdinv = todd_inv_class(X)
     parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]

@@ -1,13 +1,17 @@
 """Truncated one-variable power series over exact rationals.
 
 A series truncated at degree n is a list of n+1 Fractions [a_0, ..., a_n].
-This is the auxiliary ring in which all per-Chern-root data (Todd, Bott,
-tau-matrix columns) is expanded before being mapped onto a cell basis.
+It is the per-Chern-root side of `char_classes`: the Todd, Bott and
+w^{CH,p} series of one root, and the log that turns each into the weights
+of a multiplicative class.  No other module of the package uses it; every
+builder datum is a class in the Chow ring (`varieties`).  `sadd`, `spow`
+and `exp_t` are references the tests use.
 
 log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
 satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)
-coefficient products against O(n^3) for the power sum.  There is no series
-exp: the one exponential is the ring's, `core.ChowClass.exp`.
+coefficient products against O(n^3) for the power sum.  `exp_t` is only the
+closed form e^{ct}; the one exponential of a class is the ring's,
+`core.ChowClass.exp`.
 """
 from fractions import Fraction
 from math import factorial

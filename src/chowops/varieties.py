@@ -1,16 +1,17 @@
 """Builders for split cellular varieties and the morphism catalog.
 
-All tau-matrix and tangent data for projective spaces and odd quadrics is
-expanded in a one-variable truncated series ring and then mapped onto the
-cell basis: on Q_d the substitution t -> h is a ring homomorphism because
-h^k equals the cell h^k for k <= (d-1)/2 and 2*l_{d-k} above the middle.
-A product takes every datum from its factors by the Kunneth rule of
-`core.kron`, and so do external products and the product projections.
-Each builder hands its tau columns to `CellularVariety` as a callable, so
-they are built, from the factors' columns on a product, and checked on the
-first read of `tau_columns`, never by an operation on P^n or a product of
-them.  `variety_from_spec` checks the dimension cap and the cell cap
-`MAX_CELLS` on the parsed spec, before anything is built.
+Every builder datum is a class in the variety's own Chow ring.  By
+Riemann-Roch tau(E . x) = ch(E) tau(x) and tau[O_Z] = i_* Todd(T_Z), so the
+tau column of the i-fold hyperplane section, [O_{H^i}] = (1 - [O(-1)])^i, is
+Todd(T_X) (1 - ch O(-1))^i, one ring product per column on P^n and on Q_d
+(`_hyperplane_sections`), and the column of the linear P^i in Q_d is
+l_i Todd(O(1))^{i+1}.  A product takes every datum from its factors by the
+Kunneth rule of `core.kron`, and so do external products and the product
+projections.  Each builder hands its tau columns to `CellularVariety` as a
+callable, so they are built, from the factors' columns on a product, and
+checked on the first read of `tau_columns`, never by an operation on P^n or
+a product of them.  `variety_from_spec` checks the dimension cap and the
+cell cap `MAX_CELLS` on the parsed spec, before anything is built.
 
 The morphism catalogue is one table, `_KINDS`.  Morphism kinds and
 `{"type": ...}` variety specs take their parameters by one rule
@@ -20,23 +21,28 @@ every variety a kind builds meets the caps of `variety_from_spec` first.
 
 Morphisms are finite integer matrices, not symbolic maps; multiplicativity
 of the pullback and the projection formula are checked exhaustively on
-basis pairs when the morphism is built.
+basis pairs when the morphism is built.  The relative tangent bundle
+T_f = T_X - f^*T_Y is derived from the two varieties' tangent data.
 """
 import re
 import sys
 from fractions import Fraction
-from functools import reduce
-from math import comb, factorial, gcd, prod
+from functools import cached_property, reduce
+from math import comb, factorial, prod
 
-from . import series as S
-from .char_classes import VirtualBundle, _cached, tangent_bundle
+from .char_classes import (
+    VirtualBundle,
+    _cached,
+    tangent_bundle,
+    todd,
+    todd_class,
+)
 from .core import (
     CellularVariety,
     ChowClass,
     Matrix,
     ModPClass,
     _as_coeff,
-    _integer_form,
     apply_matrix,
     kron,
     kunneth,
@@ -91,39 +97,26 @@ def projective_space(n):
     for k in range(1, n + 1):
         tangent["h^%d" % k] = Fraction(n + 1, factorial(k))
 
-    def tau():
-        # the column of h^j is td^{n-j+1}, one running product from j = n down
-        td = _series(S.todd_series(n))
-        columns = {}
-        col, den = td
-        for j in range(n, -1, -1):
-            if j < n:
-                col, den = _times((col, den), td, n)
-            columns["h^%d" % j] = ({"h^%d" % (j + k): col[k]
-                                    for k in range(n - j + 1) if col[k]}, den)
-        return Matrix.over(columns)
-
-    X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1},
-                     tangent, tau)
+    X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1}, tangent,
+                     lambda: Matrix.over(_hyperplane_sections(X, n)))
     X.hyperplane = {"h^1": 1} if n >= 1 else {}
     X.builder = "projective_space"
     _VARIETY_CACHE[key] = X
     return X
 
 
-def _series(coeffs):
-    """A series of Fractions as (integers, den): `core._integer_form` of
-    {degree: coefficient}."""
-    return _integer_form(dict(enumerate(coeffs)))
-
-
-def _times(a, b, n):
-    """The product of two series (integers, den), each integers at the
-    degrees 0..n at least, truncated at degree n and in lowest terms."""
-    (u, du), (v, dv) = a, b
-    out = [sum(u[i] * v[k - i] for i in range(k + 1)) for k in range(n + 1)]
-    g = gcd(du * dv, *out)
-    return [w // g for w in out], du * dv // g
+def _hyperplane_sections(X, m):
+    """The tau columns of h^0..h^m, each as (integers, den): [O_{H^i}] is
+    (1 - [O(-1)])^i, so its column is Todd(T_X) (1 - ch O(-1))^i, one ring
+    product per column."""
+    col = todd_class(X)
+    step = X.unit() - line_bundle(X, -1).ch
+    columns = {}
+    for i in range(m + 1):
+        if i:
+            col = col * step
+        columns["h^%d" % i] = (col.num, col.den)
+    return columns
 
 
 def _quadric_h_power(d, k):
@@ -162,40 +155,23 @@ def odd_quadric(d):
             table[("h^%d" % i, "h^%d" % j)] = _quadric_h_power(d, i + j)
             table[("h^%d" % i, "l_%d" % j)] = {"l_%d" % (j - i): 1}
 
-    def map_series(coeffs):
-        out = {}
-        for k, c in enumerate(coeffs):
-            for label, mult in _quadric_h_power(d, k).items():
-                out[label] = out.get(label, 0) + c * mult
-        return {label: c for label, c in out.items() if c}
-
-    tangent_series = S.sadd(
-        S.sscale(d + 2, S.exp_t(1, d), d),
-        S.sscale(-1, S.sadd(S.series([1], d), S.exp_t(2, d), d), d), d)
-    tangent = map_series(tangent_series)
+    # ch T = (d + 2) e^h - 1 - e^{2h}, as a series in h put on the cells
+    tangent = {}
+    for k in range(d + 1):
+        c = d if k == 0 else Fraction(d + 2 - 2 ** k, factorial(k))
+        for label, mult in _quadric_h_power(d, k).items():
+            tangent[label] = tangent.get(label, 0) + c * mult
 
     def tau():
-        tds = S.todd_series(d)
-        td = _series(tds)
-        # todd_q = td^{d+2} / td(2t), the Todd class of Q_d
-        todd_q = _series(S.sinv([c * 2 ** k for k, c in enumerate(tds)], d))
-        for _ in range(d + 2):
-            todd_q = _times(todd_q, td, d)
-        one_minus = ([0] + [(-1) ** (k + 1) * (factorial(d) // factorial(k))
-                            for k in range(1, d + 1)],
-                     factorial(d))  # 1 - e^{-t}
-        # one running product per family: h^i has todd_q (1 - e^{-t})^i and
-        # l_i has td^{i+1} truncated at degree i
-        columns = {}
-        col, tdj = todd_q, td
+        # h^i: the hyperplane sections; l_i: the linear P^i, whose column is
+        # l_i Todd(O(1))^{i+1}, one running product
+        columns = _hyperplane_sections(X, m)
+        td = col = todd(line_bundle(X, 1))
         for i in range(m + 1):
             if i:
-                col = _times(col, one_minus, d)
-                tdj = _times(tdj, td, m)
-            columns["h^%d" % i] = (map_series(col[0]), col[1])
-            columns["l_%d" % i] = ({"l_%d" % (i - k): tdj[0][k]
-                                    for k in range(i + 1) if tdj[0][k]},
-                                   tdj[1])
+                col = col * td
+            l_i = X.basis_class("l_%d" % i) * col
+            columns["l_%d" % i] = (l_i.num, l_i.den)
         return Matrix.over(columns)
 
     X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
@@ -266,15 +242,15 @@ def line_bundle(X, i):
 # ---------------------------------------------------------------------------
 
 class Morphism:
-    """A registered map: pushforward/pullback matrices plus flags and T_f.
+    """A registered map: pushforward/pullback matrices plus flags.
 
     push preserves dimension, pull preserves codimension and is a ring map;
     both facts and the projection formula are verified on all basis pairs at
-    construction.  Source and target are smooth, as every builder is.
+    construction.  Source and target are smooth, as every builder is, so
+    T_f = T_X - f^*T_Y is derived from their tangent data.
     """
 
-    def __init__(self, name, source, target, push, pull, proper, lci, flat,
-                 T_f=None):
+    def __init__(self, name, source, target, push, pull, proper, lci, flat):
         self.name = name
         self.source = source
         self.target = target
@@ -289,7 +265,6 @@ class Morphism:
         self.proper = proper
         self.lci = lci
         self.flat = flat
-        self.T_f = T_f
         self._validate()
 
     def _validate(self):
@@ -326,12 +301,13 @@ class Morphism:
                     raise InvalidVariety(
                         "%s: projection formula fails on (%r, %r)"
                         % (self.name, y, x))
-        if self.lci:
-            if self.T_f is None:
-                raise InvalidVariety("%s: lci morphism needs T_f" % self.name)
-            if self.T_f.rank != src.dim - tgt.dim:
-                raise InvalidVariety("%s: rank(T_f) != dim(source) - dim(target)"
-                                     % self.name)
+
+    @cached_property
+    def T_f(self):
+        """The relative tangent bundle T_X - f^*T_Y, of rank dim X - dim Y."""
+        tgt = self.target
+        return tangent_bundle(self.source) - VirtualBundle(
+            self.source, tgt.dim, self.pull_class(tgt.tangent_chern_character()))
 
     def push_class(self, x):
         if x.variety is not self.source:
@@ -410,10 +386,8 @@ def _linear_embedding(m, n):
     Pm, Pn = _pn(m), _pn(n)
     push = {"h^%d" % (m - j): {"h^%d" % (n - j): 1} for j in range(m + 1)}
     pull = {"h^%d" % i: {"h^%d" % i: 1} for i in range(m + 1)}
-    T_f = line_bundle(Pm, 1).scale(-(n - m)) if n > m else \
-        VirtualBundle(Pm, 0, Pm.zero())
     return Morphism("P^%d->P^%d:linear" % (m, n), Pm, Pn, push, pull,
-                    proper=True, lci=True, flat=(m == n), T_f=T_f)
+                    proper=True, lci=True, flat=(m == n))
 
 
 def _veronese(n, deg):
@@ -424,12 +398,8 @@ def _veronese(n, deg):
     PN = _pn(N)
     push = {"h^%d" % (n - j): {"h^%d" % (N - j): deg ** j} for j in range(n + 1)}
     pull = {"h^%d" % i: {"h^%d" % i: deg ** i} for i in range(n + 1)}
-    # T_f = T_{P^n} - pull T_{P^N}
-    ch = tangent_bundle(Pn).ch - (
-        line_bundle(Pn, deg).ch.scale(N + 1) - Pn.unit())
-    T_f = VirtualBundle(Pn, n - N, ch)
     return Morphism("P^%d->P^%d:veronese%d" % (n, N, deg), Pn, PN, push, pull,
-                    proper=True, lci=True, flat=(N == n), T_f=T_f)
+                    proper=True, lci=True, flat=(N == n))
 
 
 def _quadric_in_projective(d):
@@ -442,9 +412,8 @@ def _quadric_in_projective(d):
     for j in range(m + 1):
         push["l_%d" % j] = {"h^%d" % (d + 1 - j): 1}
     pull = {"h^%d" % i: dict(_quadric_h_power(d, i)) for i in range(d + 2)}
-    T_f = line_bundle(Q, 2).scale(-1)
     return Morphism("Q_%d->P^%d" % (d, d + 1), Q, P, push, pull,
-                    proper=True, lci=True, flat=False, T_f=T_f)
+                    proper=True, lci=True, flat=False)
 
 
 def _linear_in_quadric(j, d):
@@ -457,11 +426,8 @@ def _linear_in_quadric(j, d):
     push = {"h^%d" % (j - a): {"l_%d" % a: 1} for a in range(j + 1)}
     # h^i for i > j and every l_a (codim d - a > j) pull back to zero
     pull = {"h^%d" % i: {"h^%d" % i: 1} for i in range(j + 1)}
-    t = S.sadd(S.sscale(j - d - 1, S.exp_t(1, j), j), S.exp_t(2, j), j)
-    ch = ChowClass(Pj, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]})
-    T_f = VirtualBundle(Pj, j - d, ch)
     return Morphism("P^%d->Q_%d" % (j, d), Pj, Q, push, pull,
-                    proper=True, lci=True, flat=False, T_f=T_f)
+                    proper=True, lci=True, flat=False)
 
 
 def _product_projection(factors, onto):
@@ -478,11 +444,8 @@ def _product_projection(factors, onto):
     push = {cell(t, q): {t: deg} for t in tgt.labels()
             for q, deg in other.degree_vector.items()}
     pull = {t: {cell(t, other.fundamental): 1} for t in tgt.labels()}
-    ch = ChowClass(XY, {cell(tgt.fundamental, q): v
-                        for q, v in other.tangent_ch.items()})
-    T_f = VirtualBundle(XY, other.dim, ch)
     return Morphism("%s->%s:projection" % (XY.name, tgt.name), XY, tgt,
-                    push, pull, proper=True, lci=True, flat=True, T_f=T_f)
+                    push, pull, proper=True, lci=True, flat=True)
 
 
 def _pn_self_map(degree):
@@ -491,10 +454,8 @@ def _pn_self_map(degree):
     P1 = _pn(1)
     push = {"h^0": {"h^0": degree}, "h^1": {"h^1": 1}}
     pull = {"h^0": {"h^0": 1}, "h^1": {"h^1": degree}}
-    ch = ChowClass(P1, {"h^1": Fraction(2 - 2 * degree)})
-    T_f = VirtualBundle(P1, 0, ch)  # [O(2)] - [O(2m)]
     return Morphism("P^1->P^1:deg%d" % degree, P1, P1, push, pull,
-                    proper=True, lci=True, flat=True, T_f=T_f)
+                    proper=True, lci=True, flat=True)
 
 
 # the catalogue: kind -> (builder, its parameter names in order)

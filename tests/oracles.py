@@ -8,10 +8,12 @@ instead replays the uncached route through the package's series functions
 cached log-weight vectors and the one-pass log class, not the series.
 `p_adic_split` is the p-adic split by Fraction scales, the reference for the
 package's split on integers over one denominator, and `pn_tau_running` and
-`quadric_tau_running` are the builders' running products over Fractions, the
-reference for the ones on integers over one denominator.
+`quadric_tau_running` are the tau columns by running series products over
+Fractions, the reference for the builders' products in the Chow ring.
 `projective_adams_products` is the Adams matrix of P^n by one full series
 product per column, the reference for the package's Riordan-array build.
+`catalogue_relative_tangent` writes out T_f of each morphism kind by hand,
+the reference for the derived T_X - f^*T_Y.
 """
 from fractions import Fraction
 from math import factorial
@@ -240,3 +242,42 @@ def projective_adams_products(n, p):
         cols["h^%d" % j] = {"h^%d" % (j + m): V[m] * p ** (n + j - m)
                             for m in range(n - j + 1) if V[m]}
     return cols, p ** (2 * n)
+
+
+def catalogue_relative_tangent(f, kind, args):
+    """T_f of the catalogue morphism f of this kind and arguments, by the
+    hand formula of each kind: the reference for the derived T_X - f^*T_Y."""
+    from chowops import series as S
+    from chowops.char_classes import VirtualBundle, tangent_bundle
+    from chowops.core import ChowClass, kunneth
+    from chowops.varieties import line_bundle
+    X = f.source
+    if kind == "linear_embedding":  # -(n - m) O(1), the normal bundle
+        m, n = args
+        return line_bundle(X, 1).scale(-(n - m)) if n > m else \
+            VirtualBundle(X, 0, X.zero())
+    if kind == "veronese":  # T_{P^n} - (N + 1) O(deg) + 1
+        n, deg = args
+        N = f.target.dim
+        ch = tangent_bundle(X).ch - (
+            line_bundle(X, deg).ch.scale(N + 1) - X.unit())
+        return VirtualBundle(X, n - N, ch)
+    if kind == "quadric_in_projective":  # -O(2), the normal bundle
+        return line_bundle(X, 2).scale(-1)
+    if kind == "linear_in_quadric":  # (j + 1) O(1) - 1 - ((d + 2) O(1) - 1 - O(2))
+        j, d = args
+        t = S.sadd(S.sscale(j - d - 1, S.exp_t(1, j), j), S.exp_t(2, j), j)
+        return VirtualBundle(X, j - d, ChowClass(
+            X, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]}))
+    if kind == "product_projection":  # the other factor's tangent bundle
+        factors, onto = args
+        tgt, other = factors[onto], factors[1 - onto]
+        cell = (lambda t, q: kunneth(t, q)) if onto == 0 else \
+            (lambda t, q: kunneth(q, t))
+        return VirtualBundle(X, other.dim, ChowClass(
+            X, {cell(tgt.fundamental, q): v
+                for q, v in other.tangent_ch.items()}))
+    if kind == "pn_self_map":  # [O(2)] - [O(2 deg)]
+        (degree,) = args
+        return VirtualBundle(X, 0, ChowClass(X, {"h^1": 2 - 2 * degree}))
+    raise ValueError("no hand formula for %r" % kind)

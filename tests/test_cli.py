@@ -299,8 +299,9 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
          {"variety": "P^2-corrupt", "p": 2, "value": "7"}),
         (lambda: bott_decompose(tangent_bundle(X), 2), DecompositionFailure,
          "codim-2 piece of theta^2 is not integral",
-         {"variety": "P^2-corrupt", "p": 2, "codim": 2,
-          "piece": {"h^2": "11/3"}}),
+         {"variety": "P^2-corrupt", "p": 2,
+          "bundle": {"rank": "2", "ch": {"1": "2", "h^1": "3", "h^2": "5/2"}},
+          "codim": 2, "piece": {"h^2": "11/3"}}),
     ]
     monkeypatch.setattr(cli, "_load_variety", lambda text: X)
     for check, error, message, details in cases:

@@ -1,9 +1,14 @@
-"""Truncated series arithmetic against closed forms."""
+"""Truncated series arithmetic against closed forms, and the one module
+that may use it: `char_classes`, for its per-root specs.  Every other datum
+is built in the Chow ring."""
+import ast
+import os
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import chowops
 from chowops import projective_space
 from chowops import series as S
 from oracles import h_powers_on_pn
@@ -66,3 +71,46 @@ def test_pow_and_scale():
     a = S.series([1, 1], 3)
     assert S.spow(a, 3, 3) == [1, 3, 3, 1]
     assert S.sscale(2, a, 3) == [2, 2, 0, 0]
+
+
+def _series_imports(path):
+    """The lines of the module at path that import chowops.series, by
+    absolute or relative name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package, chowops
+            base = ".".join(filter(None, ["chowops" if node.level else "",
+                                          node.module]))
+            names = [base] + [base + "." + a.name for a in node.names]
+        else:
+            continue
+        if any(n == "chowops.series" or n.startswith("chowops.series.")
+               for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_char_classes_imports_series():
+    src = os.path.dirname(chowops.__file__)
+    modules = sorted(f for f in os.listdir(src) if f.endswith(".py"))
+    assert "varieties.py" in modules
+    users = {f for f in modules if _series_imports(os.path.join(src, f))}
+    assert users == {"char_classes.py"}
+
+
+def test_static_check_sees_a_series_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from . import series as S\n"
+                   "from .series import smul\n"
+                   "import chowops.series\n"
+                   "from chowops import series\n"
+                   "from chowops.series import sinv\n"
+                   "from . import core\n"
+                   "from .core import series\n"
+                   "import series\n")
+    assert _series_imports(str(src)) == [1, 2, 3, 4, 5]

@@ -25,7 +25,14 @@ from chowops import (
 from chowops import series as S
 from chowops import varieties as V
 from chowops.cli import main
-from chowops.core import CellularVariety, Matrix, ModPClass, kron, kunneth
+from chowops.core import (
+    CellularVariety,
+    ChowClass,
+    Matrix,
+    ModPClass,
+    kron,
+    kunneth,
+)
 from chowops.errors import (
     EvenDimensionUnsupported,
     FlagViolation,
@@ -181,86 +188,61 @@ def test_integer_tau_columns_equal_the_fraction_running_products(
     assert (tau.ints, tau.den) == (expected.ints, expected.den)
 
 
-@pytest.mark.parametrize("spec, products", [
-    ("P^0", 0), ("P^12", 12), ("P^40", 40), ("Q_1", 3), ("Q_13", 27)])
-def test_fresh_tau_columns_make_one_integer_product_per_column(
-        monkeypatch, spec, products):
-    # P^n: one product for each column below h^n; Q_d: d + 2 for the Todd
-    # class, then two per step of the h and l families
+def count_products(monkeypatch):
+    """The ring products (`ChowClass.__mul__`) made from an empty builder
+    cache on."""
     monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     calls = []
-    times = V._times
+    mul = ChowClass.__mul__
 
-    def counting(a, b, n):
-        calls.append(n)
-        return times(a, b, n)
+    def counting(a, b):
+        calls.append(a.variety.name)
+        return mul(a, b)
 
-    monkeypatch.setattr(V, "_times", counting)
+    monkeypatch.setattr(ChowClass, "__mul__", counting)
+    return calls
+
+
+# the builders make their tau columns by running products in the Chow ring:
+# one per hyperplane section below the fundamental cell, and on Q_d one per
+# linear subspace and one per power of Todd(O(1)) as well
+
+@pytest.mark.parametrize("spec, products", [
+    ("P^0", 0), ("P^12", 12), ("P^40", 40)])
+def test_fresh_tau_columns_make_one_integer_product_per_column(
+        monkeypatch, spec, products):
+    calls = count_products(monkeypatch)
     variety_from_spec(spec).tau_columns
     assert len(calls) == products
 
 
-def count_smul(monkeypatch):
-    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
-    calls = []
-    smul = S.smul
-
-    def counting(a, b, n):
-        calls.append(n)
-        return smul(a, b, n)
-
-    monkeypatch.setattr(S, "smul", counting)
-    return calls
-
-
-def count_products(monkeypatch):
-    """The series products and the integer running products (`_times`) of
-    the tau builders, from an empty builder cache on."""
-    series_calls = count_smul(monkeypatch)
-    integer_calls = []
-    times = V._times
-
-    def counting(a, b, n):
-        integer_calls.append(n)
-        return times(a, b, n)
-
-    monkeypatch.setattr(V, "_times", counting)
-    return series_calls, integer_calls
-
-
-# the builders run their running products on integers, so reading the tau
-# columns makes no series product at all; the integer products keep the
-# bounds, counted exactly by the test above
-
 @pytest.mark.parametrize("n", [12, 24])
 def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
-    series_calls, integer_calls = count_products(monkeypatch)
+    calls = count_products(monkeypatch)
     projective_space(n).tau_columns
-    assert series_calls == []
-    assert 0 < len(integer_calls) <= n + 1
+    assert len(calls) == n
 
 
-@pytest.mark.parametrize("d", [13, 25])
+@pytest.mark.parametrize("d", [1, 13, 25])
 def test_fresh_quadric_makes_linearly_many_products(monkeypatch, d):
-    # td^{d+2} for the Todd class, then products per column
-    series_calls, integer_calls = count_products(monkeypatch)
+    calls = count_products(monkeypatch)
     odd_quadric(d).tau_columns
-    assert series_calls == []
-    assert 0 < len(integer_calls) <= 2 * d + 2
+    assert 0 < len(calls) <= 2 * d
 
 
 def test_fresh_pn_build_makes_no_series_product(monkeypatch):
-    # the tau columns are built on first read, and the build reads none
-    calls = count_smul(monkeypatch)
+    # the tau columns are built on first read, and the build reads neither
+    # them nor the Todd class they start from
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     X = variety_from_spec("P^40")
-    assert calls == [] and "tau_columns" not in X.__dict__
+    assert "tau_columns" not in X.__dict__ and "todd" not in X._cache
 
 
 @pytest.mark.parametrize("spec", ["P^12", "P^2xP^3"])
 def test_operations_on_fresh_builds_never_read_tau(monkeypatch, spec):
     # psi_p on P^n and on products comes from the closed form and its
-    # Kronecker products, so no operation reads the tau columns
-    calls = count_smul(monkeypatch)
+    # Kronecker products, so no operation reads the tau columns or Todd(T_X)
+    monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     X = variety_from_spec(spec)
     for p in (2, 3, 5):
         for label in X.labels():
@@ -268,8 +250,8 @@ def test_operations_on_fresh_builds_never_read_tau(monkeypatch, spec):
                 steenrod_operation(ModPClass(X, p, {label: 1}), p,
                                    convention=convention)
     built = [X, *getattr(X, "_factors", ())]
-    assert calls == []
-    assert all("tau_columns" not in Y.__dict__ for Y in built)
+    assert all("tau_columns" not in Y.__dict__ and "todd" not in Y._cache
+               for Y in built)
 
 
 # -- products ------------------------------------------------------------------
@@ -455,6 +437,26 @@ def test_morphism_t_f_ranks():
     h = build_morphism("pn_self_map", degree=2)
     assert h.T_f.rank == 0
     assert h.T_f.ch == make_class(h.source, {"h^1": -2})
+
+
+def test_derived_t_f_is_the_hand_formula_of_each_kind():
+    from chowops.verify import standard_morphisms
+    P1xQ3, Q3xP2 = variety_from_spec("P^1xQ_3"), variety_from_spec("Q_3xP^2")
+    morphisms = standard_morphisms() + [
+        build_morphism("veronese", n=1, deg=3),
+        build_morphism("linear_in_quadric", j=0, d=7),
+        build_morphism("linear_in_quadric", j=3, d=7),
+        *(build_morphism("product_projection", factors=XY._factors, onto=i)
+          for XY in (P1xQ3, Q3xP2) for i in (0, 1))]
+    catalogue = {id(f): key for key, f in V._MORPHISM_CACHE.items()}
+    kinds = set()
+    for f in morphisms:
+        kind, args = catalogue[id(f)]
+        kinds.add(kind)
+        assert f.T_f == oracles.catalogue_relative_tangent(f, kind, args), \
+            f.name
+        assert f.T_f.rank == f.source.dim - f.target.dim
+    assert kinds == set(V._KINDS)
 
 
 def test_unknown_kind_and_bad_params():
@@ -735,7 +737,7 @@ def test_morphism_matrices_must_be_integers(bad):
                        (f.push, {**f.pull, "h^1": {"h^1": bad}})):
         with pytest.raises(InvalidVariety, match="must be integers"):
             Morphism("bad", f.source, f.target, push, pull,
-                     proper=True, lci=True, flat=True, T_f=f.T_f)
+                     proper=True, lci=True, flat=True)
 
 
 def test_floats_are_rejected():
