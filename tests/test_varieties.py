@@ -208,7 +208,7 @@ def count_products(monkeypatch):
 # linear subspace and one per power of Todd(O(1)) as well
 
 @pytest.mark.parametrize("spec, products", [
-    ("P^0", 0), ("P^12", 12), ("P^40", 40)])
+    ("P^0", 0), ("P^12", 12), ("P^40", 40), ("Q_13", 6 + 7 + 6)])
 def test_fresh_tau_columns_make_one_integer_product_per_column(
         monkeypatch, spec, products):
     calls = count_products(monkeypatch)
