@@ -40,15 +40,22 @@ def _max_dim():
     return value
 
 
+def _decode(flag, text):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("%s is nested too deeply" % flag) from None
+
+
 def _load_variety(text):
     if text is None:
         raise ValueError("--variety is required")
     text = text.strip()
     if text.startswith("{"):
-        spec = json.loads(text)
+        spec = _decode("--variety", text)
     elif os.path.isfile(text):
         with open(text) as fh:
-            spec = json.load(fh)
+            spec = _decode("--variety", fh.read())
     else:
         spec = text  # shorthand like P^2, Q_3, P^1xP^1
     return variety_from_spec(spec, max_dim=_max_dim())
@@ -96,7 +103,7 @@ def cmd_operate(args):
     p = args.p
     require_prime(p)
     X = _load_variety(args.variety)
-    raw = json.loads(args.cls)
+    raw = _decode("--class", args.cls)
     x = class_from_json(X, raw)
     xbar = ModPClass.from_integral(x.as_integral(), p)
     ops = steenrod_operation(xbar, p, args.convention)

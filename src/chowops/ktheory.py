@@ -11,13 +11,13 @@ by p^(shift + k) through one split (`_p_adic_split`) of the integers over
 one denominator that `core.Matrix.apply` leaves undivided.  On the smooth
 builders K_0 and K^0 are identified by multiplying or dividing by Todd(T_X).
 
-The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) is linear,
-so in the basis [O_Z] it is one matrix per (X, p), `adams_matrix`, built once
-and cached: a closed form on P^n, the Kronecker product of the factors'
-matrices on a product (`Matrix.kron`), and the tau route column by column
-otherwise.  The tau route itself, `adams_lower` (divide by Todd, psi^p on
-the Chern character, multiply by Todd theta^p(-T_X)), stays as the
-independent oracle.
+The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) scales the
+dimension-j part of tau(x) by p^{-j} (`adams_lower`), by Bott's identity
+theta^p(E) = p^rank(E) Todd(E) / psi^p(Todd(E)), root by root
+1 + ... + e^{-(p-1)t} = p todd(t) / todd(pt).  It is linear, so in the basis
+[O_Z] it is one matrix per (X, p), `adams_matrix`, built once and cached: a
+closed form on P^n, the Kronecker product of the factors' matrices on a
+product (`Matrix.kron`), and T^{-1} D T otherwise.
 """
 from fractions import Fraction
 from math import comb, lcm
@@ -25,7 +25,6 @@ from math import comb, lcm
 from .char_classes import (
     VirtualBundle,
     _cached,
-    theta_minus_tangent,
     theta_p,
     todd_class,
     todd_inv_class,
@@ -190,10 +189,10 @@ def euler_char(x):
 # Adams operations
 # ---------------------------------------------------------------------------
 
-def _psi_ch(ch, p):
-    """psi^p on a Chern character: the codim-i component times p^i."""
+def _psi_ch(ch, p, den=1):
+    """psi^p on a Chern character, over den: the codim-i part times p^i."""
     return ch._like({l: v * p ** ch.variety.cell_codim(l)
-                     for l, v in ch.num.items()}, den=ch.den)
+                     for l, v in ch.num.items()}, den=ch.den * den)
 
 
 def adams_upper(y, p):
@@ -204,19 +203,13 @@ def adams_upper(y, p):
 
 
 def adams_lower(x, p):
-    """Homological Adams operation on a smooth variety, in tau-coordinates.
-
-    Writes ch(y) = tau(x) / Todd(T_X), scales codim-i components by p^i, and
-    multiplies back by Todd(T_X) * theta^p(-T_X).  On K_0(point) this is the
-    identity.
-    """
+    """Homological Adams operation on a smooth variety, in tau-coordinates:
+    the dimension-j part of tau(x) times p^{-j}, by Bott's identity (see the
+    module docstring), whatever tangent data of rank dim X the variety has.
+    On K_0(point) this is the identity."""
     require_prime(p)
-    X = x.variety
-    scaled = _psi_ch(x.tau * todd_inv_class(X), p)
-    # Todd(T_X) * ch(theta^p(-T_X)): constant per (variety, prime)
-    twist = _cached(X, ("psi_twist", p),
-                    lambda: todd_class(X) * theta_minus_tangent(X, p))
-    return KClass(X, twist * scaled, integral=False)
+    return KClass(x.variety, _psi_ch(x.tau, p, p ** x.variety.dim),
+                  integral=False)
 
 
 def adams_matrix(X, p):
@@ -227,9 +220,9 @@ def adams_matrix(X, p):
     integer form.  On P^n it is a closed form, on a product the
     Kronecker product of the factors' matrices (K_0(X x Y) = K_0(X) (x)
     K_0(Y), and psi^p and theta^p are multiplicative), and otherwise (Q_d,
-    a table given to CellularVariety directly) the columns of adams_lower
-    on the canonical lifts of the cells, taken to the tau basis by the
-    inverse.  The result is cached and shared: treat it as read-only.
+    a table given to CellularVariety directly) T^{-1} D T: adams_lower, the
+    scaling D, on the tau columns T, taken to the tau basis by the inverse.
+    The result is cached and shared: treat it as read-only.
     """
     require_prime(p)
     return _cached(X, ("adams_matrix", p), lambda: _adams_columns(X, p))

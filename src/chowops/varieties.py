@@ -473,7 +473,7 @@ _KINDS = {
 # JSON specs
 # ---------------------------------------------------------------------------
 
-# the dimension cap when none is set (STEENROD_MAX_DIM, a suite's max_dim);
+# the dimension cap when none is set, and the cap on a product's factors;
 # the cell cap is the cell count of (P^1)^8, the widest variety within it
 DEFAULT_MAX_DIM = 8
 MAX_CELLS = 2 ** DEFAULT_MAX_DIM
@@ -482,30 +482,33 @@ MAX_CELLS = 2 ** DEFAULT_MAX_DIM
 def variety_from_spec(spec, max_dim=None):
     """Builder dispatch for {"type": ...} dicts and P^n / Q_d / AxB shorthand.
 
-    The dimension cap max_dim and the cell cap MAX_CELLS are checked on the
-    parsed spec, before anything is built.
+    The dimension cap max_dim, the cell cap MAX_CELLS and the factor cap
+    DEFAULT_MAX_DIM are checked on the parsed spec, before anything is built.
     """
     return _capped(*_parse_spec(spec), max_dim)
 
 
-def _capped(dim, cells, build, max_dim=None):
+def _capped(dim, cells, build, factors=1, max_dim=None):
     # the messages leave the size out: it may be too long to print
     if max_dim is not None and dim > max_dim:
         raise ValueError("variety exceeds the dimension cap %d" % max_dim)
     if cells > MAX_CELLS:
         raise ValueError("variety exceeds the cell cap %d" % MAX_CELLS)
+    if factors > DEFAULT_MAX_DIM:
+        raise ValueError("variety exceeds the factor cap %d" % DEFAULT_MAX_DIM)
     return build()
 
 
-def _parse_spec(spec):
-    """(dimension, cell count, build) for a spec; nothing is built until
-    build() runs."""
+def _parse_spec(spec, room=DEFAULT_MAX_DIM):
+    """(dimension, cell count, build, factor count) for a spec; nothing is
+    built until build() runs, and a nested product is refused as soon as
+    the whole spec must have more than room factors."""
     if isinstance(spec, CellularVariety):
-        return spec.dim, len(spec.cells), lambda: spec
+        return spec.dim, len(spec.cells), lambda: spec, 1
     if isinstance(spec, str):
         parts = spec.split("x")
         if len(parts) > 1:
-            return _product_spec([_parse_spec(part) for part in parts])
+            return _product_spec(parts, room)
         text = spec.strip()
         for prefix, builder in (("P^", projective_space), ("Q_", odd_quadric)):
             if text.startswith(prefix):
@@ -514,8 +517,8 @@ def _parse_spec(spec):
                     raise ValueError("variety shorthand %.40r needs a "
                                      "non-negative integer after %s"
                                      % (text, prefix))
-                return _builder_spec(builder, int(size))
-        raise ValueError("cannot parse variety shorthand %r" % text)
+                return (*_builder_spec(builder, int(size)), 1)
+        raise ValueError("cannot parse variety shorthand %.40r" % text)
     if isinstance(spec, dict):
         kind = spec.get("type")
         if not (isinstance(kind, str) and kind in _TYPES):
@@ -526,9 +529,9 @@ def _parse_spec(spec):
         if kind == "product":
             if len(arg) < 2:
                 raise ValueError("product needs at least two factors")
-            return _product_spec([_parse_spec(f) for f in arg])
-        return _builder_spec(projective_space if kind == "projective_space"
-                             else odd_quadric, arg)
+            return _product_spec(arg, room)
+        return (*_builder_spec(projective_space if kind == "projective_space"
+                               else odd_quadric, arg), 1)
     raise ValueError("variety spec must be a dict or shorthand string")
 
 
@@ -565,10 +568,15 @@ def _builder_spec(builder, n):
     return max(n, 0), max(n, 0) + 1, lambda: builder(n)
 
 
-def _product_spec(specs):
-    return (sum(dim for dim, _, _ in specs),
-            prod(cells for _, cells, _ in specs),
-            lambda: reduce(product, [build() for _, _, build in specs]))
+def _product_spec(factors, room):
+    # each factor takes at least one of the room, so a product given less
+    # than two cannot fit: the nesting ends within the room
+    if room < 2:
+        raise ValueError("variety exceeds the factor cap %d" % DEFAULT_MAX_DIM)
+    dims, cells, builds, counts = zip(*[
+        _parse_spec(factor, room - len(factors) + 1) for factor in factors])
+    return (sum(dims), prod(cells),
+            lambda: reduce(product, [build() for build in builds]), sum(counts))
 
 
 def morphism_from_spec(spec):

@@ -13,7 +13,9 @@ Fractions, the reference for the builders' products in the Chow ring.
 `projective_adams_products` is the Adams matrix of P^n by one full series
 product per column, the reference for the package's Riordan-array build.
 `catalogue_relative_tangent` writes out T_f of each morphism kind by hand,
-the reference for the derived T_X - f^*T_Y.
+the reference for the derived T_X - f^*T_Y.  `adams_lower_by_twist` is the
+homological Adams operation by the Todd and theta^p(-T_X) twist, the
+reference for the package's dimension scaling.
 """
 from fractions import Fraction
 from math import factorial
@@ -281,3 +283,16 @@ def catalogue_relative_tangent(f, kind, args):
         (degree,) = args
         return VirtualBundle(X, 0, ChowClass(X, {"h^1": 2 - 2 * degree}))
     raise ValueError("no hand formula for %r" % kind)
+
+
+def adams_lower_by_twist(x, p):
+    """psi_p(x) in tau-coordinates by the twist route: ch = tau(x) /
+    Todd(T_X), psi^p on it (codim-i part times p^i), then times
+    Todd(T_X) theta^p(-T_X); the classes are computed afresh, so the
+    variety's cache is left as it was."""
+    from chowops.char_classes import tangent_bundle, theta_p, todd
+    from chowops.ktheory import KClass, _psi_ch
+    X = x.variety
+    T = tangent_bundle(X)
+    scaled = _psi_ch(x.tau * todd(-T), p)
+    return KClass(X, todd(T) * theta_p(-T, p) * scaled, integral=False)

@@ -435,6 +435,33 @@ def test_malformed_json_input_exits_2():
         assert "Traceback" not in out.stderr, argv
 
 
+def test_deep_or_wide_input_exits_2_at_once(capsys, tmp_path):
+    # a product padded with P^0 passes the dimension and cell caps; 3000
+    # factors overflowed the stack, 30000 ran past 60 s, and so did a
+    # product nested 400 deep; JSON nested 3000 deep overflowed in json
+    nested = '"P^1"'
+    for _ in range(400):
+        nested = '{"type":"product","factors":[%s,"P^0"]}' % nested
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    cap = "variety exceeds the factor cap 8"
+    cases = [
+        (("table", "--variety", "P^0x" * 3000 + "P^1"), cap),
+        (("table", "--variety", "P^0x" * 30000 + "P^1"), cap),
+        (("describe", "--variety", nested), cap),
+        (("operate", "--variety", "P^2", "--class", "[" * 3000 + "]" * 3000),
+         "--class is nested too deeply"),
+        (("describe", "--variety", str(deep)),
+         "--variety is nested too deeply")]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        seconds = time.perf_counter() - start
+        assert (code, out) == (2, ""), (argv[:2], err)
+        assert err == "error: %s\n" % message
+        assert seconds < 1, (argv[:2], seconds)
+
+
 def test_malformed_coefficients_exit_2_at_once():
     # a coefficient is an integer or a string "n" or "n/d" with d != 0: a
     # zero denominator ended in a traceback, an exponent built a huge

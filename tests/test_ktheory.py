@@ -1,4 +1,5 @@
 """tau-coordinates: lifts, filtration, lattices, Adams operations, Bott parts."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -330,6 +331,46 @@ def test_adams_matrix_equals_the_tau_route(spec):
     assert X.dim <= 8
     for p in (2, 3, 5):
         assert adams_matrix(X, p) == adams_by_tau_route(X, p), p
+
+
+# -- adams_lower against the twist route --------------------------------------
+
+def seeded_rational_classes(X, seed, count=4):
+    """count rational K-classes on X, each on a random half of the cells."""
+    rng = random.Random(seed)
+    return [KClass(X, make_class(X, {
+        l: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        for l in X.labels() if rng.random() < 0.5}), integral=False)
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILDERS)
+def test_adams_lower_equals_the_twist_route(spec):
+    # Bott's identity makes Todd(T_X) theta^p(-T_X) psi^p(tau(x) / Todd(T_X))
+    # the dimension-j part of tau(x) times p^{-j}
+    X = variety_from_spec(spec)
+    lifts = [k0_from_chow_lift(X.basis_class(l)) for l in X.labels()]
+    for p in (2, 3, 5):
+        for x in lifts + seeded_rational_classes(X, "%s at %d" % (spec, p)):
+            assert adams_lower(x, p) == oracles.adams_lower_by_twist(x, p), p
+
+
+def test_adams_lower_on_corrupted_tangent_data_is_the_true_one():
+    # P^2's ring and tau columns with ch_1(T) = 7/2 and ch_2(T) = 5/2: the
+    # twist cancels whatever tangent data of rank dim X, so both routes
+    # give the true P^2's result
+    tangent = dict(P2.tangent_ch, **{"h^1": Fraction(7, 2),
+                                     "h^2": Fraction(5, 2)})
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+                        P2.degree_vector, tangent, P2.tau_columns)
+    true = [k0_from_chow_lift(P2.basis_class(l)) for l in P2.labels()]
+    true += seeded_rational_classes(P2, "P^2-corrupt")
+    for p in (2, 3, 5):
+        for y in true:
+            want = adams_lower(y, p).tau.coeffs
+            x = KClass(X, make_class(X, y.tau.coeffs), y.integral)
+            assert adams_lower(x, p).tau.coeffs == want
+            assert oracles.adams_lower_by_twist(x, p).tau.coeffs == want
 
 
 # one table given to CellularVariety directly, its tau columns as a mapping

@@ -73,6 +73,7 @@ from chowops import (
 )
 from chowops.char_classes import w_tangent
 from chowops.core import apply_matrix
+from chowops.ktheory import _psi_ch
 from chowops.varieties import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
@@ -187,6 +188,18 @@ def test_cached_classes_match_a_rebuild_from_scratch(case):
     for p in (2, 3, 5):
         assert theta_p(e, p) == multiplicative_class_anew("theta", e, p)
         assert w_chp(e, p) == multiplicative_class_anew("w", e, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles_and_primes())
+def test_bott_identity_relates_theta_and_todd(case):
+    # theta^p(e) psi^p(Todd(e)) = p^rank(e) Todd(e), root by root
+    # 1 + e^{-t} + ... + e^{-(p-1)t} = p todd(t) / todd(pt): the identity
+    # that makes psi_p a dimension scaling in tau-coordinates
+    e, _ = case
+    for p in (2, 3, 5):
+        assert theta_p(e, p) * _psi_ch(todd(e), p) == \
+            todd(e).scale(Fraction(p) ** e.rank)
 
 
 @st.composite

@@ -197,6 +197,22 @@ def test_tables_on_pn_and_products_skip_the_tau_route(monkeypatch):
     assert calls.count("inverse") == 1
 
 
+def test_quadric_tables_build_no_todd_or_theta_twist(monkeypatch):
+    # psi_p is a dimension scaling in tau-coordinates, so the tables of a
+    # fresh Q_5 need neither Todd(T_X)^{-1} nor theta^p(-T_X)
+    from chowops import varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    Q5 = odd_quadric(5)
+    for p in (2, 3):
+        for label in Q5.labels():
+            xbar = _bar(Q5, p, {label: 1})
+            steenrod_homological(xbar)
+            steenrod_cohomological(xbar)
+    for p in (2, 3):
+        for key in ("todd_inv", ("theta_minus_T", p), ("psi_twist", p)):
+            assert key not in Q5._cache, key
+
+
 def count_extractions(monkeypatch):
     """Empty the builder cache and record, from then on, every extraction
     (`_psi_pieces`, with the cells its coordinates sit on) and every
