@@ -9,20 +9,26 @@ f_0^rank(e) exp(sum_k w_k ch_k(e)), the exponential taken inside the
 
 The log-weight vector (f_0, w_0..w_n) depends only on the series and the
 truncation n, so `SeriesSpec.weights(n)` computes it once per spec and n, and
-one spec per (name, n) serves the total Chern class (f = 1 + t), todd,
+one spec per (name, p, n) serves the total Chern class (f = 1 + t), todd,
 theta^p and w^{CH,p}.  The log class is then one pass over the Chern
-character: u[l] = w_{codim l} ch[l].
+character: u[l] = w_{codim l} ch[l].  The builders' classes of +-T_X
+(`tangent_class`) take no exponential: by the Euler sequence
+T_{P^n} = (n+1) O(1) - O and T_{Q_d} = (d+2) O(1) - O - O(2)
+(`X.tangent_lines`), so a class is prod_a f(a h)^{m_a}, one integer power per
+line (`series.spower`), and on X x Y the Kunneth product of the factors'.
 """
 from fractions import Fraction
 from math import factorial
 
 from . import series as S
 from .core import (
+    _built,
     _exp,
     _integer_form,
     class_from_json,
     class_to_json,
     coeff_from_str,
+    kron,
 )
 from .errors import (
     IntegralityFailure,
@@ -164,21 +170,25 @@ def multiplicative_class(spec, e):
     return _exp(X, u, d * e.ch.den, a0 ** e.rank)
 
 
-_SPECS = {}  # (name, n) -> SeriesSpec of a built-in per-root series
+_SPECS = {}  # (name, p, n) -> SeriesSpec of a built-in per-root series
+# the built-in per-root series truncated at n: name -> series(p, n)
+_SERIES = {"chern": lambda p, n: [1, 1], "todd": lambda p, n: S.todd_series(n),
+           "theta": S.theta_series, "w": S.w_series}
 
 
-def _spec(name, build, n):
-    """The one spec of a built-in series truncated at n, built on first use."""
-    key = (name, n)
+def _spec(name, n, p=None):
+    """The one spec of the built-in series name at p, truncated at n."""
+    if p is not None:
+        require_prime(p)
+    key = (name, p, n)
     if key not in _SPECS:
-        _SPECS[key] = SeriesSpec(build(n), name=name)
+        _SPECS[key] = SeriesSpec(_SERIES[name](p, n), name=name)
     return _SPECS[key]
 
 
 def chern(e):
     """Total Chern class, per-root series 1 + t; integral input, integral output."""
-    total = multiplicative_class(_spec("chern", lambda n: [1, 1],
-                                       e.variety.dim), e)
+    total = multiplicative_class(_spec("chern", e.variety.dim), e)
     if e.integral and not total.is_integral():
         raise IntegralityFailure(
             "total Chern class of an integral bundle came out fractional "
@@ -188,27 +198,45 @@ def chern(e):
 
 def todd(e):
     """Todd class, per-root series t/(1 - e^{-t})."""
-    return multiplicative_class(_spec("todd", S.todd_series, e.variety.dim), e)
+    return multiplicative_class(_spec("todd", e.variety.dim), e)
 
 
 def theta_p(e, p):
     """Bott's class: per-root series 1 + e^{-t} + ... + e^{-(p-1)t}."""
-    require_prime(p)
-    spec = _spec("theta^%d" % p, lambda n: S.theta_series(p, n),
-                 e.variety.dim)
-    return multiplicative_class(spec, e)
+    return multiplicative_class(_spec("theta", e.variety.dim, p), e)
 
 
 def w_chp(e, p):
     """The class with w[L] = 1 + (-c_1 L)^{p-1}; integral on integral bundles."""
-    require_prime(p)
-    spec = _spec("w^{CH,%d}" % p, lambda n: S.w_series(p, n), e.variety.dim)
-    out = multiplicative_class(spec, e)
+    out = multiplicative_class(_spec("w", e.variety.dim, p), e)
     if e.integral and not out.is_integral():
         raise IntegralityFailure("w^{CH,%d} of an integral bundle came out "
                                  "fractional" % p, variety=e.variety, p=p,
                                  bundle=e, total=out)
     return out
+
+
+_CHECKED = {"chern": chern, "todd": todd, "theta": theta_p, "w": w_chp}
+
+
+def line_sum_class(X, name, lines, p=None):
+    """The class name of the line sum sum_a m_a O(a) (lines: the pairs
+    (a, m_a)) on a builder with hyperplane class h, prod_a f(a h)^{m_a}: one
+    integer polynomial over one denominator (`series.spower` per line), put
+    on the running powers of h and reduced once."""
+    n, f = X.dim, _spec(name, X.dim, p).coeffs
+    poly, den = [1] + [0] * n, 1
+    for a, m in lines:
+        g, d = S.spower([c * a ** k for k, c in enumerate(f)], m, n)
+        poly = [sum(v * poly[k - j] for j, v in enumerate(g[: k + 1]) if v)
+                for k in range(n + 1)]
+        den *= d
+    out, power = {}, {X.fundamental: 1}
+    for c in poly:
+        for l, v in power.items():
+            out[l] = out.get(l, 0) + c * v
+        power = X._raw_mul(power, X.hyperplane)
+    return _built(X, out, den)
 
 
 # -- per-variety caches -------------------------------------------------------
@@ -219,22 +247,38 @@ def _cached(X, key, fn):
     return X._cache[key]
 
 
+def tangent_class(X, key, name, sign, p=None):
+    """The class name of sign T_X (sign = +-1), cached on X under key: the
+    `line_sum_class` of the Euler sequence `X.tangent_lines`, the Kunneth
+    product of the factors' on X x Y, else the checked class of the bundle."""
+    def build():
+        if getattr(X, "builder", None) == "product":
+            A, B = (tangent_class(F, key, name, sign, p) for F in X._factors)
+            return _built(X, kron(A.num, B.num), A.den * B.den)
+        if hasattr(X, "tangent_lines"):
+            return line_sum_class(X, name, [(a, sign * m) for a, m
+                                            in X.tangent_lines], p)
+        e = tangent_bundle(X).scale(sign)
+        return _CHECKED[name](e) if p is None else _CHECKED[name](e, p)
+    return _cached(X, key, build)
+
+
 def todd_class(X):
-    return _cached(X, "todd", lambda: todd(tangent_bundle(X)))
+    return tangent_class(X, "todd", "todd", 1)
 
 
 def todd_inv_class(X):
     # todd(-T) is the exact multiplicative inverse of todd(T)
-    return _cached(X, "todd_inv", lambda: todd(-tangent_bundle(X)))
+    return tangent_class(X, "todd_inv", "todd", -1)
 
 
 def theta_minus_tangent(X, p):
-    return _cached(X, ("theta_minus_T", p), lambda: theta_p(-tangent_bundle(X), p))
+    return tangent_class(X, ("theta_minus_T", p), "theta", -1, p)
 
 
 def w_tangent(X, p):
-    return _cached(X, ("w_T", p), lambda: w_chp(tangent_bundle(X), p))
+    return tangent_class(X, ("w_T", p), "w", 1, p)
 
 
 def w_minus_tangent(X, p):
-    return _cached(X, ("w_minus_T", p), lambda: w_chp(-tangent_bundle(X), p))
+    return tangent_class(X, ("w_minus_T", p), "w", -1, p)

@@ -5,7 +5,8 @@ It is the per-Chern-root side of `char_classes`: the Todd, Bott and
 w^{CH,p} series of one root, and the log that turns each into the weights
 of a multiplicative class.  No other module of the package uses it; every
 builder datum is a class in the Chow ring (`varieties`).  `sadd`, `spow`
-and `exp_t` are references the tests use.
+and `exp_t` are references the tests use.  `spower` is a^m for any integer
+m, in integers, and `sinv` its m = -1.
 
 log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
 satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)
@@ -14,7 +15,7 @@ closed form e^{ct}; the one exponential of a class is the ring's,
 `core.ChowClass.exp`.
 """
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import NonInvertibleSeries, SeriesDomainError
 
@@ -55,18 +56,36 @@ def spow(a, k, n):
     return out
 
 
-def sinv(a, n):
-    """Multiplicative inverse; needs a nonzero constant term."""
+def spower(a, m, n):
+    """(g, d): a^m truncated at n, a[0] != 0, as integers g over d.
+
+    Miller's recurrence k a_0 g_k = sum_i ((m+1) i - k) a_i g_{k-i} runs on
+    a times the lcm of its denominators, skipping zero a_i (a sparse series
+    costs O(n)), over one running denominator: each g_k is reduced by a gcd,
+    and the earlier terms are rescaled only to a new lcm; a_0^m goes to d."""
+    a = a[: n + 1]
     if a[0] == 0:
         raise NonInvertibleSeries("series has zero constant term")
-    inv0 = Fraction(1, 1) / a[0]
-    out = [inv0] + [Fraction(0)] * n
+    D = lcm(*(c.denominator for c in a)) * (1 if a[0] > 0 else -1)
+    A0, *A = (c.numerator * (D // c.denominator) for c in a)
+    terms = [(i, c) for i, c in enumerate(A, 1) if c]
+    g, E = [1], 1
     for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return out
+        s = sum(((m + 1) * i - k) * c * g[k - i] for i, c in terms if i <= k)
+        r = gcd(s, k * A0 * E)  # A0 > 0
+        s, q = s // r, k * A0 * E // r
+        L = lcm(E, q)
+        if L != E:
+            g, E = [v * (L // E) for v in g], L
+        g.append(s * (E // q))
+    a0 = Fraction(a[0]) ** m
+    return [v * a0.numerator for v in g], E * a0.denominator
+
+
+def sinv(a, n):
+    """Multiplicative inverse, `spower` at -1; needs a nonzero constant term."""
+    g, d = spower(a, -1, n)
+    return [Fraction(v, d) for v in g]
 
 
 def slog(a, n):

@@ -5,13 +5,14 @@ Riemann-Roch tau(E . x) = ch(E) tau(x) and tau[O_Z] = i_* Todd(T_Z), so the
 tau column of the i-fold hyperplane section, [O_{H^i}] = (1 - [O(-1)])^i, is
 Todd(T_X) (1 - ch O(-1))^i, one ring product per column on P^n and on Q_d
 (`_hyperplane_sections`), and the column of the linear P^i in Q_d is
-l_i Todd(O(1))^{i+1}.  A product takes every datum from its factors by the
-Kunneth rule of `core.kron`, and so do external products and the product
-projections.  Each builder hands its tau columns to `CellularVariety` as a
-callable, so they are built, from the factors' columns on a product, and
-checked on the first read of `tau_columns`, never by an operation on P^n or
-a product of them.  `variety_from_spec` checks the dimension cap and the
-cell cap `MAX_CELLS` on the parsed spec, before anything is built.
+l_i Todd(O(1))^{i+1}; both Todd classes are closed forms of line sums, T_X
+by its Euler sequence (`tangent_lines`).  A product takes every datum from
+its factors by the Kunneth rule of `core.kron`, and so do external products
+and the product projections.  Each builder hands its tau columns to
+`CellularVariety` as a callable, so they are built, from the factors'
+columns on a product, and checked on the first read of `tau_columns`, never
+by an operation on P^n or a product of them.  `variety_from_spec` checks the
+dimension and cell caps (`MAX_CELLS`) on the parsed spec, before any build.
 
 The morphism catalogue is one table, `_KINDS`.  Morphism kinds and
 `{"type": ...}` variety specs take their parameters by one rule
@@ -33,8 +34,8 @@ from math import comb, factorial, prod
 from .char_classes import (
     VirtualBundle,
     _cached,
+    line_sum_class,
     tangent_bundle,
-    todd,
     todd_class,
 )
 from .core import (
@@ -80,7 +81,8 @@ class BuiltVariety(CellularVariety):
 
 
 def projective_space(n):
-    """P^n with cells h^0..h^n (codimension i)."""
+    """P^n with cells h^0..h^n (codimension i); `tangent_lines` is the Euler
+    sequence T = (n + 1) O(1) - O, whence `tangent_ch` and the classes of T."""
     if n < 0:
         raise ValueError("projective space needs n >= 0")
     key = ("P", n)
@@ -93,13 +95,12 @@ def projective_space(n):
         for j in range(i, n - i + 1):
             table[("h^%d" % i, "h^%d" % j)] = {"h^%d" % (i + j): 1}
 
-    tangent = {"h^0": n}  # ch(T) = (n + 1) e^h - 1
-    for k in range(1, n + 1):
-        tangent["h^%d" % k] = Fraction(n + 1, factorial(k))
-
+    lines = ((1, n + 1), (0, -1))
+    tangent = _euler_ch(lines, [{"h^%d" % k: 1} for k in range(n + 1)])
     X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1}, tangent,
                      lambda: Matrix.over(_hyperplane_sections(X, n)))
     X.hyperplane = {"h^1": 1} if n >= 1 else {}
+    X.tangent_lines = lines
     X.builder = "projective_space"
     _VARIETY_CACHE[key] = X
     return X
@@ -119,6 +120,13 @@ def _hyperplane_sections(X, m):
     return columns
 
 
+def _euler_ch(lines, powers):
+    """ch of the line sum sum_a m_a O(a), sum_a m_a e^{a h}, on the cells:
+    powers[k] is h^k, a multiple of one cell on P^n and on Q_d."""
+    return {l: v * Fraction(sum(m * a ** k for a, m in lines), factorial(k))
+            for k, h_k in enumerate(powers) for l, v in h_k.items()}
+
+
 def _quadric_h_power(d, k):
     """The class h^k on Q_d as a sparse cell vector."""
     m = (d - 1) // 2
@@ -134,6 +142,7 @@ def odd_quadric(d):
 
     Cells h^0..h^m (linear-section subquadrics, m = (d-1)/2) and l_m..l_0
     (linear subspaces).  The middle relation is h^{m+1} = 2 l_m.
+    `tangent_lines` is the Euler sequence T = (d + 2) O(1) - O - O(2).
     """
     if d < 1:
         raise ValueError("quadric dimension must be >= 1")
@@ -155,18 +164,14 @@ def odd_quadric(d):
             table[("h^%d" % i, "h^%d" % j)] = _quadric_h_power(d, i + j)
             table[("h^%d" % i, "l_%d" % j)] = {"l_%d" % (j - i): 1}
 
-    # ch T = (d + 2) e^h - 1 - e^{2h}, as a series in h put on the cells
-    tangent = {}
-    for k in range(d + 1):
-        c = d if k == 0 else Fraction(d + 2 - 2 ** k, factorial(k))
-        for label, mult in _quadric_h_power(d, k).items():
-            tangent[label] = tangent.get(label, 0) + c * mult
+    lines = ((1, d + 2), (0, -1), (2, -1))
+    tangent = _euler_ch(lines, [_quadric_h_power(d, k) for k in range(d + 1)])
 
     def tau():
         # h^i: the hyperplane sections; l_i: the linear P^i, whose column is
         # l_i Todd(O(1))^{i+1}, one running product
         columns = _hyperplane_sections(X, m)
-        td = col = todd(line_bundle(X, 1))
+        td = col = line_sum_class(X, "todd", ((1, 1),))
         for i in range(m + 1):
             if i:
                 col = col * td
@@ -176,6 +181,7 @@ def odd_quadric(d):
 
     X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}
+    X.tangent_lines = lines
     X.builder = "odd_quadric"
     _VARIETY_CACHE[key] = X
     return X
@@ -569,9 +575,9 @@ def _builder_spec(builder, n):
 
 
 def _product_spec(factors, room):
-    # each factor takes at least one of the room, so a product given less
-    # than two cannot fit: the nesting ends within the room
-    if room < 2:
+    # each factor takes one of the room at least, so nesting ends within it;
+    # more than MAX_CELLS factors fail some cap whatever they are
+    if room < 2 or len(factors) > MAX_CELLS:
         raise ValueError("variety exceeds the factor cap %d" % DEFAULT_MAX_DIM)
     dims, cells, builds, counts = zip(*[
         _parse_spec(factor, room - len(factors) + 1) for factor in factors])

@@ -15,7 +15,9 @@ product per column, the reference for the package's Riordan-array build.
 `catalogue_relative_tangent` writes out T_f of each morphism kind by hand,
 the reference for the derived T_X - f^*T_Y.  `adams_lower_by_twist` is the
 homological Adams operation by the Todd and theta^p(-T_X) twist, the
-reference for the package's dimension scaling.
+reference for the package's dimension scaling.  `series_inverse_anew` is the
+inverse of a series by the Fraction convolution recurrence, the reference for
+the package's inverse as an integer power.
 """
 from fractions import Fraction
 from math import factorial
@@ -296,3 +298,14 @@ def adams_lower_by_twist(x, p):
     T = tangent_bundle(X)
     scaled = _psi_ch(x.tau * todd(-T), p)
     return KClass(X, todd(T) * theta_p(-T, p) * scaled, integral=False)
+
+
+def series_inverse_anew(a, n):
+    """a^{-1} truncated at degree n by out_k = -(sum_{i=1..k} a_i out_{k-i})
+    / a_0, over Fractions."""
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        out[k] = -inv0 * sum((a[i] * out[k - i] for i in range(1, k + 1)),
+                             Fraction(0))
+    return out

@@ -239,3 +239,99 @@ def test_require_prime_on_large_inputs():
             require_prime(n)
     with pytest.raises(ValueError):
         require_prime(PRIME_BOUND)
+
+
+# -- closed forms on the builders ----------------------------------------------
+
+CLOSED_FORM_SHAPES = [
+    "P^0", "P^1", "P^2", "P^3", "P^8", "P^12", "P^24",
+    "Q_1", "Q_3", "Q_5", "Q_7", "Q_9", "Q_15",
+    "P^1xP^1", "P^2xQ_3", "P^4xP^4", "P^2xP^2xP^2xP^2", "P^0xQ_1",
+    "P^1xQ_3", "Q_3xP^2", "P^1xP^2xQ_3"]
+CLOSED_FORM_PRIMES = [2, 3, 5, 7, 101, 3317044064679887385961813]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SHAPES)
+def test_builder_tangent_classes_equal_the_generic_exponential(spec):
+    # the Euler-sequence powers on P^n and Q_d and their Kunneth products
+    # give the multiplicative class of +-T_X itself, in lowest terms
+    from chowops import variety_from_spec
+    X = variety_from_spec(spec, max_dim=40)
+    T = tangent_bundle(X)
+    cases = [("todd", None), ("chern", None)] + [
+        (name, p) for name in ("theta", "w") for p in CLOSED_FORM_PRIMES]
+    for name, p in cases:
+        for sign, e in ((1, T), (-1, -T)):
+            got = CC.tangent_class(X, ("closed form", name, p, sign), name,
+                                   sign, p)
+            want = multiplicative_class(CC._spec(name, X.dim, p), e)
+            assert (got.num, got.den) == (want.num, want.den), (name, p, sign)
+
+
+def _refuse_exponentials(monkeypatch):
+    from chowops import core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder's tangent class took the generic route")
+
+    for module, name in ((core, "_exp"), (CC, "_exp"),
+                         (CC, "multiplicative_class")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("spec", ["P^12", "Q_9", "P^2xQ_3"])
+def test_fresh_builder_accessors_take_no_exponential(monkeypatch, spec):
+    from chowops import varieties, variety_from_spec
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    X = variety_from_spec(spec, max_dim=12)
+    _refuse_exponentials(monkeypatch)
+    CC.todd_class(X)
+    CC.todd_inv_class(X)
+    for p in (2, 3, 5):
+        CC.w_tangent(X, p)
+        CC.w_minus_tangent(X, p)
+    assert CC.todd_class(X) * CC.todd_inv_class(X) == X.unit()
+
+
+def test_a_tables_copy_of_a_builder_takes_the_checked_route(monkeypatch):
+    # the same data given to CellularVariety has no Euler-sequence record,
+    # so its classes come from multiplicative_class, with its checks
+    from chowops import CellularVariety
+    Y = CellularVariety(P2.name, P2.dim, P2.cells, P2._table,
+                        P2.degree_vector, P2.tangent_ch, P2.tau_columns)
+    calls = []
+    generic = CC.multiplicative_class
+
+    def counting(spec, e):
+        calls.append(spec.name)
+        return generic(spec, e)
+
+    monkeypatch.setattr(CC, "multiplicative_class", counting)
+    for got, want in ((CC.todd_class(Y), CC.todd_class(P2)),
+                      (CC.todd_inv_class(Y), CC.todd_inv_class(P2)),
+                      (CC.w_tangent(Y, 3), CC.w_tangent(P2, 3)),
+                      (CC.w_minus_tangent(Y, 2), CC.w_minus_tangent(P2, 2)),
+                      (CC.theta_minus_tangent(Y, 5),
+                       CC.theta_minus_tangent(P2, 5))):
+        assert (got.num, got.den) == (want.num, want.den)
+    assert calls == ["todd", "todd", "w", "w", "theta"]
+
+
+def test_todd_of_a_large_projective_space_stays_over_a_small_denominator(
+        monkeypatch):
+    # the power runs over one running denominator, reduced as it goes: on
+    # P^127 it stays near 600 bits, where n! f_0^n would be 93 000
+    from chowops import varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    dens = []
+    spower = S.spower
+
+    def recording(a, m, n):
+        g, d = spower(a, m, n)
+        dens.append(d)
+        return g, d
+
+    monkeypatch.setattr(S, "spower", recording)
+    td = CC.todd_class(projective_space(127))
+    assert dens and max(d.bit_length() for d in dens) < 1000
+    assert td.den.bit_length() < 1000

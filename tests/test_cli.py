@@ -462,6 +462,26 @@ def test_deep_or_wide_input_exits_2_at_once(capsys, tmp_path):
         assert seconds < 1, (argv[:2], seconds)
 
 
+def test_wide_products_exit_2_before_their_factors_are_parsed(capsys,
+                                                              tmp_path):
+    # 30000 leaf factors, as shorthand and as a product spec, inline and
+    # from a --variety file: refused by the factor cap before any leaf is
+    # parsed, so the time does not grow with the length of the input
+    leaves = ["P^0"] * 30000 + ["P^1"]
+    specs = ["x".join(leaves),
+             json.dumps({"type": "product", "factors": leaves})]
+    for i, spec in enumerate(specs):
+        path = tmp_path / ("wide%d.json" % i)
+        path.write_text(json.dumps(spec) if i == 0 else spec)
+        for text in (spec, str(path)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "describe", "--variety", text)
+            seconds = time.perf_counter() - start
+            assert (code, out) == (2, ""), err
+            assert err == "error: variety exceeds the factor cap 8\n"
+            assert seconds < 1, seconds
+
+
 def test_malformed_coefficients_exit_2_at_once():
     # a coefficient is an integer or a string "n" or "n/d" with d != 0: a
     # zero denominator ended in a traceback, an exponent built a huge

@@ -7,10 +7,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chowops
+import oracles
 from chowops import projective_space
 from chowops import series as S
+from chowops.errors import NonInvertibleSeries
 from oracles import h_powers_on_pn
 
 
@@ -114,3 +118,50 @@ def test_static_check_sees_a_series_import(tmp_path):
                    "from .core import series\n"
                    "import series\n")
     assert _series_imports(str(src)) == [1, 2, 3, 4, 5]
+
+
+# -- the integer power ---------------------------------------------------------
+
+def _fractions(power):
+    g, d = power
+    return [Fraction(v, d) for v in g]
+
+
+@st.composite
+def unit_series(draw):
+    """A truncation n and a series of n + 1 Fractions, some of them zero,
+    with a nonzero constant term."""
+    n = draw(st.integers(0, 10))
+    coeff = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+    head = draw(coeff.filter(bool))
+    return [head] + draw(st.lists(coeff, min_size=n, max_size=n)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_series(), st.integers(-6, 6), st.integers(-6, 6))
+def test_powers_multiply_by_adding_exponents(case, a, b):
+    f, n = case
+    assert S.smul(_fractions(S.spower(f, a, n)), _fractions(S.spower(f, b, n)),
+                  n) == _fractions(S.spower(f, a + b, n))
+    assert S.smul(_fractions(S.spower(f, -1, n)), f, n) == S.series([1], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_series(), st.integers(0, 6))
+def test_power_equals_repeated_products(case, m):
+    f, n = case
+    assert _fractions(S.spower(f, m, n)) == S.spow(f, m, n)
+
+
+def test_inverse_is_the_convolution_recurrences():
+    for n in range(41):
+        body = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
+        assert S.sinv(body, n) == S.todd_series(n) == \
+            oracles.series_inverse_anew(body, n)
+        td = S.todd_series(n)
+        assert S.sinv(td, n) == oracles.series_inverse_anew(td, n)
+    with pytest.raises(NonInvertibleSeries, match="zero constant term"):
+        S.sinv(S.series([0, 1], 4), 4)
+    with pytest.raises(NonInvertibleSeries):
+        S.spower([Fraction(0), Fraction(1, 2)], 3, 1)

@@ -387,6 +387,29 @@ def test_factor_cap_counts_nested_products_before_building(monkeypatch):
         assert V._parse_spec(spec)[3] == 8
 
 
+def test_a_wide_product_is_refused_before_its_factors_are_parsed(monkeypatch):
+    # more than MAX_CELLS factors fail a cap whatever they are, so no leaf
+    # is parsed; (P^1)^9 still meets the cell cap first
+    parsed = []
+    builder_spec = V._builder_spec
+
+    def recording(builder, n):
+        parsed.append(n)
+        return builder_spec(builder, n)
+
+    monkeypatch.setattr(V, "_builder_spec", recording)
+    wide = ["P^0"] * 30000 + ["P^1"]
+    for spec in ("x".join(wide), {"type": "product", "factors": wide},
+                 "x".join(["P^1"] * 257), "x".join(["P^0"] * 300 + ["foo"])):
+        with pytest.raises(ValueError, match="^variety exceeds the factor cap "
+                                             "8$"):
+            variety_from_spec(spec, max_dim=1000)
+    assert parsed == []
+    with pytest.raises(ValueError, match="^variety exceeds the cell cap 256$"):
+        variety_from_spec("x".join(["P^1"] * 9), max_dim=1000)
+    assert len(parsed) == 9
+
+
 # -- morphism catalog ----------------------------------------------------------
 
 def test_linear_embedding_matrices():
