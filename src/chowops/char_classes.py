@@ -16,6 +16,8 @@ character: u[l] = w_{codim l} ch[l].  The builders' classes of +-T_X
 T_{P^n} = (n+1) O(1) - O and T_{Q_d} = (d+2) O(1) - O - O(2)
 (`X.tangent_lines`), so a class is prod_a f(a h)^{m_a}, one integer power per
 line (`series.spower`), and on X x Y the Kunneth product of the factors'.
+On a cell Z, from the Euler sequence of its closure, the same closed form
+is the builders' tau column tau[O_Z] = [Z] Todd(T_Z) (`line_sum_class`).
 """
 from fractions import Fraction
 from math import factorial
@@ -219,19 +221,26 @@ def w_chp(e, p):
 _CHECKED = {"chern": chern, "todd": todd, "theta": theta_p, "w": w_chp}
 
 
-def line_sum_class(X, name, lines, p=None):
+def line_sum_class(X, name, lines, p=None, cell=None):
     """The class name of the line sum sum_a m_a O(a) (lines: the pairs
-    (a, m_a)) on a builder with hyperplane class h, prod_a f(a h)^{m_a}: one
-    integer polynomial over one denominator (`series.spower` per line), put
-    on the running powers of h and reduced once."""
-    n, f = X.dim, _spec(name, X.dim, p).coeffs
+    (a, m_a)) on a builder with hyperplane class h, prod_a f(a h)^{m_a} up
+    to the dimension n of cell (by default the fundamental one): one integer
+    polynomial over one denominator (`series.spower` per line, f_0^m for
+    a = 0), put on cell times the running powers of h and reduced once."""
+    cell = cell or X.fundamental
+    n, f = X._dims[cell], _spec(name, X.dim, p).coeffs
     poly, den = [1] + [0] * n, 1
     for a, m in lines:
-        g, d = S.spower([c * a ** k for k, c in enumerate(f)], m, n)
-        poly = [sum(v * poly[k - j] for j, v in enumerate(g[: k + 1]) if v)
+        if a == 0:
+            c = f[0] ** m
+            poly, den = [v * c.numerator for v in poly], den * c.denominator
+            continue
+        g, d = S.spower(f, m, n)  # f(a h)^m is f^m with h^k scaled by a^k
+        g = [v * a ** k for k, v in enumerate(g)]
+        poly = [sum(v * g[k - j] for j, v in enumerate(poly[: k + 1]) if v)
                 for k in range(n + 1)]
         den *= d
-    out, power = {}, {X.fundamental: 1}
+    out, power = {}, {cell: 1}
     for c in poly:
         for l, v in power.items():
             out[l] = out.get(l, 0) + c * v

@@ -2,11 +2,11 @@
 
 A series truncated at degree n is a list of n+1 Fractions [a_0, ..., a_n].
 It is the per-Chern-root side of `char_classes`: the Todd, Bott and
-w^{CH,p} series of one root, and the log that turns each into the weights
-of a multiplicative class.  No other module of the package uses it; every
-builder datum is a class in the Chow ring (`varieties`).  `sadd`, `spow`
-and `exp_t` are references the tests use.  `spower` is a^m for any integer
-m, in integers, and `sinv` its m = -1.
+w^{CH,p} series of one root, the log that turns each into the weights
+of a multiplicative class, and the powers f^m that `char_classes` puts on
+a builder's cells (its classes of T_X, its tau columns [Z] Todd(T_Z)); no
+other module uses it.  `sadd`, `spow` and `exp_t` are references the tests
+use.  `spower` is a^m for any integer m, in integers, and `sinv` its m = -1.
 
 log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
 satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)

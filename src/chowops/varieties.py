@@ -1,18 +1,17 @@
 """Builders for split cellular varieties and the morphism catalog.
 
-Every builder datum is a class in the variety's own Chow ring.  By
-Riemann-Roch tau(E . x) = ch(E) tau(x) and tau[O_Z] = i_* Todd(T_Z), so the
-tau column of the i-fold hyperplane section, [O_{H^i}] = (1 - [O(-1)])^i, is
-Todd(T_X) (1 - ch O(-1))^i, one ring product per column on P^n and on Q_d
-(`_hyperplane_sections`), and the column of the linear P^i in Q_d is
-l_i Todd(O(1))^{i+1}; both Todd classes are closed forms of line sums, T_X
-by its Euler sequence (`tangent_lines`).  A product takes every datum from
-its factors by the Kunneth rule of `core.kron`, and so do external products
-and the product projections.  Each builder hands its tau columns to
-`CellularVariety` as a callable, so they are built, from the factors'
-columns on a product, and checked on the first read of `tau_columns`, never
-by an operation on P^n or a product of them.  `variety_from_spec` checks the
-dimension and cell caps (`MAX_CELLS`) on the parsed spec, before any build.
+On P^n and Q_d the closure Z of every cell is again a P^k or a Q_k, whose
+Euler sequence T_Z = sum_a m_a O(a) is known (the fundamental cell's is
+`tangent_lines`).  So every tau column is one rule, Riemann-Roch
+tau[O_Z] = [Z] Todd(T_Z), with Todd(T_Z) the closed form of that line sum
+put on the cell (`_riemann_roch`, `char_classes.line_sum_class`), and no
+ring product.  A product takes every datum from its factors by the Kunneth
+rule of `core.kron`, and so do external products and the product
+projections.  Each builder hands its tau columns to `CellularVariety` as a
+callable, so they are built, from the factors' columns on a product, and
+checked on the first read of `tau_columns`, never by an operation on P^n or
+a product of them.  `variety_from_spec` checks the dimension and cell caps
+(`MAX_CELLS`) on the parsed spec, before any build.
 
 The morphism catalogue is one table, `_KINDS`.  Morphism kinds and
 `{"type": ...}` variety specs take their parameters by one rule
@@ -36,7 +35,6 @@ from .char_classes import (
     _cached,
     line_sum_class,
     tangent_bundle,
-    todd_class,
 )
 from .core import (
     CellularVariety,
@@ -95,10 +93,12 @@ def projective_space(n):
         for j in range(i, n - i + 1):
             table[("h^%d" % i, "h^%d" % j)] = {"h^%d" % (i + j): 1}
 
-    lines = ((1, n + 1), (0, -1))
+    # the Euler sequence of the closure P^{n-i} of h^i, as pairs (a, m_a)
+    closures = {"h^%d" % i: ((1, n - i + 1), (0, -1)) for i in range(n + 1)}
+    lines = closures["h^0"]
     tangent = _euler_ch(lines, [{"h^%d" % k: 1} for k in range(n + 1)])
     X = BuiltVariety("P^%d" % n, n, cells, table, {"h^%d" % n: 1}, tangent,
-                     lambda: Matrix.over(_hyperplane_sections(X, n)))
+                     lambda: _riemann_roch(X, closures))
     X.hyperplane = {"h^1": 1} if n >= 1 else {}
     X.tangent_lines = lines
     X.builder = "projective_space"
@@ -106,18 +106,12 @@ def projective_space(n):
     return X
 
 
-def _hyperplane_sections(X, m):
-    """The tau columns of h^0..h^m, each as (integers, den): [O_{H^i}] is
-    (1 - [O(-1)])^i, so its column is Todd(T_X) (1 - ch O(-1))^i, one ring
-    product per column."""
-    col = todd_class(X)
-    step = X.unit() - line_bundle(X, -1).ch
-    columns = {}
-    for i in range(m + 1):
-        if i:
-            col = col * step
-        columns["h^%d" % i] = (col.num, col.den)
-    return columns
+def _riemann_roch(X, closures):
+    """The tau columns [Z] Todd(T_Z) of a builder, closures[Z] the Euler
+    sequence of the closure of the cell Z."""
+    columns = {Z: line_sum_class(X, "todd", lines, cell=Z)
+               for Z, lines in closures.items()}
+    return Matrix.over({Z: (c.num, c.den) for Z, c in columns.items()})
 
 
 def _euler_ch(lines, powers):
@@ -164,22 +158,14 @@ def odd_quadric(d):
             table[("h^%d" % i, "h^%d" % j)] = _quadric_h_power(d, i + j)
             table[("h^%d" % i, "l_%d" % j)] = {"l_%d" % (j - i): 1}
 
-    lines = ((1, d + 2), (0, -1), (2, -1))
+    # the Euler sequences of the closures: Q_{d-i} of h^i, P^i of l_i
+    closures = {"h^%d" % i: ((1, d - i + 2), (0, -1), (2, -1))
+                for i in range(m + 1)}
+    closures.update(("l_%d" % i, ((1, i + 1), (0, -1))) for i in range(m + 1))
+    lines = closures["h^0"]
     tangent = _euler_ch(lines, [_quadric_h_power(d, k) for k in range(d + 1)])
-
-    def tau():
-        # h^i: the hyperplane sections; l_i: the linear P^i, whose column is
-        # l_i Todd(O(1))^{i+1}, one running product
-        columns = _hyperplane_sections(X, m)
-        td = col = line_sum_class(X, "todd", ((1, 1),))
-        for i in range(m + 1):
-            if i:
-                col = col * td
-            l_i = X.basis_class("l_%d" % i) * col
-            columns["l_%d" % i] = (l_i.num, l_i.den)
-        return Matrix.over(columns)
-
-    X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent, tau)
+    X = BuiltVariety("Q_%d" % d, d, cells, table, {"l_0": 1}, tangent,
+                     lambda: _riemann_roch(X, closures))
     X.hyperplane = {"h^1": 1} if d >= 3 else {"l_0": 2}
     X.tangent_lines = lines
     X.builder = "odd_quadric"
@@ -237,9 +223,11 @@ def hyperplane_class(X):
 
 
 def line_bundle(X, i):
-    """O(i): rank one, c_1 = i times the hyperplane class.  Built once per
-    (X, i) and cached on X, as `todd_class` is; a bundle is never changed."""
-    return _cached(X, ("line_bundle", _as_coeff(i)), lambda: VirtualBundle(
+    """O(i) for an integer i: rank one, c_1 = i times the hyperplane class.
+    Built once per (X, i) and cached on X; a bundle is never changed."""
+    if type(i := _as_coeff(i)) is not int:
+        raise TypeError("a line bundle's twist must be an integer, got %s" % i)
+    return _cached(X, ("line_bundle", i), lambda: VirtualBundle(
         X, 1, hyperplane_class(X).scale(i).exp()))
 
 

@@ -9,7 +9,8 @@ cached log-weight vectors and the one-pass log class, not the series.
 `p_adic_split` is the p-adic split by Fraction scales, the reference for the
 package's split on integers over one denominator, and `pn_tau_running` and
 `quadric_tau_running` are the tau columns by running series products over
-Fractions, the reference for the builders' products in the Chow ring.
+Fractions, the reference for the builders' columns [Z] Todd(T_Z), each from
+the Euler sequence of the cell's closure Z.
 `projective_adams_products` is the Adams matrix of P^n by one full series
 product per column, the reference for the package's Riordan-array build.
 `catalogue_relative_tangent` writes out T_f of each morphism kind by hand,

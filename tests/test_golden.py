@@ -22,19 +22,25 @@ CASES = [
       "--class", '{"h^1":"1","h^3":"-2","l_2":"3","l_0":"5"}']),
     # every datum product() builds: cells, table, degrees, tangent, tau
     ("describe_P1xQ3xP1.json", ["describe", "--variety", "P^1xQ_3xP^1"]),
-    # tau columns built on first read: a running product and a Kunneth one
+    # tau columns built on first read: [Z] Todd(T_Z) and a Kunneth one
     ("describe_P8.json", ["describe", "--variety", "P^8"]),
     ("describe_P2xP2.json", ["describe", "--variety", "P^2xP^2"]),
+    # a quadric's own columns, h^i and l_i, above the default dimension cap
+    ("describe_Q15.json", ["describe", "--variety", "Q_15"]),
     # verify reports: the Bott split of theta^p and the Chern engine
     ("verify_bott_seed5.json", ["verify", "--suite", "bott", "--seed", "5"]),
     ("verify_whitney_seed5_trials5.json",
      ["verify", "--suite", "whitney", "--seed", "5", "--trials", "5"]),
 ]
+MAX_DIM = {"describe_Q15.json": "15"}  # STEENROD_MAX_DIM, else unset
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(capsysbinary, monkeypatch, name, argv):
-    monkeypatch.delenv("STEENROD_MAX_DIM", raising=False)
+    if name in MAX_DIM:
+        monkeypatch.setenv("STEENROD_MAX_DIM", MAX_DIM[name])
+    else:
+        monkeypatch.delenv("STEENROD_MAX_DIM", raising=False)
     assert main(argv) == 0
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert capsysbinary.readouterr().out == fh.read()

@@ -22,8 +22,11 @@ from chowops import (
     registered_morphisms,
     variety_from_spec,
 )
+from chowops import char_classes as C
+from chowops import core
 from chowops import series as S
 from chowops import varieties as V
+from chowops.char_classes import todd_class
 from chowops.cli import main
 from chowops.core import (
     CellularVariety,
@@ -43,6 +46,7 @@ from chowops.errors import (
 )
 from chowops.steenrod import steenrod_operation
 from chowops.varieties import BuiltVariety, Morphism
+from test_ktheory import SMALL_BUILDERS
 
 
 # -- projective spaces -------------------------------------------------------
@@ -118,14 +122,27 @@ def test_quadric_tangent_against_sympy(d):
 
 
 def test_quadric_l_columns_push_todd_from_linear_subspace():
-    Q5 = odd_quadric(5)
-    f = build_morphism("linear_in_quadric", j=2, d=5)
-    P2 = projective_space(2)
-    todd_p2 = P2.tau_class("h^0")
-    assert Q5.tau_class("l_2") == f.push_class(todd_p2)
+    # Riemann-Roch, tau[O_Z] = i_* Todd(T_Z): a column is the pushforward of
+    # the fundamental column of its closure, through the catalogue's maps
+    for d in (3, 5, 7):
+        Q = odd_quadric(d)
+        for j in range((d + 1) // 2):
+            f = build_morphism("linear_in_quadric", j=j, d=d)
+            todd_pj = projective_space(j).tau_class("h^0")
+            assert Q.tau_class("l_%d" % j) == f.push_class(todd_pj), (d, j)
+    for n in range(1, 7):
+        P = projective_space(n)
+        for i in range(n + 1):
+            f = build_morphism("linear_embedding", m=n - i, n=n)
+            todd_z = projective_space(n - i).tau_class("h^0")
+            assert P.tau_class("h^%d" % i) == f.push_class(todd_z), (n, i)
+    # and the fundamental column is tau[O_X] = Todd(T_X)
+    for spec in SMALL_BUILDERS:
+        X = variety_from_spec(spec)
+        assert X.tau_class(X.fundamental) == todd_class(X), spec
 
 
-# -- tau columns by running products -------------------------------------------
+# -- tau columns against series powers ----------------------------------------
 
 def scratch_pn_tau(n):
     """The P^n tau columns td^{n-j+1}, each power computed from scratch."""
@@ -203,33 +220,88 @@ def count_products(monkeypatch):
     return calls
 
 
-# the builders make their tau columns by running products in the Chow ring:
-# one per hyperplane section below the fundamental cell, and on Q_d one per
-# linear subspace and one per power of Todd(O(1)) as well
+def ring_running_tau(X):
+    """The tau columns of P^n or Q_d by running products in the Chow ring, as
+    the builders made them before the per-cell rule: h^i is Todd(T_X)
+    (1 - ch O(-1))^i, one product per hyperplane section, and l_i of Q_d is
+    l_i Todd(O(1))^{i+1}, one product for the cell and one per power."""
+    quadric = X.builder == "odd_quadric"
+    m = (X.dim - 1) // 2 if quadric else X.dim
+    col = todd_class(X)
+    step = X.unit() - line_bundle(X, -1).ch
+    columns = {}
+    for i in range(m + 1):
+        if i:
+            col = col * step
+        columns["h^%d" % i] = col
+    if quadric:
+        td = col = C.line_sum_class(X, "todd", ((1, 1),))
+        for i in range(m + 1):
+            if i:
+                col = col * td
+            columns["l_%d" % i] = X.basis_class("l_%d" % i) * col
+    return columns
+
+
+def fresh_tau_counts(monkeypatch, build):
+    """Read the tau columns of build() from an empty builder cache on: the
+    ring products and exponentials (`_exp`, patched in `core` and in
+    `char_classes`) that read makes, the cells it hands `line_sum_class`,
+    and the ring products `ring_running_tau` makes for the same columns,
+    which are checked to agree with the read."""
+    calls = count_products(monkeypatch)
+    exps, cells = [], []
+    for module in (core, C):
+        monkeypatch.setattr(module, "_exp", lambda *a, exp=module._exp:
+                            exps.append(a) or exp(*a))
+    monkeypatch.setattr(V, "line_sum_class", lambda *a, f=V.line_sum_class,
+                        **kw: cells.append(kw.get("cell")) or f(*a, **kw))
+    X = build()
+    X.tau_columns
+    fresh = calls + exps
+    calls, exps = count_products(monkeypatch), []
+    want = ring_running_tau(X)
+    for c in X.labels():
+        assert X.tau_class(c) == want[c], (X.name, c)
+    return fresh, cells, len(calls)
+
+
+# the column of a cell Z is [Z] Todd(T_Z), one integer product: the series of
+# the Euler sequence of Z's closure put on the cell, so a fresh read makes no
+# ring product and no exponential (no line bundle either); `products` is the
+# count of ring products the running-product construction takes instead
 
 @pytest.mark.parametrize("spec, products", [
     ("P^0", 0), ("P^12", 12), ("P^24", 24), ("P^40", 40),
     ("Q_13", 6 + 7 + 6)])
 def test_fresh_tau_columns_make_one_integer_product_per_column(
         monkeypatch, spec, products):
-    calls = count_products(monkeypatch)
-    variety_from_spec(spec).tau_columns
-    assert len(calls) == products
+    fresh, cells, running = fresh_tau_counts(
+        monkeypatch, lambda: variety_from_spec(spec))
+    assert fresh == []
+    assert sorted(cells) == sorted(variety_from_spec(spec).labels())
+    assert running == products
 
 
 @pytest.mark.parametrize("n", [12])
 def test_fresh_projective_space_makes_one_product_per_column(monkeypatch, n):
-    # the same count through the builder itself rather than a spec
-    calls = count_products(monkeypatch)
-    projective_space(n).tau_columns
-    assert len(calls) == n
+    # the same through the builder itself rather than a spec
+    fresh, cells, running = fresh_tau_counts(
+        monkeypatch, lambda: projective_space(n))
+    assert fresh == []
+    assert cells == ["h^%d" % i for i in range(n + 1)]
+    assert running == n
 
 
 @pytest.mark.parametrize("d", [1, 13, 25])
 def test_fresh_quadric_makes_linearly_many_products(monkeypatch, d):
-    calls = count_products(monkeypatch)
-    odd_quadric(d).tau_columns
-    assert 0 < len(calls) <= 2 * d
+    # d + 1 columns, one integer product each, against linearly many ring
+    # products by running products
+    fresh, cells, running = fresh_tau_counts(
+        monkeypatch, lambda: odd_quadric(d))
+    assert fresh == []
+    assert len(cells) == len(set(cells)) == d + 1
+    assert 0 < running <= 2 * d
 
 
 def test_fresh_pn_build_makes_no_series_product(monkeypatch):
@@ -559,8 +631,6 @@ def test_line_bundle_and_hyperplane():
 def test_line_bundles_are_built_once_per_variety(monkeypatch):
     # O(i) is cached on X: a second read runs no exponential and returns
     # the same bundle; the twist is still checked on every call
-    from chowops import core
-
     monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     X = V.projective_space(5)
     calls = []
@@ -574,7 +644,7 @@ def test_line_bundles_are_built_once_per_variety(monkeypatch):
     assert len(calls) == 7
     for i, bundle in zip(range(-3, 4), bundles):
         assert bundle.ch == hyperplane_class(X).scale(i).exp()
-    for bad in (True, 1.0, "1"):
+    for bad in (True, 1.0, "1", Fraction(1, 2)):
         with pytest.raises(TypeError):
             line_bundle(X, bad)
 
