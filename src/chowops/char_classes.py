@@ -244,7 +244,7 @@ def line_sum_class(X, name, lines, p=None, cell=None):
     for c in poly:
         for l, v in power.items():
             out[l] = out.get(l, 0) + c * v
-        power = X._raw_mul(power, X.hyperplane)
+        power = X._mul_into({}, power, X.hyperplane)
     return _built(X, out, den)
 
 

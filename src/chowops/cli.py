@@ -77,12 +77,11 @@ def _dump(obj, out_path):
 
 def cmd_describe(args):
     X = _load_variety(args.variety)
-    mult = {}
-    for (a, b), vec in sorted(X._table.items()):
-        if X._index[a] > X._index[b]:
-            continue
-        if vec:
-            mult.setdefault(a, {})[b] = {c: str(v) for c, v in sorted(vec.items())}
+    index, mult = X._index, {}
+    for a, row in X._table.items():
+        for b, prods in row.items():
+            if index[a] <= index[b]:
+                mult.setdefault(a, {})[b] = {c: str(v) for c, v in prods}
     report = {
         "name": X.name,
         "dim": X.dim,

@@ -9,10 +9,14 @@ its columns over one denominator.  The ring product, the exponential
 integers and reduce their result once (`_built`); the p-adic split of psi_p
 and theta^p reads an apply's image undivided.
 
-The ring structure comes from a finite table of structure constants, each
-entry checked for grading, commutativity and unitality as it is read; a
-table given directly is also checked for associativity, which the builders'
-tables have by construction (`varieties.BuiltVariety`).  The tau columns
+The ring structure comes from a finite table of structure constants, given
+keyed by pairs of cells and stored as rows keyed by the left cell,
+{a: {b: ((c, n), ...)}}, nonzero products only; every ring product, each
+term of `_exp` included, is added into a dict by one kernel on those rows
+(`CellularVariety._mul_into`).  Each entry is checked for grading,
+commutativity and unitality as it is read; a table given directly is also
+checked for associativity, which the builders' tables have by construction
+(`varieties.BuiltVariety`).  The tau columns
 are checked to be unitriangular, in integer form, where they enter: a
 caller's mapping in the constructor, a builder's callable on the first read
 of `tau_columns`.  On a product X x Y the cell a x b is labelled
@@ -138,7 +142,10 @@ class CellularVariety:
     # -- construction checks ------------------------------------------------
 
     def _build_table(self, mult_table):
-        table = {}
+        """The caller's pair-keyed table {(a, b): {c: n}} as rows keyed by
+        the left cell, {a: {b: ((c, n), ...)}}, with both orders and the unit
+        products filled in and only the nonzero products kept."""
+        rows = {l: {} for l in self._dims}
         for (a, b), vec in mult_table.items():
             if a not in self._dims or b not in self._dims:
                 raise InvalidVariety("mult_table entry (%r, %r) uses unknown "
@@ -153,49 +160,61 @@ class CellularVariety:
                         raise InvalidVariety(
                             "product %r * %r hits %r, violating the grading"
                             % (a, b, c))
-            if (a, b) in table and table[(a, b)] != clean:
-                raise InvalidVariety("conflicting entries for (%r, %r)" % (a, b))
-            table[(a, b)] = clean
             if (b, a) in mult_table:
                 other = {c: v for c, v in mult_table[(b, a)].items() if v}
                 if other != clean:
                     raise InvalidVariety("product of %r and %r is not "
                                          "commutative" % (a, b))
-            table[(b, a)] = clean
+            # an empty product is kept until the unit check has read it
+            rows[a][b] = rows[b][a] = tuple(clean.items())
         one = self.fundamental
         for l in self._dims:
-            expected = {l: 1}
-            if (one, l) in table:
-                if table[(one, l)] != expected:
-                    raise InvalidVariety("fundamental class is not a unit on %r" % l)
-            table[(one, l)] = expected
-            table[(l, one)] = expected
-        return table
+            unit = ((l, 1),)
+            if rows[one].get(l, unit) != unit:
+                raise InvalidVariety("fundamental class is not a unit on %r" % l)
+            rows[one][l] = rows[l][one] = unit
+        return {a: {b: prods for b, prods in row.items() if prods}
+                for a, row in rows.items()}
 
-    def _raw_mul(self, va, vb):
-        """Multiply sparse label->integer dicts through the table."""
-        table = self._table
-        out = {}
+    def _mul_into(self, out, va, vb, c=1):
+        """Add c va vb into out and return it: the one ring-product kernel,
+        sparse label -> integer dicts multiplied through the rows of the
+        table.  A cancelled cell is left in out as 0."""
+        rows = self._table
         for a, ca in va.items():
+            row = rows[a]
+            ca *= c
             for b, cb in vb.items():
-                row = table.get((a, b))
-                if row:
-                    c = ca * cb
-                    for r, s in row.items():
-                        out[r] = out.get(r, 0) + c * s
-        return {r: v for r, v in out.items() if v}
+                prods = row.get(b)
+                if prods:
+                    s = ca * cb
+                    for r, n in prods:
+                        out[r] = out.get(r, 0) + s * n
+        return out
 
     def _check_associativity(self):
-        labels = self.labels()
-        for a in labels:
-            for b in labels:
-                ab = self._table.get((a, b), {})
-                for c in labels:
-                    left = self._raw_mul(ab, {c: 1})
-                    right = self._raw_mul({a: 1}, self._table.get((b, c), {}))
-                    if left != right:
+        """(ab)c = a(bc) for ab != 0 and every c with a nonzero side,
+        walking the rows.  The table is commutative, so that covers ab = 0
+        too: the checks on (b, c, a) and (c, a, b), or bc = 0 or ca = 0,
+        give (bc)a = (ca)b = 0.  A failure names the first failing triple in
+        label order."""
+        rows = self._table
+
+        def mul(u, v):
+            return {r: x for r, x in self._mul_into({}, u, v).items() if x}
+
+        for a, row in rows.items():
+            for b, ab in row.items():
+                ab, row_b = dict(ab), rows[b]
+                for c in set(row_b).union(*map(rows.get, ab)):
+                    if mul(ab, {c: 1}) != mul({a: 1}, dict(row_b.get(c, ()))):
+                        labels = self.labels()
                         raise InvalidVariety(
-                            "associativity fails on (%r, %r, %r)" % (a, b, c))
+                            "associativity fails on (%r, %r, %r)" % next(
+                                (a, b, c) for a in labels for b in labels
+                                for c in labels
+                                if mul(mul({a: 1}, {b: 1}), {c: 1})
+                                != mul({a: 1}, mul({b: 1}, {c: 1}))))
 
     @cached_property
     def tau_columns(self):
@@ -404,7 +423,7 @@ class ChowClass(_CellVector):
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
-            return self._like(self.variety._raw_mul(self.num, other.num),
+            return self._like(self.variety._mul_into({}, self.num, other.num),
                               den=self.den * other.den)
         return self.scale(other)
 
@@ -477,8 +496,9 @@ def _exp(V, num, d, f=1):
     satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
     k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
     It runs in integers: with y_i = i num_i and G_k = k! d^k E_k, which is
-    integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, one
-    cell product per pair (i, k - i), and f E_k is G_k f_num over
+    integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, each
+    term added into G_k by the ring kernel (`_mul_into`), one product of
+    cells per pair (i, k - i), and f E_k is G_k f_num over
     k! d^k f_den.  The E_k sit in distinct codimensions, so f e^x is their
     union, over n! d^n f_den or, on large integers, over the lcm of the
     blocks' denominators in lowest terms.
@@ -496,8 +516,7 @@ def _exp(V, num, d, f=1):
         c = 1  # (k-1)!/(k-i)! d^(i-1)
         for i in range(1, k + 1):
             if y[i] and G[k - i]:
-                for l, v in V._raw_mul(y[i], G[k - i]).items():
-                    G_k[l] = G_k.get(l, 0) + c * v
+                V._mul_into(G_k, y[i], G[k - i], c)
             c *= (k - i) * d
         G.append(G_k)
         den *= k * d
@@ -562,7 +581,7 @@ class ModPClass(_CellVector):
     def __mul__(self, other):
         if isinstance(other, ModPClass):
             self._same(other)
-            return self._like(self.variety._raw_mul(self.num, other.num))
+            return self._like(self.variety._mul_into({}, self.num, other.num))
         return self.scale(other)
 
     def scale(self, c):

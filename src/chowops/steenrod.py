@@ -241,8 +241,8 @@ def _column(X, p, label, cohomological):
     if cohomological:
         # w^{CH,p}(T_X) is integral, and reducing after the product is the
         # same as before
-        twisted = X._raw_mul(w_tangent(X, p).num,
-                             _column(X, p, label, False))
+        twisted = X._mul_into({}, w_tangent(X, p).num,
+                              _column(X, p, label, False))
         column = {m: r for m, v in twisted.items() if (r := v % p)}
     else:
         dims, d = X._dims, X._dims[label]

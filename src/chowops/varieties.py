@@ -69,9 +69,9 @@ class BuiltVariety(CellularVariety):
 
     Its table is associative by construction (h^i h^j = h^{i+j} on P^n, the
     monomial presentation h^{m+1} = 2 l_m, h^i l_j = l_{j-i} on Q_d, a tensor
-    product of associative tables on X x Y), so it skips the cubic check that
-    a table given to CellularVariety gets; the other axioms are checked entry
-    by entry.
+    product of associative tables on X x Y), so it skips the associativity
+    check that a table given to CellularVariety gets; the other axioms are
+    checked entry by entry.
     """
 
     def _check_associativity(self):
@@ -188,13 +188,18 @@ def product(X, Y):
         return out
 
     cells = [(kunneth(a, b), da + db) for (a, da) in X.cells for (b, db) in Y.cells]
-    labels = [(a, b) for (a, _) in X.cells for (b, _) in Y.cells]
-    table = {}  # a missing pair multiplies to zero
-    for i, (a, b) in enumerate(labels):
-        for (a2, b2) in labels[i:]:
-            u, v = X._table.get((a, a2)), Y._table.get((b, b2))
-            if u and v:
-                table[(kunneth(a, b), kunneth(a2, b2))] = kron(u, v)
+    # the nonzero products (a x b)(a2 x b2) = ab x a2b2 with a x b not after
+    # a2 x b2 in the cell order; a missing pair multiplies to zero
+    iX, iY, table = X._index, Y._index, {}
+    for a, row in X._table.items():
+        for a2, u in row.items():
+            if iX[a2] < iX[a]:
+                continue
+            for b, row_b in Y._table.items():
+                for b2, v in row_b.items():
+                    if a2 != a or iY[b2] >= iY[b]:
+                        table[(kunneth(a, b), kunneth(a2, b2))] = {
+                            kunneth(c, e): s * t for c, s in u for e, t in v}
 
     XY = BuiltVariety("%sx%s" % (X.name, Y.name), X.dim + Y.dim, cells,
                       table, kron(X.degree_vector, Y.degree_vector),

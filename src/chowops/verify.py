@@ -192,24 +192,29 @@ def suite_whitney(r, params):
     for X in _builders(params):
         ps = _primes(params, X)
         for _ in range(trials):
+            # each class of e is computed once and read by every check on it
             e, f = random_bundle(X, rng), random_bundle(X, rng)
             r.check(CC.todd(e + f) == CC.todd(e) * CC.todd(f),
                     variety=X.name, cls="todd")
-            r.check(CC.chern(e + f) == CC.chern(e) * CC.chern(f),
+            c = CC.chern(e)
+            r.check(CC.chern(e + f) == c * CC.chern(f),
                     variety=X.name, cls="chern")
+            w = {}
             for p in ps:
-                r.check(CC.theta_p(e + f, p) == CC.theta_p(e, p) * CC.theta_p(f, p),
+                theta = CC.theta_p(e, p)
+                r.check(CC.theta_p(e + f, p) == theta * CC.theta_p(f, p),
                         variety=X.name, cls="theta", p=p)
-                r.check(CC.w_chp(e + f, p) == CC.w_chp(e, p) * CC.w_chp(f, p),
+                w[p] = CC.w_chp(e, p)
+                r.check(CC.w_chp(e + f, p) == w[p] * CC.w_chp(f, p),
                         variety=X.name, cls="w", p=p)
-                r.check(CC.theta_p(e, p) * CC.theta_p(-e, p) == X.unit(),
+                r.check(theta * CC.theta_p(-e, p) == X.unit(),
                         variety=X.name, cls="theta inverse", p=p)
             # w^{CH,2} is the total Chern class with alternating signs
-            c = CC.chern(e)
             alt = X.zero()
             for i in range(X.dim + 1):
                 alt = alt + c.codim_component(i).scale((-1) ** i)
-            r.check(CC.w_chp(e, 2) == alt, variety=X.name, cls="w vs chern")
+            w2 = w[2] if 2 in w else CC.w_chp(e, 2)
+            r.check(w2 == alt, variety=X.name, cls="w vs chern")
 
 
 def suite_bott(r, params):

@@ -18,7 +18,9 @@ the reference for the derived T_X - f^*T_Y.  `adams_lower_by_twist` is the
 homological Adams operation by the Todd and theta^p(-T_X) twist, the
 reference for the package's dimension scaling.  `series_inverse_anew` is the
 inverse of a series by the Fraction convolution recurrence, the reference for
-the package's inverse as an integer power.
+the package's inverse as an integer power.  `pair_table` writes a variety's
+ring table in the pair-keyed form a caller gives `CellularVariety`, for
+copies of a builder's table and for the pair-keyed product oracle.
 """
 from fractions import Fraction
 from math import factorial
@@ -26,6 +28,13 @@ from math import factorial
 import sympy as sp
 
 t = sp.symbols("t")
+
+
+def pair_table(X):
+    """X's ring table as a caller gives it, {(a, b): {c: n}}: every nonzero
+    product of two cells, in both orders."""
+    return {(a, b): dict(prods) for a, row in X._table.items()
+            for b, prods in row.items()}
 
 
 def coeffs(expr, n):

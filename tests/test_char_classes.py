@@ -30,6 +30,7 @@ from chowops.errors import (
 from chowops import char_classes as CC
 from chowops import series as S
 from chowops.verify import _primes, default_builders, random_bundle, run_suite
+from oracles import pair_table
 
 
 P1 = projective_space(1)
@@ -297,7 +298,7 @@ def test_a_tables_copy_of_a_builder_takes_the_checked_route(monkeypatch):
     # the same data given to CellularVariety has no Euler-sequence record,
     # so its classes come from multiplicative_class, with its checks
     from chowops import CellularVariety
-    Y = CellularVariety(P2.name, P2.dim, P2.cells, P2._table,
+    Y = CellularVariety(P2.name, P2.dim, P2.cells, pair_table(P2),
                         P2.degree_vector, P2.tangent_ch, P2.tau_columns)
     calls = []
     generic = CC.multiplicative_class

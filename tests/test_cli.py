@@ -14,6 +14,12 @@ from chowops.errors import (
     ExtractionFailure,
     TheoryViolation,
 )
+from oracles import pair_table
+
+# the package and the test helpers, for the scripts a fresh interpreter runs
+SCRIPT_PATH = os.pathsep.join([
+    os.path.dirname(os.path.dirname(chowops.__file__)),
+    os.path.dirname(os.path.abspath(__file__))])
 
 
 def run(capsys, *argv):
@@ -220,7 +226,7 @@ def test_corrupted_tau_matrix_fails_extraction(capsys, monkeypatch):
     P2 = projective_space(2)
     tau = {c: dict(col) for c, col in P2.tau_columns.items()}
     tau["h^1"]["h^2"] = Fraction(1, 3)
-    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
                         P2.degree_vector, P2.tangent_ch, tau)
     message = "dimension-0 component of p^2 psi_2 is not integral"
     details = {"variety": "P^2-corrupt", "p": 2, "dimension": 0,
@@ -253,10 +259,11 @@ _CORRUPT_TABLE = """
 import sys
 from fractions import Fraction
 from chowops import CellularVariety, cli, projective_space
+from oracles import pair_table
 P2 = projective_space(2)
 tau = {c: dict(col) for c, col in P2.tau_columns.items()}
 tau["h^1"]["h^2"] = Fraction(1, 3)
-X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
                     P2.degree_vector, P2.tangent_ch, tau)
 cli._load_variety = lambda text: X
 sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
@@ -266,8 +273,7 @@ sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
 def test_corrupted_tau_table_fails_under_optimize():
     # the integer checks of the extraction are not assert statements, which
     # -O strips: the corrupted P^2 above still fails on the column of h^1
-    src = os.path.dirname(os.path.dirname(chowops.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SCRIPT_PATH)
     out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLE],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 3, out.stderr
@@ -291,7 +297,7 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
 
     P2 = projective_space(2)
     tangent = dict(P2.tangent_ch, **{"h^2": Fraction(5, 2)})
-    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
                         P2.degree_vector, tangent, P2.tau_columns)
     cases = [
         (lambda: segre_number(X, 2), TheoryViolation,
@@ -549,8 +555,9 @@ def test_zero_is_a_size_not_a_missing_parameter():
 _CORRUPT_CH1 = """
 from fractions import Fraction
 from chowops import CellularVariety, projective_space
+from oracles import pair_table
 P2 = projective_space(2)
-X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table, P2.degree_vector,
+X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2), P2.degree_vector,
                     dict(P2.tangent_ch, **{"h^1": Fraction(7, 2)}),
                     P2.tau_columns)
 """
@@ -597,7 +604,6 @@ def test_fractional_w_chp_exits_3_with_its_dump(capsys, monkeypatch):
 
 def test_fractional_w_chp_exits_3_under_optimize():
     # the integrality check is an if, not an assert that -O strips
-    src = os.path.dirname(os.path.dirname(chowops.__file__))
     script = _CORRUPT_CH1 + """
 import sys
 from chowops import cli
@@ -605,7 +611,7 @@ cli._load_variety = lambda text: X
 sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
 """
     out = subprocess.run([sys.executable, "-O", "-c", script],
-                         env=dict(os.environ, PYTHONPATH=src),
+                         env=dict(os.environ, PYTHONPATH=SCRIPT_PATH),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 3, out.stderr
     assert out.stdout == ""
@@ -651,7 +657,7 @@ def test_top_level_extraction_failure_exits_3_with_its_dump(capsys,
     from chowops.core import Matrix
 
     P2 = projective_space(2)
-    X = CellularVariety("P^2-copy", 2, P2.cells, P2._table,
+    X = CellularVariety("P^2-copy", 2, P2.cells, pair_table(P2),
                         P2.degree_vector, P2.tangent_ch, P2.tau_columns)
     monkeypatch.setattr(cli, "_load_variety", lambda text: X)
     monkeypatch.setattr(steenrod, "adams_matrix", lambda X, p: Matrix(

@@ -27,6 +27,7 @@ from chowops.errors import (
     UnknownLabel,
     VarietyMismatch,
 )
+from oracles import pair_table
 
 
 P1 = projective_space(1)
@@ -144,13 +145,13 @@ def test_exp_makes_at_most_quadratically_many_products(monkeypatch, n):
     X = projective_space(n)
     x = make_class(X, {"h^%d" % i: Fraction(i + 1, 3) for i in range(1, n + 1)})
     cell_products = []
-    raw_mul = CellularVariety._raw_mul
+    mul_into = CellularVariety._mul_into
 
-    def counting(self, va, vb):
+    def counting(self, out, va, vb, c=1):
         cell_products.append(len(va) * len(vb))
-        return raw_mul(self, va, vb)
+        return mul_into(self, out, va, vb, c)
 
-    monkeypatch.setattr(CellularVariety, "_raw_mul", counting)
+    monkeypatch.setattr(CellularVariety, "_mul_into", counting)
     x.exp()
     assert 0 < sum(cell_products) <= n * (n + 1) // 2
 
@@ -312,7 +313,8 @@ def test_rejects_grading_violation():
 
 def test_rejects_noncommutative_table():
     mult = {("a", "b"): {"b": 1}, ("b", "a"): {"b": 2}}
-    with pytest.raises(InvalidVariety):
+    with pytest.raises(InvalidVariety,
+                       match=r"^product of 'a' and 'b' is not commutative$"):
         _tiny(mult)
 
 
@@ -323,7 +325,9 @@ def test_rejects_nonassociative_table():
     mult = {("a", "a"): {"x": 1}, ("b", "b"): {"x": 1}, ("a", "b"): {},
             ("a", "x"): {"p": 1}, ("b", "x"): {}, ("a", "p"): {},
             ("b", "p"): {}, ("x", "x"): {}, ("x", "p"): {}, ("p", "p"): {}}
-    with pytest.raises(InvalidVariety):
+    # the message names the first failing triple in label order
+    with pytest.raises(InvalidVariety,
+                       match=r"^associativity fails on \('a', 'b', 'b'\)$"):
         CellularVariety("BAD", 3, cells, mult, {"p": 1}, {"e": 3}, tau)
     good = dict(mult)
     good[("b", "b")] = {}
@@ -360,7 +364,7 @@ def test_variety_data_follows_the_coefficient_rule(bad):
 
 def _raw_p2(**changes):
     P = projective_space(2)
-    data = dict(name="P^2-raw", dim=2, cells=P.cells, mult_table=P._table,
+    data = dict(name="P^2-raw", dim=2, cells=P.cells, mult_table=pair_table(P),
                 degree_vector=P.degree_vector, tangent_ch=P.tangent_ch,
                 tau_columns=P.tau_columns)
     return CellularVariety(**dict(data, **changes))
@@ -372,7 +376,7 @@ def _raw_p2(**changes):
     ({"degree_vector": {"h^2": True}}, "degree at cell 'h^2'"),
     ({"cells": [("h^0", 2), ("h^1", 1.5), ("h^2", 0)]},
      "dimension of cell 'h^1'"),
-    ({"mult_table": {**P2._table, ("h^1", "h^1"): {"h^2": True}}},
+    ({"mult_table": {**pair_table(P2), ("h^1", "h^1"): {"h^2": True}}},
      "structure constant of 'h^1' * 'h^1' at 'h^2'"),
     ({"dim": 2.0}, "dim"),
 ], ids=["degree-float", "degree-str", "degree-bool", "cell-dim-float",

@@ -361,7 +361,7 @@ def test_adams_lower_on_corrupted_tangent_data_is_the_true_one():
     # give the true P^2's result
     tangent = dict(P2.tangent_ch, **{"h^1": Fraction(7, 2),
                                      "h^2": Fraction(5, 2)})
-    X = CellularVariety("P^2-corrupt", 2, P2.cells, P2._table,
+    X = CellularVariety("P^2-corrupt", 2, P2.cells, oracles.pair_table(P2),
                         P2.degree_vector, tangent, P2.tau_columns)
     true = [k0_from_chow_lift(P2.basis_class(l)) for l in P2.labels()]
     true += seeded_rational_classes(P2, "P^2-corrupt")
@@ -376,7 +376,7 @@ def test_adams_lower_on_corrupted_tangent_data_is_the_true_one():
 # one table given to CellularVariety directly, its tau columns as a mapping
 _P1Q3 = variety_from_spec("P^1xQ_3")
 RAW = CellularVariety("raw P^1xQ_3", _P1Q3.dim, _P1Q3.cells,
-                      dict(_P1Q3._table), _P1Q3.degree_vector,
+                      oracles.pair_table(_P1Q3), _P1Q3.degree_vector,
                       _P1Q3.tangent_ch,
                       {c: dict(col) for c, col in _P1Q3.tau_columns.items()})
 

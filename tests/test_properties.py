@@ -78,7 +78,8 @@ from chowops.varieties import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
-from oracles import tau_coordinates
+from oracles import pair_table, tau_coordinates
+from test_ktheory import SMALL_BUILDERS
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
 MORPHISMS = standard_morphisms()
@@ -728,9 +729,13 @@ def oracle_class(draw, X, positive=False):
                                               oracle_rationals, max_size=5)))
 
 
-def oracle_mul(x, y):
-    """x y through the structure constants, one Fraction at a time."""
-    table, out = x.variety._table, {}
+def oracle_mul(x, y, table=None):
+    """x y through the pair-keyed structure constants a caller gives
+    CellularVariety, by default the `pair_table` of x's variety, one
+    Fraction at a time."""
+    if table is None:
+        table = pair_table(x.variety)
+    out = {}
     for a, s in x.coeffs.items():
         for b, t in y.coeffs.items():
             for c, k in table.get((a, b), {}).items():
@@ -738,14 +743,16 @@ def oracle_mul(x, y):
     return out
 
 
-def oracle_exp(x):
+def oracle_exp(x, table=None):
     """sum_k x^k / k!, by oracle_mul."""
     X = x.variety
+    if table is None:
+        table = pair_table(X)
     out, term = {}, {X.fundamental: Fraction(1)}
     for k in range(X.dim + 1):
         for l, v in term.items():
             out[l] = out.get(l, Fraction(0)) + v / factorial(k)
-        term = oracle_mul(make_class(X, term), x)
+        term = oracle_mul(make_class(X, term), x, table)
     return out
 
 
@@ -788,6 +795,39 @@ def test_integer_engine_matches_a_fraction_oracle(case):
         agrees(f.push_class(z), oracle_apply(f.push, z))
     else:
         agrees(f.pull_class(z), oracle_apply(f.pull, z))
+
+
+# every ring product runs one kernel on the rows of the table: on each
+# builder shape, and on a caller's copy of P^1xP^2 whose pair-keyed table,
+# the oracle's, is given to CellularVariety directly
+_P1P2 = variety_from_spec("P^1xP^2")
+P1P2_TABLE = pair_table(_P1P2)
+KERNEL_VARIETIES = [(variety_from_spec(spec), None) for spec in SMALL_BUILDERS]
+KERNEL_VARIETIES.append((CellularVariety(
+    "raw P^1xP^2", _P1P2.dim, _P1P2.cells, P1P2_TABLE, _P1P2.degree_vector,
+    _P1P2.tangent_ch, _P1P2.tau_columns), P1P2_TABLE))
+
+
+@st.composite
+def kernel_cases(draw):
+    X, table = draw(st.sampled_from(KERNEL_VARIETIES))
+    p = draw(st.sampled_from([2, 3, 5]))
+    lifts = [make_class(X, draw(st.dictionaries(
+        st.sampled_from(X.labels()), coefficients, max_size=5)))
+        for _ in range(2)]
+    u = oracle_class(draw, X, positive=True) if X.dim else X.zero()  # P^0
+    return (table, oracle_class(draw, X), oracle_class(draw, X), u, p, *lifts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_products_and_exp_match_the_pair_table_oracle(case):
+    table, x, y, u, p, a, b = case
+    agrees(x * y, oracle_mul(x, y, table))
+    agrees(u.exp(), oracle_exp(u, table))
+    abar, bbar = (ModPClass.from_integral(z, p) for z in (a, b))
+    assert (abar * bbar).num == {l: r for l, v in oracle_mul(a, b, table).items()
+                                 if (r := v % p)}
 
 
 # -- the stored form: integers over one denominator, in lowest terms ----------

@@ -40,6 +40,7 @@ from chowops.errors import (
     VarietyMismatch,
 )
 from chowops.verify import lucas_binom, random_lattice_kclass
+from oracles import pair_table
 
 
 P1 = projective_space(1)
@@ -513,7 +514,7 @@ def test_a_lift_on_another_variety_is_refused(monkeypatch):
     # a raw copy of P^2 has the same cells, so nothing but the variety
     # itself tells its classes apart; the split must never run
     from chowops import steenrod
-    Y = CellularVariety(P2.name, P2.dim, P2.cells, dict(P2._table),
+    Y = CellularVariety(P2.name, P2.dim, P2.cells, pair_table(P2),
                         P2.degree_vector, P2.tangent_ch, P2.tau_columns)
     lift = k0_from_chow_lift(_cls(Y, {"h^1": 1}))
     monkeypatch.setattr(steenrod, "atiyah_decompose", None)

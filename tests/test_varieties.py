@@ -392,17 +392,20 @@ def test_fresh_product_runs_no_associativity_check(monkeypatch):
     monkeypatch.setattr(V, "_VARIETY_CACHE", {})
     P1, P2, Q3 = projective_space(1), projective_space(2), odd_quadric(3)
     calls = []
-    raw_mul = CellularVariety._raw_mul
+    check = CellularVariety._check_associativity
 
-    def counting(self, va, vb):
+    def counting(self):
         calls.append(self.name)
-        return raw_mul(self, va, vb)
+        return check(self)
 
-    monkeypatch.setattr(CellularVariety, "_raw_mul", counting)
+    monkeypatch.setattr(CellularVariety, "_check_associativity", counting)
     XY = product(product(P1, P1), product(P2, Q3))
     assert XY.name == "P^1xP^1xP^2xQ_3" and len(XY.cells) == 48
     assert projective_space(12).dim == 12 and odd_quadric(13).dim == 13
     assert calls == []
+    # the spy sees the check a table given directly gets
+    raw_copy(XY)
+    assert calls == [XY.name]
 
 
 # -- size caps -----------------------------------------------------------------
@@ -707,7 +710,7 @@ def test_one_map_is_one_morphism():
 
 def raw_copy(X):
     """X as a table given to CellularVariety directly, under X's name."""
-    return CellularVariety(X.name, X.dim, X.cells, dict(X._table),
+    return CellularVariety(X.name, X.dim, X.cells, oracles.pair_table(X),
                            X.degree_vector, X.tangent_ch, X.tau_columns)
 
 

@@ -2,6 +2,7 @@
 import pytest
 
 from chowops import adams_upper, odd_quadric, projective_space
+from chowops import char_classes as CC
 from chowops.ktheory import k0_generator_bundles
 from chowops.verify import SUITES, default_builders, run_suite
 
@@ -44,6 +45,23 @@ def test_sweep_keeps_its_check_counts():
         report = run_suite(name, seed=5, **params)
         assert report["passed"], (name, report["failures"][:2])
         assert report["checks"] == checks, name
+
+
+def test_whitney_computes_each_class_of_a_trial_once(monkeypatch):
+    # theta^p(e), c(e) and w^{CH,2}(e) are built once per trial and read by
+    # every check on them: the sweep's 2475 checks build 5525 classes, where
+    # they built 6600 when each check built its own
+    calls = []
+    generic = CC.multiplicative_class
+
+    def counting(spec, e):
+        calls.append(spec.name)
+        return generic(spec, e)
+
+    monkeypatch.setattr(CC, "multiplicative_class", counting)
+    report = run_suite("whitney", seed=5, trials=25)
+    assert report["passed"] and report["checks"] == SWEEP_CHECKS["whitney"]
+    assert len(calls) <= 5525
 
 
 def test_zero_parameters_are_taken_as_given():
