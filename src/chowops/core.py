@@ -145,7 +145,7 @@ class CellularVariety:
         """The caller's pair-keyed table {(a, b): {c: n}} as rows keyed by
         the left cell, {a: {b: ((c, n), ...)}}, with both orders and the unit
         products filled in and only the nonzero products kept."""
-        rows = {l: {} for l in self._dims}
+        rows, one = {l: {} for l in self._dims}, self.fundamental
         for (a, b), vec in mult_table.items():
             if a not in self._dims or b not in self._dims:
                 raise InvalidVariety("mult_table entry (%r, %r) uses unknown "
@@ -165,16 +165,14 @@ class CellularVariety:
                 if other != clean:
                     raise InvalidVariety("product of %r and %r is not "
                                          "commutative" % (a, b))
-            # an empty product is kept until the unit check has read it
-            rows[a][b] = rows[b][a] = tuple(clean.items())
-        one = self.fundamental
+            if clean or one in (a, b):  # the unit check refuses an empty one
+                rows[a][b] = rows[b][a] = tuple(clean.items())
         for l in self._dims:
             unit = ((l, 1),)
             if rows[one].get(l, unit) != unit:
                 raise InvalidVariety("fundamental class is not a unit on %r" % l)
             rows[one][l] = rows[l][one] = unit
-        return {a: {b: prods for b, prods in row.items() if prods}
-                for a, row in rows.items()}
+        return rows
 
     def _mul_into(self, out, va, vb, c=1):
         """Add c va vb into out and return it: the one ring-product kernel,

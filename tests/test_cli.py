@@ -557,7 +557,8 @@ from fractions import Fraction
 from chowops import CellularVariety, projective_space
 from oracles import pair_table
 P2 = projective_space(2)
-X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2), P2.degree_vector,
+X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
+                    P2.degree_vector,
                     dict(P2.tangent_ch, **{"h^1": Fraction(7, 2)}),
                     P2.tau_columns)
 """

@@ -364,9 +364,9 @@ def test_variety_data_follows_the_coefficient_rule(bad):
 
 def _raw_p2(**changes):
     P = projective_space(2)
-    data = dict(name="P^2-raw", dim=2, cells=P.cells, mult_table=pair_table(P),
-                degree_vector=P.degree_vector, tangent_ch=P.tangent_ch,
-                tau_columns=P.tau_columns)
+    data = dict(name="P^2-raw", dim=2, cells=P.cells,
+                mult_table=pair_table(P), degree_vector=P.degree_vector,
+                tangent_ch=P.tangent_ch, tau_columns=P.tau_columns)
     return CellularVariety(**dict(data, **changes))
 
 

@@ -826,8 +826,8 @@ def test_products_and_exp_match_the_pair_table_oracle(case):
     agrees(x * y, oracle_mul(x, y, table))
     agrees(u.exp(), oracle_exp(u, table))
     abar, bbar = (ModPClass.from_integral(z, p) for z in (a, b))
-    assert (abar * bbar).num == {l: r for l, v in oracle_mul(a, b, table).items()
-                                 if (r := v % p)}
+    assert (abar * bbar).num == {
+        l: r for l, v in oracle_mul(a, b, table).items() if (r := v % p)}
 
 
 # -- the stored form: integers over one denominator, in lowest terms ----------
