@@ -30,9 +30,13 @@ built data is trusted: `ChowClass(...)`, `ModPClass(...)`, `make_class` and
 `class_from_json` check every label and coefficient (an int or a Fraction;
 an integer mod a prime p), while a result the ring computes from checked
 classes, or `apply_matrix` with a matrix checked where it entered or built
-by the library, goes through the subclass's `_like`, which only drops zeros
-and reduces, over the denominator or mod p; `_modp` wraps mod-p data that
-is already reduced and free of zeros as it is.
+by the library, goes through the subclass's `_like`.  Over the rationals
+that is `_built`, which takes the fresh dict it is given as the class's
+`num`, filtering it only when it holds a zero and dividing by a gcd only
+over a den != 1; mod p, `_like` reduces mod p and drops zeros, and `_modp`
+wraps mod-p data that is already reduced and free of zeros as it is.  The
+variety's `unit`, `zero` and `basis_class` (after `resolve_label`) are
+built the same way, as trusted data.
 """
 import re
 from collections.abc import Mapping
@@ -270,20 +274,20 @@ class CellularVariety:
     # -- canonical classes ----------------------------------------------------
 
     def zero(self):
-        return ChowClass(self, {})
+        return _built(self, {})
 
     def unit(self):
-        return ChowClass(self, {self.fundamental: 1})
+        return _built(self, {self.fundamental: 1})
 
     def basis_class(self, label):
-        return ChowClass(self, {self.resolve_label(label): 1})
+        return _built(self, {self.resolve_label(label): 1})
 
     def tau_class(self, label):
         """tau[O_Z] of the closure of a cell, as a rational Chow class."""
         return ChowClass(self, self.tau_columns[self.resolve_label(label)])
 
     def tangent_chern_character(self):
-        return _built(self, *_integer_form(self.tangent_ch))
+        return _built(self, *_integer_form(dict(self.tangent_ch)))
 
     def __repr__(self):
         return "CellularVariety(%s, dim=%d, %d cells)" % (
@@ -447,21 +451,27 @@ class ChowClass(_CellVector):
 
 def _built(variety, num, den=1):
     """A class on variety computed from checked data: its labels are cells,
-    its values integers over den >= 1.  Zeros are dropped and num and den
-    divided by their gcd."""
+    its values integers over den >= 1.  It takes ownership of num: zeros
+    are dropped when there are any, and num and den divided by their gcd
+    when den != 1, so a zero-free num over 1 is stored as it is."""
     new = object.__new__(ChowClass)
     new.variety = variety
-    num = {l: v for l, v in num.items() if v}
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {l: v // g for l, v in num.items()}
-    new.num, new.den = num, den // g
+    if 0 in num.values():
+        num = {l: v for l, v in num.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {l: v // g for l, v in num.items()}
+            den //= g
+    new.num, new.den = num, den
     return new
 
 
 def _lowest(num, den):
     """Integers num ({key: int}) over den in lowest terms: both divided by
-    their gcd, as `_built` does inline on its hot path."""
+    their gcd when den != 1, as `_built` does inline on its hot path."""
+    if den == 1:
+        return num, den
     g = gcd(den, *num.values())
     if g == 1:
         return num, den
@@ -574,7 +584,7 @@ class ModPClass(_CellVector):
 
     def lift(self):
         """Integral representative with coefficients in [0, p)."""
-        return _built(self.variety, self.num)
+        return _built(self.variety, dict(self.num))
 
     def __mul__(self, other):
         if isinstance(other, ModPClass):

@@ -463,3 +463,15 @@ def test_class_ops_are_pure():
     _ = x * y
     assert x.coeffs == {"h^1": 1}
     assert y.coeffs == {"h^1": 2}
+
+
+def test_classes_share_no_dict_with_their_source():
+    # a class owns its num: tangent_ch is all ints on P^1, so _integer_form
+    # hands it back as it is, and a lift starts from the mod-p class's num
+    for X in (P1, P2):
+        ch = X.tangent_chern_character()
+        assert ch.num is not X.tangent_ch
+        assert ch.coeffs == X.tangent_ch
+    xbar = ModPClass(P2, 3, {"h^1": 1, "h^2": 2})
+    assert xbar.lift().num is not xbar.num
+    assert xbar.lift().coeffs == xbar.coeffs

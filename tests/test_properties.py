@@ -72,7 +72,8 @@ from chowops import (
     w_chp,
 )
 from chowops.char_classes import w_tangent
-from chowops.core import apply_matrix
+from chowops.core import _built, apply_matrix
+from chowops.errors import UnknownLabel
 from chowops.ktheory import _psi_ch
 from chowops.varieties import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
@@ -885,3 +886,45 @@ def test_every_result_is_stored_in_lowest_terms(case):
                   x.dim_component(d) + y.dim_component(d)),
                  (x.scale(c).scale(k), x.scale(c * k))]:
         assert a == b and hash(a) == hash(b)
+
+
+@st.composite
+def built_inputs(draw):
+    """(X, num, den): den in 1..2^80 and num ints, zeros included, sharing
+    a drawn factor g with den."""
+    X = draw(st.sampled_from(VARIETIES))
+    g = draw(st.integers(1, 2 ** 40))
+    den = g * draw(st.one_of(st.just(1), st.integers(1, 2 ** 80 // g)))
+    values = st.one_of(st.just(0), st.integers(-2 ** 60, 2 ** 60))
+    return X, draw(st.dictionaries(st.sampled_from(X.labels()),
+                                   values.map(lambda v: v * g))), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_inputs())
+def test_built_stores_the_fraction_oracle_in_lowest_terms(case):
+    X, num, den = case
+    z = _built(X, dict(num), den)
+    assert in_lowest_terms(z), (z.num, z.den)
+    assert z.coeffs == {l: Fraction(v, den) for l, v in num.items() if v}
+
+
+def test_built_keeps_a_zero_free_num_over_den_1():
+    X = VARIETIES[0]
+    num = {"h^1": 3, "h^2": -2}
+    assert _built(X, num).num is num
+
+
+@pytest.mark.parametrize("X", [X for X, _ in KERNEL_VARIETIES],
+                         ids=lambda X: X.name)
+def test_library_made_classes_equal_the_checked_ones(X):
+    # unit, zero and basis_class are built as trusted data, after
+    # resolve_label: the same classes the checked constructor makes
+    assert X.zero() == ChowClass(X, {})
+    assert X.unit() == ChowClass(X, {X.fundamental: 1})
+    assert X.basis_class("1") == ChowClass(X, {X.fundamental: 1})
+    for l in X.labels():
+        assert X.basis_class(l) == ChowClass(X, {l: 1})
+    with pytest.raises(UnknownLabel) as info:
+        X.basis_class("nope")
+    assert str(info.value) == "variety %s has no cell 'nope'" % X.name
