@@ -30,13 +30,15 @@ built data is trusted: `ChowClass(...)`, `ModPClass(...)`, `make_class` and
 `class_from_json` check every label and coefficient (an int or a Fraction;
 an integer mod a prime p), while a result the ring computes from checked
 classes, or `apply_matrix` with a matrix checked where it entered or built
-by the library, goes through the subclass's `_like`.  Over the rationals
-that is `_built`, which takes the fresh dict it is given as the class's
-`num`, filtering it only when it holds a zero and dividing by a gcd only
-over a den != 1; mod p, `_like` reduces mod p and drops zeros, and `_modp`
-wraps mod-p data that is already reduced and free of zeros as it is.  The
-variety's `unit`, `zero` and `basis_class` (after `resolve_label`) are
-built the same way, as trusted data.
+by the library, is trusted.  Over the rationals it is built by `_built`,
+which takes the fresh dict it is given as the class's `num`, filtering it
+only when it holds a zero and dividing by a gcd only over a den != 1:
+directly in `ChowClass`'s product, negation and `scale`, and through the
+subclass's `_like` in the arithmetic shared with `ModPClass` (sums,
+`dim_component`, `apply_matrix`).  Mod p, `_like` reduces mod p and drops
+zeros, and `_modp` wraps mod-p data that is already reduced and free of
+zeros as it is.  The variety's `unit`, `zero` and `basis_class` (after
+`resolve_label`) are built the same way, as trusted data.
 """
 import re
 from collections.abc import Mapping
@@ -420,19 +422,21 @@ class ChowClass(_CellVector):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({l: -v for l, v in self.num.items()}, den=self.den)
+        return _built(self.variety, {l: -v for l, v in self.num.items()},
+                      self.den)
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             self._same(other)
-            return self._like(self.variety._mul_into({}, self.num, other.num),
-                              den=self.den * other.den)
+            return _built(self.variety,
+                          self.variety._mul_into({}, self.num, other.num),
+                          self.den * other.den)
         return self.scale(other)
 
     def scale(self, c):
         n, d = _as_coeff(c).as_integer_ratio()
-        return self._like({l: v * n for l, v in self.num.items()},
-                          den=self.den * d)
+        return _built(self.variety, {l: v * n for l, v in self.num.items()},
+                      self.den * d)
 
     def power(self, k):
         out = self.variety.unit()

@@ -15,9 +15,9 @@ The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) scales the
 dimension-j part of tau(x) by p^{-j} (`adams_lower`), by Bott's identity
 theta^p(E) = p^rank(E) Todd(E) / psi^p(Todd(E)), root by root
 1 + ... + e^{-(p-1)t} = p todd(t) / todd(pt).  It is linear, so in the basis
-[O_Z] it is one matrix per (X, p), `adams_matrix`, built once and cached: a
-closed form on P^n, the Kronecker product of the factors' matrices on a
-product (`Matrix.kron`), and T^{-1} D T otherwise.
+[O_Z] it is one matrix per (X, p), `adams_matrix`, built once and cached:
+one `series.spower` per column on P^n, the Kronecker product of the factors'
+matrices on a product (`Matrix.kron`), and T^{-1} D T otherwise.
 """
 from fractions import Fraction
 from math import comb, lcm
@@ -33,6 +33,7 @@ from .char_classes import (
 from .core import (
     ChowClass,
     Matrix,
+    _as_coeff,
     _built,
     _lowest,
     apply_matrix,
@@ -48,6 +49,7 @@ from .errors import (
     ZeroClass,
     require_prime,
 )
+from .series import spower
 
 
 class KClass:
@@ -75,8 +77,9 @@ class KClass:
         return self + other.scale(-1)
 
     def scale(self, c):
-        integral = self.integral and isinstance(c, int)
-        return KClass(self.variety, self.tau.scale(c), integral)
+        c = _as_coeff(c)
+        return KClass(self.variety, self.tau.scale(c),
+                      self.integral and isinstance(c, int))
 
     def __eq__(self, other):
         if not isinstance(other, KClass):
@@ -241,35 +244,17 @@ def _adams_columns(X, p):
 
 
 def _projective_adams(n, p):
-    """The Adams matrix of P^n, in K_0 = Z[x]/x^{n+1} with x = [O_H].
-
-    The cell h^j is x^j.  With theta = theta^p(O(1)) = psi^p(x)/x, one has
-    psi^p(x^j) = x^j theta^j and theta^p(-T) = p theta^{-(n+1)}, so column
-    j is p x^j theta^{j-n-1} = g f^j, a Riordan array: g = p theta^{-(n+1)},
-    f = x theta = 1 - (1-x)^p, f_i = (-1)^(i-1) C(p, i) for i <= p.  The
-    coefficients of theta^{-(n+1)} are V_m / p^{m+n+1}, with integers V_m
-    from Miller's power recurrence on theta_i = f_{i+1} (theta_0 = p):
-    m V_m = -sum_{i>=1} (n i + m) theta_i p^(i-1) V_{m-i}.  So over p^{2n}
-    column 0 is V_t p^{n-t}, and column j + 1 is column j times f,
-    truncated at x^n: O(n^2 min(p, n)) products.
-    """
-    f = [0] + [(-1) ** (i - 1) * comb(p, i)
-               for i in range(1, min(p, n + 1) + 1)]
-    # theta_i p^(i-1) at index i - 1; the division by m below is exact
-    theta = [f[i + 1] * p ** (i - 1) for i in range(1, len(f) - 1)]
-    V = [1]
-    for m in range(1, n + 1):
-        V.append(-sum((n * i + m) * theta[i - 1] * V[m - i]
-                      for i in range(1, min(m, len(theta)) + 1)) // m)
-    labels = ["h^%d" % t for t in range(n + 1)]
-    column = [v * p ** (n - t) for t, v in enumerate(V)]
+    """The Adams matrix of P^n, in K_0 = Z[x]/x^{n+1}, x = [O_H] = h^1: column
+    h^j is psi_p(x^j) = p x^j theta^{j-n-1}, theta = psi^p(x)/x.  At x = p y,
+    theta = p a(y), a_i = (-1)^i C(p, i+1) p^(i-1) integers, a_0 = 1, so
+    a^{j-n-1} is integers V (`spower`): V_m p^(n+j-m) / p^(2n) at h^(j+m)."""
+    a = [1] + [(-1) ** i * comb(p, i + 1) * p ** (i - 1)
+               for i in range(1, min(p, n + 1))]
     cols = {}
     for j in range(n + 1):
-        cols[labels[j]] = {labels[t]: column[t] for t in range(j, n + 1)
-                           if column[t]}
-        column = [0] * (j + 1) + [
-            sum(f[i] * column[t - i] for i in range(1, min(t - j, p) + 1))
-            for t in range(j + 1, n + 1)]
+        V, _ = spower(a, j - n - 1, n - j)
+        cols["h^%d" % j] = {"h^%d" % (j + m): v * p ** (n + j - m)
+                            for m, v in enumerate(V) if v}
     return Matrix(cols, p ** (2 * n))
 
 

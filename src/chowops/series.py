@@ -4,9 +4,10 @@ A series truncated at degree n is a list of n+1 Fractions [a_0, ..., a_n].
 It is the per-Chern-root side of `char_classes`: the Todd, Bott and
 w^{CH,p} series of one root, the log that turns each into the weights
 of a multiplicative class, and the powers f^m that `char_classes` puts on
-a builder's cells (its classes of T_X, its tau columns [Z] Todd(T_Z)); no
-other module uses it.  `sadd`, `spow` and `exp_t` are references the tests
-use.  `spower` is a^m for any integer m, in integers, and `sinv` its m = -1.
+a builder's cells (its classes of T_X, its tau columns [Z] Todd(T_Z)).  The
+one other user is `ktheory`, whose Adams matrix of P^n is one power per
+column.  `sadd`, `spow` and `exp_t` are references the tests use.  `spower`
+is a^m for any integer m, in integers, and `sinv` its m = -1.
 
 log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
 satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)
@@ -62,7 +63,8 @@ def spower(a, m, n):
     Miller's recurrence k a_0 g_k = sum_i ((m+1) i - k) a_i g_{k-i} runs on
     a times the lcm of its denominators, skipping zero a_i (a sparse series
     costs O(n)), over one running denominator: each g_k is reduced by a gcd,
-    and the earlier terms are rescaled only to a new lcm; a_0^m goes to d."""
+    and the earlier terms are rescaled only to a new lcm; a_0^m goes to d,
+    taken as a Fraction only when a_0 != 1."""
     a = a[: n + 1]
     if a[0] == 0:
         raise NonInvertibleSeries("series has zero constant term")
@@ -78,7 +80,7 @@ def spower(a, m, n):
         if L != E:
             g, E = [v * (L // E) for v in g], L
         g.append(s * (E // q))
-    a0 = Fraction(a[0]) ** m
+    a0 = Fraction(a[0]) ** m if a[0] != 1 else 1
     return [v * a0.numerator for v in g], E * a0.denominator
 
 

@@ -260,8 +260,9 @@ def steenrod_total(ops):
 
 
 def op_component(ops, k):
-    """k-th entry of an operation list, zero beyond the computed range."""
-    if k < len(ops):
+    """k-th entry of an operation list, zero outside the computed range:
+    S_k = 0 for k < 0."""
+    if 0 <= k < len(ops):
         return ops[k]
     return ops[0]._like({})
 

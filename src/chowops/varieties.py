@@ -38,7 +38,6 @@ from .char_classes import (
 )
 from .core import (
     CellularVariety,
-    ChowClass,
     Matrix,
     ModPClass,
     _as_coeff,
@@ -215,12 +214,16 @@ def product(X, Y):
 
 def external_product(x, y):
     """x boxtimes y on the product of the two carrying varieties, mod p when
-    a factor is."""
+    a factor is.  Two rational or two mod-p factors are checked data, so
+    their product is built as one (`kron` of the integers, reduced once); a
+    rational factor paired with a mod-p one goes through the check, which
+    refuses a fraction."""
     if None not in (x.p, y.p) and x.p != y.p:
         raise VarietyMismatch("mod-p classes with different p")
-    XY, p = product(x.variety, y.variety), x.p or y.p
-    coeffs = kron(x.coeffs, y.coeffs)
-    return ChowClass(XY, coeffs) if p is None else ModPClass(XY, p, coeffs)
+    XY = product(x.variety, y.variety)
+    if x.p == y.p:
+        return x._like(kron(x.num, y.num), XY, x.den * y.den)
+    return ModPClass(XY, x.p or y.p, kron(x.coeffs, y.coeffs))
 
 
 def hyperplane_class(X):

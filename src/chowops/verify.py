@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import comb
 
 from . import char_classes as CC
-from .core import ModPClass, apply_matrix, degree, make_class
-from .errors import SUITE_NAMES, ChowopsError, to_json
+from .core import ModPClass, _modp, apply_matrix, degree, make_class
+from .errors import SUITE_NAMES, ChowopsError, require_prime, to_json
 from .ktheory import (
     adams_lower,
     adams_upper,
@@ -117,7 +117,8 @@ def _primes(params, X=None, allowed=DEFAULT_PRIMES):
 
 
 def _modp_basis(X, p):
-    return [(label, ModPClass(X, p, {label: 1})) for label in X.labels()]
+    require_prime(p)  # p may be the caller's; the basis cells are then trusted
+    return [(label, _modp(X, p, {label: 1})) for label in X.labels()]
 
 
 def random_bundle(X, rng):

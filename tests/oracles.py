@@ -12,7 +12,8 @@ package's split on integers over one denominator, and `pn_tau_running` and
 Fractions, the reference for the builders' columns [Z] Todd(T_Z), each from
 the Euler sequence of the cell's closure Z.
 `projective_adams_products` is the Adams matrix of P^n by one full series
-product per column, the reference for the package's Riordan-array build.
+product per column, the reference for the package's `series.spower` per
+column.
 `catalogue_relative_tangent` writes out T_f of each morphism kind by hand,
 the reference for the derived T_X - f^*T_Y.  `adams_lower_by_twist` is the
 homological Adams operation by the Todd and theta^p(-T_X) twist, the

@@ -12,6 +12,7 @@ from chowops import (
     adams_lower,
     adams_matrix,
     adams_upper,
+    atiyah_decompose,
     bott_decompose,
     euler_char,
     filtration_level,
@@ -69,6 +70,17 @@ def test_phi_top_examples():
     assert phi_top(pt.scale(2)) == make_class(P2, {"h^2": 2})
     with pytest.raises(NonIntegralInput):
         phi_top(adams_lower(structure_sheaf(P2), 2))
+
+
+def test_scale_by_an_integral_fraction_keeps_the_class_integral():
+    x = k0_from_chow_lift(make_class(P2, {"h^1": 1}))
+    for c in (2, Fraction(2), Fraction(-6, 3)):
+        y = x.scale(c)
+        assert y.integral and y == x.scale(int(c))
+        atiyah_decompose(y, 2)
+    assert not x.scale(Fraction(1, 2)).integral
+    with pytest.raises(TypeError):
+        x.scale(True)
 
 
 def test_filtration_level_examples():
@@ -467,10 +479,11 @@ BIG_PRIME = 3317044064679887385961813
 
 @pytest.mark.parametrize("n, p", [
     (0, 2), (1, 3), (2, 2), (4, 3), (8, 7), (5, 11), (24, 3), (40, 2),
-    (40, 3), (40, 5), (12, 13), (39, BIG_PRIME)])
+    (40, 3), (40, 5), (12, 13), (39, BIG_PRIME), (6, 7), (7, 7),
+    (3, BIG_PRIME)])
 def test_projective_adams_riordan_build_matches_the_running_products(n, p):
-    # column j + 1 is column j times f = 1 - (1-x)^p, from p theta^{-(n+1)}
-    # by Miller's recurrence, in the same integers over the same p^{2n}
+    # column j is p x^j theta^{j-n-1}, one series.spower each at x = p y,
+    # in the same integers over the same p^{2n}
     A = _projective_adams(n, p)
     assert (A.ints, A.den) == oracles.projective_adams_products(n, p)
 

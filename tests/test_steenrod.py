@@ -484,6 +484,14 @@ def test_top_power_rule_spot():
         assert op_component(ops, q) == expected
 
 
+def test_op_component_is_zero_below_zero_and_past_the_range():
+    # S_k = 0 for k < 0: a negative k must not index from the end
+    ops = steenrod_cohomological(_bar(P2, 2, {"h^1": 1}))
+    assert op_component(ops, 1) == _bar(P2, 2, {"h^2": 1})
+    for k in (-1, -2, -len(ops), -len(ops) - 1, len(ops), len(ops) + 5):
+        assert op_component(ops, k) == _bar(P2, 2, {}), k
+
+
 def test_explicit_lift_reproduces_canonical_result():
     import random
     rng = random.Random(3)

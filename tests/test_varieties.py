@@ -344,6 +344,32 @@ def test_external_product_of_basis_cells():
     assert external_product(h, one).coeffs == {"h^1*h^0": 1}
 
 
+def test_external_product_builds_trusted_data_and_checks_mixed_factors():
+    P1, Q3 = projective_space(1), odd_quadric(3)
+    x = make_class(P1, {"h^0": Fraction(2, 3), "h^1": 5})
+    y = make_class(Q3, {"h^1": Fraction(3, 4), "l_1": -2})
+    xy = external_product(x, y)
+    assert xy == make_class(xy.variety, kron(x.coeffs, y.coeffs))
+    assert (xy.num, xy.den) == ({"h^0*h^1": 6, "h^0*l_1": -16,
+                                 "h^1*h^1": 45, "h^1*l_1": -120}, 12)
+    xb = ModPClass(P1, 3, {"h^0": 2, "h^1": 1})
+    yb = ModPClass(Q3, 3, {"h^1": 2})
+    assert external_product(xb, yb) == ModPClass(
+        xy.variety, 3, {"h^0*h^1": 1, "h^1*h^1": 2})
+    # a rational factor paired with a mod-p one is checked and reduced
+    z = make_class(Q3, {"h^1": 7, "l_1": 3})
+    assert external_product(xb, z) == ModPClass(
+        xy.variety, 3, {"h^0*h^1": 14, "h^1*h^1": 7})
+    assert external_product(z, xb) == ModPClass(
+        external_product(z, xb).variety, 3, {"h^1*h^0": 14, "h^1*h^1": 7})
+    with pytest.raises(TypeError):
+        external_product(xb, y)
+    with pytest.raises(TypeError):
+        external_product(x, yb)
+    with pytest.raises(VarietyMismatch):
+        external_product(xb, ModPClass(Q3, 5, {"h^1": 1}))
+
+
 def test_tau_of_point_times_line():
     P1 = projective_space(1)
     XY = product(P1, P1)

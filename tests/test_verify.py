@@ -40,8 +40,9 @@ SWEEP_CHECKS = {
 
 def test_sweep_keeps_its_check_counts(monkeypatch):
     # and checks only caller input: the library's unit, zero and basis
-    # classes are trusted data, so the sweep makes at most 8,872 calls to
-    # core._checked, where it made 24,108 when they went through ChowClass
+    # classes, its mod-p basis and its external products are trusted data,
+    # so the sweep makes at most 7,366 calls to core._checked, where it made
+    # 24,108 when they went through ChowClass and ModPClass
     from chowops import core
 
     calls = []
@@ -58,7 +59,7 @@ def test_sweep_keeps_its_check_counts(monkeypatch):
         report = run_suite(name, seed=5, **params)
         assert report["passed"], (name, report["failures"][:2])
         assert report["checks"] == checks, name
-    assert len(calls) <= 8872
+    assert len(calls) <= 7366
 
 
 def test_whitney_computes_each_class_of_a_trial_once(monkeypatch):
@@ -89,6 +90,17 @@ def test_zero_parameters_are_taken_as_given():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("suite", ["lift-independence", "xp"])
+@pytest.mark.parametrize("p, message", [
+    (0, "p must be a prime integer, got 0"),
+    (1, "p must be a prime integer, got 1"),
+    (4, "p must be prime, got 4")])
+def test_a_callers_p_is_checked_before_the_mod_p_basis(suite, p, message):
+    # the suites build their mod-p basis cells as trusted data
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, seed=1, p=p)
 
 
 def test_reports_are_seed_deterministic():
