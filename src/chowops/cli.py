@@ -147,8 +147,6 @@ def cmd_table(args):
 
 def cmd_verify(args):
     from .verify import run_suite
-    if args.p is not None:
-        require_prime(args.p)
     for flag in ("k", "trials"):
         value = getattr(args, flag)
         if value is not None and value < 1:

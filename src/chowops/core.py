@@ -472,8 +472,9 @@ def _built(variety, num, den=1):
 
 
 def _lowest(num, den):
-    """Integers num ({key: int}) over den in lowest terms: both divided by
-    their gcd when den != 1, as `_built` does inline on its hot path."""
+    """Integers num ({key: int}) over den in lowest terms and without zeros:
+    divided by their gcd when den != 1, as `_built` does inline."""
+    num = {l: v for l, v in num.items() if v}
     if den == 1:
         return num, den
     g = gcd(den, *num.values())

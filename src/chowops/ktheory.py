@@ -139,7 +139,7 @@ def _unitriangular_inverse(X):
             s *= L // e
             for l, v in num.items():
                 out[l] = out.get(l, 0) - s * v
-        cols[c] = _lowest({l: v for l, v in out.items() if v}, D * L)
+        cols[c] = _lowest(out, D * L)
     return Matrix.over(cols)
 
 
@@ -237,10 +237,10 @@ def _adams_columns(X, p):
         return _projective_adams(X.dim, p)
     if builder == "product":
         return Matrix.kron(*(adams_matrix(F, p) for F in X._factors))
-    inverse = tau_lattice(X).inverse
-    columns = {l: apply_matrix(inverse, adams_lower(
-        k0_from_chow_lift(X.basis_class(l)), p).tau, X) for l in X.labels()}
-    return Matrix.over({l: (c.num, c.den) for l, c in columns.items()})
+    T, inverse = X.tau_columns, tau_lattice(X).inverse
+    return Matrix.over({l: inverse.apply(  # adams_lower of the tau column l
+        {r: v * p ** X.cell_codim(r) for r, v in T.ints[l].items()},
+        T.den * p ** X.dim) for l in X.labels()})
 
 
 def _projective_adams(n, p):

@@ -24,7 +24,7 @@ entry v of the column, never 0 as c and v are units mod p, wrapped as it is.
 from fractions import Fraction
 from functools import cached_property
 
-from .char_classes import _cached, w_tangent
+from .char_classes import _cached, w_minus_tangent, w_tangent
 from .core import ChowClass, ModPClass, _built, _modp, apply_matrix, degree
 from .errors import (
     CONVENTIONS,
@@ -287,7 +287,6 @@ def segre_number(X, p):
         raise DimensionMismatch(
             "dim %s = %d is not a positive multiple of %d"
             % (X.name, X.dim, p - 1))
-    from .char_classes import w_minus_tangent
     val = degree(w_minus_tangent(X, p))
     if val % p:
         raise TheoryViolation(

@@ -49,6 +49,12 @@ DEFAULT_PRIMES = (2, 3, 5)
 _BUILDER_SHORTHANDS = ("P^1", "P^2", "P^3", "P^4", "Q_3", "Q_5", "Q_7",
                        "P^1xP^1", "P^1xP^2", "P^2xP^2")
 
+# the suite parameters and what a suite reads for one not given or None; a
+# None here is the suite's own primes, varieties or segre cases
+_DEFAULTS = {"seed": 0, "p": None, "variety": None, "n": 8, "k": None,
+             "trials": 100, "max_dim": DEFAULT_MAX_DIM}
+_SIZES = ("n", "k", "trials", "max_dim")
+
 
 class _Fail(Exception):
     pass
@@ -75,7 +81,7 @@ class Runner:
             "passed": not self.failures,
             "checks": self.checks,
             "failures": self.failures,
-            "params": {k: v for k, v in self.params.items() if v is not None},
+            "params": self.params,
         }
 
 
@@ -88,22 +94,16 @@ def default_builders(max_dim=DEFAULT_MAX_DIM):
     return out
 
 
-def _param(params, key, default):
-    """params[key], or default when it is missing or None; 0 is a value."""
-    v = params.get(key)
-    return default if v is None else v
-
-
 def _capped(params, spec):
     """Build a requested variety; the dimension cap is checked first."""
-    return variety_from_spec(spec,
-                             max_dim=_param(params, "max_dim", DEFAULT_MAX_DIM))
+    return variety_from_spec(spec, max_dim=params["max_dim"])
 
 
-def _builders(params):
-    if params.get("variety") is not None:
+def _builders(params, own=default_builders):
+    """The caller's variety, or the suite's own ones within max_dim."""
+    if params["variety"] is not None:
         return [_capped(params, params["variety"])]
-    return default_builders(_param(params, "max_dim", DEFAULT_MAX_DIM))
+    return own(params["max_dim"])
 
 
 def _primes(params, X=None, allowed=DEFAULT_PRIMES):
@@ -117,7 +117,7 @@ def _primes(params, X=None, allowed=DEFAULT_PRIMES):
 
 
 def _modp_basis(X, p):
-    require_prime(p)  # p may be the caller's; the basis cells are then trusted
+    # p is prime: a caller's p was checked by run_suite
     return [(label, _modp(X, p, {label: 1})) for label in X.labels()]
 
 
@@ -150,7 +150,7 @@ def random_lattice_kclass(X, rng, max_level, bound=3):
 # ---------------------------------------------------------------------------
 
 def suite_algebra(r, params):
-    rng = random.Random(params.get("seed", 0))
+    rng = random.Random(params["seed"])
     for X in _builders(params):
         labels = X.labels()
         basis = {l: X.basis_class(l) for l in labels}
@@ -188,8 +188,8 @@ def suite_algebra(r, params):
 
 
 def suite_whitney(r, params):
-    rng = random.Random(params.get("seed", 0))
-    trials = _param(params, "trials", 100)
+    rng = random.Random(params["seed"])
+    trials = params["trials"]
     for X in _builders(params):
         ps = _primes(params, X)
         for _ in range(trials):
@@ -290,7 +290,7 @@ def standard_morphisms(max_dim=DEFAULT_MAX_DIM):
 
 
 def suite_rr_naturality(r, params):
-    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = params["max_dim"]
     for f in standard_morphisms(max_dim):
         for p in _primes(params):
             if f.lci:
@@ -320,8 +320,8 @@ def suite_rr_naturality(r, params):
 
 
 def suite_lift_independence(r, params):
-    rng = random.Random(params.get("seed", 0))
-    trials = _param(params, "trials", 100)
+    rng = random.Random(params["seed"])
+    trials = params["trials"]
     for X in _builders(params):
         for p in _primes(params, X):
             base = {}
@@ -355,7 +355,7 @@ def suite_cartan(r, params):
     tau route (adams_lower, then the inverse tau matrix) on products in
     tests/test_ktheory.py.
     """
-    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = params["max_dim"]
     for a, b in _cartan_pairs(max_dim):
         Xa, Xb = projective_space(a), projective_space(b)
         XY = product(Xa, Xb)
@@ -375,7 +375,7 @@ def suite_cartan(r, params):
 
 
 def suite_wu(r, params):
-    max_dim = _param(params, "max_dim", DEFAULT_MAX_DIM)
+    max_dim = params["max_dim"]
     for f in standard_morphisms(max_dim):
         X, Y = f.source, f.target
         for p in _primes(params, None, allowed=(2, 3)):
@@ -415,11 +415,7 @@ def _xp_varieties(max_dim):
 
 
 def suite_xp(r, params):
-    if params.get("variety") is not None:
-        varieties = [_capped(params, params["variety"])]
-    else:
-        varieties = _xp_varieties(_param(params, "max_dim", DEFAULT_MAX_DIM))
-    for X in varieties:
+    for X in _builders(params, _xp_varieties):
         for p in _primes(params, X):
             totals = {}
             for label, xbar in _modp_basis(X, p):
@@ -457,7 +453,7 @@ def suite_s0(r, params):
 
 def suite_segre(r, params):
     cases = []
-    given = params.get("p") is not None and params.get("k") is not None
+    given = params["p"] is not None and params["k"] is not None
     if given:
         p, k = params["p"], params["k"]
         cases.append((_capped(params, "P^%d" % (k * (p - 1))), p))
@@ -503,7 +499,7 @@ def suite_chi_defect(r, params):
             r.check(rep["witness_degree"] == want, morphism=f.name, p=p,
                     law="witness degree")
     ident = build_morphism("linear_embedding", m=2, n=2)
-    rep = chi_defect(ident, _param(params, "p", 2))
+    rep = chi_defect(ident, _primes(params)[0])
     r.check(rep["defect"] == 0 and rep["witness"].is_zero(),
             morphism=ident.name, law="identity has no defect")
 
@@ -519,7 +515,7 @@ def lucas_binom(n, k, p):
 
 
 def suite_lucas_oracle(r, params):
-    n = _param(params, "n", 8)
+    n = params["n"]
     X = _capped(params, "P^%d" % n)
     for i in range(n + 1):
         xbar = ModPClass(X, 2, {"h^%d" % i: 1})
@@ -541,12 +537,27 @@ SUITES = {name: globals()["suite_" + name.replace("-", "_")]
 
 
 def run_suite(name, **params):
+    """Run one suite; its parameters are checked before anything is built,
+    and the report echoes the ones given (not None)."""
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
-    r = Runner(name, params)
+    given = {}
+    for key, value in params.items():
+        if key not in _DEFAULTS:
+            raise ValueError("unknown suite parameter %.40r; choose from %s"
+                             % (key, ", ".join(_DEFAULTS)))
+        if value is None:
+            continue
+        if key == "p":
+            require_prime(value)
+        elif key in _SIZES and (type(value) is not int or value < 0):
+            raise ValueError("suite parameter %s must be a non-negative int"
+                             % key)
+        given[key] = value
+    r = Runner(name, given)
     try:
-        SUITES[name](r, params)
+        SUITES[name](r, {**_DEFAULTS, **given})
     except _Fail:
         pass
     except ChowopsError as exc:

@@ -10,6 +10,7 @@ import pytest
 import chowops
 from chowops.cli import main
 from chowops.errors import (
+    SUITE_NAMES,
     DecompositionFailure,
     ExtractionFailure,
     TheoryViolation,
@@ -172,6 +173,18 @@ def test_verify_seeded_determinism(capsys):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+def test_verify_refuses_bad_parameters_of_every_suite(capsys):
+    for suite in SUITE_NAMES:
+        code, out, err = run(capsys, "verify", "--suite", suite, "--p", "9")
+        assert (code, out, err) == (2, "", "error: p must be prime, got 9\n")
+        # a negative n is refused by name, not read as the shorthand P^-1
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "-1")
+        assert (code, out) == (2, ""), suite
+        assert err == "error: suite parameter n must be a non-negative int\n"
+    code, _, err = run(capsys, "verify", "--suite", "xp", "--p", "4")
+    assert (code, err) == (2, "error: p must be prime, got 4\n")
 
 
 def test_dimension_cap_from_environment(capsys, monkeypatch):

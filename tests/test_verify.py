@@ -1,8 +1,15 @@
 """The verification suites themselves: registry, determinism, reports."""
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
+import chowops
 from chowops import adams_upper, odd_quadric, projective_space
 from chowops import char_classes as CC
+from chowops.errors import SUITE_NAMES
 from chowops.ktheory import k0_generator_bundles
 from chowops.verify import SUITES, default_builders, run_suite
 
@@ -92,15 +99,58 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite")
 
 
-@pytest.mark.parametrize("suite", ["lift-independence", "xp"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.parametrize("p, message", [
     (0, "p must be a prime integer, got 0"),
     (1, "p must be a prime integer, got 1"),
-    (4, "p must be prime, got 4")])
+    (4, "p must be prime, got 4"),
+    (9, "p must be prime, got 9")])
 def test_a_callers_p_is_checked_before_the_mod_p_basis(suite, p, message):
-    # the suites build their mod-p basis cells as trusted data
+    # the suites build their mod-p basis cells as trusted data, and the
+    # identities they check hold only at a prime, so run_suite refuses p
+    # whether or not the suite reads it
     with pytest.raises(ValueError, match=message):
         run_suite(suite, seed=1, p=p)
+
+
+def never_entered(monkeypatch, suite):
+    """Stand in for the suite: the parameters must be refused before it."""
+    def entered(r, params):
+        raise AssertionError("the suite ran on refused parameters")
+
+    monkeypatch.setitem(SUITES, suite, entered)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_unknown_parameter_names_are_refused(monkeypatch, suite):
+    # a misspelt trials must not run the default 100 trials
+    never_entered(monkeypatch, suite)
+    with pytest.raises(ValueError, match="unknown suite parameter 'trails'"):
+        run_suite(suite, seed=1, variety="P^1", trails=1)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_sizes_must_be_non_negative_ints(monkeypatch, suite):
+    never_entered(monkeypatch, suite)
+    for key in ("n", "k", "trials", "max_dim"):
+        for value in (-1, -10 ** 5000, 2.0, "3", True, Fraction(3)):
+            with pytest.raises(ValueError, match="suite parameter %s must be "
+                               "a non-negative int" % key):
+                run_suite(suite, **{key: value})
+
+
+def test_a_non_prime_p_is_refused_under_optimize():
+    script = ("from chowops.verify import run_suite\n"
+              "try:\n"
+              "    run_suite('algebra', p=4)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(chowops.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "p must be prime, got 4\n"
 
 
 def test_reports_are_seed_deterministic():
