@@ -12,28 +12,31 @@ its verb runs.  A name once read is stored here, a plain attribute after.
 from importlib import import_module as _import
 
 _EXPORTS = {
+    "bundles": ("VirtualBundle", "adams_upper", "bott_decompose", "chern",
+                "line_bundle", "tangent_bundle", "theta_p", "todd",
+                "trivial_bundle", "w_chp"),
     "core": ("CellularVariety", "ChowClass", "ModPClass", "class_from_json",
              "class_to_json", "degree", "make_class"),
-    "char_classes": ("SeriesSpec", "VirtualBundle", "chern",
-                     "multiplicative_class", "tangent_bundle", "theta_p",
-                     "todd", "trivial_bundle", "w_chp"),
+    "char_classes": ("SeriesSpec", "multiplicative_class"),
     "ktheory": ("KClass", "TauLattice", "adams_lower", "adams_matrix",
-                "adams_upper", "bott_decompose", "euler_char",
-                "filtration_level", "k0_from_chow_lift", "k0_generators",
-                "kclass_from_json", "kclass_pullback", "kclass_pushforward",
-                "phi_top", "structure_sheaf", "tau_lattice"),
-    "steenrod": ("AtiyahDecomposition", "atiyah_decompose", "chi_defect",
-                 "degree_formula_witness", "op_component", "segre_number",
+                "euler_char", "filtration_level", "k0_from_chow_lift",
+                "k0_generators", "kclass_from_json", "phi_top",
+                "structure_sheaf", "tau_lattice"),
+    "morphisms": ("Morphism", "kclass_pullback", "kclass_pushforward",
+                  "morphism_from_spec", "pullback", "pushforward",
+                  "registered_morphisms"),
+    "numbers": ("chi_defect", "degree_formula_witness", "segre_number"),
+    "steenrod": ("AtiyahDecomposition", "atiyah_decompose", "op_component",
                  "steenrod_cohomological", "steenrod_homological",
                  "steenrod_operation", "steenrod_total"),
-    "varieties": ("Morphism", "build_morphism", "external_product",
-                  "hyperplane_class", "line_bundle", "morphism_from_spec",
-                  "odd_quadric", "product", "projective_space", "pullback",
-                  "pushforward", "registered_morphisms", "variety_from_spec"),
+    "varieties": ("build_morphism", "external_product", "hyperplane_class",
+                  "odd_quadric", "product", "projective_space",
+                  "variety_from_spec"),
     "verify": ("run_suite",),
 }
-_SUBMODULES = ("char_classes", "core", "errors", "ktheory", "series",
-               "steenrod", "varieties", "verify")
+_SUBMODULES = ("bundles", "char_classes", "core", "errors", "ktheory",
+               "morphisms", "numbers", "series", "steenrod", "varieties",
+               "verify")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_SUBMODULES + tuple(_HOME))

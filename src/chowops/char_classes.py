@@ -18,26 +18,18 @@ T_{P^n} = (n+1) O(1) - O and T_{Q_d} = (d+2) O(1) - O - O(2)
 line (`series.spower`), and on X x Y the Kunneth product of the factors'.
 On a cell Z, from the Euler sequence of its closure, the same closed form
 is the builders' tau column tau[O_Z] = [Z] Todd(T_Z) (`line_sum_class`).
+
+The bundles themselves and their checked classes (`VirtualBundle`, `chern`,
+`todd`, `theta_p`, `w_chp`) are in `bundles`, which only `verify` and
+library callers load; `tangent_class` imports it only for a variety with no
+Euler-sequence data.
 """
 from fractions import Fraction
 from math import factorial
 
 from . import series as S
-from .core import (
-    _built,
-    _exp,
-    _integer_form,
-    class_from_json,
-    class_to_json,
-    coeff_from_str,
-    kron,
-)
-from .errors import (
-    IntegralityFailure,
-    NonIntegralInput,
-    NonInvertibleSeries,
-    require_prime,
-)
+from .core import _built, _exp, _integer_form, kron
+from .errors import NonInvertibleSeries, require_prime
 
 
 class SeriesSpec:
@@ -69,95 +61,6 @@ class SeriesSpec:
         return self._weights[n]
 
 
-class VirtualBundle:
-    """Element of K^0(X) given by integer rank and Chern character."""
-
-    __slots__ = ("variety", "rank", "ch", "integral")
-
-    def __init__(self, variety, rank, ch, integral=True):
-        if not isinstance(rank, int):
-            raise TypeError("rank must be an integer")
-        if ch.variety is not variety:
-            raise ValueError("ch lives on the wrong variety")
-        if ch.num.get(variety.fundamental, 0) != rank * ch.den:
-            raise ValueError("codim-0 component of ch (%s) must equal rank (%d)"
-                             % (ch.coeffs.get(variety.fundamental, 0), rank))
-        self.variety = variety
-        self.rank = rank
-        self.ch = ch
-        self.integral = integral
-
-    def __add__(self, other):
-        self._same(other)
-        return VirtualBundle(self.variety, self.rank + other.rank,
-                             self.ch + other.ch,
-                             integral=self.integral and other.integral)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VirtualBundle(self.variety, -self.rank, -self.ch,
-                             integral=self.integral)
-
-    def __mul__(self, other):
-        """Tensor product: Chern characters multiply."""
-        self._same(other)
-        return VirtualBundle(self.variety, self.rank * other.rank,
-                             self.ch * other.ch,
-                             integral=self.integral and other.integral)
-
-    def scale(self, k):
-        if not isinstance(k, int):
-            raise TypeError("virtual bundles only scale by integers")
-        return VirtualBundle(self.variety, self.rank * k, self.ch.scale(k),
-                             integral=self.integral)
-
-    def _same(self, other):
-        if self.variety is not other.variety:
-            raise ValueError("bundles live on different varieties")
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualBundle):
-            return NotImplemented
-        return (self.variety is other.variety and self.rank == other.rank
-                and self.ch == other.ch)
-
-    def __repr__(self):
-        return "VirtualBundle(%s, rank=%d)" % (self.variety.name, self.rank)
-
-    def to_json(self):
-        one = self.variety.fundamental
-        return {"rank": str(self.rank),
-                "ch": {"1" if l == one else l: v
-                       for l, v in class_to_json(self.ch).items()}}
-
-    @classmethod
-    def from_json(cls, variety, obj, integral=True):
-        if not isinstance(obj, dict):
-            raise ValueError("a bundle must be a JSON object, got %.40r" % (obj,))
-        rank = coeff_from_str(obj.get("rank"))
-        if not isinstance(rank, int):
-            raise ValueError("a bundle's rank must be an integer, got %s"
-                             % rank)
-        bundle = cls(variety, rank, class_from_json(variety, obj.get("ch", {})),
-                     integral=integral)
-        from .ktheory import tau_lattice
-        if integral and not tau_lattice(variety).membership(
-                bundle.ch * todd_class(variety)):
-            raise NonIntegralInput("bundle declared integral has ch * Todd(T_X) "
-                                   "outside the tau-lattice")
-        return bundle
-
-
-def trivial_bundle(X, rank):
-    return VirtualBundle(X, rank, X.unit().scale(rank))
-
-
-def tangent_bundle(X):
-    return VirtualBundle(X, X.dim, X.tangent_chern_character())
-
-
 def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles.
 
@@ -186,39 +89,6 @@ def _spec(name, n, p=None):
     if key not in _SPECS:
         _SPECS[key] = SeriesSpec(_SERIES[name](p, n), name=name)
     return _SPECS[key]
-
-
-def chern(e):
-    """Total Chern class, per-root series 1 + t; integral input, integral output."""
-    total = multiplicative_class(_spec("chern", e.variety.dim), e)
-    if e.integral and not total.is_integral():
-        raise IntegralityFailure(
-            "total Chern class of an integral bundle came out fractional "
-            "(corrupted ch data?)", variety=e.variety, bundle=e, total=total)
-    return total
-
-
-def todd(e):
-    """Todd class, per-root series t/(1 - e^{-t})."""
-    return multiplicative_class(_spec("todd", e.variety.dim), e)
-
-
-def theta_p(e, p):
-    """Bott's class: per-root series 1 + e^{-t} + ... + e^{-(p-1)t}."""
-    return multiplicative_class(_spec("theta", e.variety.dim, p), e)
-
-
-def w_chp(e, p):
-    """The class with w[L] = 1 + (-c_1 L)^{p-1}; integral on integral bundles."""
-    out = multiplicative_class(_spec("w", e.variety.dim, p), e)
-    if e.integral and not out.is_integral():
-        raise IntegralityFailure("w^{CH,%d} of an integral bundle came out "
-                                 "fractional" % p, variety=e.variety, p=p,
-                                 bundle=e, total=out)
-    return out
-
-
-_CHECKED = {"chern": chern, "todd": todd, "theta": theta_p, "w": w_chp}
 
 
 def line_sum_class(X, name, lines, p=None, cell=None):
@@ -259,7 +129,8 @@ def _cached(X, key, fn):
 def tangent_class(X, key, name, sign, p=None):
     """The class name of sign T_X (sign = +-1), cached on X under key: the
     `line_sum_class` of the Euler sequence `X.tangent_lines`, the Kunneth
-    product of the factors' on X x Y, else the checked class of the bundle."""
+    product of the factors' on X x Y, else the checked class of the bundle
+    (`bundles._CHECKED`)."""
     def build():
         if getattr(X, "builder", None) == "product":
             A, B = (tangent_class(F, key, name, sign, p) for F in X._factors)
@@ -267,6 +138,7 @@ def tangent_class(X, key, name, sign, p=None):
         if hasattr(X, "tangent_lines"):
             return line_sum_class(X, name, [(a, sign * m) for a, m
                                             in X.tangent_lines], p)
+        from .bundles import _CHECKED, tangent_bundle
         e = tangent_bundle(X).scale(sign)
         return _CHECKED[name](e) if p is None else _CHECKED[name](e, p)
     return _cached(X, key, build)

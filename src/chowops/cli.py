@@ -7,8 +7,9 @@ numeric output is exact decimal strings; serialization is deterministic
 
 A call loads only the modules its verb runs: `describe` loads neither the
 operation layers (`steenrod`, `ktheory`) nor `verify`, and `table` and
-`operate` do not load `verify`.  The parser reads the convention and suite
-names from `errors`.
+`operate` load neither `verify` nor what only it runs (`bundles`,
+`morphisms`, `numbers`).  The parser reads the convention and suite names
+from `errors`.
 """
 import argparse
 import io

@@ -127,9 +127,10 @@ def require_prime(p):
     if type(p) is int and p == _accepted:  # never a bool, float or Fraction
         return
     if not isinstance(p, int) or p < 2:
-        raise ValueError("p must be a prime integer, got %r" % (p,))
+        raise ValueError("p must be a prime integer, got %s" % _shown(p))
     if p >= PRIME_BOUND:
-        raise ValueError("p must be below %d, got %d" % (PRIME_BOUND, p))
+        raise ValueError("p must be below %d, got %s" % (PRIME_BOUND,
+                                                        _shown(p)))
     if p in _MR_BASES:
         return
     d, s = p - 1, 0
@@ -146,6 +147,15 @@ def require_prime(p):
         else:
             raise ValueError("p must be prime, got %d" % p)
     _accepted = p
+
+
+def _shown(p):
+    """p for a refusal: its repr, or, for an int of PRIME_BOUND or more in
+    size, its sign and bit length, as its digits may be too many to print."""
+    if isinstance(p, int) and abs(p) >= PRIME_BOUND:
+        return "%s integer of %d bits" % ("a negative" if p < 0 else "an",
+                                          p.bit_length())
+    return repr(p)
 
 
 # convention name -> the grading it names, for steenrod_operation and the CLI

@@ -5,11 +5,14 @@ integral lattice is spanned by the tau_matrix columns (structure sheaves of
 cell closures).  The matrix is unitriangular, so its inverse is built once
 per variety, in integers (`tau_lattice`), and the coordinates of a
 class in the lattice basis, which decide membership, are one `apply_matrix`
-of it.  Both p-adic decompositions, Atiyah's of psi_p(x) and Bott's of
-theta^p(e), group these coordinates by a filtration index k and scale them
-by p^(shift + k) through one split (`_p_adic_split`) of the integers over
-one denominator that `core.Matrix.apply` leaves undivided.  On the smooth
-builders K_0 and K^0 are identified by multiplying or dividing by Todd(T_X).
+of it.  Both p-adic decompositions, Atiyah's of psi_p(x) (`steenrod`) and
+Bott's of theta^p(e) (`bundles`), group these coordinates by a filtration
+index k and scale them by p^(shift + k) through one split (`_p_adic_split`)
+of the integers over one denominator that `core.Matrix.apply` leaves
+undivided.  The bundle side of K-theory (psi^p on K^0, K_0 = K^0 by
+Todd(T_X), Bott's decomposition) is in `bundles`, and the action of
+morphisms on K-classes in `morphisms`: only `verify` and library callers
+load them.
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) scales the
 dimension-j part of tau(x) by p^{-j} (`adams_lower`), by Bott's identity
@@ -22,33 +25,17 @@ matrices on a product (`Matrix.kron`), and T^{-1} D T otherwise.
 from fractions import Fraction
 from math import comb, lcm
 
-from .char_classes import (
-    VirtualBundle,
-    _cached,
-    theta_p,
-    todd_class,
-    todd_inv_class,
-    w_chp,
-)
+from .char_classes import _cached
 from .core import (
-    ChowClass,
     Matrix,
     _as_coeff,
-    _built,
     _lowest,
     apply_matrix,
     class_from_json,
     class_to_json,
     degree,
 )
-from .errors import (
-    DecompositionFailure,
-    FlagViolation,
-    IntegralityViolation,
-    NonIntegralInput,
-    ZeroClass,
-    require_prime,
-)
+from .errors import NonIntegralInput, ZeroClass, require_prime
 from .series import spower
 
 
@@ -198,13 +185,6 @@ def _psi_ch(ch, p, den=1):
                      for l, v in ch.num.items()}, den=ch.den * den)
 
 
-def adams_upper(y, p):
-    """psi^p on K^0: scales the codim-i Chern character component by p^i."""
-    require_prime(p)
-    return VirtualBundle(y.variety, y.rank, _psi_ch(y.ch, p),
-                         integral=y.integral)
-
-
 def adams_lower(x, p):
     """Homological Adams operation on a smooth variety, in tau-coordinates:
     the dimension-j part of tau(x) times p^{-j}, by Bott's identity (see the
@@ -284,86 +264,3 @@ def _p_adic_split(dims, num, den, p, top, shift):
                 q = Fraction(v * mul, div)
             pieces[k][l] = q
     return pieces, bad
-
-
-def kclass_to_bundle(x):
-    """Identify K_0 with K^0 on a regular variety: divide tau by Todd."""
-    ch = x.tau * todd_inv_class(x.variety)
-    rank = ch.coeffs.get(x.variety.fundamental, 0)
-    if not isinstance(rank, int):
-        raise IntegralityViolation("K-class has fractional rank %s" % rank)
-    return VirtualBundle(x.variety, rank, ch, integral=x.integral)
-
-
-def k0_generator_bundles(X):
-    """The K^0 images of the lattice generators (ch = tau column / Todd)."""
-    return [(label, kclass_to_bundle(k))
-            for label, k in k0_generators(X)]
-
-
-# ---------------------------------------------------------------------------
-# morphism action in tau-coordinates
-# ---------------------------------------------------------------------------
-
-def kclass_pushforward(f, x):
-    """tau commutes with proper pushforward."""
-    if not f.proper:
-        raise FlagViolation("K-theory pushforward needs a proper morphism")
-    return KClass(f.target, f.push_class(x.tau), x.integral)
-
-
-def kclass_pullback(f, y):
-    """K^0 pullback written in tau-coordinates: Todd_X * f^*(tau / Todd_Y)."""
-    if not (f.lci or f.flat):
-        raise FlagViolation("K-theory pullback needs an lci or flat morphism")
-    ch = f.pull_class(y.tau * todd_inv_class(f.target))
-    return KClass(f.source, todd_class(f.source) * ch, y.integral)
-
-
-# ---------------------------------------------------------------------------
-# Bott decomposition
-# ---------------------------------------------------------------------------
-
-def bott_decompose(e, p):
-    """theta^p(e) = sum_k p^{rank(e)-k} e_k with e_k in codimension >= k(p-1).
-
-    The classes tau[O_Z] / Todd(T_X) of the cell closures are unitriangular in
-    codimension, so the coordinates of theta^p(e) in them are the
-    tau-coordinates of theta^p(e) * Todd(T_X).  Each codim-j coordinate,
-    multiplied by p^{k - rank(e)} with k = [j/(p - 1)], must be integral and
-    belongs to e_k (`_p_adic_split` with top = dim X, shift = -rank(e)).  The
-    top-codimension part of each e_k is checked against w^{CH,p}_k(e) mod p.
-    """
-    require_prime(p)
-    if not e.integral:
-        raise NonIntegralInput("Bott decomposition needs an integral bundle")
-    X = e.variety
-    w = w_chp(e, p)
-    theta = theta_p(e, p) * todd_class(X)
-    coords, den = tau_lattice(X).inverse.apply(theta.num, theta.den)
-    pieces, bad = _p_adic_split(X._dims, coords, den, p, X.dim, -e.rank)
-    if bad is not None:
-        j = X.dim - bad
-        k = j // (p - 1)
-        # at exponent rank - k <= 0 every integer would do
-        what = ("not divisible by %d^%d" % (p, e.rank - k)
-                if e.rank > k else "not integral")
-        raise DecompositionFailure(
-            "codim-%d piece of theta^%d is %s" % (j, p, what), variety=X, p=p,
-            bundle=e, codim=j, piece=ChowClass(X, pieces[k]).dim_component(bad))
-    pieces = [_built(X, piece) for piece in pieces]
-    tdinv = todd_inv_class(X)
-    parts = [k0_from_chow_lift(piece).tau * tdinv for piece in pieces]
-    for k, (piece, part) in enumerate(zip(pieces, parts)):
-        top = part.top_dim()
-        if top is not None and X.dim - top < k * (p - 1):
-            raise DecompositionFailure(
-                "e_%d is supported below codimension %d" % (k, k * (p - 1)),
-                variety=X, p=p, bundle=e, k=k, part=part)
-        diff = (piece.codim_component(k * (p - 1))
-                - w.codim_component(k * (p - 1)))
-        if any(v % p for v in diff.num.values()):
-            raise DecompositionFailure(
-                "top part of e_%d differs from w^{CH,%d}_%d mod %d" % (k, p, k, p),
-                variety=X, p=p, k=k, diff=diff)
-    return parts

@@ -6,13 +6,13 @@ w^{CH,p} series of one root, the log that turns each into the weights
 of a multiplicative class, and the powers f^m that `char_classes` puts on
 a builder's cells (its classes of T_X, its tau columns [Z] Todd(T_Z)).  The
 one other user is `ktheory`, whose Adams matrix of P^n is one power per
-column.  `sadd`, `spow` and `exp_t` are references the tests use.  `spower`
-is a^m for any integer m, in integers, and `sinv` its m = -1.
+column.  `spower` is a^m for any integer m, in integers, and `sinv` its
+m = -1.
 
 log is read off the derivative t d/dt, which multiplies a_k by k: g = log(a)
 satisfies t a' = t g' a, so k g_k = k a_k - sum_{i<k} i g_i a_{k-i}, O(n^2)
-coefficient products against O(n^3) for the power sum.  `exp_t` is only the
-closed form e^{ct}; the one exponential of a class is the ring's,
+coefficient products against O(n^3) for the power sum.  There is no series
+exponential: the one exponential of a class is the ring's,
 `core.ChowClass.exp`.
 """
 from fractions import Fraction
@@ -41,20 +41,9 @@ def smul(a, b, n):
     return out
 
 
-def sadd(a, b, n):
-    return [a[i] + b[i] for i in range(n + 1)]
-
-
 def sscale(c, a, n):
     c = Fraction(c)
     return [c * a[i] for i in range(n + 1)]
-
-
-def spow(a, k, n):
-    out = series([1], n)
-    for _ in range(k):
-        out = smul(out, a, n)
-    return out
 
 
 def spower(a, m, n):
@@ -100,12 +89,6 @@ def slog(a, n):
         out[k] = a[k] - sum((i * out[i] * a[k - i] for i in range(1, k)),
                             Fraction(0)) / k
     return out
-
-
-def exp_t(c, n):
-    """e^{c t} truncated at degree n."""
-    c = Fraction(c)
-    return [c ** k / factorial(k) for k in range(n + 1)]
 
 
 def todd_series(n):

@@ -8,27 +8,33 @@ import random
 from fractions import Fraction
 from math import comb
 
-from . import char_classes as CC
+from .bundles import (
+    adams_upper,
+    bott_decompose,
+    chern,
+    k0_generator_bundles,
+    line_bundle,
+    tangent_bundle,
+    theta_p,
+    todd,
+    trivial_bundle,
+    w_chp,
+)
+from .char_classes import todd_class
 from .core import ModPClass, _modp, apply_matrix, degree, make_class
 from .errors import SUITE_NAMES, ChowopsError, require_prime, to_json
 from .ktheory import (
     adams_lower,
-    adams_upper,
-    bott_decompose,
     euler_char,
     filtration_level,
     k0_from_chow_lift,
-    k0_generator_bundles,
     k0_generators,
-    kclass_pullback,
-    kclass_pushforward,
     tau_lattice,
 )
+from .morphisms import kclass_pullback, kclass_pushforward
+from .numbers import chi_defect, degree_formula_witness, segre_number
 from .steenrod import (
-    chi_defect,
-    degree_formula_witness,
     op_component,
-    segre_number,
     steenrod_cohomological,
     steenrod_homological,
     steenrod_total,
@@ -37,7 +43,6 @@ from .varieties import (
     DEFAULT_MAX_DIM,
     build_morphism,
     external_product,
-    line_bundle,
     odd_quadric,
     product,
     projective_space,
@@ -54,6 +59,8 @@ _BUILDER_SHORTHANDS = ("P^1", "P^2", "P^3", "P^4", "Q_3", "Q_5", "Q_7",
 _DEFAULTS = {"seed": 0, "p": None, "variety": None, "n": 8, "k": None,
              "trials": 100, "max_dim": DEFAULT_MAX_DIM}
 _SIZES = ("n", "k", "trials", "max_dim")
+# the suites that never read p: lucas-oracle always works mod 2
+_NO_P = ("algebra", "lucas-oracle")
 
 
 class _Fail(Exception):
@@ -123,14 +130,14 @@ def _modp_basis(X, p):
 
 def random_bundle(X, rng):
     """Random integral virtual bundle: line-bundle powers plus tangent summands."""
-    e = CC.trivial_bundle(X, rng.randint(-2, 2))
+    e = trivial_bundle(X, rng.randint(-2, 2))
     for i in range(-2, 3):
         a = rng.randint(-2, 2)
         if a:
             e = e + line_bundle(X, i).scale(a)
     b = rng.randint(-1, 1)
     if b:
-        e = e + CC.tangent_bundle(X).scale(b)
+        e = e + tangent_bundle(X).scale(b)
     return e
 
 
@@ -195,46 +202,46 @@ def suite_whitney(r, params):
         for _ in range(trials):
             # each class of e is computed once and read by every check on it
             e, f = random_bundle(X, rng), random_bundle(X, rng)
-            r.check(CC.todd(e + f) == CC.todd(e) * CC.todd(f),
+            r.check(todd(e + f) == todd(e) * todd(f),
                     variety=X.name, cls="todd")
-            c = CC.chern(e)
-            r.check(CC.chern(e + f) == c * CC.chern(f),
+            c = chern(e)
+            r.check(chern(e + f) == c * chern(f),
                     variety=X.name, cls="chern")
             w = {}
             for p in ps:
-                theta = CC.theta_p(e, p)
-                r.check(CC.theta_p(e + f, p) == theta * CC.theta_p(f, p),
+                theta = theta_p(e, p)
+                r.check(theta_p(e + f, p) == theta * theta_p(f, p),
                         variety=X.name, cls="theta", p=p)
-                w[p] = CC.w_chp(e, p)
-                r.check(CC.w_chp(e + f, p) == w[p] * CC.w_chp(f, p),
+                w[p] = w_chp(e, p)
+                r.check(w_chp(e + f, p) == w[p] * w_chp(f, p),
                         variety=X.name, cls="w", p=p)
-                r.check(theta * CC.theta_p(-e, p) == X.unit(),
+                r.check(theta * theta_p(-e, p) == X.unit(),
                         variety=X.name, cls="theta inverse", p=p)
             # w^{CH,2} is the total Chern class with alternating signs
             alt = X.zero()
             for i in range(X.dim + 1):
                 alt = alt + c.codim_component(i).scale((-1) ** i)
-            w2 = w[2] if 2 in w else CC.w_chp(e, 2)
+            w2 = w[2] if 2 in w else w_chp(e, 2)
             r.check(w2 == alt, variety=X.name, cls="w vs chern")
 
 
 def suite_bott(r, params):
     for X in _builders(params):
-        bundles = [CC.tangent_bundle(X), -CC.tangent_bundle(X)]
+        bundles = [tangent_bundle(X), -tangent_bundle(X)]
         bundles += [line_bundle(X, i) for i in range(-3, 4)]
         for p in _primes(params):
             for e in bundles:
                 total = X.zero()
                 for k, ek in enumerate(bott_decompose(e, p)):
                     total = total + ek.scale(Fraction(p) ** (e.rank - k))
-                r.check(total == CC.theta_p(e, p),
+                r.check(total == theta_p(e, p),
                         variety=X.name, p=p, rank=e.rank, law="bott sum")
 
 
 def suite_psipower(r, params):
     for X in _builders(params):
         L = tau_lattice(X)
-        td = CC.todd_class(X)
+        td = todd_class(X)
         for p in _primes(params):
             for label, g in k0_generator_bundles(X):
                 diff = (adams_upper(g, p).ch - g.ch.power(p)) * td
@@ -294,7 +301,7 @@ def suite_rr_naturality(r, params):
     for f in standard_morphisms(max_dim):
         for p in _primes(params):
             if f.lci:
-                tw = CC.theta_p(-f.T_f, p)
+                tw = theta_p(-f.T_f, p)
                 for label, x in k0_generators(f.target):
                     lhs = adams_lower(kclass_pullback(f, x), p).tau
                     rhs = tw * kclass_pullback(f, adams_lower(x, p)).tau
@@ -390,7 +397,7 @@ def suite_wu(r, params):
                     r.check(lhs == rhs, morphism=f.name, p=p, cell=label,
                             law="stc(ii) pullback naturality")
             if f.proper:
-                w_tf = ModPClass.from_integral(CC.w_chp(-f.T_f, p), p)
+                w_tf = ModPClass.from_integral(w_chp(-f.T_f, p), p)
                 for label, xbar in _modp_basis(X, p):
                     lhs = steenrod_total(
                         steenrod_cohomological(f.push_class(xbar), p))
@@ -538,7 +545,9 @@ SUITES = {name: globals()["suite_" + name.replace("-", "_")]
 
 def run_suite(name, **params):
     """Run one suite; its parameters are checked before anything is built,
-    and the report echoes the ones given (not None)."""
+    and the report echoes the ones given (not None).  A p given to a suite
+    that never reads it, or a p or k given to segre without the other, is
+    refused, so a report never echoes a parameter its checks did not use."""
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
@@ -555,6 +564,10 @@ def run_suite(name, **params):
             raise ValueError("suite parameter %s must be a non-negative int"
                              % key)
         given[key] = value
+    if "p" in given and name in _NO_P:
+        raise ValueError("suite %s does not read p" % name)
+    if name == "segre" and len({"p", "k"} & set(given)) == 1:
+        raise ValueError("suite segre reads p and k only together")
     r = Runner(name, given)
     try:
         SUITES[name](r, {**_DEFAULTS, **given})

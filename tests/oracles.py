@@ -22,6 +22,8 @@ inverse of a series by the Fraction convolution recurrence, the reference for
 the package's inverse as an integer power.  `pair_table` writes a variety's
 ring table in the pair-keyed form a caller gives `CellularVariety`, for
 copies of a builder's table and for the pair-keyed product oracle.
+`sadd`, `spow` and `exp_t` are series arithmetic only the tests use: a sum,
+a power by repeated products, and the closed form e^{ct}.
 """
 from fractions import Fraction
 from math import factorial
@@ -29,6 +31,29 @@ from math import factorial
 import sympy as sp
 
 t = sp.symbols("t")
+
+
+# -- series references --------------------------------------------------------
+
+def sadd(a, b, n):
+    """a + b truncated at degree n."""
+    return [a[i] + b[i] for i in range(n + 1)]
+
+
+def spow(a, k, n):
+    """a^k for k >= 0 by k series products (`series.smul`), the reference
+    for the package's integer power `series.spower`."""
+    from chowops import series as S
+    out = S.series([1], n)
+    for _ in range(k):
+        out = S.smul(out, a, n)
+    return out
+
+
+def exp_t(c, n):
+    """e^{c t} truncated at degree n."""
+    c = Fraction(c)
+    return [c ** k / factorial(k) for k in range(n + 1)]
 
 
 def pair_table(X):
@@ -218,7 +243,7 @@ def quadric_tau_running(d):
 
     td = S.todd_series(d)
     td2 = [td[k] * 2 ** k for k in range(d + 1)]  # td(2t)
-    todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
+    todd_q = S.smul(spow(td, d + 2, d), S.sinv(td2, d), d)
     one_minus = [Fraction(0)] + [-Fraction((-1) ** k, factorial(k))
                                  for k in range(1, d + 1)]  # 1 - e^{-t}
     columns = {}
@@ -263,9 +288,8 @@ def catalogue_relative_tangent(f, kind, args):
     """T_f of the catalogue morphism f of this kind and arguments, by the
     hand formula of each kind: the reference for the derived T_X - f^*T_Y."""
     from chowops import series as S
-    from chowops.char_classes import VirtualBundle, tangent_bundle
+    from chowops.bundles import VirtualBundle, line_bundle, tangent_bundle
     from chowops.core import ChowClass, kunneth
-    from chowops.varieties import line_bundle
     X = f.source
     if kind == "linear_embedding":  # -(n - m) O(1), the normal bundle
         m, n = args
@@ -281,7 +305,7 @@ def catalogue_relative_tangent(f, kind, args):
         return line_bundle(X, 2).scale(-1)
     if kind == "linear_in_quadric":  # (j + 1) O(1) - 1 - ((d + 2) O(1) - 1 - O(2))
         j, d = args
-        t = S.sadd(S.sscale(j - d - 1, S.exp_t(1, j), j), S.exp_t(2, j), j)
+        t = sadd(S.sscale(j - d - 1, exp_t(1, j), j), exp_t(2, j), j)
         return VirtualBundle(X, j - d, ChowClass(
             X, {"h^%d" % k: t[k] for k in range(j + 1) if t[k]}))
     if kind == "product_projection":  # the other factor's tangent bundle
@@ -303,7 +327,7 @@ def adams_lower_by_twist(x, p):
     Todd(T_X), psi^p on it (codim-i part times p^i), then times
     Todd(T_X) theta^p(-T_X); the classes are computed afresh, so the
     variety's cache is left as it was."""
-    from chowops.char_classes import tangent_bundle, theta_p, todd
+    from chowops.bundles import tangent_bundle, theta_p, todd
     from chowops.ktheory import KClass, _psi_ch
     X = x.variety
     T = tangent_bundle(X)

@@ -637,16 +637,16 @@ sys.exit(cli.main(["table", "--variety", "P^2", "--p", "2"]))
 def test_bott_support_failure_exits_3_with_its_dump(capsys, monkeypatch):
     # a split that copies e_0 into e_1 puts e_1 in codimension 0; no verb
     # runs bott_decompose outside a suite, so operate stands in for one
-    from chowops import bott_decompose, cli, ktheory, projective_space
+    from chowops import bott_decompose, bundles, cli, projective_space
     from chowops import tangent_bundle
 
-    split = ktheory._p_adic_split
+    split = bundles._p_adic_split
 
     def copied(*args):
         pieces, bad = split(*args)
         return [pieces[0], dict(pieces[0])] + pieces[2:], bad
 
-    monkeypatch.setattr(ktheory, "_p_adic_split", copied)
+    monkeypatch.setattr(bundles, "_p_adic_split", copied)
     T = tangent_bundle(projective_space(2))
     monkeypatch.setattr(cli, "steenrod_operation",
                         lambda *a, **k: bott_decompose(T, 2))

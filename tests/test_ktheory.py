@@ -36,8 +36,8 @@ from chowops import (
 from chowops.char_classes import todd_class
 from chowops.core import CellularVariety, Matrix, apply_matrix, kron, kunneth
 from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
-from chowops.ktheory import (_p_adic_split, _projective_adams,
-                             k0_generator_bundles, kclass_to_bundle)
+from chowops.bundles import k0_generator_bundles, kclass_to_bundle
+from chowops.ktheory import _p_adic_split, _projective_adams
 
 
 P1 = projective_space(1)
@@ -188,7 +188,7 @@ def test_kclass_push_pull():
     pulled = kclass_pullback(f, y)
     assert pulled.tau == structure_sheaf(P1).tau  # O_{P^2} restricts to O_{P^1}
     fake_flags = build_morphism("linear_embedding", m=0, n=1)
-    from chowops.varieties import Morphism
+    from chowops.morphisms import Morphism
     fake = Morphism("fake", fake_flags.source, fake_flags.target,
                     fake_flags.push, fake_flags.pull,
                     proper=False, lci=False, flat=False)

@@ -18,24 +18,25 @@ from chowops import cli, errors
 SRC = os.path.dirname(os.path.dirname(chowops.__file__))
 
 # every name `from chowops import *` bound when the package imported its
-# modules eagerly
+# modules eagerly, and the modules split off since (`bundles`,
+# `morphisms`, `numbers`)
 PUBLIC = (
     "AtiyahDecomposition", "CellularVariety", "ChowClass", "KClass",
     "ModPClass", "Morphism", "SeriesSpec", "TauLattice", "VirtualBundle",
     "adams_lower", "adams_matrix", "adams_upper", "atiyah_decompose",
-    "bott_decompose", "build_morphism", "char_classes", "chern", "chi_defect",
-    "class_from_json", "class_to_json", "core", "degree",
+    "bott_decompose", "build_morphism", "bundles", "char_classes", "chern",
+    "chi_defect", "class_from_json", "class_to_json", "core", "degree",
     "degree_formula_witness", "errors", "euler_char", "external_product",
     "filtration_level", "hyperplane_class", "k0_from_chow_lift",
     "k0_generators", "kclass_from_json", "kclass_pullback",
     "kclass_pushforward", "ktheory", "line_bundle", "make_class",
-    "morphism_from_spec", "multiplicative_class", "odd_quadric",
-    "op_component", "phi_top", "product", "projective_space", "pullback",
-    "pushforward", "registered_morphisms", "run_suite", "segre_number",
-    "series", "steenrod", "steenrod_cohomological", "steenrod_homological",
-    "steenrod_operation", "steenrod_total", "structure_sheaf",
-    "tangent_bundle", "tau_lattice", "theta_p", "todd", "trivial_bundle",
-    "varieties", "variety_from_spec", "verify", "w_chp",
+    "morphism_from_spec", "morphisms", "multiplicative_class", "numbers",
+    "odd_quadric", "op_component", "phi_top", "product", "projective_space",
+    "pullback", "pushforward", "registered_morphisms", "run_suite",
+    "segre_number", "series", "steenrod", "steenrod_cohomological",
+    "steenrod_homological", "steenrod_operation", "steenrod_total",
+    "structure_sheaf", "tangent_bundle", "tau_lattice", "theta_p", "todd",
+    "trivial_bundle", "varieties", "variety_from_spec", "verify", "w_chp",
 )
 
 _LOADED = """
@@ -58,13 +59,19 @@ def loaded(*argv):
     return {m.split(".", 1)[1] for m in modules if m.startswith("chowops.")}
 
 
+# what only `verify` and library callers run: the morphism catalogue,
+# bundles and their checked classes, the degree formulas
+VERIFY_ONLY = {"verify", "bundles", "morphisms", "numbers"}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (("describe", "--variety", "Q_5"), {"steenrod", "ktheory", "verify"}),
-    (("describe", "--variety", "P^2xP^1"), {"steenrod", "ktheory", "verify"}),
-    (("table", "--variety", "P^2xP^1", "--p", "3"), {"verify"}),
-    (("table", "--variety", "Q_5", "--format", "csv"), {"verify"}),
+    (("describe", "--variety", "Q_5"), {"steenrod", "ktheory"} | VERIFY_ONLY),
+    (("describe", "--variety", "P^2xP^1"),
+     {"steenrod", "ktheory"} | VERIFY_ONLY),
+    (("table", "--variety", "P^2xP^1", "--p", "3"), VERIFY_ONLY),
+    (("table", "--variety", "Q_5", "--format", "csv"), VERIFY_ONLY),
     (("operate", "--variety", "Q_5", "--p", "2", "--class", '{"h^1": "1"}'),
-     {"verify"}),
+     VERIFY_ONLY),
 ])
 def test_a_verb_loads_only_the_modules_it_runs(argv, absent):
     modules = loaded(*argv)
@@ -74,7 +81,24 @@ def test_a_verb_loads_only_the_modules_it_runs(argv, absent):
 
 def test_the_verify_verb_loads_the_suites():
     modules = loaded("verify", "--suite", "xp", "--variety", "Q_3", "--p", "3")
-    assert {"verify", "steenrod", "ktheory"} <= modules
+    assert {"steenrod", "ktheory"} | VERIFY_ONLY <= modules
+
+
+@pytest.mark.parametrize("call, shown", [
+    ("chowops.build_morphism('pn_self_map', degree=2).name", "P^1->P^1:deg2"),
+    ("chowops.chern(chowops.tangent_bundle(chowops.projective_space(1)))",
+     "ChowClass(P^1: 1.h^0 + 2.h^1)"),
+    ("chowops.chi_defect(chowops.build_morphism('pn_self_map', degree=3), "
+     "2)['defect']", "-2"),
+])
+def test_a_fresh_interpreter_calls_the_split_off_names(call, shown):
+    # each name is read through the package, which loads its module and
+    # what that module needs, in a process that has loaded nothing else
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c",
+                          "import chowops; print(%s)" % call],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == shown, out.stderr
 
 
 def test_import_chowops_loads_no_module():

@@ -75,11 +75,11 @@ from chowops.char_classes import w_tangent
 from chowops.core import _built, apply_matrix
 from chowops.errors import UnknownLabel
 from chowops.ktheory import _psi_ch
-from chowops.varieties import Morphism
+from chowops.morphisms import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
-from oracles import pair_table, tau_coordinates
+from oracles import pair_table, sadd, tau_coordinates
 from test_ktheory import SMALL_BUILDERS
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
@@ -477,7 +477,7 @@ def sexp_by_powers(a, n):
     out, term = S.series([1], n), S.series([1], n)
     for k in range(1, n + 1):
         term = S.smul(term, a, n)
-        out = S.sadd(out, S.sscale(Fraction(1, factorial(k)), term, n), n)
+        out = sadd(out, S.sscale(Fraction(1, factorial(k)), term, n), n)
     return out
 
 
@@ -487,7 +487,7 @@ def slog_by_powers(a, n):
     out, term = S.series([0], n), S.series([1], n)
     for k in range(1, n + 1):
         term = S.smul(term, u, n)
-        out = S.sadd(out, S.sscale(Fraction((-1) ** (k + 1), k), term, n), n)
+        out = sadd(out, S.sscale(Fraction((-1) ** (k + 1), k), term, n), n)
     return out
 
 

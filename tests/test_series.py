@@ -40,7 +40,7 @@ def test_exp_log_round_trip():
 
 
 def test_exp_t_matches_factorials():
-    e = S.exp_t(2, 4)
+    e = oracles.exp_t(2, 4)
     assert e == [Fraction(2) ** k / S.factorial(k) for k in range(5)]
 
 
@@ -73,7 +73,7 @@ def test_w_series():
 
 def test_pow_and_scale():
     a = S.series([1, 1], 3)
-    assert S.spow(a, 3, 3) == [1, 3, 3, 1]
+    assert oracles.spow(a, 3, 3) == [1, 3, 3, 1]
     assert S.sscale(2, a, 3) == [2, 2, 0, 0]
 
 
@@ -152,7 +152,7 @@ def test_powers_multiply_by_adding_exponents(case, a, b):
 @given(unit_series(), st.integers(0, 6))
 def test_power_equals_repeated_products(case, m):
     f, n = case
-    assert _fractions(S.spower(f, m, n)) == S.spow(f, m, n)
+    assert _fractions(S.spower(f, m, n)) == oracles.spow(f, m, n)
 
 
 def test_inverse_is_the_convolution_recurrences():

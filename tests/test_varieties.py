@@ -24,6 +24,7 @@ from chowops import (
 )
 from chowops import char_classes as C
 from chowops import core
+from chowops import morphisms as M
 from chowops import series as S
 from chowops import varieties as V
 from chowops.char_classes import todd_class
@@ -45,7 +46,8 @@ from chowops.errors import (
     VarietyMismatch,
 )
 from chowops.steenrod import steenrod_operation
-from chowops.varieties import BuiltVariety, Morphism
+from chowops.morphisms import Morphism
+from chowops.varieties import BuiltVariety
 from test_ktheory import SMALL_BUILDERS
 
 
@@ -149,7 +151,7 @@ def scratch_pn_tau(n):
     td = S.todd_series(n)
     tau = {}
     for j in range(n + 1):
-        col = S.spow(td, n - j + 1, n)
+        col = oracles.spow(td, n - j + 1, n)
         tau["h^%d" % j] = {"h^%d" % (j + k): col[k]
                            for k in range(n - j + 1) if col[k]}
     return tau
@@ -160,17 +162,19 @@ def scratch_quadric_tau(d):
     m = (d - 1) // 2
     td = S.todd_series(d)
     td2 = [td[k] * 2 ** k for k in range(d + 1)]
-    todd_q = S.smul(S.spow(td, d + 2, d), S.sinv(td2, d), d)
-    one_minus = S.sadd(S.series([1], d), S.sscale(-1, S.exp_t(-1, d), d), d)
+    todd_q = S.smul(oracles.spow(td, d + 2, d), S.sinv(td2, d), d)
+    one_minus = oracles.sadd(S.series([1], d),
+                             S.sscale(-1, oracles.exp_t(-1, d), d), d)
     tau = {}
     for i in range(m + 1):
         col = {}
-        for k, c in enumerate(S.smul(todd_q, S.spow(one_minus, i, d), d)):
+        power = oracles.spow(one_minus, i, d)
+        for k, c in enumerate(S.smul(todd_q, power, d)):
             for label, mult in V._quadric_h_power(d, k).items():
                 col[label] = col.get(label, 0) + c * mult
         tau["h^%d" % i] = {l: v for l, v in col.items() if v}
     for j in range(m + 1):
-        tdj = S.spow(S.todd_series(j), j + 1, j)
+        tdj = oracles.spow(S.todd_series(j), j + 1, j)
         tau["l_%d" % j] = {"l_%d" % (j - k): c for k, c in enumerate(tdj) if c}
     return tau
 
@@ -596,7 +600,7 @@ def test_derived_t_f_is_the_hand_formula_of_each_kind():
         build_morphism("linear_in_quadric", j=3, d=7),
         *(build_morphism("product_projection", factors=XY._factors, onto=i)
           for XY in (P1xQ3, Q3xP2) for i in (0, 1))]
-    catalogue = {id(f): key for key, f in V._MORPHISM_CACHE.items()}
+    catalogue = {id(f): key for key, f in M._MORPHISM_CACHE.items()}
     kinds = set()
     for f in morphisms:
         kind, args = catalogue[id(f)]
@@ -604,7 +608,7 @@ def test_derived_t_f_is_the_hand_formula_of_each_kind():
         assert f.T_f == oracles.catalogue_relative_tangent(f, kind, args), \
             f.name
         assert f.T_f.rank == f.source.dim - f.target.dim
-    assert kinds == set(V._KINDS)
+    assert kinds == set(M._KINDS)
 
 
 def test_unknown_kind_and_bad_params():
@@ -833,7 +837,7 @@ def test_sizes_past_the_print_limit_are_refused_by_name(monkeypatch, kind,
     # refused by the parameter rule before any builder runs, with a message
     # that formats no size
     refuse_to_build(monkeypatch)
-    monkeypatch.setitem(V._KINDS, kind, (None, V._KINDS[kind][1]))
+    monkeypatch.setitem(M._KINDS, kind, (None, M._KINDS[kind][1]))
     before = registered_morphisms()
     with pytest.raises(ValueError,
                        match="^%s parameter %s is too long to print$"

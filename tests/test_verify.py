@@ -9,8 +9,8 @@ import pytest
 import chowops
 from chowops import adams_upper, odd_quadric, projective_space
 from chowops import char_classes as CC
-from chowops.errors import SUITE_NAMES
-from chowops.ktheory import k0_generator_bundles
+from chowops.bundles import k0_generator_bundles
+from chowops.errors import PRIME_BOUND, SUITE_NAMES, require_prime
 from chowops.verify import SUITES, default_builders, run_suite
 
 LIGHT_PARAMS = {
@@ -137,6 +137,32 @@ def test_sizes_must_be_non_negative_ints(monkeypatch, suite):
             with pytest.raises(ValueError, match="suite parameter %s must be "
                                "a non-negative int" % key):
                 run_suite(suite, **{key: value})
+
+
+@pytest.mark.parametrize("suite, params, message", [
+    ("algebra", {"p": 3}, "suite algebra does not read p"),
+    ("lucas-oracle", {"p": 2}, "suite lucas-oracle does not read p"),
+    ("segre", {"p": 7}, "suite segre reads p and k only together"),
+    ("segre", {"k": 2}, "suite segre reads p and k only together"),
+])
+def test_a_parameter_the_suite_would_not_read_is_refused(monkeypatch, suite,
+                                                         params, message):
+    # the report would echo it as if its checks had used it
+    never_entered(monkeypatch, suite)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        run_suite(suite, seed=1, **params)
+
+
+@pytest.mark.parametrize("sign, message", [
+    (1, "p must be below %d, got an integer of 16610 bits" % PRIME_BOUND),
+    (-1, "p must be a prime integer, got a negative integer of 16610 bits")])
+def test_a_p_too_long_to_print_is_named_by_its_size(sign, message):
+    # its decimal digits are past the interpreter's limit on printing one
+    p = sign * 10 ** 5000
+    with pytest.raises(ValueError, match="^%s$" % message):
+        require_prime(p)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        run_suite("s0", p=p)
 
 
 def test_a_non_prime_p_is_refused_under_optimize():
