@@ -34,9 +34,7 @@ _EXPORTS = {
                   "variety_from_spec"),
     "verify": ("run_suite",),
 }
-_SUBMODULES = ("bundles", "char_classes", "core", "errors", "ktheory",
-               "morphisms", "numbers", "series", "steenrod", "varieties",
-               "verify")
+_SUBMODULES = (*_EXPORTS, "errors", "series")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_SUBMODULES + tuple(_HOME))

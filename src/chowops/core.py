@@ -439,6 +439,8 @@ class ChowClass(_CellVector):
                       self.den * d)
 
     def power(self, k):
+        if type(k) is not int or k < 0:
+            raise ValueError("power needs a non-negative int exponent")
         out = self.variety.unit()
         for _ in range(k):
             out = out * self
@@ -613,9 +615,12 @@ def _modp(variety, p, num):
 # -- module-level operations ---------------------------------------------------
 
 def make_class(variety, coeffs):
-    """Normalized Chow class from a label -> coefficient mapping."""
-    return ChowClass(variety, {variety.resolve_label(l): v
-                               for l, v in coeffs.items()})
+    """Normalized Chow class from a label -> coefficient mapping.  The "1"
+    alias and the fundamental label name one cell: giving both is refused."""
+    num = {variety.resolve_label(l): v for l, v in coeffs.items()}
+    if len(num) < len(coeffs):
+        raise ValueError("cell %r given twice" % variety.fundamental)
+    return ChowClass(variety, num)
 
 
 class Matrix(Mapping):

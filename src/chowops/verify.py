@@ -59,8 +59,16 @@ _BUILDER_SHORTHANDS = ("P^1", "P^2", "P^3", "P^4", "Q_3", "Q_5", "Q_7",
 _DEFAULTS = {"seed": 0, "p": None, "variety": None, "n": 8, "k": None,
              "trials": 100, "max_dim": DEFAULT_MAX_DIM}
 _SIZES = ("n", "k", "trials", "max_dim")
-# the suites that never read p: lucas-oracle always works mod 2
-_NO_P = ("algebra", "lucas-oracle")
+# the parameters each suite reads besides seed and max_dim, which every suite
+# takes; a suite is given only these, so a body that reads another one fails
+_READS = {
+    "algebra": ("variety",), "lucas-oracle": ("n",), "segre": ("p", "k"),
+    "whitney": ("p", "variety", "trials"),
+    "lift-independence": ("p", "variety", "trials"),
+    **dict.fromkeys(("rr-naturality", "cartan", "wu", "chi-defect"), ("p",)),
+    **dict.fromkeys(("bott", "psipower", "integrality", "xp", "s0",
+                     "degree-formula"), ("p", "variety")),
+}
 
 
 class _Fail(Exception):
@@ -101,20 +109,16 @@ def default_builders(max_dim=DEFAULT_MAX_DIM):
     return out
 
 
-def _capped(params, spec):
-    """Build a requested variety; the dimension cap is checked first."""
-    return variety_from_spec(spec, max_dim=params["max_dim"])
-
-
 def _builders(params, own=default_builders):
     """The caller's variety, or the suite's own ones within max_dim."""
     if params["variety"] is not None:
-        return [_capped(params, params["variety"])]
+        return [variety_from_spec(params["variety"],
+                                  max_dim=params["max_dim"])]
     return own(params["max_dim"])
 
 
 def _primes(params, X=None, allowed=DEFAULT_PRIMES):
-    if params.get("p") is not None:
+    if params["p"] is not None:
         ps = (params["p"],)
     else:
         ps = allowed
@@ -463,7 +467,8 @@ def suite_segre(r, params):
     given = params["p"] is not None and params["k"] is not None
     if given:
         p, k = params["p"], params["k"]
-        cases.append((_capped(params, "P^%d" % (k * (p - 1))), p))
+        cases.append((variety_from_spec("P^%d" % (k * (p - 1)),
+                                        max_dim=params["max_dim"]), p))
     else:
         for p, ks in ((2, (1, 2, 3, 4)), (3, (1, 2)), (5, (1,))):
             for k in ks:
@@ -523,7 +528,7 @@ def lucas_binom(n, k, p):
 
 def suite_lucas_oracle(r, params):
     n = params["n"]
-    X = _capped(params, "P^%d" % n)
+    X = variety_from_spec("P^%d" % n, max_dim=params["max_dim"])
     for i in range(n + 1):
         xbar = ModPClass(X, 2, {"h^%d" % i: 1})
         total = steenrod_total(steenrod_cohomological(xbar, 2))
@@ -545,9 +550,10 @@ SUITES = {name: globals()["suite_" + name.replace("-", "_")]
 
 def run_suite(name, **params):
     """Run one suite; its parameters are checked before anything is built,
-    and the report echoes the ones given (not None).  A p given to a suite
-    that never reads it, or a p or k given to segre without the other, is
-    refused, so a report never echoes a parameter its checks did not use."""
+    and the report echoes the ones given (not None).  Every suite takes seed
+    and max_dim; any other parameter given to a suite that does not read it
+    (see _READS), or a p or k given to segre without the other, is refused,
+    so a report never echoes a parameter its checks did not use."""
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(sorted(SUITES))))
@@ -564,13 +570,15 @@ def run_suite(name, **params):
             raise ValueError("suite parameter %s must be a non-negative int"
                              % key)
         given[key] = value
-    if "p" in given and name in _NO_P:
-        raise ValueError("suite %s does not read p" % name)
+    reads = ("seed", "max_dim") + _READS[name]
+    for key in given:
+        if key not in reads:
+            raise ValueError("suite %s does not read %s" % (name, key))
     if name == "segre" and len({"p", "k"} & set(given)) == 1:
         raise ValueError("suite segre reads p and k only together")
     r = Runner(name, given)
     try:
-        SUITES[name](r, {**_DEFAULTS, **given})
+        SUITES[name](r, {key: given.get(key, _DEFAULTS[key]) for key in reads})
     except _Fail:
         pass
     except ChowopsError as exc:

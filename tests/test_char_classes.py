@@ -183,7 +183,7 @@ def test_whitney_takes_each_series_log_once(monkeypatch):
     keys = set()
     for X in default_builders():
         keys |= {("todd", X.dim), ("chern", X.dim)}
-        for p in _primes({}, X):
+        for p in _primes({"p": None}, X):
             keys |= {("theta", p, X.dim), ("w", p, X.dim)}
     assert len(calls) == len(set(calls)) == len(keys)
 

@@ -187,6 +187,20 @@ def test_verify_refuses_bad_parameters_of_every_suite(capsys):
     assert (code, err) == (2, "error: p must be prime, got 4\n")
 
 
+def test_verify_refuses_a_parameter_the_suite_does_not_read(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "cartan",
+                         "--variety", "P^2")
+    assert (code, out, err) == (2, "", "error: suite cartan does not read "
+                                       "variety\n")
+
+
+def test_operate_refuses_a_cell_given_twice(capsys):
+    # "1" is the fundamental cell h^0 of P^2: one of the two would be lost
+    code, out, err = run(capsys, "operate", "--variety", "P^2", "--p", "3",
+                         "--class", '{"1":"1","h^0":"2"}')
+    assert (code, out, err) == (2, "", "error: cell 'h^0' given twice\n")
+
+
 def test_dimension_cap_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("STEENROD_MAX_DIM", "3")
     code, _, err = run(capsys, "describe", "--variety", "P^5")

@@ -126,6 +126,13 @@ def test_scalar_and_power():
     assert h.power(0) == P2.unit()
 
 
+@pytest.mark.parametrize("k", [-1, True, 1.5])
+def test_power_needs_a_non_negative_int(k):
+    # range(k) would read -1 as 0 and True as 1
+    with pytest.raises(ValueError, match="non-negative int"):
+        make_class(P2, {"h^1": 1}).power(k)
+
+
 def test_exp_needs_positive_codimension():
     with pytest.raises(SeriesDomainError):
         P2.unit().exp()
@@ -454,6 +461,19 @@ def test_json_round_trip_rational():
 def test_json_accepts_fundamental_alias():
     x = class_from_json(P2, {"1": "4"})
     assert x == make_class(P2, {"h^0": 4})
+
+
+def test_a_cell_given_twice_is_refused():
+    # "1" and "h^0" name one cell: the later value must not replace the other
+    from chowops import VirtualBundle, kclass_from_json
+    with pytest.raises(ValueError, match="^cell 'h\\^0' given twice$"):
+        make_class(P2, {"1": 1, "h^0": 2})
+    for read in (lambda obj: class_from_json(P2, obj),
+                 lambda obj: VirtualBundle.from_json(P2, {"rank": 0, "ch": obj},
+                                                     integral=False),
+                 lambda obj: kclass_from_json(P2, {"tau": obj})):
+        with pytest.raises(ValueError, match="given twice"):
+            read({"h^0": "2", "1": "1"})
 
 
 def test_class_ops_are_pure():

@@ -76,8 +76,10 @@ def test_passing_checks_write_nothing_down(monkeypatch):
         raise AssertionError("evidence written for a passing check")
 
     monkeypatch.setattr(verify, "to_json", refuse)
-    for suite in ("psipower", "degree-formula", "lucas-oracle"):
-        assert verify.run_suite(suite, variety="P^2")["passed"], suite
+    for suite, params in (("psipower", {"variety": "P^2"}),
+                          ("degree-formula", {"variety": "P^2"}),
+                          ("lucas-oracle", {"n": 2})):
+        assert verify.run_suite(suite, **params)["passed"], suite
 
 
 def _raises_that_serialise(path):

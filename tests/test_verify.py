@@ -1,5 +1,6 @@
 """The verification suites themselves: registry, determinism, reports."""
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,13 @@ from chowops import adams_upper, odd_quadric, projective_space
 from chowops import char_classes as CC
 from chowops.bundles import k0_generator_bundles
 from chowops.errors import PRIME_BOUND, SUITE_NAMES, require_prime
-from chowops.verify import SUITES, default_builders, run_suite
+from chowops.verify import (
+    _DEFAULTS,
+    _READS,
+    SUITES,
+    default_builders,
+    run_suite,
+)
 
 LIGHT_PARAMS = {
     "whitney": {"trials": 5},
@@ -151,6 +158,43 @@ def test_a_parameter_the_suite_would_not_read_is_refused(monkeypatch, suite,
     never_entered(monkeypatch, suite)
     with pytest.raises(ValueError, match="^%s$" % message):
         run_suite(suite, seed=1, **params)
+
+
+# a valid value of each parameter that only some suites read
+READ_BY_SOME = {"p": 3, "variety": "P^1", "n": 2, "k": 1, "trials": 2}
+
+
+@pytest.mark.parametrize("suite, key", [
+    (suite, key) for suite in SUITE_NAMES for key in READ_BY_SOME
+    if key not in _READS[suite]])
+def test_a_parameter_outside_the_suites_reads_is_refused(monkeypatch, suite,
+                                                         key):
+    never_entered(monkeypatch, suite)
+    with pytest.raises(ValueError, match="^suite %s does not read %s$"
+                       % (re.escape(suite), key)):
+        run_suite(suite, seed=1, **{key: READ_BY_SOME[key]})
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_suite_is_given_only_what_it_reads(monkeypatch, suite):
+    # so a suite body that reads a parameter _READS does not name fails
+    given = []
+    monkeypatch.setitem(SUITES, suite, lambda r, params: given.append(params))
+    run_suite(suite, seed=3, max_dim=4)
+    assert given == [{"seed": 3, "max_dim": 4,
+                      **{key: _DEFAULTS[key] for key in _READS[suite]}}]
+
+
+def test_readme_names_the_suites_that_read_each_parameter():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        rows = [line.split("|") for line in fh if line.startswith("| `")]
+    for key in READ_BY_SOME:
+        read_by = [cells[3] for cells in rows
+                   if cells[1].strip() == "`%s`" % key]
+        assert len(read_by) == 1, key
+        assert set(re.findall("`([^`]+)`", read_by[0])) == {
+            suite for suite in SUITE_NAMES if key in _READS[suite]}, key
 
 
 @pytest.mark.parametrize("sign, message", [
