@@ -125,7 +125,10 @@ def trivial_bundle(X, rank):
 
 
 def tangent_bundle(X):
-    return VirtualBundle(X, X.dim, X.tangent_chern_character())
+    """T_X, of rank dim X and Chern character `tangent_ch`: built once per
+    X and cached on X, like `line_bundle`."""
+    return _cached(X, "tangent_bundle", lambda: VirtualBundle(
+        X, X.dim, X.tangent_chern_character()))
 
 
 def line_bundle(X, i):

@@ -11,7 +11,9 @@ The log-weight vector (f_0, w_0..w_n) depends only on the series and the
 truncation n, so `SeriesSpec.weights(n)` computes it once per spec and n, and
 one spec per (name, p, n) serves the total Chern class (f = 1 + t), todd,
 theta^p and w^{CH,p}.  The log class is then one pass over the Chern
-character: u[l] = w_{codim l} ch[l].  The builders' classes of +-T_X
+character: u[l] = w_{codim l} ch[l].  f_0 is kept as the integers a / b, so
+f_0^rank is a^r / b^r (b^r / a^r for rank -r < 0), two int powers handed to
+the exponential: a class raises no `Fraction` to a power.  The builders' classes of +-T_X
 (`tangent_class`) take no exponential: by the Euler sequence
 T_{P^n} = (n+1) O(1) - O and T_{Q_d} = (d+2) O(1) - O - O(2)
 (`X.tangent_lines`), so a class is prod_a f(a h)^{m_a}, one integer power per
@@ -48,15 +50,15 @@ class SeriesSpec:
         self._weights = {}
 
     def weights(self, n):
-        """(f_0, {k: W_k}, d) for k = 0..n: the log weights
-        w_k = k! [t^k] log(f / f_0) as integers W_k = d w_k over one
-        denominator d.
+        """(a, b, {k: W_k}, d) for k = 0..n: f_0 = a / b as integers in
+        lowest terms, b > 0, and the log weights w_k = k! [t^k] log(f / f_0)
+        as integers W_k = d w_k over one denominator d.
 
         Computed on the first call for each n and kept on the spec."""
         if n not in self._weights:
             f = S.series(self.coeffs, n)
             logs = S.slog(S.sscale(1 / f[0], f, n), n)
-            self._weights[n] = (f[0], *_integer_form(
+            self._weights[n] = (*f[0].as_integer_ratio(), *_integer_form(
                 {k: factorial(k) * c for k, c in enumerate(logs)}))
         return self._weights[n]
 
@@ -65,14 +67,17 @@ def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles.
 
     The log class u[l] = w_{codim l} ch[l] is formed in integers, over the
-    weights' denominator times ch's, and a0^rank rides along into the
-    exponential's one denominator (`core._exp`); w_0 = 0, so u has no
-    codim-0 part."""
+    weights' denominator times ch's, and f_0^rank = (a / b)^rank, as integer
+    powers of a and b, rides along into the exponential's one denominator
+    (`core._exp`); w_0 = 0, so u has no codim-0 part."""
     X = e.variety
     n, dims = X.dim, X._dims
-    a0, w, d = spec.weights(n)
+    a, b, w, d = spec.weights(n)
     u = {l: c for l, v in e.ch.num.items() if (c := w[n - dims[l]] * v)}
-    return _exp(X, u, d * e.ch.den, a0 ** e.rank)
+    r = e.rank
+    if r < 0:
+        a, b, r = (b, a, -r) if a > 0 else (-b, -a, -r)
+    return _exp(X, u, d * e.ch.den, a ** r, b ** r)
 
 
 _SPECS = {}  # (name, p, n) -> SeriesSpec of a built-in per-root series

@@ -96,7 +96,9 @@ class CellularVariety:
     zero-argument callable returning it or its `Matrix`, which is called and
     checked on the first read of `tau_columns` (the builders pass one, as
     the operations on P^n and its products never read tau); after that read
-    it is a plain attribute.
+    it is a plain attribute.  A mapping's fundamental column must be
+    tau[O_X] = Todd(T_X) of `tangent_ch` (`_check_todd_column`); a
+    builder's columns are trusted.
     """
 
     def __init__(self, name, dim, cells, mult_table, degree_vector,
@@ -144,6 +146,8 @@ class CellularVariety:
             self.tau_columns = self._checked_tau(tau_columns)
         self._check_associativity()
         self._cache = {}
+        if not callable(tau_columns):
+            self._check_todd_column()
 
     # -- construction checks ------------------------------------------------
 
@@ -219,6 +223,17 @@ class CellularVariety:
                                 for c in labels
                                 if mul(mul({a: 1}, {b: 1}), {c: 1})
                                 != mul({a: 1}, mul({b: 1}, {c: 1}))))
+
+    def _check_todd_column(self):
+        """A caller's tau[O_X] must be Todd(T_X) of `tangent_ch` (Riemann-Roch
+        for the smooth X).  It is computed, not cached, so the variety's own
+        Todd class is built later as for any variety."""
+        from .bundles import tangent_bundle, todd  # bundles imports core
+        columns, one = self.tau_columns, self.fundamental
+        if _built(self, dict(columns.ints[one]), columns.den) != todd(
+                tangent_bundle(self)):
+            raise InvalidVariety("tau column %r of the fundamental cell is not "
+                                 "Todd(T_X) of tangent_ch" % one)
 
     @cached_property
     def tau_columns(self):
@@ -503,9 +518,10 @@ def _quotient(v, d):
     return Fraction(v, d) if r else q
 
 
-def _exp(V, num, d, f=1):
+def _exp(V, num, d, fn=1, fd=1):
     """f e^x on V for x = num / d, with num integers supported in positive
-    codimension and f an int or Fraction: the one ring exponential.
+    codimension and f = fn / fd, integers with fd >= 1: the one ring
+    exponential.
 
     The grading derivation D (multiplication by i in codimension i)
     satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
@@ -513,17 +529,17 @@ def _exp(V, num, d, f=1):
     It runs in integers: with y_i = i num_i and G_k = k! d^k E_k, which is
     integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, each
     term added into G_k by the ring kernel (`_mul_into`), one product of
-    cells per pair (i, k - i), and f E_k is G_k f_num over
-    k! d^k f_den.  The E_k sit in distinct codimensions, so f e^x is their
-    union, over n! d^n f_den or, on large integers, over the lcm of the
-    blocks' denominators in lowest terms.
+    cells per pair (i, k - i), and f E_k is G_k fn over k! d^k fd.  The
+    E_k sit in distinct codimensions, so f e^x is their union, over
+    n! d^n fd or, on large integers, over the lcm of the blocks'
+    denominators in lowest terms.
     """
     n, dims = V.dim, V._dims
     y = [{} for _ in range(n + 1)]
     for l, v in num.items():
         i = n - dims[l]
         y[i][l] = i * v
-    fn, den = f.numerator, f.denominator  # den runs through k! d^k f_den
+    den = fd  # runs through k! d^k fd
     G = [{V.fundamental: 1}]
     dens = [den]
     for k in range(1, n + 1):

@@ -28,6 +28,11 @@ from .errors import (
 from .ktheory import KClass, euler_char, filtration_level, structure_sheaf
 
 
+def _p_power(p, m):
+    """p^m as an int, a Fraction only for m < 0."""
+    return p ** m if m >= 0 else Fraction(1, p ** -m)
+
+
 def segre_number(X, p):
     """deg of the dim-0 part of w^{CH,p}(-T_X) when dim X = k(p-1); divisible by p."""
     require_prime(p)
@@ -76,11 +81,11 @@ def degree_formula_witness(x, p):
         lam *= sub_lam
     total = X.zero()
     for c, sub_lam, k, sub_E in witnesses:
-        total = total + c.scale((lam / sub_lam) * Fraction(p) ** (E - k - sub_E))
+        total = total + c.scale(lam / sub_lam * _p_power(p, E - k - sub_E))
     lam_final = lam * (p ** d - 1)
 
     got = Fraction(degree(total))
-    if got != lam_final * Fraction(p) ** E * degx:
+    if got != lam_final * p ** E * degx:
         problem = "degree identity failed"
     elif not (lam_final.numerator % p and lam_final.denominator % p):
         problem = "lambda is not a p-adic unit"
@@ -121,9 +126,9 @@ def chi_defect(f, p):
     witness, lam = degree_formula_witness(delta, p)
     if not delta.is_zero():
         sub_E = filtration_level(delta) // (p - 1)
-        witness = witness.scale(Fraction(p) ** (exponent - sub_E))
+        witness = witness.scale(_p_power(p, exponent - sub_E))
     wdeg = Fraction(degree(witness))
-    if wdeg != lam * Fraction(p) ** exponent * defect:
+    if wdeg != lam * p ** exponent * defect:
         raise TheoryViolation("witness degree mismatch", morphism=f, p=p,
                               witness=witness)
     return {

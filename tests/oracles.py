@@ -23,7 +23,9 @@ the package's inverse as an integer power.  `pair_table` writes a variety's
 ring table in the pair-keyed form a caller gives `CellularVariety`, for
 copies of a builder's table and for the pair-keyed product oracle.
 `sadd`, `spow` and `exp_t` are series arithmetic only the tests use: a sum,
-a power by repeated products, and the closed form e^{ct}.
+a power by repeated products, and the closed form e^{ct}.  `check_trace`
+records what a verification suite checks, check by check, so that a change
+to how a suite computes its inputs can be shown to leave its checks alone.
 """
 from fractions import Fraction
 from math import factorial
@@ -140,7 +142,7 @@ def psi_p_structure_sheaf_quadric(d, p):
 
 
 def multiplicative_class_anew(name, e, p=None):
-    """todd, theta^p or w^{CH,p} of the bundle e, rebuilt from nothing.
+    """chern, todd, theta^p or w^{CH,p} of the bundle e, rebuilt from nothing.
 
     The per-root series is expanded afresh, its log taken after dividing by
     the constant term f_0, and u = sum_k log_k p_k(e) summed from the power
@@ -149,7 +151,8 @@ def multiplicative_class_anew(name, e, p=None):
     from chowops import series as S
     X = e.variety
     n = X.dim
-    f = {"todd": lambda: S.todd_series(n),
+    f = {"chern": lambda: S.series([1, 1], n),
+         "todd": lambda: S.todd_series(n),
          "theta": lambda: S.theta_series(p, n),
          "w": lambda: S.w_series(p, n)}[name]()
     logs = S.slog(S.sscale(1 / f[0], f, n), n)
@@ -344,3 +347,23 @@ def series_inverse_anew(a, n):
         out[k] = -inv0 * sum((a[i] * out[k - i] for i in range(1, k + 1)),
                              Fraction(0))
     return out
+
+
+def check_trace(suite, **params):
+    """Every `Runner.check` of `run_suite(suite, **params)`, in order: the
+    pair [cond, payload], cond as a bool and the payload as `to_json` writes
+    a failure down."""
+    from chowops import verify
+    from chowops.errors import to_json
+    trace, check = [], verify.Runner.check
+
+    def recording(runner, cond, **info):
+        trace.append([bool(cond), to_json(info)])
+        return check(runner, cond, **info)
+
+    verify.Runner.check = recording
+    try:
+        verify.run_suite(suite, **params)
+    finally:
+        verify.Runner.check = check
+    return trace

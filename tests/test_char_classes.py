@@ -139,6 +139,47 @@ def test_w2_is_alternating_total_chern():
             assert w_chp(e, 2) == alt
 
 
+@pytest.mark.parametrize("spec", ["P^2", "Q_3", "P^1xP^1"])
+def test_classes_at_every_sign_of_rank_take_no_fraction_power(spec,
+                                                             monkeypatch):
+    # f_0^rank enters the exponential as integer powers of the numerator
+    # and denominator of f_0 (theta^p has f_0 = p): the classes agree with
+    # the power-sum oracle at ranks -3..3, and no Fraction is raised to a
+    # power on the way
+    import oracles
+    from chowops import variety_from_spec
+    X = variety_from_spec(spec)
+    T, O1 = tangent_bundle(X), line_bundle(X, 1)
+    cases = [("chern", None), ("todd", None)]
+    cases += [(name, p) for name in ("theta", "w") for p in (2, 3, 5)]
+    powers, power = [], Fraction.__pow__
+    for rank in range(-3, 4):
+        # rank r, with every Chern character component in play
+        e = O1.scale(rank + 1) + T - trivial_bundle(X, X.dim + 1)
+        assert e.rank == rank
+        for name, p in cases:
+            want = oracles.multiplicative_class_anew(name, e, p)
+            series = CC._spec(name, X.dim, p)
+            monkeypatch.setattr(Fraction, "__pow__", lambda *a: powers.append(
+                a[1:]) or power(*a))
+            got = CC.multiplicative_class(series, e)
+            monkeypatch.setattr(Fraction, "__pow__", power)
+            assert got == want, (name, p, rank)
+    assert powers == []
+
+
+def test_a_negative_constant_term_is_raised_to_any_rank():
+    # f = f_0 g with g(0) = 1 gives f_0^rank times the class of g
+    g = SeriesSpec([1, Fraction(1, 2), 3])
+    f = SeriesSpec([Fraction(-2, 3), Fraction(-1, 3), -2])
+    T = tangent_bundle(P2)
+    for rank in range(-3, 4):
+        e = line_bundle(P2, -1).scale(rank - 2) + T
+        assert e.rank == rank
+        assert multiplicative_class(f, e) == multiplicative_class(g, e).scale(
+            Fraction(-2, 3) ** rank)
+
+
 @pytest.mark.parametrize("n", [24, 40])
 def test_classes_of_large_tangent_bundles_match_the_power_sums(n):
     # the exponential reduces each codimension's block on its own before

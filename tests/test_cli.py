@@ -315,7 +315,10 @@ def test_corrupted_tau_table_fails_under_optimize():
 
 def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
     # P^2's data with ch_2(T) = 5/2, a consistent but wrong c_2 = 2 (it is
-    # 3): deg w_2(-T) at p = 2 becomes 7, and the codim-2 coordinate of
+    # 3), and tau[O_X] = Todd(T_X) of that data, 1 + c_1/2 + (c_1^2 + c_2)/12
+    # = 1 + 3/2 h + 11/12 h^2, as the constructor insists: deg w_2(-T) at
+    # p = 2 becomes 7.  The line's column [Z] Todd(T_Z) is taken with
+    # c_1(T_Z) = 3/2 (it is 2), h + 3/4 h^2, so the codim-2 coordinate of
     # theta^2(T) Todd(T) in the tau basis is no longer integral
     from fractions import Fraction
 
@@ -324,8 +327,11 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
 
     P2 = projective_space(2)
     tangent = dict(P2.tangent_ch, **{"h^2": Fraction(5, 2)})
+    tau = dict(P2.tau_columns, **{
+        "h^0": {"h^0": 1, "h^1": Fraction(3, 2), "h^2": Fraction(11, 12)},
+        "h^1": {"h^1": 1, "h^2": Fraction(3, 4)}})
     X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
-                        P2.degree_vector, tangent, P2.tau_columns)
+                        P2.degree_vector, tangent, tau)
     cases = [
         (lambda: segre_number(X, 2), TheoryViolation,
          "Segre-type number 7 of P^2-corrupt is not divisible by 2",
@@ -334,7 +340,7 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
          "codim-2 piece of theta^2 is not integral",
          {"variety": "P^2-corrupt", "p": 2,
           "bundle": {"rank": "2", "ch": {"1": "2", "h^1": "3", "h^2": "5/2"}},
-          "codim": 2, "piece": {"h^2": "11/3"}}),
+          "codim": 2, "piece": {"h^2": "5/2"}}),
     ]
     monkeypatch.setattr(cli, "_load_variety", lambda text: X)
     for check, error, message, details in cases:
@@ -357,6 +363,25 @@ def test_corrupted_tangent_data_fails_bott_and_segre(capsys, monkeypatch):
         assert first == "theory check failed (%s): %s" % (error.__name__,
                                                           message)
         assert json.loads(dump) == details
+
+
+def test_tangent_data_off_the_fundamental_tau_column_exits_2(capsys,
+                                                             monkeypatch):
+    # P^2's tau columns with ch_2(T) = 5/2 are refused where the variety is
+    # built, before any verb runs
+    from fractions import Fraction
+
+    from chowops import CellularVariety, cli, projective_space
+
+    P2 = projective_space(2)
+    tangent = dict(P2.tangent_ch, **{"h^2": Fraction(5, 2)})
+    monkeypatch.setattr(cli, "_load_variety", lambda text: CellularVariety(
+        "P^2-corrupt", 2, P2.cells, pair_table(P2), P2.degree_vector,
+        tangent, P2.tau_columns))
+    code, out, err = run(capsys, "table", "--variety", "P^2", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: tau column 'h^0' of the fundamental cell is not "
+                   "Todd(T_X) of tangent_ch\n")
 
 
 def test_vacuous_suite_exits_1(capsys, monkeypatch):
@@ -577,17 +602,20 @@ def test_zero_is_a_size_not_a_missing_parameter():
 
 
 # P^2's data with ch_1(T) = 7/2 in place of 3: the tau columns are still
-# P^2's, so the one check that sees the corruption is the integrality of
+# P^2's but for tau[O_X], which the constructor insists is Todd(T_X) of the
+# corrupted data, 1 + c_1/2 + (c_1^2 + c_2)/12 with c_1 = 7/2, c_2 = 37/8,
+# so the one check that sees the corruption is the integrality of
 # w^{CH,2}(T) (and of c(T)), which the cohomological columns read first
 _CORRUPT_CH1 = """
 from fractions import Fraction
 from chowops import CellularVariety, projective_space
 from oracles import pair_table
 P2 = projective_space(2)
+tau = dict(P2.tau_columns, **{"h^0": {"h^0": 1, "h^1": Fraction(7, 4),
+                                      "h^2": Fraction(45, 32)}})
 X = CellularVariety("P^2-corrupt", 2, P2.cells, pair_table(P2),
                     P2.degree_vector,
-                    dict(P2.tangent_ch, **{"h^1": Fraction(7, 2)}),
-                    P2.tau_columns)
+                    dict(P2.tangent_ch, **{"h^1": Fraction(7, 2)}), tau)
 """
 _CH1_MESSAGE = ("theory check failed (IntegralityFailure): w^{CH,2} of an "
                 "integral bundle came out fractional")

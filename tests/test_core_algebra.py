@@ -397,14 +397,17 @@ def test_variety_integers_are_ints(changes, where):
 
 
 def test_variety_data_is_stored_by_the_coefficient_rule():
-    # a Fraction with denominator 1 is stored as an int, in both places
-    X = _tiny({}, tau={"a": {"a": Fraction(1), "b": Fraction(4, 2)},
-                       "b": {"b": 1}})
+    # a Fraction with denominator 1 is stored as an int, in both places;
+    # tau[O_X] is Todd(T_X) = 1 + ch_1 / 2 of each tangent_ch
+    X = CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": 1, "b": 4},
+                        {"a": {"a": Fraction(1), "b": Fraction(4, 2)},
+                         "b": {"b": 1}})
     assert X.tau_columns["a"] == {"a": 1, "b": 2}
     assert all(type(v) is int for v in X.tau_columns["a"].values())
     X = CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
                         {"a": Fraction(1), "b": Fraction(1, 2)},
-                        {"a": {"a": 1}, "b": {"b": 1}})
+                        {"a": {"a": 1, "b": Fraction(1, 4)}, "b": {"b": 1}})
     assert X.tangent_ch == {"a": 1, "b": Fraction(1, 2)}
     assert type(X.tangent_ch["a"]) is int
 
@@ -426,6 +429,26 @@ def test_tau_is_checked_where_it_enters(tau, message):
         X = _tiny({}, tau=lambda: columns)
         with pytest.raises(InvalidVariety, match=message):
             X.tau_columns
+
+
+def test_a_callers_fundamental_tau_column_must_be_the_todd_class():
+    # tau[O_X] = Todd(T_X) of tangent_ch is refused otherwise at entry: P^2's
+    # columns against ch_2(T) = 5/2, the tiny variety's identity against
+    # ch_1 = 2; a builder's columns are trusted
+    def message(cell):
+        return "^%s$" % re.escape("tau column %r of the fundamental cell is "
+                                  "not Todd(T_X) of tangent_ch" % cell)
+
+    with pytest.raises(InvalidVariety, match=message("h^0")):
+        _raw_p2(tangent_ch=dict(P2.tangent_ch, **{"h^2": Fraction(5, 2)}))
+    identity = {"a": {"a": 1}, "b": {"b": 1}}
+    with pytest.raises(InvalidVariety, match=message("a")):
+        CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": 1, "b": 2}, identity)
+    X = CellularVariety("T", 1, [("a", 1), ("b", 0)], {}, {"b": 1},
+                        {"a": 1, "b": 2}, lambda: identity)
+    assert X.tau_columns["a"] == {"a": 1}
+    assert _raw_p2().tau_columns == P2.tau_columns
 
 
 def test_rejects_unknown_labels_in_tau_and_tangent_data():

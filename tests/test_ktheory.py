@@ -368,13 +368,17 @@ def test_adams_lower_equals_the_twist_route(spec):
 
 
 def test_adams_lower_on_corrupted_tangent_data_is_the_true_one():
-    # P^2's ring and tau columns with ch_1(T) = 7/2 and ch_2(T) = 5/2: the
-    # twist cancels whatever tangent data of rank dim X, so both routes
-    # give the true P^2's result
+    # P^2's ring and tau columns with ch_1(T) = 7/2 and ch_2(T) = 5/2, and
+    # tau[O_X] the Todd class of that data, 1 + c_1/2 + (c_1^2 + c_2)/12
+    # with c_2 = 29/8, as the constructor insists: the twist cancels
+    # whatever tangent data of rank dim X, so both routes give the true
+    # P^2's result
     tangent = dict(P2.tangent_ch, **{"h^1": Fraction(7, 2),
                                      "h^2": Fraction(5, 2)})
+    tau = dict(P2.tau_columns, **{"h^0": {"h^0": 1, "h^1": Fraction(7, 4),
+                                          "h^2": Fraction(127, 96)}})
     X = CellularVariety("P^2-corrupt", 2, P2.cells, oracles.pair_table(P2),
-                        P2.degree_vector, tangent, P2.tau_columns)
+                        P2.degree_vector, tangent, tau)
     true = [k0_from_chow_lift(P2.basis_class(l)) for l in P2.labels()]
     true += seeded_rational_classes(P2, "P^2-corrupt")
     for p in (2, 3, 5):

@@ -1,4 +1,6 @@
 """The verification suites themselves: registry, determinism, reports."""
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -19,6 +21,7 @@ from chowops.verify import (
     default_builders,
     run_suite,
 )
+from oracles import check_trace
 
 LIGHT_PARAMS = {
     "whitney": {"trials": 5},
@@ -55,8 +58,10 @@ SWEEP_CHECKS = {
 def test_sweep_keeps_its_check_counts(monkeypatch):
     # and checks only caller input: the library's unit, zero and basis
     # classes, its mod-p basis and its external products are trusted data,
-    # so the sweep makes at most 7,366 calls to core._checked, where it made
-    # 24,108 when they went through ChowClass and ModPClass
+    # and so are the random classes and mod-p cells the suites build from
+    # their seed, so the sweep makes at most 98 calls to core._checked,
+    # where it made 24,108 when they all went through ChowClass and
+    # ModPClass, and 7,366 when the suites' own inputs did
     from chowops import core
 
     calls = []
@@ -73,7 +78,75 @@ def test_sweep_keeps_its_check_counts(monkeypatch):
         report = run_suite(name, seed=5, **params)
         assert report["passed"], (name, report["failures"][:2])
         assert report["checks"] == checks, name
-    assert len(calls) <= 7366
+    assert len(calls) <= 98
+
+
+# sha256 of the check trace of each suite of the sweep (`check_trace` at
+# seed 5, whitney at 25 trials, as the compact sorted-key JSON below),
+# recorded before the suites' inputs were built as trusted data and their
+# p-independent work was taken out of the loops over primes: a change to how
+# a suite computes what it checks must leave every check, its order and its
+# payload as they were
+SWEEP_TRACES = {
+    "algebra":
+        "a580214810f9a5ebaaaabad629dfde403e7d2b6b2a1a4e302364ef7a7d919c7d",
+    "whitney":
+        "67d833dc7924932b0b894247c47bfbfa5b20812402339977bc4d61440c7c1ffc",
+    "bott":
+        "1f8fa5555e62c03eb90fc31f231d805104bef5d813017fcd74d8816215a5a587",
+    "psipower":
+        "d5e736a4b444a1c4cdf0889e709ec9d3922ea580856dd4fcfdbb6d19e2b40d01",
+    "integrality":
+        "b46a7d6cab63333e42b53e8c7e96ded5ddcde891c3c2d06bc6fe6698fc274abd",
+    "rr-naturality":
+        "fe91ea8e94f2b3aff1ee3a699ba79be8c1c2dc8364b42569e4decf78bcf7f94c",
+    "lift-independence":
+        "5e8294fddcf834fca4e4ef9d7097011101b82e28e3ea6f95bbee5e6722b5ac48",
+    "cartan":
+        "c93cbb642c80c9c1b797f4b1fdb8ec9e6d2d39c196ba563f44021c6ba26e7bcb",
+    "wu":
+        "0a89f46e96a2cc427c641da8d2449ebfc5c6c811fd539558155ff9da7c63100a",
+    "xp":
+        "8c0e221c3be3727c825a732b514e35a140f37a2367afadde818e0d7ebfd50ad8",
+    "s0":
+        "b338b32512a02fce3119995f4b4e85d73e43a27ceb346a43cc8843163f31dc3a",
+    "segre":
+        "85e2288dabfc2f4c3cdc2be7215782b55d17c169173b06f9f3ea05d0a8ffab49",
+    "degree-formula":
+        "443518417aa58e3029624580eac4d07c8eaa4eb1bf40391ff712089c5aa13515",
+    "chi-defect":
+        "ae117384c615103ebf48704bac59d75c8db99a1dfbb4b136ca28fe5a7f6b75ff",
+    "lucas-oracle":
+        "40763ddb6e17fb0bfa50058cd04665d427bb373fdbb71b8bb7f87e8f172f5b97",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TRACES))
+def test_sweep_makes_the_same_checks_in_the_same_order(name):
+    params = {"trials": 25} if name == "whitney" else {}
+    trace = check_trace(name, seed=5, **params)
+    assert len(trace) == SWEEP_CHECKS[name]
+    blob = json.dumps(trace, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SWEEP_TRACES[name]
+
+
+@pytest.mark.parametrize("cap", range(9))
+def test_segre_and_chi_defect_keep_to_max_dim(cap):
+    # segre's default cases live on P^1..P^4 and Q_3, Q_5, Q_7, its spot
+    # values on P^2, P^2 and P^1; chi-defect's self-maps on P^1 (p = 2,
+    # two checks each) and its identity on P^2
+    segre = [1, 2, 3, 4, 2, 4, 4, 3, 5, 7, 2, 2, 1]
+    want = {"segre": sum(d <= cap for d in segre),
+            "chi-defect": 6 * (cap >= 1) + (cap >= 2)}
+    for name, checks in want.items():
+        report = run_suite(name, max_dim=cap)
+        assert report["checks"] == checks, name
+        assert report["passed"] == (checks > 0), name
+        if not checks:
+            assert report["failures"] == [{"error": "no checks ran"}]
+        for _, payload in check_trace(name, max_dim=cap):
+            if "variety" in payload:
+                assert chowops.variety_from_spec(payload["variety"]).dim <= cap
 
 
 def test_whitney_computes_each_class_of_a_trial_once(monkeypatch):
