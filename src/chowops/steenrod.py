@@ -10,8 +10,12 @@ coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is multiplied by
 p^{d+k}, which must leave it integral: the split the Bott decomposition
 shares (`ktheory._p_adic_split`), run on the integers over one denominator
 of a class and an apply, so only a failing extraction builds a Fraction.
-S_k mod p is read straight off these coordinates in dimension d - k(p-1);
-the x_k are lifted through the tau matrix only when asked for.
+S_k mod p is read straight off these coordinates in dimension d - k(p-1),
+reduced mod p with zeros dropped (`_read_off`), for a basis column and for
+an explicit lift alike; the x_k are lifted through the tau matrix only when
+asked for.  An explicit lift, a K-class, costs one extraction: its
+tau-coordinates are one integer apply of the inverse tau matrix, and its
+S_k are wrapped as they are read.
 
 S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
 F_p.  Its columns are cached per (X, p, convention) and built on first use:
@@ -39,6 +43,7 @@ from .errors import (
     require_prime,
 )
 from .ktheory import (
+    KClass,
     _p_adic_split,
     adams_lower,
     adams_matrix,
@@ -93,8 +98,8 @@ class AtiyahDecomposition:
 def atiyah_decompose(x, p, level=None):
     """p-adic decomposition of psi_p(x): the Adams matrix, then a p-power scale.
 
-    The tau-coordinates of x, one apply of the inverse, are sent through
-    adams_matrix(X, p); the resulting coordinates of psi_p(x) on the
+    The tau-coordinates of x, one integer apply of the inverse, are sent
+    through adams_matrix(X, p); the resulting coordinates of psi_p(x) on the
     dimension-j cells, multiplied by p^{d+k} with k = [(d - j)/(p - 1)], must
     be integral (ExtractionFailure otherwise) and are the tau-coordinates of
     x_k on those cells.
@@ -112,17 +117,17 @@ def atiyah_decompose(x, p, level=None):
     if not x.is_zero() and filtration_level(x) > d:
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
-    coords = apply_matrix(tau_lattice(X).inverse, x.tau, X)
+    coords, den = tau_lattice(X).inverse.apply(x.tau.num, x.tau.den)
     return AtiyahDecomposition(x, p, d, [
-        _built(X, piece)
-        for piece in _psi_pieces(X, p, d, coords.num, coords.den)])
+        _built(X, piece) for piece in _psi_pieces(X, p, d, coords, den)])
 
 
 def _psi_pieces(X, p, d, coords, den=1):
     """The scaled coordinates p^{d+k} psi_p(x), split by k into int dicts,
     from the tau-coordinates coords / den of an x of level at most d, all
-    in integers; the classes of psi_p(x), x and the pieces are built only for
-    a failure's evidence."""
+    in integers (coords may hold zeros, and need not be in lowest terms);
+    the classes of psi_p(x), x and the pieces are built only for a failure's
+    evidence."""
     dims = X._dims
     psi, psi_den = adams_matrix(X, p).apply(coords, den)
     # the tau basis is unitriangular: psi_p(x) and its coordinates have the
@@ -140,7 +145,7 @@ def _psi_pieces(X, p, d, coords, den=1):
             % (bad, d + k, p), variety=X, p=p, dimension=bad, exponent=d + k,
             component=ChowClass(X, pieces[k]).dim_component(bad),
             input=apply_matrix(X.tau_columns, _built(X, coords, den), X))
-    top = {l: v for l, v in coords.items() if dims[l] == d}
+    top = {l: v for l, v in coords.items() if v and dims[l] == d}
     if {l: v * den for l, v in pieces[0].items() if dims[l] == d} != top:
         raise ExtractionFailure(
             "x_0 does not agree with x at the top level", variety=X, p=p,
@@ -172,11 +177,17 @@ def _steenrod(x, p, lift=None, cohomological=False):
     S_k gets c v mod p for each entry v of the column, wrapped as it is
     (`core._modp`): c and v lie in [1, p), units mod the prime p, so c v is
     never 0 and needs no zero filter.  Several cells reduce their summed
-    columns through `_like`, where terms can cancel.  An explicit lift goes
-    through atiyah_decompose, which checks its integrality and level, and
-    S_0 = x checks that it reduces to x; S_k is pieces[k] in dimension
-    d - k(p-1).
+    columns through `_like`, where terms can cancel.
+
+    An explicit lift must be a KClass on the variety of x, and x must be
+    homogeneous.  It goes through atiyah_decompose, which checks its
+    integrality and level; its pieces are read off by the rule of the
+    columns (`_read_off`) and split by k as a one-cell column is, with
+    c = 1, and S_0 = x checks that the lift reduces to x.
     """
+    if lift is not None and not isinstance(lift, KClass):
+        raise TypeError("a lift must be a KClass, got %s; lift a Chow class "
+                        "with k0_from_chow_lift" % type(lift).__name__)
     if isinstance(x, ModPClass):
         if p is not None and p != x.p:
             raise ValueError("class is mod %d, not mod %s" % (x.p, p))
@@ -188,37 +199,38 @@ def _steenrod(x, p, lift=None, cohomological=False):
     # p is prime: a mod-p class checks its modulus when it is made
     if x.is_zero():
         return [x]
+    X, q = x.variety, p - 1
+    cell_dim = X._dims
     if lift is not None:
-        if lift.variety is not x.variety:
-            raise VarietyMismatch("the lift is not on %s" % x.variety.name)
+        if lift.variety is not X:
+            raise VarietyMismatch("the lift is not on %s" % X.name)
         dims = x.support_dims()
         if len(dims) > 1:
             raise ValueError("an explicit lift needs a homogeneous input")
-        d = dims[0]
+        d, c = dims[0], 1
         pieces = atiyah_decompose(lift, p, level=d).pieces
         # the split checked that the pieces are integral
-        out = [x._like(piece.dim_component(d - k * (p - 1)).num)
-               for k, piece in enumerate(pieces)]
-        if out[0] != x:
-            raise ValueError("the lift does not reduce to x mod %d" % p)
-        return out
-    X, q = x.variety, p - 1
-    cell_dim = X._dims
-    if len(x.num) == 1:
-        # the unit invariant of the docstring: no product is 0 mod p
+        column = _read_off(cell_dim, p, d, [piece.num for piece in pieces])
+    elif len(x.num) == 1:
         ((l, c),) = x.num.items()
         d = cell_dim[l]
-        out = [{} for _ in range(d // q + 1)]
-        for m, v in _column(X, p, l, cohomological).items():
-            out[(d - cell_dim[m]) // q][m] = c * v % p
-        return [_modp(X, p, acc) for acc in out]
-    out = [{} for _ in range(x.top_dim() // q + 1)]
-    for l, c in x.num.items():
-        d = cell_dim[l]
-        for m, v in _column(X, p, l, cohomological).items():
-            acc = out[(d - cell_dim[m]) // q]
-            acc[m] = acc.get(m, 0) + c * v
-    return [x._like(acc) for acc in out]
+        column = _column(X, p, l, cohomological)
+    else:
+        out = [{} for _ in range(x.top_dim() // q + 1)]
+        for l, c in x.num.items():
+            d = cell_dim[l]
+            for m, v in _column(X, p, l, cohomological).items():
+                acc = out[(d - cell_dim[m]) // q]
+                acc[m] = acc.get(m, 0) + c * v
+        return [x._like(acc) for acc in out]
+    # the unit invariant of the docstring: no product is 0 mod p
+    out = [{} for _ in range(d // q + 1)]
+    for m, v in column.items():
+        out[(d - cell_dim[m]) // q][m] = c * v % p
+    out = [_modp(X, p, acc) for acc in out]
+    if lift is not None and out[0] != x:
+        raise ValueError("the lift does not reduce to x mod %d" % p)
+    return out
 
 
 def _column(X, p, label, cohomological):
@@ -243,13 +255,18 @@ def _column(X, p, label, cohomological):
                               _column(X, p, label, False))
         column = {m: r for m, v in twisted.items() if (r := v % p)}
     else:
-        dims, d = X._dims, X._dims[label]
-        pieces = _psi_pieces(X, p, d, {label: 1})
-        column = {m: r for k, piece in enumerate(pieces)
-                  for m, v in piece.items()
-                  if dims[m] == d - k * (p - 1) and (r := v % p)}
+        d = X._dims[label]
+        column = _read_off(X._dims, p, d, _psi_pieces(X, p, d, {label: 1}))
     columns[label] = column
     return column
+
+
+def _read_off(dims, p, d, pieces):
+    """S_0 + ... + S_K mod p of an input of dimension d, as one {cell: int}
+    dict, from the integer pieces of its split: piece k on the cells of
+    dimension d - k(p-1), reduced mod p, zeros dropped."""
+    return {m: r for k, piece in enumerate(pieces) for m, v in piece.items()
+            if dims[m] == d - k * (p - 1) and (r := v % p)}
 
 
 def steenrod_total(ops):

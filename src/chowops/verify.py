@@ -63,8 +63,8 @@ _BUILDER_SHORTHANDS = ("P^1", "P^2", "P^3", "P^4", "Q_3", "Q_5", "Q_7",
                        "P^1xP^1", "P^1xP^2", "P^2xP^2")
 
 # the suite parameters and what a suite reads for one not given or None; a
-# None here is the suite's own primes, varieties or segre cases
-_DEFAULTS = {"seed": 0, "p": None, "variety": None, "n": 8, "k": None,
+# None here is the suite's own primes, varieties, segre cases or lucas P^n
+_DEFAULTS = {"seed": 0, "p": None, "variety": None, "n": None, "k": None,
              "trials": 100, "max_dim": DEFAULT_MAX_DIM}
 _SIZES = ("n", "k", "trials", "max_dim")
 # the parameters each suite reads besides seed and max_dim, which every suite
@@ -164,15 +164,22 @@ def random_bundle(X, rng):
     return VirtualBundle(X, rank, _built(X, ch, den))
 
 
-def random_lattice_kclass(X, rng, max_level, bound=3):
-    """Random integer combination of tau-columns of cells of dim <= max_level."""
+def _lattice_coeffs(X, rng, max_level, bound=3):
+    """Random integer coordinates in the tau-column basis, one draw per cell
+    of dim <= max_level, in cell order, zeros dropped."""
     coeffs = {}
     for label, d in X.cells:
         if d <= max_level:
             c = rng.randint(-bound, bound)
             if c:
                 coeffs[label] = c
-    return k0_from_chow_lift(_built(X, coeffs))
+    return coeffs
+
+
+def random_lattice_kclass(X, rng, max_level, bound=3):
+    """Random integer combination of tau-columns of cells of dim <= max_level."""
+    return k0_from_chow_lift(_built(X, _lattice_coeffs(X, rng, max_level,
+                                                       bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +360,10 @@ def suite_rr_naturality(r, params):
 
 
 def suite_lift_independence(r, params):
+    """Each trial's lift [l] + p r1 + r2, r1 of level <= dim l and r2 of
+    level <= dim l - 1, is summed in tau-column coordinates and lifted once:
+    the canonical lift is linear, so it is the same K-class as the sum of
+    the three lifts."""
     rng = random.Random(params["seed"])
     trials = params["trials"]
     for X in _builders(params):
@@ -365,9 +376,11 @@ def suite_lift_independence(r, params):
                 label = rng.choice(labels)
                 d = X.cell_dim(label)
                 xbar = _modp(X, p, {label: 1})
-                lift = k0_from_chow_lift(xbar.lift())
-                lift = lift + random_lattice_kclass(X, rng, d).scale(p)
-                lift = lift + random_lattice_kclass(X, rng, d - 1)
+                coeffs = {label: 1}
+                for c, level in ((p, d), (1, d - 1)):
+                    for m, v in _lattice_coeffs(X, rng, level).items():
+                        coeffs[m] = coeffs.get(m, 0) + c * v
+                lift = k0_from_chow_lift(_built(X, coeffs))
                 ops = steenrod_homological(xbar, p, lift=lift)
                 r.check(ops == base[label], variety=X.name, p=p, cell=label,
                         law="lift independence")
@@ -555,7 +568,13 @@ def lucas_binom(n, k, p):
 
 
 def suite_lucas_oracle(r, params):
+    """Sq(h^i) on the caller's P^n, or on the default P^8 where it is within
+    max_dim; a caller's n above max_dim is refused."""
     n = params["n"]
+    if n is None:
+        n = 8
+        if n > params["max_dim"]:
+            return
     X = variety_from_spec("P^%d" % n, max_dim=params["max_dim"])
     for i in range(n + 1):
         xbar = ModPClass(X, 2, {"h^%d" % i: 1})

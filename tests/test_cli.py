@@ -149,6 +149,19 @@ def test_verify_lucas(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_lucas_keeps_to_the_cap(capsys, monkeypatch):
+    # the default P^8 is the suite's own case, left out under a smaller cap;
+    # an --n above the cap is the caller's, an input error
+    monkeypatch.setenv("STEENROD_MAX_DIM", "2")
+    code, out, _ = run(capsys, "verify", "--suite", "lucas-oracle")
+    assert code == 1
+    assert json.loads(out)["failures"] == [{"error": "no checks ran"}]
+    code, out, _ = run(capsys, "verify", "--suite", "lucas-oracle", "--n", "2")
+    assert code == 0 and json.loads(out)["checks"] == 3
+    assert run(capsys, "verify", "--suite", "lucas-oracle", "--n", "3") == (
+        2, "", "error: variety exceeds the dimension cap 2\n")
+
+
 def test_verify_segre_with_params(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "segre", "--p", "2",
                        "--k", "4")

@@ -9,7 +9,9 @@ reading their tau-vectors, and they must obey the laws of the paper on
 random mod-p classes: additivity, S_0 = id, the x^p rule, and the Cartan
 formula on external products.  They are read off one cached column per basis
 cell, and must agree with decomposing each homogeneous part of a random
-class as a whole, whichever columns earlier operations cached.  The ring
+class as a whole, whichever columns earlier operations cached, and an
+explicit lift c [l] + p r1 + r2 of a cell, read off its own split, must give
+the columns' S_k on every small builder.  The ring
 exponential and the series log are computed by recurrences, and must agree
 with the power sums they replace on random rational input.  todd, theta^p
 and w^{CH,p} read one cached log-weight vector per (series, p, dim) and
@@ -350,6 +352,38 @@ def test_cached_columns_match_the_per_class_route(case):
         assert S(ModPClass(warm, p, coeffs)) == expected
         assert [y.coeffs for y in S(ModPClass(fresh, p, coeffs))] == \
             [y.coeffs for y in expected]
+
+
+LIFT_VARIETIES = {spec: variety_from_spec(spec) for spec in SMALL_BUILDERS}
+
+
+@st.composite
+def lifts_of_a_cell(draw, X, p):
+    """(c [l] mod p, c [l] + p r1 + r2) for a cell l and c in 1..p-1: r1
+    of level <= dim l and r2 of level <= dim l - 1, over the tau columns."""
+    label = draw(st.sampled_from(X.labels()))
+    d, c = X.cell_dim(label), draw(st.integers(1, p - 1))
+    coeffs = {label: c}
+    for scale, level in ((p, d), (1, d - 1)):
+        cells = [l for l, e in X.cells if e <= level]
+        if cells:
+            for l, v in draw(st.dictionaries(st.sampled_from(cells),
+                                             st.integers(-9, 9))).items():
+                coeffs[l] = coeffs.get(l, 0) + scale * v
+    return ModPClass(X, p, {label: c}), make_class(X, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("spec", SMALL_BUILDERS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_an_explicit_lift_gives_the_columns_s_k(spec, p, data):
+    # the lift branch reads S_k off the integer pieces of its own split;
+    # the canonical route reads them off the cached basis columns
+    X = LIFT_VARIETIES[spec]
+    xbar, lift = data.draw(lifts_of_a_cell(X, p))
+    ops = steenrod_homological(xbar, p, lift=k0_from_chow_lift(lift))
+    assert ops == steenrod_homological(xbar, p)
 
 
 OPERATIONS = (steenrod_homological, steenrod_cohomological)

@@ -534,6 +534,57 @@ def test_a_lift_on_another_variety_is_refused(monkeypatch):
         steenrod_homological(_bar(P2, 2, {"h^1": 1}), 2, lift=lift)
 
 
+@pytest.mark.parametrize("lift", [P2.basis_class("h^1"), "h^1",
+                                  {"h^1": 1}, 1])
+def test_a_lift_that_is_not_a_kclass_is_refused(monkeypatch, lift):
+    # a Chow class is not yet a lift: the error names its type and the way
+    # to make one, before the split or any reading of the lift
+    from chowops import steenrod
+    monkeypatch.setattr(steenrod, "atiyah_decompose", None)
+    for xbar in (_bar(P2, 2, {"h^1": 1}), _bar(P2, 2, {})):
+        with pytest.raises(TypeError, match="^a lift must be a KClass, got "
+                           "%s; lift a Chow class with k0_from_chow_lift$"
+                           % type(lift).__name__):
+            steenrod_homological(xbar, 2, lift=lift)
+
+
+def test_an_explicit_lift_is_read_off_its_integer_pieces(monkeypatch):
+    # one extraction, then each S_k mod p straight off the integer piece k:
+    # no graded component of a piece and no reducing _like, of either kind
+    from chowops.core import ChowClass, _CellVector
+    import random
+    rng = random.Random(11)
+    X = odd_quadric(7)
+    cases = []
+    for p in (2, 3, 5):
+        for label in X.labels():
+            xbar = _bar(X, p, {label: p - 1})
+            coeffs = {label: p - 1}
+            for l, e in X.cells:
+                if e <= X.cell_dim(label):
+                    coeffs[l] = coeffs.get(l, 0) + p * rng.randint(-3, 3)
+                if e < X.cell_dim(label):
+                    coeffs[l] += rng.randint(-3, 3)
+            lift = k0_from_chow_lift(_cls(X, coeffs))
+            cases.append((xbar, p, lift, steenrod_homological(xbar, p)))
+    calls = []
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def counting(self, *args, **kwargs):
+            calls.append("%s.%s" % (cls.__name__, name))
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+
+    spy(_CellVector, "dim_component")
+    spy(ChowClass, "_like")
+    spy(ModPClass, "_like")
+    for xbar, p, lift, expected in cases:
+        assert steenrod_homological(xbar, p, lift=lift) == expected
+    assert calls == []
+
+
 def test_lucas_binom():
     assert [lucas_binom(4, k, 2) for k in range(5)] == [1, 0, 0, 0, 1]
     assert [lucas_binom(5, k, 2) for k in range(6)] == [1, 1, 0, 0, 1, 1]

@@ -166,6 +166,60 @@ def test_whitney_computes_each_class_of_a_trial_once(monkeypatch):
     assert len(calls) <= 5525
 
 
+def test_lift_independence_lifts_each_trial_once(monkeypatch):
+    # a trial sums [l] + p r1 + r2 in tau-column coordinates and lifts the
+    # sum: the sweep's 2300 trials make 2300 lifts, where three lifts, a
+    # scale and two K-class sums per trial made 6900
+    from chowops import ktheory
+
+    calls = []
+    lift = ktheory.k0_from_chow_lift
+
+    def counting(x):
+        calls.append(x.variety.name)
+        return lift(x)
+
+    def refuse(self, *args):
+        raise AssertionError("a K-class sum or scale in the sweep")
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("chowops")
+                and getattr(module, "k0_from_chow_lift", None) is lift):
+            monkeypatch.setattr(module, "k0_from_chow_lift", counting)
+    monkeypatch.setattr(ktheory.KClass, "__add__", refuse)
+    monkeypatch.setattr(ktheory.KClass, "scale", refuse)
+    report = run_suite("lift-independence", seed=5)
+    assert report["passed"], report["failures"][:2]
+    assert report["checks"] == SWEEP_CHECKS["lift-independence"]
+    assert len(calls) == report["checks"]
+
+
+@pytest.mark.parametrize("cap", range(6))
+def test_every_suite_keeps_to_max_dim(cap):
+    # within the cap a suite runs what it can; with nothing left it reports
+    # that no checks ran, and it never raises
+    for name in SUITE_NAMES:
+        params = {"trials": 2} if name in LIGHT_PARAMS else {}
+        report = run_suite(name, seed=1, max_dim=cap, **params)
+        assert report["passed"] or report["failures"] == [
+            {"error": "no checks ran"}], (name, report["failures"][:2])
+        for _, payload in check_trace(name, seed=1, max_dim=cap, **params):
+            if "variety" in payload:
+                assert chowops.variety_from_spec(payload["variety"]).dim \
+                    <= cap, name
+
+
+def test_lucas_oracle_checks_its_default_p8_only_within_the_cap():
+    assert run_suite("lucas-oracle", max_dim=8)["checks"] == 9
+    for cap in (0, 7):
+        assert run_suite("lucas-oracle", max_dim=cap)["failures"] == [
+            {"error": "no checks ran"}]
+    assert run_suite("lucas-oracle", n=2, max_dim=2)["checks"] == 3
+    with pytest.raises(ValueError, match="^variety exceeds the dimension "
+                       "cap 7$"):
+        run_suite("lucas-oracle", n=8, max_dim=7)
+
+
 def test_zero_parameters_are_taken_as_given():
     assert run_suite("lucas-oracle", n=0)["checks"] == 1
     vacuous = run_suite("whitney", trials=0)
