@@ -46,8 +46,9 @@ class VirtualBundle:
     __slots__ = ("variety", "rank", "ch", "integral")
 
     def __init__(self, variety, rank, ch, integral=True):
-        if not isinstance(rank, int):
-            raise TypeError("rank must be an integer")
+        if type(rank) is not int:
+            raise TypeError("rank must be an integer, got %s"
+                            % type(rank).__name__)
         if ch.variety is not variety:
             raise ValueError("ch lives on the wrong variety")
         if ch.num.get(variety.fundamental, 0) != rank * ch.den:
@@ -59,6 +60,8 @@ class VirtualBundle:
         self.integral = integral
 
     def __add__(self, other):
+        if not isinstance(other, VirtualBundle):
+            return NotImplemented
         self._same(other)
         return VirtualBundle(self.variety, self.rank + other.rank,
                              self.ch + other.ch,
@@ -73,6 +76,8 @@ class VirtualBundle:
 
     def __mul__(self, other):
         """Tensor product: Chern characters multiply."""
+        if not isinstance(other, VirtualBundle):
+            return NotImplemented
         self._same(other)
         return VirtualBundle(self.variety, self.rank * other.rank,
                              self.ch * other.ch,

@@ -356,8 +356,12 @@ class _CellVector:
                                   % (_where(self), _where(other)))
 
     def __add__(self, other):
+        try:
+            variety, p = other.variety, other.p
+        except AttributeError:  # not a class: Python raises the TypeError
+            return NotImplemented
         # the check is repeated inline so that a sum makes one call, to _like
-        if self.variety is not other.variety or self.p != other.p:
+        if self.variety is not variety or self.p != p:
             self._same(other)
         a, b, den = self.num, other.num, self.den
         if den != other.den:

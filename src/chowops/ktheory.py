@@ -1,26 +1,32 @@
-"""K_0 in tau-coordinates: lattices, the topological filtration, Adams operations.
+"""K_0 in the lattice basis: the topological filtration, Adams operations.
 
-A K-class is stored as its Riemann-Roch image tau(x) in CH(X) tensor Q.  The
-integral lattice is spanned by the tau_matrix columns (structure sheaves of
-cell closures).  The matrix is unitriangular, so its inverse is built once
-per variety, in integers (`tau_lattice`), and the coordinates of a
-class in the lattice basis, which decide membership, are one `apply_matrix`
-of it.  Both p-adic decompositions, Atiyah's of psi_p(x) (`steenrod`) and
-Bott's of theta^p(e) (`bundles`), group these coordinates by a filtration
-index k and scale them by p^(shift + k) through one split (`_p_adic_split`)
-of the integers over one denominator that `core.Matrix.apply` leaves
-undivided.  The bundle side of K-theory (psi^p on K^0, K_0 = K^0 by
-Todd(T_X), Bott's decomposition) is in `bundles`, and the action of
-morphisms on K-classes in `morphisms`: only `verify` and library callers
-load them.
+The integral lattice of K_0(X) is spanned by the classes [O_Z] of the cell
+closures, and a K-class is stored by its coordinates in that basis, a
+rational Chow class over the cells (`KClass.coords`).  Its Riemann-Roch
+image tau(x) in CH(X) tensor Q is read from them through the tau columns,
+tau[O_Z], which are unitriangular: the public `KClass(X, tau, integral)`
+solves a tau vector once, by one `apply_matrix` of the inverse built per
+variety in integers (`tau_lattice`), and every other K-class (a lift, a
+sum, a scale, psi_p of a class, a piece of a decomposition) is made from
+coordinates its maker already has (`_of`).  Since the basis is
+unitriangular, the top dimension and the top part of x are those of its
+coordinates (`filtration_level`, `phi_top`).  Both p-adic decompositions,
+Atiyah's of psi_p(x) (`steenrod`) and Bott's of theta^p(e) (`bundles`),
+group these coordinates by a filtration index k and scale them by
+p^(shift + k) through one split (`_p_adic_split`) of the integers over one
+denominator that `core.Matrix.apply` leaves undivided.  The bundle side of
+K-theory (psi^p on K^0, K_0 = K^0 by Todd(T_X), Bott's decomposition) is in
+`bundles`, and the action of morphisms on K-classes in `morphisms`: only
+`verify` and library callers load them.
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) scales the
-dimension-j part of tau(x) by p^{-j} (`adams_lower`), by Bott's identity
-theta^p(E) = p^rank(E) Todd(E) / psi^p(Todd(E)), root by root
+dimension-j part of tau(x) by p^{-j} (`_psi_ch` over p^{dim X}), by Bott's
+identity theta^p(E) = p^rank(E) Todd(E) / psi^p(Todd(E)), root by root
 1 + ... + e^{-(p-1)t} = p todd(t) / todd(pt).  It is linear, so in the basis
 [O_Z] it is one matrix per (X, p), `adams_matrix`, built once and cached:
 one `series.spower` per column on P^n, the Kronecker product of the factors'
-matrices on a product (`Matrix.kron`), and T^{-1} D T otherwise.
+matrices on a product (`Matrix.kron`), and T^{-1} D T otherwise.  psi_p of
+a K-class (`adams_lower`) is that matrix applied to its coordinates.
 """
 from fractions import Fraction
 from math import comb, lcm
@@ -40,38 +46,51 @@ from .series import spower
 
 
 class KClass:
-    """Element of K_0(X) (or its p-localization) in tau-coordinates."""
+    """Element of K_0(X) (or its p-localization) by its coordinates in the
+    lattice basis [O_Z]: `coords` is a Chow class over the cells, whose
+    coefficient on the cell Z is the coordinate on [O_Z]."""
 
-    __slots__ = ("variety", "tau", "integral")
+    __slots__ = ("variety", "coords", "integral")
 
     def __init__(self, variety, tau, integral):
+        """The K-class with Riemann-Roch image tau: its coordinates are
+        solved once, by one apply of the inverse tau matrix."""
         if tau.variety is not variety:
             raise ValueError("tau lives on the wrong variety")
         self.variety = variety
-        self.tau = tau
+        self.coords = apply_matrix(tau_lattice(variety).inverse, tau, variety)
         self.integral = integral
 
+    @property
+    def tau(self):
+        """tau(x) in CH(X) tensor Q: the tau columns on the coordinates."""
+        return apply_matrix(self.variety.tau_columns, self.coords, self.variety)
+
     def is_zero(self):
-        return self.tau.is_zero()
+        return self.coords.is_zero()
 
     def __add__(self, other):
+        if not isinstance(other, KClass):
+            return NotImplemented
         if self.variety is not other.variety:
             raise ValueError("K-classes on different varieties")
-        return KClass(self.variety, self.tau + other.tau,
-                      self.integral and other.integral)
+        return _of(self.variety, self.coords + other.coords,
+                   self.integral and other.integral)
 
     def __sub__(self, other):
+        if not isinstance(other, KClass):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c):
         c = _as_coeff(c)
-        return KClass(self.variety, self.tau.scale(c),
-                      self.integral and isinstance(c, int))
+        return _of(self.variety, self.coords.scale(c),
+                   self.integral and isinstance(c, int))
 
     def __eq__(self, other):
         if not isinstance(other, KClass):
             return NotImplemented
-        return self.variety is other.variety and self.tau == other.tau
+        return self.variety is other.variety and self.coords == other.coords
 
     def __repr__(self):
         return "KClass(%s: tau=%r, integral=%s)" % (
@@ -79,6 +98,14 @@ class KClass:
 
     def to_json(self):
         return {"tau": class_to_json(self.tau), "integral": self.integral}
+
+
+def _of(X, coords, integral):
+    """The K-class on X with lattice coordinates coords, a Chow class on X
+    computed from checked data, taken as it is: nothing is applied."""
+    new = object.__new__(KClass)
+    new.variety, new.coords, new.integral = X, coords, integral
+    return new
 
 
 def kclass_from_json(X, obj):
@@ -89,10 +116,11 @@ def kclass_from_json(X, obj):
     if not isinstance(integral, bool):
         raise ValueError("'integral' must be true or false, got %.40r"
                          % (integral,))
-    if integral and not tau_lattice(X).membership(tau):
+    x = KClass(X, tau, integral)
+    if integral and not x.coords.is_integral():
         raise NonIntegralInput("tau vector declared integral is not in the "
                                "tau-lattice")
-    return KClass(X, tau, integral)
+    return x
 
 
 class TauLattice:
@@ -102,10 +130,6 @@ class TauLattice:
     def __init__(self, variety):
         self.variety = variety
         self.inverse = _unitriangular_inverse(variety)
-
-    def coordinates(self, cls):
-        """The coefficients of cls in the column basis, as a dict."""
-        return apply_matrix(self.inverse, cls, self.variety).coeffs
 
     def membership(self, cls):
         return apply_matrix(self.inverse, cls, self.variety).is_integral()
@@ -135,11 +159,11 @@ def tau_lattice(X):
 
 
 def k0_from_chow_lift(x):
-    """Canonical lift through phi: sum of x_beta * tau[O_{Z_beta}]."""
+    """Canonical lift through phi: sum of x_beta * [O_{Z_beta}], the K-class
+    whose coordinates are the coefficients of x."""
     if not x.is_integral():
         raise NonIntegralInput("canonical lift needs an integral Chow class")
-    X = x.variety
-    return KClass(X, apply_matrix(X.tau_columns, x, X), integral=True)
+    return _of(x.variety, x, True)
 
 
 def structure_sheaf(X):
@@ -154,10 +178,11 @@ def k0_generators(X):
 
 
 def filtration_level(x):
-    """Largest homological degree with a nonzero tau-component."""
+    """Largest homological degree with a nonzero tau-component: that of the
+    coordinates, as the tau basis is unitriangular."""
     if x.is_zero():
         raise ZeroClass("the zero class has no filtration level")
-    return x.tau.top_dim()
+    return x.coords.top_dim()
 
 
 def phi_top(x):
@@ -167,7 +192,7 @@ def phi_top(x):
     if x.is_zero():
         return x.variety.zero()
     d = filtration_level(x)
-    return x.tau.dim_component(d).as_integral()
+    return x.coords.dim_component(d).as_integral()
 
 
 def euler_char(x):
@@ -186,13 +211,14 @@ def _psi_ch(ch, p, den=1):
 
 
 def adams_lower(x, p):
-    """Homological Adams operation on a smooth variety, in tau-coordinates:
-    the dimension-j part of tau(x) times p^{-j}, by Bott's identity (see the
-    module docstring), whatever tangent data of rank dim X the variety has.
-    On K_0(point) this is the identity."""
+    """Homological Adams operation on a smooth variety: the cached Adams
+    matrix applied to the coordinates of x.  In tau it is the dimension-j
+    part of tau(x) times p^{-j}, by Bott's identity (see the module
+    docstring), whatever tangent data of rank dim X the variety has.  On
+    K_0(point) this is the identity.  The result is marked non-integral."""
     require_prime(p)
-    return KClass(x.variety, _psi_ch(x.tau, p, p ** x.variety.dim),
-                  integral=False)
+    X = x.variety
+    return _of(X, apply_matrix(adams_matrix(X, p), x.coords, X), False)
 
 
 def adams_matrix(X, p):
@@ -203,9 +229,10 @@ def adams_matrix(X, p):
     integer form.  On P^n it is a closed form, on a product the
     Kronecker product of the factors' matrices (K_0(X x Y) = K_0(X) (x)
     K_0(Y), and psi^p and theta^p are multiplicative), and otherwise (Q_d,
-    a table given to CellularVariety directly) T^{-1} D T: adams_lower, the
-    scaling D, on the tau columns T, taken to the tau basis by the inverse.
-    The result is cached and shared: treat it as read-only.
+    a table given to CellularVariety directly) T^{-1} D T: the dimension
+    scaling D of `_psi_ch` on the tau columns T, taken to the tau basis by
+    the inverse.  `adams_lower` is this matrix on a K-class.  The result is
+    cached and shared: treat it as read-only.
     """
     require_prime(p)
     return _cached(X, ("adams_matrix", p), lambda: _adams_columns(X, p))
@@ -218,7 +245,7 @@ def _adams_columns(X, p):
     if builder == "product":
         return Matrix.kron(*(adams_matrix(F, p) for F in X._factors))
     T, inverse = X.tau_columns, tau_lattice(X).inverse
-    return Matrix.over({l: inverse.apply(  # adams_lower of the tau column l
+    return Matrix.over({l: inverse.apply(  # D of the tau column l
         {r: v * p ** X.cell_codim(r) for r, v in T.ints[l].items()},
         T.den * p ** X.dim) for l in X.labels()})
 

@@ -25,7 +25,8 @@ from .errors import (
     TheoryViolation,
     require_prime,
 )
-from .ktheory import KClass, euler_char, filtration_level, structure_sheaf
+from .ktheory import euler_char, filtration_level, structure_sheaf
+from .morphisms import kclass_pushforward
 
 
 def _p_power(p, m):
@@ -112,15 +113,14 @@ def chi_defect(f, p):
         raise DimensionMismatch("chi defect compares equal dimensions")
     d = X.dim
     deg_f = f.map_degree()
-    tau_delta = f.push_class(structure_sheaf(X).tau) - \
-        structure_sheaf(Y).tau.scale(deg_f)
-    delta = KClass(Y, tau_delta, integral=True)
+    delta = kclass_pushforward(f, structure_sheaf(X)) - \
+        structure_sheaf(Y).scale(deg_f)
     if not delta.is_zero() and filtration_level(delta) > d - 1:
         raise LevelViolation("f_*[O_X] - (deg f)[O_Y] has full level")
     defect = euler_char(structure_sheaf(X)) - deg_f * euler_char(structure_sheaf(Y))
     if defect != euler_char(delta):
         raise TheoryViolation("chi bookkeeping failed", morphism=f,
-                              delta=tau_delta)
+                              delta=delta)
 
     exponent = (d - 1) // (p - 1) if d >= 1 else 0
     witness, lam = degree_formula_witness(delta, p)

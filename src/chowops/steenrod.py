@@ -4,18 +4,19 @@ The central routine extracts, from the homological Adams operation of an
 integral lift, integral classes x_k of filtration level at most d - k(p-1)
 such that psi_p(x) = sum_k p^{-d-k} x_k exactly.  The coordinates of psi_p(x)
 in the unitriangular tau basis are the cached Adams matrix
-(`ktheory.adams_matrix`) applied to the coordinates of x, its own
-coefficients for the canonical lift of a mod-p class.  A dimension-j
-coordinate belongs to x_k with k = [(d - j)/(p - 1)] and is multiplied by
-p^{d+k}, which must leave it integral: the split the Bott decomposition
-shares (`ktheory._p_adic_split`), run on the integers over one denominator
-of a class and an apply, so only a failing extraction builds a Fraction.
+(`ktheory.adams_matrix`) applied to the coordinates of x, which a K-class
+carries (`KClass.coords`): its own coefficients for the canonical lift of a
+mod-p class.  A dimension-j coordinate belongs to x_k with
+k = [(d - j)/(p - 1)] and is multiplied by p^{d+k}, which must leave it
+integral: the split the Bott decomposition shares (`ktheory._p_adic_split`),
+run on the integers over one denominator of a class and an apply, so only a
+failing extraction builds a Fraction.
 S_k mod p is read straight off these coordinates in dimension d - k(p-1),
 reduced mod p with zeros dropped (`_read_off`), for a basis column and for
-an explicit lift alike; the x_k are lifted through the tau matrix only when
-asked for.  An explicit lift, a K-class, costs one extraction: its
-tau-coordinates are one integer apply of the inverse tau matrix, and its
-S_k are wrapped as they are read.
+an explicit lift alike, and the x_k are the K-classes of these coordinates,
+taken as they are.  An explicit lift costs one extraction, one apply of the
+Adams matrix to the coordinates it carries, and its S_k are wrapped as they
+are read.
 
 S-bar is linear on CH/p, so on the canonical lift each S_k is a matrix over
 F_p.  Its columns are cached per (X, p, convention) and built on first use:
@@ -30,7 +31,6 @@ numbers, the degree formula, the chi defect of a morphism) are in `numbers`,
 which only `verify` and library callers load.
 """
 from fractions import Fraction
-from functools import cached_property
 
 from .char_classes import _cached, w_tangent
 from .core import ChowClass, ModPClass, _built, _modp, apply_matrix
@@ -44,20 +44,19 @@ from .errors import (
 )
 from .ktheory import (
     KClass,
+    _of,
     _p_adic_split,
-    adams_lower,
+    _psi_ch,
     adams_matrix,
     filtration_level,
-    k0_from_chow_lift,
-    tau_lattice,
 )
 
 
 class AtiyahDecomposition:
     """psi_p(x) = sum_k p^{-d-k} x_k with level(x_k) <= d - k(p-1).
 
-    pieces[k] holds the integral tau-coordinates of x_k; parts lifts them to
-    the K-classes x_k on first use.
+    pieces[k] holds the integral lattice coordinates of x_k, and parts[k] is
+    x_k, the K-class of those coordinates.
     """
 
     def __init__(self, x, p, level, pieces):
@@ -65,22 +64,22 @@ class AtiyahDecomposition:
         self.p = p
         self.level = level
         self.pieces = pieces
-
-    @cached_property
-    def parts(self):
-        return [k0_from_chow_lift(piece) for piece in self.pieces]
+        self.parts = [_of(x.variety, piece, True) for piece in pieces]
 
     def reconstruction(self):
-        """The right-hand side sum, for the exactness check."""
+        """The right-hand side sum, in tau, for the exactness check."""
         return sum((part.tau.scale(Fraction(1, self.p ** (self.level + k)))
                     for k, part in enumerate(self.parts)), self.x.variety.zero())
 
     def verify(self):
-        """Check the decomposition identities; a failure raises ExtractionFailure."""
-        psi = adams_lower(self.x, self.p).tau
+        """Check the decomposition identities; a failure raises ExtractionFailure.
+
+        psi_p(x) is taken by the dimension scaling of tau(x) (`_psi_ch`), not
+        by the Adams matrix the pieces were read off."""
+        psi = _psi_ch(self.x.tau, self.p, self.p ** self.x.variety.dim)
         if self.reconstruction() != psi:
             self._fail("reconstruction identity failed", psi=psi)
-        top = (self.parts[0].tau - self.x.tau).dim_component(self.level)
+        top = (self.parts[0].coords - self.x.coords).dim_component(self.level)
         if not top.is_zero():
             self._fail("x_0 differs from x at the top level", difference=top)
         for k, part in enumerate(self.parts):
@@ -98,28 +97,33 @@ class AtiyahDecomposition:
 def atiyah_decompose(x, p, level=None):
     """p-adic decomposition of psi_p(x): the Adams matrix, then a p-power scale.
 
-    The tau-coordinates of x, one integer apply of the inverse, are sent
-    through adams_matrix(X, p); the resulting coordinates of psi_p(x) on the
-    dimension-j cells, multiplied by p^{d+k} with k = [(d - j)/(p - 1)], must
-    be integral (ExtractionFailure otherwise) and are the tau-coordinates of
-    x_k on those cells.
+    The lattice coordinates of x are sent through adams_matrix(X, p); the
+    resulting coordinates of psi_p(x) on the dimension-j cells, multiplied
+    by p^{d+k} with k = [(d - j)/(p - 1)], must be integral
+    (ExtractionFailure otherwise) and are the coordinates of x_k on those
+    cells.
 
     level defaults to the filtration level of x and may be passed explicitly
     (it must be at least the actual level; steenrod operations use the degree
     of the mod-p input so that perturbed lifts of lower level still decompose
-    against the same schedule).
+    against the same schedule).  An explicit level is an int in [0, dim X],
+    where the filtration stops, and is checked before any work.
     """
     require_prime(p)
     if not x.integral:
         raise NonIntegralInput("Atiyah decomposition needs an integral class")
     X = x.variety
     d = filtration_level(x) if level is None else level
+    if type(d) is not int:
+        raise TypeError("a level must be an int, got %s" % type(d).__name__)
+    if not 0 <= d <= X.dim:
+        raise LevelViolation("a level must lie in 0..%d, the filtration of %s"
+                             % (X.dim, X.name))
     if not x.is_zero() and filtration_level(x) > d:
         raise LevelViolation("class has level %d > %d"
                              % (filtration_level(x), d))
-    coords, den = tau_lattice(X).inverse.apply(x.tau.num, x.tau.den)
-    return AtiyahDecomposition(x, p, d, [
-        _built(X, piece) for piece in _psi_pieces(X, p, d, coords, den)])
+    pieces = _psi_pieces(X, p, d, x.coords.num, x.coords.den)
+    return AtiyahDecomposition(x, p, d, [_built(X, piece) for piece in pieces])
 
 
 def _psi_pieces(X, p, d, coords, den=1):

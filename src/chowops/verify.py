@@ -398,8 +398,8 @@ def suite_cartan(r, params):
     matrices, so this law is partly true by construction: what it still
     checks independently is the per-degree extraction, the mod-p read-off
     and the w^{CH,p}(T) twist.  The Kronecker matrices are compared with the
-    tau route (adams_lower, then the inverse tau matrix) on products in
-    tests/test_ktheory.py.
+    tau route (the dimension scaling of each tau column, solved by back
+    substitution) on products in tests/test_ktheory.py.
     """
     max_dim = params["max_dim"]
     for a, b in _cartan_pairs(max_dim):

@@ -100,6 +100,20 @@ def test_virtual_bundle_rank_consistency():
         VirtualBundle(P2, 2, _cls(P2, {"h^0": 1}))
 
 
+def test_virtual_bundle_rank_is_an_int_not_a_bool():
+    with pytest.raises(TypeError):
+        VirtualBundle(P2, True, P2.unit())
+    assert VirtualBundle(P2, 1, P2.unit()).rank == 1
+
+
+@pytest.mark.parametrize("other", [1, "x", None, P2.unit()])
+def test_a_bundle_adds_and_multiplies_only_bundles(other):
+    e = VirtualBundle(P2, 1, P2.unit())
+    for op in (lambda: e + other, lambda: e - other, lambda: e * other):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_primality_is_enforced():
     for bad in (4, 6, 1, 0, -3):
         with pytest.raises(ValueError):

@@ -267,6 +267,19 @@ def test_chow_scalars_are_ints_or_fractions(c):
                                            "h^2": Fraction(1, 6)}
 
 
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "x", None])
+def test_a_class_adds_only_classes(other):
+    # a sum with anything that is not a class is Python's TypeError, not an
+    # AttributeError from reading its variety
+    for x in (make_class(P2, {"h^1": 1}), ModPClass(P2, 3, {"h^1": 1})):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other + x
+    with pytest.raises(TypeError):
+        make_class(P2, {"h^1": 1}) - other
+
+
 def test_modp_integral_scalars():
     xbar = ModPClass(P2, 3, {"h^1": 1, "h^2": 2})
     assert ModPClass(P2, 3, {"h^1": Fraction(4, 1)}).coeffs == {"h^1": 1}

@@ -35,9 +35,14 @@ from chowops import (
 )
 from chowops.char_classes import todd_class
 from chowops.core import CellularVariety, Matrix, apply_matrix, kron, kunneth
-from chowops.errors import FlagViolation, NonIntegralInput, ZeroClass
+from chowops.errors import (
+    FlagViolation,
+    IntegralityViolation,
+    NonIntegralInput,
+    ZeroClass,
+)
 from chowops.bundles import k0_generator_bundles, kclass_to_bundle
-from chowops.ktheory import _p_adic_split, _projective_adams
+from chowops.ktheory import _p_adic_split, _projective_adams, _psi_ch
 
 
 P1 = projective_space(1)
@@ -320,10 +325,10 @@ def test_adams_lower_closed_form_on_quadrics():
 # -- the Adams matrix against the tau route ---------------------------------------
 
 def adams_by_tau_route(X, p):
-    """Column l: adams_lower of the lift of cell l, solved in the tau basis."""
-    lattice = tau_lattice(X)
-    return {l: lattice.coordinates(
-                adams_lower(k0_from_chow_lift(X.basis_class(l)), p).tau)
+    """Column l: psi_p of [O_{Z_l}] by the dimension scaling of its tau
+    column (`_psi_ch`), solved in the tau basis by back substitution."""
+    return {l: oracles.tau_coordinates(
+                X, _psi_ch(X.tau_class(l), p, p ** X.dim))
             for l in X.labels()}
 
 
@@ -414,15 +419,74 @@ def test_tau_coordinates_match_a_back_substitution(x):
     import oracles
     X = x.variety
     lattice = tau_lattice(X)
-    coords = lattice.coordinates(x)
+    coords = KClass(X, x, False).coords.coeffs
     assert coords == oracles.tau_coordinates(X, x)
     assert lattice.membership(x) == all(Fraction(v).denominator == 1
                                         for v in coords.values())
     # the inverse times tau, and tau times the inverse, is the identity
     for l in X.labels():
-        assert lattice.coordinates(X.tau_class(l)) == {l: 1}
+        assert KClass(X, X.tau_class(l), True).coords.coeffs == {l: 1}
         assert apply_matrix(X.tau_columns, make_class(X, lattice.inverse[l]),
                             X) == X.basis_class(l)
+
+
+@st.composite
+def kclass_cases(draw):
+    """A SMALL_BUILDERS shape, a random rational tau vector, random integer
+    lattice coordinates, an integral flag and an integer scalar."""
+    X = variety_from_spec(draw(st.sampled_from(SMALL_BUILDERS)))
+    cells = st.sampled_from(X.labels())
+    values = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 4))
+    tau = make_class(X, draw(st.dictionaries(cells, values, max_size=6)))
+    coords = make_class(X, draw(st.dictionaries(cells, st.integers(-50, 50),
+                                                max_size=6)))
+    return X, tau, coords, draw(st.booleans()), draw(st.integers(-5, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kclass_cases())
+def test_a_kclass_is_its_lattice_coordinates(case):
+    # the constructor solves tau once; a lift wraps its input; tau, the
+    # filtration, the top part, sums, scales and JSON all agree with the
+    # back substitution and with tau read through the tau columns
+    X, tau, coords, integral, c = case
+    x = KClass(X, tau, integral)
+    assert x.coords.coeffs == oracles.tau_coordinates(X, tau)
+    assert x.tau == tau and x.integral is integral
+    y = k0_from_chow_lift(coords)
+    assert y.coords == coords and y.integral
+    assert y.tau == apply_matrix(X.tau_columns, coords, X)
+    for z in (x, y):
+        if z.is_zero():
+            assert z.tau.is_zero()
+            continue
+        top = z.tau.top_dim()
+        assert filtration_level(z) == top
+        if not z.integral:
+            continue
+        if z.coords.dim_component(top).is_integral():
+            assert phi_top(z) == z.tau.dim_component(top)
+        else:
+            with pytest.raises(IntegralityViolation):
+                phi_top(z)
+    assert (x + y).tau == tau + y.tau
+    assert (x - y).tau == tau - y.tau
+    assert x.scale(c).tau == tau.scale(c) and y.scale(c).tau == y.tau.scale(c)
+    assert (x + y).integral is integral and y.scale(c).integral
+    for z in (KClass(X, tau, False), y):
+        back = kclass_from_json(X, z.to_json())
+        assert back == z and back.integral is z.integral
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "x", None,
+                                   P2.unit()])
+def test_a_kclass_adds_only_kclasses(other):
+    x = structure_sheaf(P2)
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        x - other
 
 
 def test_product_tau_columns_are_one_kronecker_product(monkeypatch):

@@ -3,11 +3,11 @@ Riemann-Roch lift, pushforward and pullback) all go through one shared
 matrix step, so they must act linearly on any input, and the Atiyah and Bott
 p-adic decompositions must hold on random lattice classes and bundles.  The
 Atiyah decomposition reads psi_p off the cached Adams matrix, and must
-rebuild what adams_lower computes by the tau route.  The operations read S_k
-off the scaled tau-coordinates, and must agree with lifting the x_k and
-reading their tau-vectors, and they must obey the laws of the paper on
-random mod-p classes: additivity, S_0 = id, the x^p rule, and the Cartan
-formula on external products.  They are read off one cached column per basis
+rebuild what the twist route (`oracles.adams_lower_by_twist`) computes.  The
+operations read S_k off the scaled tau-coordinates, and must agree with
+lifting the x_k and reading their tau-vectors, and they must obey the laws
+of the paper on random mod-p classes: additivity, S_0 = id, the x^p rule,
+and the Cartan formula on external products.  They are read off one cached column per basis
 cell, and must agree with decomposing each homogeneous part of a random
 class as a whole, whichever columns earlier operations cached, and an
 explicit lift c [l] + p r1 + r2 of a cell, read off its own split, must give
@@ -81,7 +81,7 @@ from chowops.morphisms import Morphism
 from chowops.verify import random_lattice_kclass, standard_morphisms
 from oracles import coeffs as taylor_coeffs
 from oracles import h_powers_on_pn, multiplicative_class_anew, t
-from oracles import pair_table, sadd, tau_coordinates
+from oracles import adams_lower_by_twist, pair_table, sadd, tau_coordinates
 from test_ktheory import SMALL_BUILDERS
 
 VARIETIES = [variety_from_spec(name) for name in ("P^4", "Q_5", "P^1xP^2")]
@@ -168,10 +168,11 @@ def test_atiyah_decomposition_of_lattice_classes(case):
 @settings(max_examples=60, deadline=None)
 @given(lattice_classes_and_primes(EXP_VARIETIES))
 def test_adams_matrix_decomposition_rebuilds_the_tau_route(case):
-    # the decomposition reads psi_p off the Adams matrix; adams_lower runs
-    # the tau route (Todd, p-power scale, Todd theta^p(-T))
+    # the decomposition reads psi_p off the Adams matrix; the oracle runs
+    # the twist route (Todd, p-power scale, Todd theta^p(-T))
     x, p = case
-    assert atiyah_decompose(x, p).reconstruction() == adams_lower(x, p).tau
+    assert atiyah_decompose(x, p).reconstruction() == \
+        adams_lower_by_twist(x, p).tau
 
 
 @settings(max_examples=60, deadline=None)

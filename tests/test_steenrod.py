@@ -147,34 +147,95 @@ def test_explicit_level_must_dominate():
         atiyah_decompose(x, 2, level=1)
 
 
+@pytest.mark.parametrize("level", [3, -1, 10 ** 6])
+def test_an_explicit_level_above_the_filtration_is_refused_at_once(
+        monkeypatch, level):
+    # the filtration of P^2 stops at 2; the split would build
+    # level // (p - 1) + 1 pieces and p-powers up to about p^(2 level)
+    from chowops import steenrod
+
+    def refuse(*args):
+        raise AssertionError("the decomposition ran")
+
+    monkeypatch.setattr(steenrod, "_psi_pieces", refuse)
+    for x in (structure_sheaf(P2), k0_from_chow_lift(P2.zero())):
+        with pytest.raises(LevelViolation):
+            atiyah_decompose(x, 2, level=level)
+
+
+@pytest.mark.parametrize("level", ["3", True, False, 2.0, Fraction(2)])
+def test_an_explicit_level_is_an_int(level):
+    with pytest.raises(TypeError, match="a level must be an int"):
+        atiyah_decompose(structure_sheaf(P2), 2, level=level)
+    assert atiyah_decompose(structure_sheaf(P2), 2, level=2).level == 2
+
+
+@pytest.mark.parametrize("spec", ["P^4", "Q_5", "P^2xP^2"])
+def test_an_explicit_lift_makes_one_apply_and_solves_nothing(monkeypatch,
+                                                             spec):
+    # the lift wraps its coordinates, the decomposition applies the Adams
+    # matrix to them once, and its parts wrap the pieces: no inverse tau
+    # matrix is built or read
+    import random
+    from chowops import core, ktheory, varieties
+    monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
+    X = chowops.variety_from_spec(spec)
+    rng = random.Random(spec)
+    label = X.labels()[1]
+    d = X.cell_dim(label)
+    for p in (2, 3):
+        adams = ktheory.adams_matrix(X, p)
+        calls = []
+        apply, lattice = core.Matrix.apply, ktheory.tau_lattice
+        inverse = ktheory._unitriangular_inverse
+        monkeypatch.setattr(core.Matrix, "apply", lambda self, *args: (
+            calls.append(self) or apply(self, *args)))
+        monkeypatch.setattr(ktheory, "tau_lattice", lambda X: (
+            calls.append("tau_lattice") or lattice(X)))
+        monkeypatch.setattr(ktheory, "_unitriangular_inverse", lambda X: (
+            calls.append("inverse") or inverse(X)))
+        xbar = _bar(X, p, {label: 1})
+        lift = k0_from_chow_lift(xbar.lift())
+        lift = lift + random_lattice_kclass(X, rng, d).scale(p)
+        lift = lift + random_lattice_kclass(X, rng, d - 1)
+        assert calls == []
+        dec = atiyah_decompose(lift, p, level=d)
+        dec.parts
+        assert calls == [adams]
+        del calls[:]
+        ops = steenrod_homological(xbar, lift=lift)
+        assert calls == [adams]
+        monkeypatch.undo()
+        assert ops == steenrod_homological(xbar)
+
+
 # -- homological and cohomological operations ------------------------------------
 
 def count_tau_route(monkeypatch):
-    """Empty the builder cache and record every adams_lower, triangular
-    solve and build of the inverse tau matrix from then on."""
+    """Empty the builder cache and record every adams_lower, K-class solve
+    (the public `KClass` constructor) and build of the inverse tau matrix
+    from then on."""
     from chowops import ktheory
-    from chowops import steenrod
     from chowops import varieties
     monkeypatch.setattr(varieties, "_VARIETY_CACHE", {})
     calls = []
-    adams_lower, coordinates = ktheory.adams_lower, ktheory.TauLattice.coordinates
+    adams_lower, solve = ktheory.adams_lower, ktheory.KClass.__init__
     inverse = ktheory._unitriangular_inverse
 
     def counting_adams(x, p):
         calls.append("adams_lower")
         return adams_lower(x, p)
 
-    def counting_solve(self, cls):
-        calls.append("coordinates")
-        return coordinates(self, cls)
+    def counting_solve(self, *args):
+        calls.append("KClass")
+        solve(self, *args)
 
     def counting_inverse(*args):
         calls.append("inverse")
         return inverse(*args)
 
-    for module in (ktheory, steenrod):
-        monkeypatch.setattr(module, "adams_lower", counting_adams)
-    monkeypatch.setattr(ktheory.TauLattice, "coordinates", counting_solve)
+    monkeypatch.setattr(ktheory, "adams_lower", counting_adams)
+    monkeypatch.setattr(ktheory.KClass, "__init__", counting_solve)
     monkeypatch.setattr(ktheory, "_unitriangular_inverse", counting_inverse)
     return calls
 

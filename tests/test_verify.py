@@ -194,6 +194,28 @@ def test_lift_independence_lifts_each_trial_once(monkeypatch):
     assert len(calls) == report["checks"]
 
 
+def test_lift_independence_makes_one_apply_per_trial(monkeypatch):
+    # a K-class carries its lattice coordinates: a trial's lift wraps them
+    # and its decomposition applies the Adams matrix once, so the sweep
+    # makes at most 2478 Matrix.apply calls (its 2300 trials, the base
+    # columns and the matrices it builds), where a K-class stored by its
+    # tau vector, solved again by the decomposition, made 7078
+    from chowops import core
+
+    calls = []
+    apply = core.Matrix.apply
+
+    def counting(self, *args):
+        calls.append(self)
+        return apply(self, *args)
+
+    monkeypatch.setattr(core.Matrix, "apply", counting)
+    report = run_suite("lift-independence", seed=5)
+    assert report["passed"], report["failures"][:2]
+    assert report["checks"] == SWEEP_CHECKS["lift-independence"]
+    assert report["checks"] <= len(calls) <= 2478
+
+
 @pytest.mark.parametrize("cap", range(6))
 def test_every_suite_keeps_to_max_dim(cap):
     # within the cap a suite runs what it can; with nothing left it reports
