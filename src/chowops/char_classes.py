@@ -67,17 +67,17 @@ def multiplicative_class(spec, e):
     """Unique multiplicative extension of a per-root series to virtual bundles.
 
     The log class u[l] = w_{codim l} ch[l] is formed in integers, over the
-    weights' denominator times ch's, and f_0^rank = (a / b)^rank, as integer
-    powers of a and b, rides along into the exponential's one denominator
-    (`core._exp`); w_0 = 0, so u has no codim-0 part."""
-    X = e.variety
-    n, dims = X.dim, X._dims
-    a, b, w, d = spec.weights(n)
-    u = {l: c for l, v in e.ch.num.items() if (c := w[n - dims[l]] * v)}
+    weights' denominator times ch's, straight into the exponential's dense
+    input, i u_i on each codim-i cell, and f_0^rank = (a / b)^rank, as
+    integer powers of a and b, rides along into the exponential's one
+    denominator (`core._exp`); w_0 = 0, so u has no codim-0 part."""
+    X, num = e.variety, e.ch.num
+    a, b, w, d = spec.weights(X.dim)
+    y = [c * w[c] * num.get(l, 0) for (l, _), c in zip(X.cells, X._graded[0])]
     r = e.rank
     if r < 0:
         a, b, r = (b, a, -r) if a > 0 else (-b, -a, -r)
-    return _exp(X, u, d * e.ch.den, a ** r, b ** r)
+    return _exp(X, y, d * e.ch.den, a ** r, b ** r)
 
 
 _SPECS = {}  # (name, p, n) -> SeriesSpec of a built-in per-root series

@@ -11,9 +11,11 @@ and theta^p reads an apply's image undivided.
 
 The ring structure comes from a finite table of structure constants, given
 keyed by pairs of cells and stored as rows keyed by the left cell,
-{a: {b: ((c, n), ...)}}, nonzero products only; every ring product, each
-term of `_exp` included, is added into a dict by one kernel on those rows
-(`CellularVariety._mul_into`).  Each entry is checked for grading,
+{a: {b: ((c, n), ...)}}, nonzero products only; every product of two
+classes is added into a dict by one kernel on those rows
+(`CellularVariety._mul_into`), and `_exp` reads the same table as dense
+lists over the cells, graded by codimension (`CellularVariety._graded`,
+derived on the first exponential).  Each entry is checked for grading,
 commutativity and unitality as it is read; a table given directly is also
 checked for associativity, which the builders' tables have by construction
 (`varieties.BuiltVariety`).  The tau columns
@@ -199,6 +201,22 @@ class CellularVariety:
                     for r, n in prods:
                         out[r] = out.get(r, 0) + s * n
         return out
+
+    @cached_property
+    def _graded(self):
+        """(codims, graded): each cell's codimension, in `cells` order, and
+        the table as `_exp` reads it: graded[k] holds (i, a, b, r, m), over
+        cell indices, for each product [a][b] = m [r] with codim a = i >= 1
+        and codim a + codim b = k."""
+        n, dims, index = self.dim, self._dims, self._index
+        graded = [[] for _ in range(n + 1)]
+        for a, row in self._table.items():
+            if dims[a] < n:
+                for b, prods in row.items():
+                    graded[n - dims[a] + n - dims[b]] += [
+                        (n - dims[a], index[a], index[b], index[r], m)
+                        for r, m in prods]
+        return [n - d for _, d in self.cells], graded
 
     def _check_associativity(self):
         """(ab)c = a(bc) for ab != 0 and every c with a nonzero side,
@@ -471,7 +489,9 @@ class ChowClass(_CellVector):
         if self.variety.fundamental in self.num:
             raise SeriesDomainError("exp needs x in positive codimension, "
                                     "got %s" % format_class(self))
-        return _exp(self.variety, self.num, self.den)
+        V, num = self.variety, self.num
+        return _exp(V, [c * num.get(l, 0) for (l, _), c
+                        in zip(V.cells, V._graded[0])], self.den)
 
 
 def _built(variety, num, den=1):
@@ -522,50 +542,44 @@ def _quotient(v, d):
     return Fraction(v, d) if r else q
 
 
-def _exp(V, num, d, fn=1, fd=1):
-    """f e^x on V for x = num / d, with num integers supported in positive
-    codimension and f = fn / fd, integers with fd >= 1: the one ring
-    exponential.
+def _exp(V, y, d, fn=1, fd=1):
+    """f e^x on V for x = num / d, num integers supported in positive
+    codimension, and f = fn / fd, integers with fd >= 1: the one ring
+    exponential.  y is i num on each codim-i cell, a list in `V.cells` order.
 
     The grading derivation D (multiplication by i in codimension i)
     satisfies D e^x = Dx . e^x, so e^x is built codimension by codimension:
     k E_k = sum_{i=1..k} (i x_i) E_{k-i}, with x_i the codim-i part of x.
     It runs in integers: with y_i = i num_i and G_k = k! d^k E_k, which is
-    integral, G_k = sum_{i=1..k} (k-1)!/(k-i)! d^(i-1) y_i G_{k-i}, each
-    term added into G_k by the ring kernel (`_mul_into`), one product of
-    cells per pair (i, k - i), and f E_k is G_k fn over k! d^k fd.  The
-    E_k sit in distinct codimensions, so f e^x is their union, over
-    n! d^n fd or, on large integers, over the lcm of the blocks'
-    denominators in lowest terms.
+    integral, G_k = sum_{i=1..k} c_i y_i G_{k-i}, c_i = (k-1)!/(k-i)! d^(i-1).
+    The G_k sit in distinct codimensions, so they share one list G over the
+    cells, and each product of cells is one entry (i, a, b, r, m) of
+    `V._graded`: G[r] += c_i m y[a] G[b].  f E_k is G_k fn over k! d^k fd,
+    so f e^x is the union of the blocks, over n! d^n fd or, on large
+    integers, over the lcm of the blocks' denominators in lowest terms.
     """
-    n, dims = V.dim, V._dims
-    y = [{} for _ in range(n + 1)]
-    for l, v in num.items():
-        i = n - dims[l]
-        y[i][l] = i * v
-    den = fd  # runs through k! d^k fd
-    G = [{V.fundamental: 1}]
-    dens = [den]
-    for k in range(1, n + 1):
-        G_k = {}
-        c = 1  # (k-1)!/(k-i)! d^(i-1)
-        for i in range(1, k + 1):
-            if y[i] and G[k - i]:
-                V._mul_into(G_k, y[i], G[k - i], c)
-            c *= (k - i) * d
-        G.append(G_k)
-        den *= k * d
-        dens.append(den)
-    L = den
+    codims, graded = V._graded
+    G = [0] * len(y)
+    G[V._index[V.fundamental]] = 1
+    dens = [fd]  # k! d^k fd
+    for k in range(1, V.dim + 1):
+        c = [0, 1]  # c[i] = c_i
+        for i in range(1, k):
+            c.append(c[i] * (k - i) * d)
+        for i, a, b, r, m in graded[k]:
+            G[r] += c[i] * m * y[a] * G[b]
+        dens.append(dens[-1] * k * d)
+    L = dens[-1]
     if L.bit_length() > 128:
         # reduce each block on its own first: past about 128 bits (measured)
         # the gcds on the blocks cost less than scaling every block to
         # n! d^n f_den and reducing the lot, below it they cost more
-        L = lcm(*[e // gcd(e, fn * gcd(*G_k.values()))
-                  for G_k, e in zip(G, dens)])
+        L = lcm(*[e // gcd(e, fn * gcd(*[v for v, j in zip(G, codims)
+                                         if j == k]))
+                  for k, e in enumerate(dens)])
     s = fn * L
-    return _built(V, {l: v * s // e for G_k, e in zip(G, dens)
-                      for l, v in G_k.items()}, L)
+    return _built(V, {l: v * s // dens[j] for (l, _), j, v
+                      in zip(V.cells, codims, G) if v}, L)
 
 
 def _as_int(v):

@@ -39,7 +39,6 @@ from .core import (
     apply_matrix,
     class_from_json,
     class_to_json,
-    degree,
 )
 from .errors import NonIntegralInput, ZeroClass, require_prime
 from .series import spower
@@ -196,8 +195,23 @@ def phi_top(x):
 
 
 def euler_char(x):
-    """deg of the dimension-0 part of tau: chi of the pushforward to a point."""
-    return Fraction(degree(x.tau.dim_component(0)))
+    """deg of the dimension-0 part of tau: chi of the pushforward to a
+    point, one dot product of the coordinates with chi(O_Z) (`_chi_row`)."""
+    row, den = _chi_row(x.variety)
+    coords = x.coords
+    return Fraction(sum(v * row[l] for l, v in coords.num.items()),
+                    coords.den * den)
+
+
+def _chi_row(X):
+    """({Z: integer}, D): chi(O_Z) for each cell Z, the degree of the
+    dimension-0 part of its tau column, as integers over the tau matrix's
+    denominator D; built once per variety and cached."""
+    def build():
+        tau, degrees = X.tau_columns, X.degree_vector.items()
+        return {c: sum(col.get(pt, 0) * v for pt, v in degrees)
+                for c, col in tau.ints.items()}, tau.den
+    return _cached(X, "chi_row", build)
 
 
 # ---------------------------------------------------------------------------

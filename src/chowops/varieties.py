@@ -26,7 +26,7 @@ Line bundles O(i) are in `bundles`.
 import re
 import sys
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, prod
 
 from .char_classes import line_sum_class
@@ -323,7 +323,7 @@ def _arguments(kind, names, params):
     (checked first).  A refusal prints parameter names and types, no value."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     for name, v in params.items():
-        if type(v) is int and limit and not -10 ** limit < v < 10 ** limit:
+        if type(v) is int and limit and abs(v) >= _print_bound(limit):
             raise ValueError("%s parameter %s is too long to print"
                              % (kind, name))
     if set(params) == set(names) and all(
@@ -335,6 +335,14 @@ def _arguments(kind, names, params):
         for name in names), ", ".join("%s (%s)" % (name, type(v).__name__)
                                       for name, v in params.items())
         or "nothing"))
+
+
+@lru_cache(maxsize=1)
+def _print_bound(limit):
+    """10 ** limit, the least int with more digits than the limit lets
+    print: computed once per limit, which `sys.set_int_max_str_digits`
+    can change."""
+    return 10 ** limit
 
 
 def _builder_spec(builder, n):

@@ -14,6 +14,7 @@ from chowops import (
     adams_upper,
     atiyah_decompose,
     bott_decompose,
+    degree,
     euler_char,
     filtration_level,
     k0_from_chow_lift,
@@ -477,6 +478,32 @@ def test_a_kclass_is_its_lattice_coordinates(case):
     for z in (KClass(X, tau, False), y):
         back = kclass_from_json(X, z.to_json())
         assert back == z and back.integral is z.integral
+
+
+@st.composite
+def euler_char_cases(draw):
+    """A K-class on RAW or a SMALL_BUILDERS shape: solved from a random
+    rational tau vector, or lifted from random integer coordinates."""
+    X = draw(st.sampled_from([RAW] + SMALL_BUILDERS))
+    if isinstance(X, str):
+        X = variety_from_spec(X)
+    cells = st.sampled_from(X.labels())
+    if draw(st.booleans()):
+        values = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(1, 10 ** 4))
+        return KClass(X, make_class(X, draw(st.dictionaries(cells, values))),
+                      False)
+    return k0_from_chow_lift(make_class(X, draw(st.dictionaries(
+        cells, st.integers(-50, 50)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(euler_char_cases())
+def test_euler_char_is_the_degree_of_the_dimension_0_part_of_tau(x):
+    # one dot product of the coordinates with the cached chi(O_Z) row
+    chi = euler_char(x)
+    assert type(chi) is Fraction
+    assert chi == degree(x.tau.dim_component(0))
 
 
 @pytest.mark.parametrize("other", [1, Fraction(1, 2), "x", None,

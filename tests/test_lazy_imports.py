@@ -41,22 +41,35 @@ PUBLIC = (
 
 _LOADED = """
 import contextlib, io, json, sys
+from chowops import core
+built, init = [], core.CellularVariety.__init__
+
+def recording(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+core.CellularVariety.__init__ = recording
 from chowops.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+print(json.dumps([code, sorted(sys.modules),
+                  [X.name for X in built if "_graded" in vars(X)]]))
 """
 
 
 def loaded(*argv):
-    """The chowops modules a fresh interpreter holds after one CLI call."""
+    """(modules, graded) after one CLI call in a fresh interpreter: the
+    chowops modules it holds, and the names of the varieties built during
+    the call that hold the exponential's graded product list
+    (`CellularVariety._graded`, derived on a variety's first exponential)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("STEENROD_MAX_DIM", None)
     out = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
-    code, modules = json.loads(out.stdout)
+    code, modules, graded = json.loads(out.stdout)
     assert code == 0, out.stderr
-    return {m.split(".", 1)[1] for m in modules if m.startswith("chowops.")}
+    return ({m.split(".", 1)[1] for m in modules if m.startswith("chowops.")},
+            graded)
 
 
 # what only `verify` and library callers run: the morphism catalogue,
@@ -74,14 +87,23 @@ VERIFY_ONLY = {"verify", "bundles", "morphisms", "numbers"}
      VERIFY_ONLY),
 ])
 def test_a_verb_loads_only_the_modules_it_runs(argv, absent):
-    modules = loaded(*argv)
+    # and takes no exponential: describe, table and operate never build
+    # the graded product list
+    modules, graded = loaded(*argv)
     assert {"cli", "core", "errors", "varieties"} <= modules
     assert not modules & absent, modules & absent
+    assert graded == []
 
 
 def test_the_verify_verb_loads_the_suites():
-    modules = loaded("verify", "--suite", "xp", "--variety", "Q_3", "--p", "3")
+    modules, graded = loaded("verify", "--suite", "xp", "--variety", "Q_3",
+                             "--p", "3")
     assert {"steenrod", "ktheory"} | VERIFY_ONLY <= modules
+    assert graded == []
+    # whitney takes the classes of random bundles, each one exponential
+    _, graded = loaded("verify", "--suite", "whitney", "--variety", "P^2",
+                       "--trials", "1")
+    assert graded == ["P^2"]
 
 
 @pytest.mark.parametrize("call, shown", [

@@ -73,7 +73,7 @@ from chowops import (
     VirtualBundle,
     w_chp,
 )
-from chowops.char_classes import w_tangent
+from chowops.char_classes import _spec, multiplicative_class, w_tangent
 from chowops.core import _built, apply_matrix
 from chowops.errors import UnknownLabel
 from chowops.ktheory import _psi_ch
@@ -864,6 +864,51 @@ def test_products_and_exp_match_the_pair_table_oracle(case):
     abar, bbar = (ModPClass.from_integral(z, p) for z in (a, b))
     assert (abar * bbar).num == {
         l: r for l, v in oracle_mul(a, b, table).items() if (r := v % p)}
+
+
+# the exponential runs over each variety's graded product list, derived on
+# the first exponential from the table: every builder shape, and the
+# caller's copy of P^1xP^2, whose list comes from the table it was given
+CLASS_CASES = [("chern", None), ("todd", None)] + [
+    (name, p) for name in ("theta", "w") for p in (2, 3, 5)]
+
+
+def classes_match_the_power_sums(u, rank):
+    """multiplicative_class of the bundle of rank `rank` and Chern
+    character rank + u is the oracle's, for every built-in series."""
+    X = u.variety
+    e = VirtualBundle(X, rank, u + X.unit().scale(rank), integral=False)
+    for name, p in CLASS_CASES:
+        got = multiplicative_class(_spec(name, X.dim, p), e)
+        assert is_normalized(got)
+        assert got == multiplicative_class_anew(name, e, p), (name, p, rank)
+
+
+@pytest.mark.parametrize("X, table", KERNEL_VARIETIES,
+                         ids=[X.name for X, _ in KERNEL_VARIETIES])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_exp_and_classes_match_the_power_sums(X, table, data):
+    u = oracle_class(data.draw, X, positive=True) if X.dim else X.zero()
+    agrees(u.exp(), oracle_exp(u, table))
+    rank = data.draw(st.integers(1, 4))
+    for r in (rank, -rank):
+        classes_match_the_power_sums(u, r)
+
+
+@pytest.mark.parametrize("X, table", [(projective_space(8), None),
+                                      KERNEL_VARIETIES[-1]],
+                         ids=["P^8", "raw P^1xP^2"])
+def test_exp_past_128_bits_matches_the_power_sums(X, table):
+    # n! d^n passes 128 bits, so the exponential reduces each block on its
+    # own before taking the lcm of their denominators
+    d = (2 ** 61 - 1) ** 2
+    u = make_class(X, {l: Fraction(3 * i + 1, d) for i, l in
+                       enumerate(X.labels()) if l != X.fundamental})
+    assert u.den == d and (factorial(X.dim) * d ** X.dim).bit_length() > 128
+    agrees(u.exp(), oracle_exp(u, table))
+    for r in (3, -3):
+        classes_match_the_power_sums(u, r)
 
 
 # -- the stored form: integers over one denominator, in lowest terms ----------

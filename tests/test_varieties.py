@@ -1,5 +1,6 @@
 """Builders and the morphism catalog, cross-checked against sympy series."""
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -849,6 +850,28 @@ def test_sizes_past_the_print_limit_are_refused_by_name(monkeypatch, kind,
         with pytest.raises(ValueError, match="^odd_quadric parameter dim is "
                                              "too long to print$"):
             variety_from_spec(spec)
+
+
+def test_the_print_rule_follows_a_changed_limit():
+    # the bound is computed once per limit, and the limit can change while
+    # the process runs: a size of exactly limit digits passes the rule (and
+    # fails later, on the cap or in the builder), one of limit + 1 digits is
+    # refused by it
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (700, 640, 700):
+            sys.set_int_max_str_digits(limit)
+            for sign, later in ((1, "^variety exceeds the dimension cap 8$"),
+                                (-1, "^quadric dimension must be >= 1$")):
+                for size, message in (
+                        (10 ** limit - 1, later),
+                        (10 ** limit, "^odd_quadric parameter dim is too "
+                                      "long to print$")):
+                    with pytest.raises(ValueError, match=message):
+                        variety_from_spec({"type": "odd_quadric",
+                                           "dim": sign * size}, max_dim=8)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_a_malformed_call_names_types_not_values():
