@@ -578,8 +578,10 @@ def _exp(V, y, d, fn=1, fd=1):
                                          if j == k]))
                   for k, e in enumerate(dens)])
     s = fn * L
-    return _built(V, {l: v * s // dens[j] for (l, _), j, v
-                      in zip(V.cells, codims, G) if v}, L)
+    out = [v * s // dens[j] for j, v in zip(codims, G)]
+    g = gcd(L, *out)  # reduced as a list, so that one dict is built
+    return _built(V, {l: v // g for (l, _), v in zip(V.cells, out) if v},
+                  L // g)
 
 
 def _as_int(v):

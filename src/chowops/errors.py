@@ -132,6 +132,7 @@ def require_prime(p):
         raise ValueError("p must be below %d, got %s" % (PRIME_BOUND,
                                                         _shown(p)))
     if p in _MR_BASES:
+        _accepted = p
         return
     d, s = p - 1, 0
     while d % 2 == 0:

@@ -14,10 +14,10 @@ coordinates (`filtration_level`, `phi_top`).  Both p-adic decompositions,
 Atiyah's of psi_p(x) (`steenrod`) and Bott's of theta^p(e) (`bundles`),
 group these coordinates by a filtration index k and scale them by
 p^(shift + k) through one split (`_p_adic_split`) of the integers over one
-denominator that `core.Matrix.apply` leaves undivided.  The bundle side of
-K-theory (psi^p on K^0, K_0 = K^0 by Todd(T_X), Bott's decomposition) is in
-`bundles`, and the action of morphisms on K-classes in `morphisms`: only
-`verify` and library callers load them.
+denominator that `core.Matrix.apply` leaves undivided.  K^0 (psi^p, K_0 =
+K^0 and Bott's decomposition, by matrices cached per variety) is in
+`bundles`, and morphisms on K_0 (a matrix cached per morphism) in
+`morphisms`: only `verify` and library callers load them.
 
 The homological Adams operation psi_p(x) = psi^p(x) theta^p(-T_X) scales the
 dimension-j part of tau(x) by p^{-j} (`_psi_ch` over p^{dim X}), by Bott's

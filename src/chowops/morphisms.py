@@ -3,7 +3,8 @@
 A `Morphism` is a pair of integer matrices on the cells, pushforward and
 pullback, with its flags (proper, lci, flat); it is not a symbolic map.
 Multiplicativity of the pullback and the projection formula are checked
-exhaustively on basis pairs when the morphism is built.  The relative
+exhaustively on basis pairs when the morphism is built, on the integer
+matrices and the ring table themselves.  The relative
 tangent bundle T_f = T_X - f^*T_Y is derived from the two varieties'
 tangent data.
 
@@ -11,14 +12,14 @@ The catalogue is one table, `_KINDS`: kind -> (builder, parameter names).
 `varieties.build_morphism` reads it and interns what it builds in
 `_MORPHISM_CACHE`; it loads this module on its first call, so only `verify`
 and library callers compile it.  Every variety a kind builds meets the caps
-of `varieties.variety_from_spec` first.  K-classes move along a morphism in
-tau-coordinates (`kclass_pushforward`, `kclass_pullback`).
+of `varieties.variety_from_spec` first.  K-classes move along a morphism by
+one apply to their lattice coordinates (`kclass_pushforward`,
+`kclass_pullback`) of a matrix cached on the morphism (`k_push`, `k_pull`).
 """
 from functools import cached_property
 from math import comb
 
-from .bundles import VirtualBundle, tangent_bundle
-from .char_classes import todd_class, todd_inv_class
+from .bundles import VirtualBundle, ch_inverse, ch_matrix, tangent_bundle
 from .core import Matrix, apply_matrix, kunneth
 from .errors import (
     FlagViolation,
@@ -26,7 +27,7 @@ from .errors import (
     InvalidVariety,
     VarietyMismatch,
 )
-from .ktheory import KClass
+from .ktheory import _of, tau_lattice
 from .varieties import (
     _builder_spec,
     _capped,
@@ -46,7 +47,10 @@ class Morphism:
     push preserves dimension, pull preserves codimension and is a ring map;
     both facts and the projection formula are verified on all basis pairs at
     construction.  Source and target are smooth, as every builder is, so
-    T_f = T_X - f^*T_Y is derived from their tangent data.
+    T_f = T_X - f^*T_Y is derived from their tangent data.  On K_0, in the
+    lattice bases [O_Z], push is `k_push` = T_Y^{-1} f_* T_X (tau commutes
+    with proper pushforward) and pull is `k_pull` = T_X^{-1} (Todd_X
+    f^*(Todd_Y^{-1} .)) T_Y, each built on first use and cached.
     """
 
     def __init__(self, name, source, target, push, pull, proper, lci, flat):
@@ -80,23 +84,30 @@ class Morphism:
                 if src.cell_codim(a) != tgt.cell_codim(y):
                     raise InvalidVariety(
                         "%s: pull of %r is not codimension-preserving" % (self.name, y))
-        if self.pull_class(tgt.unit()) != src.unit():
+        # on the integer matrices: a cell's image is its column, a product
+        # of two cells its row of the table, read as {cell: int} dicts
+        push, pull = self.push.ints, self.pull.ints
+        image = {y: pull.get(y, {}) for y in tgt.labels()}
+
+        def nonzero(vec):
+            return {l: v for l, v in vec.items() if v}
+
+        if image[tgt.fundamental] != {src.fundamental: 1}:
             raise InvalidVariety("%s: pull does not preserve the unit" % self.name)
         for y1 in tgt.labels():
-            py1 = self.pull_class(tgt.basis_class(y1))
+            row = tgt._table[y1]
             for y2 in tgt.labels():
-                lhs = self.pull_class(tgt.basis_class(y1) * tgt.basis_class(y2))
-                rhs = py1 * self.pull_class(tgt.basis_class(y2))
-                if lhs != rhs:
+                lhs = self.pull.apply(dict(row.get(y2, ())))[0]
+                rhs = src._mul_into({}, image[y1], image[y2])
+                if nonzero(lhs) != nonzero(rhs):
                     raise InvalidVariety(
                         "%s: pull is not multiplicative on (%r, %r)"
                         % (self.name, y1, y2))
         for y in tgt.labels():
-            py = self.pull_class(tgt.basis_class(y))
             for x in src.labels():
-                lhs = self.push_class(py * src.basis_class(x))
-                rhs = tgt.basis_class(y) * self.push_class(src.basis_class(x))
-                if lhs != rhs:
+                lhs = self.push.apply(src._mul_into({}, image[y], {x: 1}))[0]
+                rhs = tgt._mul_into({}, {y: 1}, push.get(x, {}))
+                if nonzero(lhs) != nonzero(rhs):
                     raise InvalidVariety(
                         "%s: projection formula fails on (%r, %r)"
                         % (self.name, y, x))
@@ -107,6 +118,23 @@ class Morphism:
         tgt = self.target
         return tangent_bundle(self.source) - VirtualBundle(
             self.source, tgt.dim, self.pull_class(tgt.tangent_chern_character()))
+
+    @cached_property
+    def k_push(self):
+        """K_0 pushforward on lattice coordinates, T_Y^{-1} f_* T_X: column
+        Z is the target coordinates of f_* tau[O_Z]."""
+        tau, inverse = self.source.tau_columns, tau_lattice(self.target).inverse
+        return Matrix.over({c: inverse.apply(*self.push.apply(col, tau.den))
+                            for c, col in tau.ints.items()})
+
+    @cached_property
+    def k_pull(self):
+        """K_0 pullback on lattice coordinates, T_X^{-1} (Todd_X
+        f^*(Todd_Y^{-1} .)) T_Y: `ch_inverse` of X after f^* of the columns
+        of `ch_matrix` of Y, as K^0 pullback commutes with ch."""
+        C, back = ch_matrix(self.target), ch_inverse(self.source)
+        return Matrix.over({c: back.apply(*self.pull.apply(col, C.den))
+                            for c, col in C.ints.items()})
 
     def push_class(self, x):
         if x.variety is not self.source:
@@ -258,15 +286,17 @@ def morphism_from_spec(spec):
 # -- K-classes along a morphism ----------------------------------------------
 
 def kclass_pushforward(f, x):
-    """tau commutes with proper pushforward."""
+    """tau commutes with proper pushforward: `f.k_push` on the coordinates."""
     if not f.proper:
         raise FlagViolation("K-theory pushforward needs a proper morphism")
-    return KClass(f.target, f.push_class(x.tau), x.integral)
+    return _of(f.target, apply_matrix(f.k_push, x.coords, f.target),
+               x.integral)
 
 
 def kclass_pullback(f, y):
-    """K^0 pullback written in tau-coordinates: Todd_X * f^*(tau / Todd_Y)."""
+    """K^0 pullback through ch, Todd_X f^*(tau / Todd_Y): `f.k_pull` on the
+    coordinates."""
     if not (f.lci or f.flat):
         raise FlagViolation("K-theory pullback needs an lci or flat morphism")
-    ch = f.pull_class(y.tau * todd_inv_class(f.target))
-    return KClass(f.source, todd_class(f.source) * ch, y.integral)
+    return _of(f.source, apply_matrix(f.k_pull, y.coords, f.source),
+               y.integral)

@@ -14,6 +14,11 @@ the Euler sequence of the cell's closure Z.
 `projective_adams_products` is the Adams matrix of P^n by one full series
 product per column, the reference for the package's `series.spower` per
 column.
+`ch_by_todd`, `ch_coordinates_by_todd`, `bott_parts_by_todd`,
+`kclass_pushforward_by_tau` and `kclass_pullback_by_todd` are the Todd-product
+routes of K_0 = K^0, of Bott's parts and of K-classes along a morphism (ring
+products by Todd(T_X)^{+-1}, a tau round trip and a `KClass` solve or a
+back substitution), the references for the package's cached matrices.
 `catalogue_relative_tangent` writes out T_f of each morphism kind by hand,
 the reference for the derived T_X - f^*T_Y.  `adams_lower_by_twist` is the
 homological Adams operation by the Todd and theta^p(-T_X) twist, the
@@ -336,6 +341,50 @@ def adams_lower_by_twist(x, p):
     T = tangent_bundle(X)
     scaled = _psi_ch(x.tau * todd(-T), p)
     return KClass(X, todd(T) * theta_p(-T, p) * scaled, integral=False)
+
+
+def ch_by_todd(x):
+    """ch of the K-class x by the Todd route, tau(x) Todd(T_X)^{-1}: the
+    reference for `bundles.ch_matrix` and `kclass_to_bundle`."""
+    from chowops.char_classes import todd_inv_class
+    return x.tau * todd_inv_class(x.variety)
+
+
+def ch_coordinates_by_todd(X, ch):
+    """The lattice coordinates of a Chern character by the Todd route:
+    ch Todd(T_X), solved in the tau basis by back substitution
+    (`tau_coordinates`); the reference for `bundles.ch_inverse`."""
+    from chowops.char_classes import todd_class
+    from chowops.core import ChowClass
+    return ChowClass(X, tau_coordinates(X, ch * todd_class(X)))
+
+
+def bott_parts_by_todd(e, p):
+    """Bott's parts of theta^p(e) by the Todd route: the coordinates of
+    theta^p(e) (`ch_coordinates_by_todd`), split by Fraction scales
+    (`p_adic_split`), each piece lifted and divided by Todd(T_X)."""
+    from chowops.bundles import theta_p
+    from chowops.ktheory import k0_from_chow_lift
+    X = e.variety
+    coords = ch_coordinates_by_todd(X, theta_p(e, p))
+    pieces, bad = p_adic_split(coords, p, X.dim, -e.rank)
+    assert bad is None, "theta^%d(e) does not split" % p
+    return [ch_by_todd(k0_from_chow_lift(piece)) for piece in pieces]
+
+
+def kclass_pushforward_by_tau(f, x):
+    """f_* x by the tau route: f_* tau(x), solved by `KClass`."""
+    from chowops.ktheory import KClass
+    return KClass(f.target, f.push_class(x.tau), x.integral)
+
+
+def kclass_pullback_by_todd(f, y):
+    """f^* y by the Todd route: Todd_X f^*(tau(y) / Todd_Y), solved by
+    `KClass`."""
+    from chowops.char_classes import todd_class
+    from chowops.ktheory import KClass
+    X = f.source
+    return KClass(X, todd_class(X) * f.pull_class(ch_by_todd(y)), y.integral)
 
 
 def series_inverse_anew(a, n):

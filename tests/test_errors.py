@@ -151,6 +151,14 @@ def test_require_prime_runs_miller_rabin_once_per_new_prime(monkeypatch):
     assert len(calls) == 3 * one_run
 
 
+def test_require_prime_remembers_the_small_primes_too(monkeypatch):
+    # 2, 3 and 5 are Miller-Rabin bases, accepted without a pow: they are
+    # still the last prime accepted, so the next call takes the fast path
+    monkeypatch.setattr(errors, "_accepted", None)
+    require_prime(3)
+    assert errors._accepted == 3
+
+
 def test_remembered_prime_still_refuses_other_types(monkeypatch):
     monkeypatch.setattr(errors, "_accepted", None)
     require_prime(43)

@@ -18,6 +18,7 @@ from chowops import (
     euler_char,
     filtration_level,
     k0_from_chow_lift,
+    k0_generators,
     kclass_from_json,
     kclass_pullback,
     kclass_pushforward,
@@ -42,8 +43,14 @@ from chowops.errors import (
     NonIntegralInput,
     ZeroClass,
 )
-from chowops.bundles import k0_generator_bundles, kclass_to_bundle
+from chowops.bundles import (
+    ch_inverse,
+    ch_matrix,
+    k0_generator_bundles,
+    kclass_to_bundle,
+)
 from chowops.ktheory import _p_adic_split, _projective_adams, _psi_ch
+from chowops.verify import standard_morphisms
 
 
 P1 = projective_space(1)
@@ -593,3 +600,84 @@ def test_adams_matrix_has_p_power_denominators():
                     while den % p == 0:
                         den //= p
                     assert den == 1, (spec, p, v)
+
+
+# -- K_0 = K^0 and morphisms on K_0: cached matrices against the Todd routes --
+
+def _shape(X):
+    return variety_from_spec(X) if isinstance(X, str) else X
+
+
+def _random_coords(X, rng, integral):
+    """Random lattice coordinates on every cell; integers on the fundamental
+    cell (the rank), rational elsewhere unless integral."""
+    out = {}
+    for l in X.labels():
+        v = rng.randint(-20, 20)
+        if not integral and l != X.fundamental:
+            v = Fraction(v, rng.randint(1, 12))
+        out[l] = v
+    return make_class(X, out)
+
+
+@pytest.mark.parametrize("X", [RAW] + SMALL_BUILDERS,
+                         ids=lambda X: getattr(X, "name", X))
+def test_ch_matrices_match_the_todd_routes(X):
+    # column Z of C is ch(O_Z) = tau[O_Z] / Todd(T_X), column l of C^{-1} is
+    # T^{-1}([l] Todd(T_X)), each with the old route's num and den, and
+    # C^{-1} C is the identity; then random classes go through
+    # kclass_to_bundle as through the Todd route
+    X = _shape(X)
+    C, back = ch_matrix(X), ch_inverse(X)
+    for l in X.labels():
+        cell = X.basis_class(l)
+        ch = apply_matrix(C, cell, X)
+        assert ch == oracles.ch_by_todd(k0_from_chow_lift(cell)), l
+        assert apply_matrix(back, cell, X) == \
+            oracles.ch_coordinates_by_todd(X, cell), l
+        assert apply_matrix(back, ch, X) == cell, l
+    rng = random.Random(X.name)
+    for integral in (True, False):
+        coords = _random_coords(X, rng, integral)
+        x = KClass(X, apply_matrix(X.tau_columns, coords, X), integral)
+        e = kclass_to_bundle(x)
+        assert e.ch == oracles.ch_by_todd(x) and e.integral is integral
+        assert e.rank == x.coords.coeffs.get(X.fundamental, 0)
+        assert apply_matrix(back, e.ch, X) == x.coords
+
+
+@pytest.mark.parametrize("X", [RAW] + SMALL_BUILDERS,
+                         ids=lambda X: getattr(X, "name", X))
+def test_bott_parts_match_the_todd_route(X):
+    X = _shape(X)
+    rng = random.Random("bott on %s" % X.name)
+    T = tangent_bundle(X)
+    bundles = [T, -T, line_bundle(X, 2), trivial_bundle(X, 3),
+               kclass_to_bundle(k0_from_chow_lift(_random_coords(X, rng,
+                                                                 True)))]
+    for p in (2, 3, 5):
+        for e in bundles:
+            assert bott_decompose(e, p) == oracles.bott_parts_by_todd(e, p)
+
+
+@pytest.mark.parametrize("f", standard_morphisms(), ids=repr)
+def test_kclass_push_and_pull_matrices_match_the_todd_routes(f):
+    # column by column, then on random rational K-classes: the coordinates
+    # (num and den) and the integral flag of the old routes
+    X, Y = f.source, f.target
+    rng = random.Random(f.name)
+    for l, x in k0_generators(X):
+        assert f.k_push[l] == oracles.kclass_pushforward_by_tau(
+            f, x).coords.coeffs, l
+    for l, y in k0_generators(Y):
+        assert f.k_pull[l] == oracles.kclass_pullback_by_todd(
+            f, y).coords.coeffs, l
+    for integral in (True, False):
+        x = KClass(X, _random_coords(X, rng, integral), integral)
+        y = KClass(Y, _random_coords(Y, rng, integral), integral)
+        for got, want in ((kclass_pushforward(f, x),
+                           oracles.kclass_pushforward_by_tau(f, x)),
+                          (kclass_pullback(f, y),
+                           oracles.kclass_pullback_by_todd(f, y))):
+            assert got.coords == want.coords
+            assert got.integral is want.integral is integral

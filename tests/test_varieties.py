@@ -913,6 +913,36 @@ def test_morphism_matrices_must_be_integers(bad):
                      proper=True, lci=True, flat=True)
 
 
+# a degree-2 self map of P^3 (push h^i -> 2^(3-i) h^i, pull h^i -> 2^i h^i)
+# with one entry changed, and the message the validation gives, naming the
+# first failing pair in label order: the unit, then multiplicativity on
+# (y1, y2), then the projection formula on (y, x)
+_SELF_PUSH = {"h^%d" % i: {"h^%d" % i: 2 ** (3 - i)} for i in range(4)}
+_SELF_PULL = {"h^%d" % i: {"h^%d" % i: 2 ** i} for i in range(4)}
+BROKEN_MORPHISMS = [
+    (_SELF_PUSH, {**_SELF_PULL, "h^0": {"h^0": 2}},
+     "bad: pull does not preserve the unit"),
+    (_SELF_PUSH, {**_SELF_PULL, "h^0": {}},
+     "bad: pull does not preserve the unit"),
+    (_SELF_PUSH, {**_SELF_PULL, "h^3": {"h^3": 7}},
+     "bad: pull is not multiplicative on ('h^1', 'h^2')"),
+    ({**_SELF_PUSH, "h^2": {"h^2": 3}}, _SELF_PULL,
+     "bad: projection formula fails on ('h^1', 'h^1')"),
+    ({**_SELF_PUSH, "h^1": {"h^1": 3}}, _SELF_PULL,
+     "bad: projection formula fails on ('h^1', 'h^0')"),
+]
+
+
+@pytest.mark.parametrize("push, pull, message", BROKEN_MORPHISMS)
+def test_a_broken_morphism_names_its_first_failing_pair(push, pull, message):
+    P3 = projective_space(3)
+    Morphism("good", P3, P3, _SELF_PUSH, _SELF_PULL,
+             proper=True, lci=True, flat=True)
+    with pytest.raises(InvalidVariety) as err:
+        Morphism("bad", P3, P3, push, pull, proper=True, lci=True, flat=True)
+    assert str(err.value) == message
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         make_class(P2 := projective_space(2), {"h^1": 0.5})
